@@ -18,7 +18,6 @@ from .errors import (
 from .exact import (
     ExactScalar,
     DenseMatrix,
-    mat_mul,
     lagrange_eigenprojectors,
     column_space_basis,
     FLOAT_TOL,
@@ -59,6 +58,8 @@ from .projectors import (
     q_minus,
     p_plus,
     p_minus,
+    BlockConstant,
+    block_constants,
     compute_A,
     closed_form_A,
     verify_lemma_identities,

@@ -38,11 +38,9 @@ from .errors import (
     QuatspinError,
     ResourceLimitError,
 )
-from .exact import ExactScalar
 from .projectors import (
     ProjectorCalculus,
-    closed_form_A,
-    compute_A,
+    block_constants,
     constants_report,
     verify_lemma_identities,
 )
@@ -222,17 +220,22 @@ def _entry_rows(segment, report):
     return [{"segment": segment, **e.as_dict()} for e in report.sorted_entries()]
 
 
+def _decomposed(m, config):
+    """Model, triple, Kaehler operators, adapted basis and block decomposition."""
+    model = build_clifford_model(m, kind=config.backend)
+    triple = build_standard_triple(model)
+    ops = build_kaehler_operators(model, triple)
+    basis = build_adapted_basis(model, triple)
+    return model, triple, ops, basis, decompose(model, ops, config.tolerance)
+
+
 def cmd_verify(args):
     config = _config_from(args)
-    tol = config.tolerance if config.backend == "float" else None
-    rows = []
+    tol = config.tolerance
+    sections = []
     model_hashes = {}
     for m in config.m_values:
-        model = build_clifford_model(m, kind=config.backend)
-        triple = build_standard_triple(model)
-        ops = build_kaehler_operators(model, triple)
-        basis = build_adapted_basis(model, triple)
-        dec = decompose(model, ops, tol)
+        model, triple, ops, basis, dec = _decomposed(m, config)
         if args.flip_gamma is not None:
             model = corrupt_gamma(model, args.flip_gamma)
         calc = ProjectorCalculus(model, triple, ops, basis)
@@ -242,14 +245,16 @@ def cmd_verify(args):
         report.extend(verify_lemma_identities(model, triple, ops, basis,
                                               dec, calc, tol).entries)
         report.extend(constants_report(model, dec, calc, tol).entries)
-        rows.extend(_entry_rows(f"m={m}", report))
+        sections.append((f"m={m}", report))
         model_hashes[str(m)] = model.content_hash()
-    rows.extend(_entry_rows("so3", irrep_report(10)))
+    sections.append(("so3", irrep_report(10)))
 
-    failures = [r for r in rows if r["status"] == "fail"]
-    counts = {"pass": 0, "fail": 0, "info": 0}
-    for r in rows:
-        counts[r["status"]] = counts.get(r["status"], 0) + 1
+    combined = VerificationReport()
+    rows = []
+    for segment, report in sections:
+        combined.extend(report.entries)
+        rows.extend(_entry_rows(segment, report))
+    counts = combined.counts()
     payload = {
         "command": "verify",
         "backend": config.backend,
@@ -259,52 +264,31 @@ def cmd_verify(args):
         "flip_gamma": args.flip_gamma,
         "model_hashes": model_hashes,
         "counts": counts,
-        "ok": not failures,
+        "ok": combined.ok,
         "entries": rows,
-        "failures": failures,
+        "failures": [row for row in rows if row["status"] == "fail"],
     }
     fieldnames = ["segment", "check_id", "subject", "status", "residual", "note"]
     preamble = [f"backend={config.backend} m_values={list(config.m_values)} "
                 f"pass={counts['pass']} fail={counts['fail']} info={counts['info']}"]
-    return CommandResult(0 if not failures else 1, payload, fieldnames, rows,
+    return CommandResult(0 if combined.ok else 1, payload, fieldnames, rows,
                          preamble)
 
 
 def cmd_constants(args):
     config = _config_from(args)
-    tol = config.tolerance if config.backend == "float" else None
-    m = args.m
-    model = build_clifford_model(m, kind=config.backend)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    basis = build_adapted_basis(model, triple)
-    dec = decompose(model, ops, tol)
+    model, triple, ops, basis, dec = _decomposed(args.m, config)
     calc = ProjectorCalculus(model, triple, ops, basis)
-
-    rows = []
-    mismatches = 0
-    for blk in dec.nonzero_blocks():
-        for variant in ("--", "+-", "-+", "++"):
-            closed = closed_form_A(m, blk.r, blk.k, variant)
-            got = compute_A(model, dec, calc, blk.r, blk.k, variant, tol)
-            if config.backend == "float":
-                match = abs(got - complex(closed)) <= max(10 * config.tolerance, 1e-8)
-                computed = f"{got.real:.12g}"
-            else:
-                match = got == ExactScalar(closed)
-                computed = str(got)
-            mismatches += 0 if match else 1
-            rows.append({
-                "r": blk.r, "k": blk.k, "variant": variant,
-                "computed": computed, "closed": str(closed), "match": match,
-                "note": "twistor normalization undefined (A = 0)"
-                        if closed == 0 else "",
-            })
+    constants = block_constants(model, dec, calc, config.tolerance)
+    rows = [{"r": c.r, "k": c.k, "variant": c.variant, "computed": c.computed,
+             "closed": str(c.closed), "match": c.ok, "note": c.note}
+            for c in constants]
+    mismatches = sum(not c.ok for c in constants)
     payload = {
         "command": "constants",
         "backend": config.backend,
         "tolerance": config.tolerance,
-        "m": m,
+        "m": args.m,
         "model_hash": model.content_hash(),
         "ok": mismatches == 0,
         "counts": {"match": len(rows) - mismatches, "mismatch": mismatches},
@@ -374,12 +358,8 @@ def cmd_bounds(args):
 
 def cmd_decompose(args):
     config = _config_from(args)
-    tol = config.tolerance if config.backend == "float" else None
     m = args.m
-    model = build_clifford_model(m, kind=config.backend)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    dec = decompose(model, ops, tol)
+    model, _, _, _, dec = _decomposed(m, config)
     blocks = [{"r": b.r, "k": b.k, "dim": b.dim,
                "omega_eig": b.omega_eig, "omega1_eig_im": b.weight_im}
               for b in dec.nonzero_blocks()]
@@ -419,7 +399,6 @@ def _decompose_grid(m, dec):
 
 def cmd_so3_check(args):
     config = _config_from(args)
-    tol = config.tolerance if config.backend == "float" else None
     rows = []
     total_exhaustions = 0
     for r in range(args.max_r + 1):
@@ -431,7 +410,7 @@ def cmd_so3_check(args):
             v = random_vector(rng, irrep.dim, config.backend)
             outcome = find_rotation_with_top_component(
                 irrep, v, budget=args.budget, seed=config.seed + trial,
-                threshold=args.threshold, tol=tol)
+                threshold=args.threshold, tol=config.tolerance)
             successes += 1 if outcome.found else 0
             max_used = max(max_used, outcome.samples_used)
         exhaustions = args.trials - successes

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
-from .exact import DenseMatrix, ExactScalar
+from .exact import DenseMatrix
 
 DEFAULT_MAX_M = 4
 MAX_M_ENV = "QUATSPIN_MAX_M"
@@ -112,14 +112,8 @@ def basis_vector(model, i):
     """The i-th (0-based) standard basis vector of R^{4m} as a column."""
     if not 0 <= i < model.n:
         raise DomainError(f"basis index {i} out of range 0..{model.n - 1}")
-    col = DenseMatrix.zeros(model.n, 1, kind=model.kind)
-    if model.kind == "float":
-        c = col._c.copy()
-        c[i, 0] = 1.0
-        return DenseMatrix(rows=model.n, cols=1, kind="float", c=c)
-    re = np.zeros((model.n, 1), dtype=np.int64)
-    re[i, 0] = 1
-    return DenseMatrix.from_int_arrays(re, np.zeros_like(re))
+    return DenseMatrix.from_rows([[int(t == i)] for t in range(model.n)],
+                                 kind=model.kind)
 
 
 def complex_vector(model, coeffs):
@@ -142,9 +136,6 @@ def vector_action(model, v):
     out = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim, kind=model.kind)
     for i in range(model.n):
         c = v[i, 0]
-        if isinstance(c, complex):
-            if c != 0:
-                out = out + model.gamma[i].scale(c)
-        elif not c.is_zero():
+        if c:
             out = out + model.gamma[i].scale(c)
     return out

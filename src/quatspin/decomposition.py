@@ -19,8 +19,9 @@ from .exact import (
     ExactScalar,
     column_space_basis,
     lagrange_eigenprojectors,
+    scalar_for,
 )
-from .quaternionic import kaehler_form
+from .quaternionic import kaehler_form, kraines_form
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
 
 
@@ -29,10 +30,8 @@ def omega_eigenvalue(m, r):
     return 6 * m - 4 * r * (r + 2)
 
 
-def weight_eigenvalue(m, k, kind="exact"):
+def weight_eigenvalue(m, k):
     """First Kaehler operator eigenvalue on S^k: i(2m - 2k)."""
-    if kind == "float":
-        return complex(0, 2 * m - 2 * k)
     return ExactScalar(0, 2 * m - 2 * k)
 
 
@@ -98,13 +97,11 @@ def decompose(model, ops, tol=None, with_bases=True):
     """
     m = model.m
     r_values = [omega_eigenvalue(m, r) for r in range(m + 1)]
-    k_values = [weight_eigenvalue(m, k, model.kind) for k in range(2 * m + 1)]
+    k_values = [weight_eigenvalue(m, k) for k in range(2 * m + 1)]
     p_r = lagrange_eigenprojectors(ops.kraines, r_values, tol)
     p_k = lagrange_eigenprojectors(ops[1], k_values, tol)
-    r_proj = {r: p_r[(complex(v) if model.kind == "float" else ExactScalar(v))]
-              for r, v in enumerate(r_values)}
-    k_proj = {k: p_k[v if model.kind == "float" else ExactScalar.coerce(v)]
-              for k, v in enumerate(k_values)}
+    r_proj = {r: p_r[scalar_for(ops.kraines, v)] for r, v in enumerate(r_values)}
+    k_proj = {k: p_k[scalar_for(ops[1], v)] for k, v in enumerate(k_values)}
 
     blocks = {}
     total = 0
@@ -146,11 +143,8 @@ def decomposition_report(dec, model, triple, tol=None):
     m = dec.m
     sub = f"m={m}"
 
-    omega1 = kaehler_form(model, triple, 1)
-    kraines = DenseMatrix.identity(model.spinor_dim, kind=model.kind).scale(6 * m)
-    for a in (1, 2, 3):
-        oa = kaehler_form(model, triple, a)
-        kraines = kraines + oa @ oa
+    omegas = tuple(kaehler_form(model, triple, a) for a in (1, 2, 3))
+    kraines = kraines_form(model, omegas)
 
     total = 0
     for (r, k), blk in sorted(dec.blocks.items()):
@@ -170,10 +164,10 @@ def decomposition_report(dec, model, triple, tol=None):
         rep.add(residual_entry(
             "block_projector_eigen", f"{sub} r={r} k={k} kraines",
             kraines @ blk.projector - blk.projector.scale(blk.omega_eig), tol))
-        wt = weight_eigenvalue(m, k, model.kind)
+        wt = weight_eigenvalue(m, k)
         rep.add(residual_entry(
             "block_projector_eigen", f"{sub} r={r} k={k} weight",
-            omega1 @ blk.projector - blk.projector.scale(wt), tol))
+            omegas[0] @ blk.projector - blk.projector.scale(wt), tol))
         s = (k + r - m) // 2
         ok = (k + r - m) % 2 == 0 and 0 <= s <= r and blk.weight_im == 2 * r - 4 * s
         rep.add(CheckEntry("weight_consistency", f"{sub} r={r} k={k}",

@@ -7,6 +7,12 @@ precomputed magnitude bound shows they cannot overflow, and fall back to
 object-dtype (arbitrary precision) arrays otherwise.  A float backend with
 the same surface (complex128, tolerance-based zero tests) exists for larger
 experiments.
+
+Callers hand exact scalars (int, Fraction, ExactScalar) to both kinds and
+the float kind converts them itself, so this module is the only one that
+knows each backend's scalar type; `scalar_for` gives that type where a value
+serves as a key.  The exact kind ignores every `tol` argument, so callers
+pass the same tolerance to both.
 """
 
 from __future__ import annotations
@@ -313,7 +319,7 @@ class DenseMatrix:
                            re=-self._re, im=-self._im, den=self._den, amax=self._amax)
 
     def scale(self, s):
-        """Multiply by a scalar (int, Fraction, ExactScalar; numbers for float kind)."""
+        """Multiply by an exact scalar in either kind (float also takes complex)."""
         if self.kind == "float":
             if isinstance(s, ExactScalar):
                 s = s.to_complex()
@@ -462,11 +468,6 @@ class DenseMatrix:
         return f"<DenseMatrix {self.rows}x{self.cols} {self.kind}>"
 
 
-def mat_mul(a, b):
-    """Matrix product with shape checking (thin wrapper over the @ operator)."""
-    return a @ b
-
-
 def scalar_for(matrix, value):
     """Coerce a spectrum value to the matrix backend's scalar type."""
     if matrix.kind == "float":
@@ -499,9 +500,7 @@ def lagrange_eigenprojectors(a, spectrum, tol=None):
         for mu in values:
             if mu == lam:
                 continue
-            factor = (a - ident.scale(mu)).scale(
-                1 / (lam - mu) if a.kind == "float" else ExactScalar(1) / (lam - mu))
-            p = p @ factor
+            p = p @ (a - ident.scale(mu)).scale(1 / (lam - mu))
         projectors[lam] = p
 
     total = DenseMatrix.zeros(a.rows, a.cols, kind=a.kind)

@@ -21,10 +21,13 @@ from fractions import Fraction
 from .clifford import basis_vector, vector_action
 from .decomposition import decompose, weight_eigenvalue
 from .errors import DomainError, IdentityFailure
-from .exact import DenseMatrix, ExactScalar
+from .exact import DenseMatrix, ExactScalar, scalar_for
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
 
 _VARIANTS = ("--", "+-", "-+", "++")
+_HALF = Fraction(1, 2)
+_I = ExactScalar(0, 1)
+_I_HALF = ExactScalar(0, _HALF)
 
 # variant -> (left factor sign, right factor sign, left vector, right vector);
 # the first character is the degree shift of the left factor, the second
@@ -39,14 +42,12 @@ _VARIANT_TABLE = {
 
 def q_plus(model, triple, x):
     """Weight-raising component (x + i J_1 x)/2 of a complexified vector."""
-    i_unit = 1j if model.kind == "float" else ExactScalar(0, 1)
-    return (x + (triple[1] @ x).scale(i_unit)).scale(Fraction(1, 2))
+    return (x + (triple[1] @ x).scale(_I)).scale(_HALF)
 
 
 def q_minus(model, triple, x):
     """Weight-lowering component (x - i J_1 x)/2."""
-    i_unit = 1j if model.kind == "float" else ExactScalar(0, 1)
-    return (x - (triple[1] @ x).scale(i_unit)).scale(Fraction(1, 2))
+    return (x - (triple[1] @ x).scale(_I)).scale(_HALF)
 
 
 def j_operator(model, triple, ops, x):
@@ -97,7 +98,6 @@ class ProjectorCalculus:
         self.triple = triple
         self.ops = ops
         self.basis = basis
-        self.kind = model.kind
         self.pairs = 2 * model.m
 
         self.act_f = [vector_action(model, f) for f in basis.f]
@@ -139,15 +139,6 @@ class ProjectorCalculus:
 
     def p_fbar(self, r, sign, j):
         return _p_combination(r, sign, self.act_fbar[j], self.jop_fbar[j])
-
-    def scalar(self, value):
-        if self.kind == "float":
-            return complex(value) if not isinstance(value, ExactScalar) \
-                else value.to_complex()
-        return ExactScalar.coerce(value)
-
-    def i_unit(self):
-        return 1j if self.kind == "float" else ExactScalar(0, 1)
 
 
 def closed_form_A(m, r, k, variant):
@@ -213,7 +204,7 @@ def compute_A(model, dec, calc, r, k, variant, tol=None):
             if not (right @ blk.projector).is_zero(tol):
                 raise IdentityFailure(
                     f"p_0^- does not annihilate block (r={r}, k={k})")
-        return calc.scalar(0)
+        return scalar_for(blk.projector, 0)
 
     dim = model.spinor_dim
     total = DenseMatrix.zeros(dim, dim, kind=model.kind)
@@ -224,30 +215,62 @@ def compute_A(model, dec, calc, r, k, variant, tol=None):
     return _restriction_scalar(total, blk.projector, tol)
 
 
-def constants_report(model, dec, calc, tol=None):
-    """Compare every computed block constant against its closed form."""
-    rep = VerificationReport()
-    m = model.m
+@dataclass(frozen=True)
+class BlockConstant:
+    """One computed block constant, judged against its closed form.
+
+    `computed` is the display form of the computed scalar, None when the
+    composition is not scalar on the block; `residual` is "0" on a match.
+    """
+
+    r: int
+    k: int
+    variant: str
+    closed: Fraction
+    computed: str | None
+    ok: bool
+    residual: str
+    note: str
+
+
+def block_constants(model, dec, calc, tol=None):
+    """Compute every block constant and judge it against its closed form.
+
+    The float backend matches within 10*tol (1e-8 when tol is None); the
+    exact backend requires equality.  A composition that is not scalar on its
+    block is a failed row, not an error.
+    """
+    rows = []
     for blk in dec.nonzero_blocks():
         for variant in _VARIANTS:
-            subject = f"m={m} r={blk.r} k={blk.k} variant={variant}"
-            expect = closed_form_A(m, blk.r, blk.k, variant)
+            expect = closed_form_A(model.m, blk.r, blk.k, variant)
+            note = "twistor normalization undefined (A = 0)" if expect == 0 else ""
             try:
                 got = compute_A(model, dec, calc, blk.r, blk.k, variant, tol)
             except IdentityFailure as exc:
-                rep.add(CheckEntry("block_constant_match", subject, "fail",
-                                   "nan", f"not scalar on block: {exc}"))
+                rows.append(BlockConstant(blk.r, blk.k, variant, expect, None, False,
+                                          "nan", f"not scalar on block: {exc}"))
                 continue
             if model.kind == "float":
-                ok = abs(got - complex(expect)) <= (1e-8 if tol is None else 10 * tol)
                 resid = abs(got - complex(expect))
+                ok = resid <= (1e-8 if tol is None else 10 * tol)
+                computed = f"{got.real:.12g}"
             else:
-                ok = got == ExactScalar(expect)
-                resid = 0 if ok else (got - ExactScalar(expect)).abs2()
-            note = "twistor normalization undefined (A = 0)" if expect == 0 else ""
-            rep.add(CheckEntry("block_constant_match", subject,
-                               "pass" if ok else "fail",
-                               "0" if ok else f"{float(resid):.3e}", note))
+                ok = got == expect
+                resid = 0 if ok else (got - expect).abs2()
+                computed = str(got)
+            rows.append(BlockConstant(blk.r, blk.k, variant, expect, computed, ok,
+                                      "0" if ok else f"{float(resid):.3e}", note))
+    return rows
+
+
+def constants_report(model, dec, calc, tol=None):
+    """Compare every computed block constant against its closed form."""
+    rep = VerificationReport()
+    for c in block_constants(model, dec, calc, tol):
+        rep.add(CheckEntry("block_constant_match",
+                           f"m={model.m} r={c.r} k={c.k} variant={c.variant}",
+                           "pass" if c.ok else "fail", c.residual, c.note))
     return rep
 
 
@@ -269,20 +292,17 @@ def verify_lemma_identities(model, triple, ops, basis, dec=None, calc=None, tol=
     rep = VerificationReport()
     m = model.m
     sub = f"m={m}"
-    kind = model.kind
     dim = model.spinor_dim
-    ident = DenseMatrix.identity(dim, kind=kind)
-    zero = DenseMatrix.zeros(dim, dim, kind=kind)
-    i_unit = calc.i_unit()
-    i_half = ExactScalar(0, Fraction(1, 2)) if kind == "exact" else 0.5j
+    ident = DenseMatrix.identity(dim, kind=model.kind)
+    zero = DenseMatrix.zeros(dim, dim, kind=model.kind)
 
     # --- product sums of the adapted basis against the weight operator
     rep.add(residual_entry(
         "adapted_basis_product_sums", f"{sub} fbar*f",
-        calc.sum_fbar_f + ident.scale(m) + ops[1].scale(i_half), tol))
+        calc.sum_fbar_f + ident.scale(m) + ops[1].scale(_I_HALF), tol))
     rep.add(residual_entry(
         "adapted_basis_product_sums", f"{sub} f*fbar",
-        calc.sum_f_fbar + ident.scale(m) - ops[1].scale(i_half), tol))
+        calc.sum_f_fbar + ident.scale(m) - ops[1].scale(_I_HALF), tol))
 
     # --- rotated product sums: per fixed a the rotation is invisible
     for a in (2, 3):
@@ -309,10 +329,10 @@ def verify_lemma_identities(model, triple, ops, basis, dec=None, calc=None, tol=
 
     # --- mixed product sums reproduce the other two Kaehler operators
     expectations = {
-        (2, "f_fbar"): ops[2].scale(Fraction(1, 2)) - ops[3].scale(i_half),
-        (3, "f_fbar"): ops[3].scale(Fraction(1, 2)) + ops[2].scale(i_half),
-        (2, "fbar_f"): ops[2].scale(Fraction(1, 2)) + ops[3].scale(i_half),
-        (3, "fbar_f"): ops[3].scale(Fraction(1, 2)) - ops[2].scale(i_half),
+        (2, "f_fbar"): ops[2].scale(_HALF) - ops[3].scale(_I_HALF),
+        (3, "f_fbar"): ops[3].scale(_HALF) + ops[2].scale(_I_HALF),
+        (2, "fbar_f"): ops[2].scale(_HALF) + ops[3].scale(_I_HALF),
+        (3, "fbar_f"): ops[3].scale(_HALF) - ops[2].scale(_I_HALF),
     }
     for a in (2, 3):
         rep.add(residual_entry("mixed_product_kaehler_form", f"{sub} a={a} f*Jfbar",
@@ -322,12 +342,12 @@ def verify_lemma_identities(model, triple, ops, basis, dec=None, calc=None, tol=
 
     # --- expansion of J on the adapted basis (weight term becomes +-i Omega_1)
     for j in range(calc.pairs):
-        rhs = calc.act_f[j].scale(3) + ops[1] @ calc.act_f[j].scale(i_unit)
+        rhs = calc.act_f[j].scale(3) + ops[1] @ calc.act_f[j].scale(_I)
         for a in (2, 3):
             rhs = rhs + ops[a] @ calc.act_jf[a][j]
         rep.add(residual_entry("jop_adapted_expansion", f"{sub} f j={j}",
                                calc.jop_f[j] - rhs, tol))
-        rhs = calc.act_fbar[j].scale(3) - ops[1] @ calc.act_fbar[j].scale(i_unit)
+        rhs = calc.act_fbar[j].scale(3) - ops[1] @ calc.act_fbar[j].scale(_I)
         for a in (2, 3):
             rhs = rhs + ops[a] @ calc.act_jfbar[a][j]
         rep.add(residual_entry("jop_adapted_expansion", f"{sub} fbar j={j}",
@@ -336,7 +356,7 @@ def verify_lemma_identities(model, triple, ops, basis, dec=None, calc=None, tol=
     # --- first-order products of J(x) with the actions, summed over j
     ffbar, fbarf = calc.sum_f_fbar, calc.sum_fbar_f
     l_op, l_bar = calc.l_op, calc.l_bar_op
-    iom = ops[1].scale(i_unit)
+    iom = ops[1].scale(_I)
     c1 = zero
     c2 = zero
     c3 = zero
@@ -383,7 +403,7 @@ def verify_lemma_identities(model, triple, ops, basis, dec=None, calc=None, tol=
         p = blk.projector
         rep.add(residual_entry(
             "block_scalar_weight", bsub,
-            ops[1] @ p - p.scale(weight_eigenvalue(m, blk.k, kind)), tol,
+            ops[1] @ p - p.scale(weight_eigenvalue(m, blk.k)), tol,
             note="weight scalar carries the explicit i"))
         rep.add(residual_entry(
             "block_scalar_kraines", bsub,

@@ -28,7 +28,8 @@ _J_BLOCKS = (
 )
 
 _HALF = Fraction(1, 2)
-_I_HALF = ExactScalar(0, Fraction(1, 2))
+_I = ExactScalar(0, 1)
+_I_HALF = ExactScalar(0, _HALF)
 
 
 def epsilon(a, b, c):
@@ -58,11 +59,7 @@ def build_standard_triple(model):
         arr = np.zeros((n, n), dtype=np.int64)
         for t in range(model.m):
             arr[4 * t:4 * t + 4, 4 * t:4 * t + 4] = block
-        if model.kind == "float":
-            js.append(DenseMatrix(rows=n, cols=n, kind="float",
-                                  c=arr.astype(np.complex128)))
-        else:
-            js.append(DenseMatrix.from_int_arrays(arr, np.zeros_like(arr)))
+        js.append(DenseMatrix.from_rows(arr.tolist(), kind=model.kind))
     return HyperkahlerTriple(j=tuple(js))
 
 
@@ -114,8 +111,7 @@ def build_adapted_basis(model, triple):
     fs, fbars = [], []
     for j in range(2 * model.m):
         x = basis_vector(model, 2 * j)
-        y = j1 @ x
-        iy = y.scale(ExactScalar(0, 1)) if model.kind == "exact" else y.scale(1j)
+        iy = (j1 @ x).scale(_I)
         fs.append((x - iy).scale(_HALF))
         fbars.append((x + iy).scale(_HALF))
     return AdaptedBasis(f=tuple(fs), f_bar=tuple(fbars))
@@ -123,11 +119,9 @@ def build_adapted_basis(model, triple):
 
 def sl2_generators(model, ops):
     """O_1 = (i/2) Omega_1 and the ladder pair O^+ = (O_2 + i O_3)/2, O^-."""
-    scale_i2 = _I_HALF if model.kind == "exact" else 0.5j
-    o1, o2, o3 = (ops[a].scale(scale_i2) for a in (1, 2, 3))
-    i_unit = ExactScalar(0, 1) if model.kind == "exact" else 1j
-    plus = (o2 + o3.scale(i_unit)).scale(_HALF)
-    minus = (o2 - o3.scale(i_unit)).scale(_HALF)
+    o1, o2, o3 = (ops[a].scale(_I_HALF) for a in (1, 2, 3))
+    plus = (o2 + o3.scale(_I)).scale(_HALF)
+    minus = (o2 - o3.scale(_I)).scale(_HALF)
     return o1, plus, minus
 
 
@@ -206,9 +200,7 @@ def structure_report(model, triple, ops, tol=None):
                            plus @ minus - minus @ plus - o1, tol))
 
     casimir = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim, kind=model.kind)
-    o2 = ops[2].scale(_I_HALF if model.kind == "exact" else 0.5j)
-    o3 = ops[3].scale(_I_HALF if model.kind == "exact" else 0.5j)
-    for o in (o1, o2, o3):
+    for o in (ops[a].scale(_I_HALF) for a in (1, 2, 3)):
         casimir = casimir + o @ o
     lhs = casimir.scale(Fraction(1, 8))
     rhs = (ops.kraines - ident_s.scale(6 * model.m)).scale(Fraction(-1, 32))

@@ -188,8 +188,7 @@ def rotated_generator(irrep, g, tol=None):
     total = None
     for b in range(3):
         h = irrep.h[b] if irrep.kind == out_kind else irrep.h[b].to_float()
-        c = float(g[0, b]) if out_kind == "float" else g[0, b]
-        term = h.scale(c)
+        term = h.scale(g[0, b])
         total = term if total is None else total + term
     return total
 
@@ -207,7 +206,7 @@ def top_weight_projector(irrep, generator, tol=None):
     ident = DenseMatrix.identity(generator.rows, kind="float")
     p = ident
     for mu in weights[1:]:
-        p = p @ (generator - ident.scale(float(mu))).scale(1.0 / (irrep.r - mu))
+        p = p @ (generator - ident.scale(mu)).scale(Fraction(1, irrep.r - mu))
     return p
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from quatspin import cli
+from quatspin import cli, projectors
+from quatspin.errors import IdentityFailure
 
 
 def run(argv, capsys):
@@ -78,6 +79,52 @@ def test_constants_float_backend(capsys):
     rc, out, err = run(["constants", "--m", "1", "--backend", "float"], capsys)
     assert rc == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_constants_and_verify_share_the_float_judgement(capsys, monkeypatch):
+    # 5e-9 exceeds 10*tol at the default tolerance 1e-10 but stays under
+    # 1e-8, so both commands must reject it by the same judgement
+    real = projectors.compute_A
+
+    def off_by_5e_9(model, dec, calc, r, k, variant, tol=None):
+        got = real(model, dec, calc, r, k, variant, tol)
+        return got + 5e-9 if (r, k, variant) == (1, 0, "+-") else got
+
+    monkeypatch.setattr(projectors, "compute_A", off_by_5e_9)
+    rc, out, err = run(["constants", "--m", "1", "--backend", "float"], capsys)
+    assert rc == 1
+    data = json.loads(out)
+    assert data["counts"] == {"match": 11, "mismatch": 1}
+    assert [(row["r"], row["k"], row["variant"])
+            for row in data["rows"] if not row["match"]] == [(1, 0, "+-")]
+
+    rc, out, err = run(["verify", "--m", "1", "--backend", "float"], capsys)
+    assert rc == 1
+    failures = json.loads(out)["failures"]
+    assert [(f["check_id"], f["subject"]) for f in failures] == \
+        [("block_constant_match", "m=1 r=1 k=0 variant=+-")]
+
+
+def test_constants_reports_a_non_scalar_block(capsys, monkeypatch):
+    real = projectors.compute_A
+
+    def fails_on_one_block(model, dec, calc, r, k, variant, tol=None):
+        if (r, k, variant) == (0, 1, "+-"):
+            raise IdentityFailure("p_0^- does not annihilate block (r=0, k=1)")
+        return real(model, dec, calc, r, k, variant, tol)
+
+    monkeypatch.setattr(projectors, "compute_A", fails_on_one_block)
+    rc, out, err = run(["constants", "--m", "1"], capsys)
+    assert rc == 1
+    assert err == ""
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["counts"] == {"match": 11, "mismatch": 1}
+    assert len(data["rows"]) == 12
+    bad = [row for row in data["rows"] if not row["match"]]
+    assert [(row["r"], row["k"], row["variant"]) for row in bad] == [(0, 1, "+-")]
+    assert bad[0]["note"].startswith("not scalar on block")
+    assert bad[0]["computed"] is None
 
 
 def test_bounds_payload(capsys):

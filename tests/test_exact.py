@@ -9,7 +9,6 @@ from quatspin.exact import (
     ExactScalar,
     column_space_basis,
     lagrange_eigenprojectors,
-    mat_mul,
 )
 
 
@@ -66,7 +65,7 @@ def test_matmul_shape_error():
     a = DenseMatrix.zeros(2, 3)
     b = DenseMatrix.zeros(2, 3)
     with pytest.raises(DimensionError):
-        mat_mul(a, b)
+        a @ b
     with pytest.raises(DimensionError):
         a + DenseMatrix.zeros(3, 2)
 
