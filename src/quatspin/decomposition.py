@@ -3,8 +3,9 @@
 The Kraines-type operator and the first Kaehler operator commute, so the
 spinor space splits into joint eigenblocks S_r^k indexed by r in 0..m
 (eigenvalue 6m - 4r(r+2)) and k in 0..2m (eigenvalue i(2m - 2k)).  A block
-can be nonzero only when (k + r - m)/2 is an integer in 0..r; block bases are
-extracted from certified Lagrange projectors by exact Gaussian elimination.
+can be nonzero only when (k + r - m)/2 is an integer in 0..r.  Each block
+projector is the product of two certified Lagrange projectors, one per
+operator; their dimension is the projector's trace.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from fractions import Fraction
 
 from .clifford import vector_action
 from .errors import DomainError, SpectrumError
-from .exact import (
-    DenseMatrix,
-    ExactScalar,
-    column_space_basis,
-    lagrange_eigenprojectors,
-    scalar_for,
-)
+from .exact import DenseMatrix, ExactScalar, lagrange_eigenprojectors, scalar_for
 from .quaternionic import kaehler_form, kraines_form
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
 
@@ -45,13 +40,12 @@ def lattice_allows(m, r, k):
 
 @dataclass(frozen=True)
 class Block:
-    """One joint eigenblock with its certified projector and reduced basis."""
+    """One joint eigenblock: its certified projector and dimension (= trace)."""
 
     r: int
     k: int
     dim: int
     projector: DenseMatrix
-    basis: tuple
     omega_eig: int
     weight_im: int
 
@@ -88,14 +82,21 @@ def _integer_trace(p, tol):
     return int(t.re)
 
 
-def decompose(model, ops, tol=None, with_bases=True):
+def decompose(model, ops, tol=None):
     """Split the spinor space into joint eigenblocks of (Kraines, Omega_1).
 
     Both marginal projector families are built by certified Lagrange
-    interpolation from the stated spectra; failure to certify raises
-    SpectrumError.  Every grid position is stored, absent blocks with dim 0.
+    interpolation from the stated spectra.  The two operators must commute,
+    so each block projector P_r P_k is idempotent and its trace is its rank;
+    the blocks sum to (sum P_r)(sum P_k) = I, so the ranks sum to 4^m.  A
+    failed certificate or commutator raises SpectrumError.  Every grid
+    position is stored, absent blocks with dim 0.
     """
     m = model.m
+    commutator = ops.kraines @ ops[1] - ops[1] @ ops.kraines
+    if not commutator.is_zero(tol):
+        raise SpectrumError("Kraines form and Omega_1 do not commute "
+                            f"(residual {commutator.max_abs():.3e})")
     r_values = [omega_eigenvalue(m, r) for r in range(m + 1)]
     k_values = [weight_eigenvalue(m, k) for k in range(2 * m + 1)]
     p_r = lagrange_eigenprojectors(ops.kraines, r_values, tol)
@@ -104,24 +105,13 @@ def decompose(model, ops, tol=None, with_bases=True):
     k_proj = {k: p_k[scalar_for(ops[1], v)] for k, v in enumerate(k_values)}
 
     blocks = {}
-    total = 0
     for r in range(m + 1):
         for k in range(2 * m + 1):
             proj = r_proj[r] @ k_proj[k]
             dim = _integer_trace(proj, tol)
-            basis = ()
-            if dim > 0 and with_bases:
-                basis = tuple(column_space_basis(proj, tol))
-                if len(basis) != dim:
-                    raise SpectrumError(
-                        f"block (r={r}, k={k}): basis size {len(basis)} != trace {dim}")
-            total += dim
-            blocks[(r, k)] = Block(r=r, k=k, dim=dim, projector=proj, basis=basis,
+            blocks[(r, k)] = Block(r=r, k=k, dim=dim, projector=proj,
                                    omega_eig=omega_eigenvalue(m, r),
                                    weight_im=2 * m - 2 * k)
-    if total != model.spinor_dim:
-        raise SpectrumError(
-            f"block dimensions sum to {total}, expected {model.spinor_dim}")
     return JointDecomposition(m=m, kind=model.kind, spinor_dim=model.spinor_dim,
                               blocks=blocks, r_projectors=r_proj, k_projectors=k_proj)
 

@@ -8,6 +8,9 @@ object-dtype (arbitrary precision) arrays otherwise.  A float backend with
 the same surface (complex128, tolerance-based zero tests) exists for larger
 experiments.
 
+Spectral projectors come from one Lagrange product, certified by its
+eigen-equation alone (see `lagrange_eigenprojectors`).
+
 Callers hand exact scalars (int, Fraction, ExactScalar) to both kinds and
 the float kind converts them itself, so this module is the only one that
 knows each backend's scalar type; `scalar_for` gives that type where a value
@@ -364,14 +367,15 @@ class DenseMatrix:
         return self._amax == 0
 
     def max_abs(self):
-        """Largest entry magnitude as a float (for residual reporting)."""
+        """Largest entry modulus as a float (for residual reporting)."""
         if self.kind == "float":
             return float(np.abs(self._c).max()) if self._c.size else 0.0
         if self._amax == 0:
             return 0.0
-        re = _array_max(self._re)
-        im = _array_max(self._im)
-        return math.hypot(re, im) / self._den
+        re, im = self._re, self._im
+        if self._amax >= 2**31:  # re^2 + im^2 would overflow int64
+            re, im = _as_object(re), _as_object(im)
+        return math.sqrt(Fraction(int((re * re + im * im).max()), self._den ** 2))
 
     def __getitem__(self, idx):
         i, j = idx
@@ -477,46 +481,50 @@ def scalar_for(matrix, value):
     return ExactScalar.coerce(value)
 
 
-def lagrange_eigenprojectors(a, spectrum, tol=None):
-    """Certified spectral projectors for an operator with known spectrum.
+def lagrange_projector(a, lam, spectrum):
+    """Uncertified Lagrange product prod_{mu != lam} (a - mu*I)/(lam - mu).
 
-    For each stated eigenvalue lam builds the Lagrange product
-    prod_{mu != lam} (a - mu*I)/(lam - mu) and then certifies, exactly in the
-    exact backend and to `tol` in the float backend, that the family sums to
-    the identity, is idempotent and mutually orthogonal, and satisfies
-    a P = lam P.  Together these certify that the minimal polynomial of `a`
-    divides prod (x - lam), i.e. the true spectrum is contained in the stated
-    one.  Raises SpectrumError with a witness when certification fails.
+    The projector for lam if the distinct values `spectrum` hold the whole
+    spectrum of `a`; certify_eigenprojector checks that.
+    """
+    lam = scalar_for(a, lam)
+    ident = DenseMatrix.identity(a.rows, kind=a.kind)
+    p = ident
+    for mu in (scalar_for(a, v) for v in spectrum):
+        if mu != lam:
+            p = p @ (a - ident.scale(mu)).scale(1 / (lam - mu))
+    return p
+
+
+def certify_eigenprojector(a, lam, p, tol=None):
+    """Raise SpectrumError unless a P = lam P (exactly, or to tol for float)."""
+    residual = a @ p - p.scale(lam)
+    if not residual.is_zero(tol):
+        raise SpectrumError(
+            f"eigen-equation fails for {lam} (residual {residual.max_abs():.3e})")
+
+
+def lagrange_eigenprojectors(a, spectrum, tol=None):
+    """Certified spectral projectors {lam: P_lam} for a stated spectrum.
+
+    Each Lagrange product P_lam is certified by its eigen-equation
+    (a - lam*I) P_lam = 0, i.e. prod_mu (a - mu*I) = 0: the true spectrum lies
+    in the stated one.  The rest follows.  The Lagrange polynomials L_i sum to
+    1, so the P_i sum to I; L_i L_j (i != j) and L_i^2 - L_i vanish at every
+    mu, so they are multiples of prod (x - mu): the P_i are idempotent and
+    pairwise orthogonal.  Exact in the exact backend, to `tol` in the float
+    one; a failure raises SpectrumError with the residual.
     """
     if a.rows != a.cols:
         raise DimensionError("eigenprojectors need a square matrix")
     values = [scalar_for(a, v) for v in spectrum]
     if len(set(values)) != len(values):
         raise DomainError("spectrum values must be pairwise distinct")
-    ident = DenseMatrix.identity(a.rows, kind=a.kind)
     projectors = {}
     for lam in values:
-        p = ident
-        for mu in values:
-            if mu == lam:
-                continue
-            p = p @ (a - ident.scale(mu)).scale(1 / (lam - mu))
+        p = lagrange_projector(a, lam, values)
+        certify_eigenprojector(a, lam, p, tol)
         projectors[lam] = p
-
-    total = DenseMatrix.zeros(a.rows, a.cols, kind=a.kind)
-    for p in projectors.values():
-        total = total + p
-    if not (total - ident).is_zero(tol):
-        raise SpectrumError(
-            f"projectors do not sum to identity (residual {(total - ident).max_abs():.3e})")
-    for lam, p in projectors.items():
-        if not (p @ p - p).is_zero(tol):
-            raise SpectrumError(f"projector for {lam} is not idempotent")
-        if not (a @ p - p.scale(lam)).is_zero(tol):
-            raise SpectrumError(f"eigen-equation fails for {lam}")
-        for mu, q in projectors.items():
-            if mu != lam and not (p @ q).is_zero(tol):
-                raise SpectrumError(f"projectors for {lam} and {mu} are not orthogonal")
     return projectors
 
 

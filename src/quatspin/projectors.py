@@ -237,8 +237,9 @@ def block_constants(model, dec, calc, tol=None):
     """Compute every block constant and judge it against its closed form.
 
     The float backend matches within 10*tol (1e-8 when tol is None); the
-    exact backend requires equality.  A composition that is not scalar on its
-    block is a failed row, not an error.
+    exact backend requires equality.  A mismatched row's residual is the
+    modulus |computed - closed form| in both.  A composition that is not
+    scalar on its block is a failed row, not an error.
     """
     rows = []
     for blk in dec.nonzero_blocks():
@@ -257,7 +258,7 @@ def block_constants(model, dec, calc, tol=None):
                 computed = f"{got.real:.12g}"
             else:
                 ok = got == expect
-                resid = 0 if ok else (got - expect).abs2()
+                resid = 0 if ok else float((got - expect).abs2()) ** 0.5
                 computed = str(got)
             rows.append(BlockConstant(blk.r, blk.k, variant, expect, computed, ok,
                                       "0" if ok else f"{float(resid):.3e}", note))

@@ -27,8 +27,8 @@ from .exact import (
     FLOAT_TOL,
     DenseMatrix,
     ExactScalar,
-    lagrange_eigenprojectors,
-    scalar_for,
+    certify_eigenprojector,
+    lagrange_projector,
 )
 from .quaternionic import epsilon
 from .report import VerificationReport, residual_entry
@@ -196,17 +196,14 @@ def rotated_generator(irrep, g, tol=None):
 def top_weight_projector(irrep, generator, tol=None):
     """Projector onto the top-eigenvalue (= r) eigenspace of the generator.
 
-    Exact kind: fully certified spectral projectors.  Float kind: the direct
-    Lagrange product over the known integer spectrum, without certification.
+    The Lagrange product over the known spectrum {r, r-2, ..., -r}.  Exact
+    kind: certified by its eigen-equation, which certifies the whole stated
+    spectrum; raises SpectrumError otherwise.  Float kind: uncertified, since
+    rounding in a random rotation can leave a residual above the tolerance.
     """
-    weights = irrep.weights()
+    p = lagrange_projector(generator, irrep.r, irrep.weights())
     if generator.kind == "exact":
-        projectors = lagrange_eigenprojectors(generator, weights, tol)
-        return projectors[scalar_for(generator, irrep.r)]
-    ident = DenseMatrix.identity(generator.rows, kind="float")
-    p = ident
-    for mu in weights[1:]:
-        p = p @ (generator - ident.scale(mu)).scale(Fraction(1, irrep.r - mu))
+        certify_eigenprojector(generator, irrep.r, p, tol)
     return p
 
 
@@ -363,7 +360,7 @@ def irrep_report(max_r, tol=None):
             gen = rotated_generator(irrep, g, tol)
             qsub = f"{sub} q={quat}"
             try:
-                lagrange_eigenprojectors(gen, irrep.weights(), tol)
+                top_weight_projector(irrep, gen, tol)
             except SpectrumError as exc:
                 rep.add(residual_entry(
                     "rotated_generator_spectrum", qsub,

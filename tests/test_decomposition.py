@@ -11,7 +11,12 @@ from quatspin.decomposition import (
     weight_eigenvalue,
 )
 from quatspin.errors import DomainError, SpectrumError
-from quatspin.exact import DenseMatrix, ExactScalar, lagrange_eigenprojectors
+from quatspin.exact import (
+    DenseMatrix,
+    ExactScalar,
+    column_space_basis,
+    lagrange_eigenprojectors,
+)
 from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
 
 
@@ -101,10 +106,67 @@ def test_projectors_partition_identity(world2):
 def test_block_bases_are_reduced_and_spanning(world2):
     _, _, _, dec = world2
     for blk in dec.nonzero_blocks():
-        assert len(blk.basis) == blk.dim
-        for v in blk.basis:
+        basis = column_space_basis(blk.projector)
+        assert len(basis) == blk.dim
+        for v in basis:
             # basis vectors lie in the block: P v = v
             assert blk.projector @ v == v
+
+
+def _world(m, kind):
+    model = build_clifford_model(m, kind=kind)
+    triple = build_standard_triple(model)
+    return model, build_kaehler_operators(model, triple)
+
+
+@pytest.mark.parametrize("m, kind", [(1, "exact"), (2, "exact"),
+                                     (1, "float"), (2, "float"), (3, "float")])
+def test_marginal_families_are_complete_and_orthogonal(m, kind):
+    # decompose certifies only the eigen-equations; these follow from them
+    model, ops = _world(m, kind)
+    dec = decompose(model, ops)
+    tol = 1e-12 if kind == "float" else None
+    ident = DenseMatrix.identity(model.spinor_dim, kind=kind)
+    for family in (dec.r_projectors, dec.k_projectors):
+        total = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim, kind=kind)
+        for i, p in family.items():
+            total = total + p
+            assert (p @ p - p).is_zero(tol), i
+            for j, q in family.items():
+                if j != i:
+                    assert (p @ q).is_zero(tol), (i, j)
+        assert (total - ident).is_zero(tol)
+
+
+class _SwappedOps:
+    """Kaehler operators with Omega_1 replaced by another operator."""
+
+    def __init__(self, real, omega1):
+        self.kraines = real.kraines
+        self._omegas = (omega1, real[2], real[3])
+
+    def __getitem__(self, a):
+        return self._omegas[a - 1]
+
+
+def _conjugated_omega1(model, ops):
+    gamma = model.gamma[0]
+    assert gamma @ gamma == -DenseMatrix.identity(model.spinor_dim)
+    return gamma @ ops[1] @ -gamma
+
+
+def test_decompose_rejects_a_noncommuting_omega1():
+    # gamma_0 Omega_1 gamma_0^{-1} has the spectrum of Omega_1, so both
+    # projector families certify, but it does not commute with Kraines
+    model, ops = _world(2, "exact")
+    conj = _conjugated_omega1(model, ops)
+    assert not (ops.kraines @ conj - conj @ ops.kraines).is_zero()
+    with pytest.raises(SpectrumError, match="do not commute"):
+        decompose(model, _SwappedOps(ops, conj))
+    # at m = 1 the same conjugate commutes, so the control needs m = 2
+    model, ops = _world(1, "exact")
+    conj = _conjugated_omega1(model, ops)
+    assert (ops.kraines @ conj - conj @ ops.kraines).is_zero()
 
 
 def test_eigenvalue_formulas():

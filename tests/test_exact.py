@@ -130,6 +130,27 @@ def test_eigenprojectors_certification_failure():
         lagrange_eigenprojectors(d, [1, -1])
 
 
+def test_eigenprojectors_reject_a_jordan_block():
+    # (a - I)(a + I) != 0: the stated spectrum is right, but a is not
+    # diagonalizable, and the eigen-equation certificate must catch it
+    jordan = DenseMatrix.from_rows([[1, 1], [0, 1]])
+    with pytest.raises(SpectrumError, match="eigen-equation"):
+        lagrange_eigenprojectors(jordan, [1, -1])
+
+
+def test_max_abs_is_the_largest_entry_modulus():
+    # the maxima of |re| and |im| sit in different entries
+    assert DenseMatrix.from_rows([[1, ExactScalar(0, 1)]]).max_abs() == 1.0
+    assert DenseMatrix.from_rows(
+        [[ExactScalar(Fraction(3, 2), -2), 1]]).max_abs() == 2.5
+    # squares of these numerators overflow int64
+    big = 2**31
+    m = DenseMatrix.from_rows([[ExactScalar(3 * big, 4 * big), 1],
+                               [ExactScalar(0, 4 * big + 1), 1]])
+    assert m.max_abs() == 5.0 * big
+    assert m.max_abs() == m.to_float().max_abs()
+
+
 def test_eigenprojectors_nontrivial():
     # rank-1 projector pair for a non-diagonal involution
     m = DenseMatrix.from_rows([[0, 1], [1, 0]])

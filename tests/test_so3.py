@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quatspin.errors import DimensionError, DomainError
+from quatspin.errors import DimensionError, DomainError, SpectrumError
 from quatspin.exact import DenseMatrix, ExactScalar
 from quatspin.quaternionic import epsilon
 from quatspin.so3 import (
@@ -19,6 +19,7 @@ from quatspin.so3 import (
     random_vector,
     rotated_generator,
     rotation_from_quaternion,
+    top_weight_projector,
 )
 
 
@@ -237,3 +238,14 @@ def test_irrep_report_structure():
                    "rotated_generator_trace"}
     notes = [e.note for e in rep.entries if e.check_id == "generator_commutators"]
     assert all("explicit i" in n for n in notes)
+
+
+def test_top_weight_projector_rejects_a_corrupted_generator():
+    ir = build_irrep(4)
+    gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
+    p = top_weight_projector(ir, gen)
+    assert p @ p == p and p.trace() == ExactScalar(1)
+    bump = DenseMatrix.from_rows([[1 if (s, t) == (0, 1) else 0
+                                   for t in range(ir.dim)] for s in range(ir.dim)])
+    with pytest.raises(SpectrumError, match="eigen-equation"):
+        top_weight_projector(ir, gen + bump)
