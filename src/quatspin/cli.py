@@ -61,9 +61,7 @@ class RunConfig:
     m_values: tuple
     backend: str
     tolerance: float
-    fmt: str
     seed: int
-    out: str | None
 
 
 @dataclass
@@ -209,8 +207,7 @@ def _config_from(args):
     else:
         m_values = (1, 2)
     return RunConfig(m_values=m_values, backend=args.backend,
-                     tolerance=args.tolerance, fmt=args.format,
-                     seed=args.seed, out=args.out)
+                     tolerance=args.tolerance, seed=args.seed)
 
 
 # ------------------------------------------------------------------ commands

@@ -11,12 +11,10 @@ operator; their dimension is the projector's trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .clifford import vector_action
 from .errors import DomainError, SpectrumError
 from .exact import DenseMatrix, ExactScalar, lagrange_eigenprojectors, scalar_for
-from .quaternionic import kaehler_form, kraines_form
+from .quaternionic import build_kaehler_operators
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
 
 
@@ -128,13 +126,18 @@ def decomposition_report(dec, model, triple, tol=None):
     eigenvalue pairs on every nonzero block, the presence rule, the dimension
     count, and that every Clifford generator maps each block into the four
     diagonal neighbor blocks only.
+
+    The neighbor check is one residual per generator g and nonzero block,
+    R = g P_src - sum_{neighbors d} P_d g P_src.  The block projectors are
+    orthogonal idempotents summing to I (see decompose), so P_d R = P_d g P_src
+    for every non-neighbor d and R is their sum: R = 0 exactly when each
+    P_d g P_src = 0.  A failing row names one non-neighbor block R reaches.
     """
     rep = VerificationReport()
     m = dec.m
     sub = f"m={m}"
 
-    omegas = tuple(kaehler_form(model, triple, a) for a in (1, 2, 3))
-    kraines = kraines_form(model, omegas)
+    ops = build_kaehler_operators(model, triple)
 
     total = 0
     for (r, k), blk in sorted(dec.blocks.items()):
@@ -153,13 +156,12 @@ def decomposition_report(dec, model, triple, tol=None):
             continue
         rep.add(residual_entry(
             "block_projector_eigen", f"{sub} r={r} k={k} kraines",
-            kraines @ blk.projector - blk.projector.scale(blk.omega_eig), tol))
+            ops.kraines @ blk.projector - blk.projector.scale(blk.omega_eig), tol))
         wt = weight_eigenvalue(m, k)
         rep.add(residual_entry(
             "block_projector_eigen", f"{sub} r={r} k={k} weight",
-            omegas[0] @ blk.projector - blk.projector.scale(wt), tol))
-        s = (k + r - m) // 2
-        ok = (k + r - m) % 2 == 0 and 0 <= s <= r and blk.weight_im == 2 * r - 4 * s
+            ops[1] @ blk.projector - blk.projector.scale(wt), tol))
+        ok = allowed and blk.weight_im == 2 * r - 4 * ((k + r - m) // 2)
         rep.add(CheckEntry("weight_consistency", f"{sub} r={r} k={k}",
                            "pass" if ok else "fail", "0" if ok else "1"))
 
@@ -169,18 +171,21 @@ def decomposition_report(dec, model, triple, tol=None):
 
     nonzero = dec.nonzero_blocks()
     for i in range(model.n):
-        images = {}
-        for blk in nonzero:
-            images[(blk.r, blk.k)] = model.gamma[i] @ blk.projector
         for src in nonzero:
-            img = images[(src.r, src.k)]
+            img = model.gamma[i] @ src.projector
+            res, far = img, []
             for dst in nonzero:
                 if abs(dst.r - src.r) == 1 and abs(dst.k - src.k) == 1:
-                    continue
-                rep.add(residual_entry(
-                    "clifford_neighbor_blocks",
-                    f"{sub} i={i} ({src.r},{src.k})->({dst.r},{dst.k})",
-                    dst.projector @ img, tol))
+                    res = res - dst.projector @ img
+                else:
+                    far.append(dst)
+            entry = residual_entry("clifford_neighbor_blocks",
+                                   f"{sub} i={i} ({src.r},{src.k})", res, tol)
+            if entry.status == "fail":
+                hit = next((d for d in far
+                            if not (d.projector @ res).is_zero(tol)), None)
+                entry.note = f"reaches ({hit.r},{hit.k})" if hit else ""
+            rep.add(entry)
 
     rep.add(info_entry(
         "weight_orientation", sub,

@@ -484,16 +484,17 @@ def scalar_for(matrix, value):
 def lagrange_projector(a, lam, spectrum):
     """Uncertified Lagrange product prod_{mu != lam} (a - mu*I)/(lam - mu).
 
-    The projector for lam if the distinct values `spectrum` hold the whole
-    spectrum of `a`; certify_eigenprojector checks that.
+    The projector for lam (I if lam is the only value) if the distinct values
+    `spectrum` hold the whole spectrum of `a`; certify_eigenprojector checks that.
     """
     lam = scalar_for(a, lam)
     ident = DenseMatrix.identity(a.rows, kind=a.kind)
-    p = ident
+    p = None
     for mu in (scalar_for(a, v) for v in spectrum):
         if mu != lam:
-            p = p @ (a - ident.scale(mu)).scale(1 / (lam - mu))
-    return p
+            f = (a - ident.scale(mu)).scale(1 / (lam - mu))
+            p = f if p is None else p @ f
+    return ident if p is None else p
 
 
 def certify_eigenprojector(a, lam, p, tol=None):

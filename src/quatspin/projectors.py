@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import basis_vector, vector_action
-from .decomposition import decompose, weight_eigenvalue
+from .decomposition import weight_eigenvalue
 from .errors import DomainError, IdentityFailure
 from .exact import DenseMatrix, ExactScalar, scalar_for
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
@@ -275,7 +275,7 @@ def constants_report(model, dec, calc, tol=None):
     return rep
 
 
-def verify_lemma_identities(model, triple, ops, basis, dec=None, calc=None, tol=None):
+def verify_lemma_identities(model, triple, ops, basis, dec, calc, tol=None):
     """Exact verification of the operator identities of the projector calculus.
 
     Covers the product/anticommutation identities of the rotated adapted
@@ -286,10 +286,6 @@ def verify_lemma_identities(model, triple, ops, basis, dec=None, calc=None, tol=
     commutators with the Kraines operator.  Returns a VerificationReport;
     all residuals are exact zeros in the exact backend.
     """
-    if calc is None:
-        calc = ProjectorCalculus(model, triple, ops, basis)
-    if dec is None:
-        dec = decompose(model, ops, tol)
     rep = VerificationReport()
     m = model.m
     sub = f"m={m}"

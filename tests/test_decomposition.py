@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -220,3 +223,31 @@ def test_float_backend_decomposition():
     dec = decompose(model, ops, tol=1e-10)
     dims = {(b.r, b.k): b.dim for b in dec.nonzero_blocks()}
     assert dims == {(0, 1): 2, (1, 0): 1, (1, 2): 1}
+
+
+def _neighbor_rows(report):
+    return [e for e in report.entries if e.check_id == "clifford_neighbor_blocks"]
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_neighbor_check_names_a_far_block(kind):
+    model, ops = _world(2, kind)
+    triple = build_standard_triple(model)
+    dec = decompose(model, ops)
+    nonzero = {(b.r, b.k) for b in dec.nonzero_blocks()}
+    clean = _neighbor_rows(decomposition_report(dec, model, triple))
+    assert len(clean) == 4 * model.m * len(nonzero)
+    assert all(e.status == "pass" and e.note == "" for e in clean)
+    # gamma_0 gamma_1 is even: it keeps part of each block in place
+    bad = dataclasses.replace(
+        model, gamma=(model.gamma[0] @ model.gamma[1],) + model.gamma[1:])
+    failed = [e for e in _neighbor_rows(decomposition_report(dec, bad, triple))
+              if e.status == "fail"]
+    assert failed
+    for e in failed:
+        i, r, k = map(int, re.fullmatch(r"m=2 i=(\d+) \((\d+),(\d+)\)",
+                                        e.subject).groups())
+        assert i == 0
+        r2, k2 = map(int, re.fullmatch(r"reaches \((\d+),(\d+)\)", e.note).groups())
+        assert (r2, k2) in nonzero
+        assert not (abs(r2 - r) == 1 and abs(k2 - k) == 1)
