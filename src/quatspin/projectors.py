@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import basis_vector, vector_action
+from .clifford import vector_action
 from .decomposition import weight_eigenvalue
 from .errors import DomainError, IdentityFailure
 from .exact import DenseMatrix, ExactScalar, scalar_for
@@ -38,6 +38,9 @@ _VARIANT_TABLE = {
     "-+": (-1, +1, "fbar", "f"),
     "++": (+1, -1, "fbar", "f"),
 }
+_PATTERNS = (("f", "fbar"), ("fbar", "f"))
+# weight shift t of the adapted vectors: a(f_j) lowers k, a(fbar_j) raises it
+_WEIGHT_SHIFT = {"f": -1, "fbar": +1}
 
 
 def q_plus(model, triple, x):
@@ -52,19 +55,30 @@ def q_minus(model, triple, x):
 
 def j_operator(model, triple, ops, x):
     """J(x) = sum_a Omega_a a(J_a x) + 3 a(x) as a spinor endomorphism."""
-    out = vector_action(model, x).scale(3)
+    return _j_combination(ops, vector_action(model, x),
+                          {a: vector_action(model, triple[a] @ x) for a in (1, 2, 3)})
+
+
+def _j_combination(ops, act, rotated):
+    """J(x) from a(x) and the rotated actions rotated[a] = a(J_a x)."""
+    out = act.scale(3)
     for a in (1, 2, 3):
-        out = out + ops[a] @ vector_action(model, triple[a] @ x)
+        out = out + ops[a] @ rotated[a]
     return out
 
 
-def _p_combination(r, sign, act, jop):
+def _p_weights(r, sign):
+    """(c, alpha, beta) with p_r^sign(x) = c (alpha a(x) + beta J(x))."""
     if r < 0:
         raise DomainError(f"degree index r must be nonnegative, got {r}")
     c = Fraction(1, 4 * (r + 1))
-    if sign > 0:
-        return (act.scale(2 * r + 1) - jop).scale(c)
-    return (act.scale(2 * r + 3) + jop).scale(c)
+    return (c, 2 * r + 1, -1) if sign > 0 else (c, 2 * r + 3, 1)
+
+
+def _p_combination(r, sign, act, jop):
+    c, alpha, beta = _p_weights(r, sign)
+    scaled = act.scale(alpha)
+    return (scaled + jop if beta > 0 else scaled - jop).scale(c)
 
 
 def p_plus(model, triple, ops, r, x):
@@ -79,66 +93,67 @@ def p_minus(model, triple, ops, r, x):
                           j_operator(model, triple, ops, x))
 
 
+def _product_sum(lefts, rights):
+    """sum_j lefts[j] @ rights[j]."""
+    total = lefts[0] @ rights[0]
+    for left, right in zip(lefts[1:], rights[1:]):
+        total = total + left @ right
+    return total
+
+
 class ProjectorCalculus:
     """Cached endomorphisms for the adapted basis of one model.
 
-    Holds a(f_j), a(fbar_j), J(f_j), J(fbar_j), the rotated actions
-    a(J_a f_j) for a in {2, 3}, the mixed sums
+    For u in {"f", "fbar"} it holds act[u][j] = a(u_j), jop[u][j] = J(u_j)
+    and the rotated actions act_j[u][a][j] = a(J_a u_j) for a in {2, 3}.
+    a(J_1 u_j) is not kept: J_1 f_j = i f_j and J_1 fbar_j = -i fbar_j, so
+    it is a phase multiple of a(u_j).  Every sum over j of a product of two
+    cached operators is formed here, once.  Over the patterns (u, v) in
+    {(f, fbar), (fbar, f)}:
 
-        L    = sum_{a in 2,3} Omega_a sum_j a(f_j) a(J_a fbar_j)
-        Lbar = sum_{a in 2,3} Omega_a sum_j a(fbar_j) a(J_a f_j)
+    - sums[u, v, XY] = sum_j X(u_j) Y(v_j) for X, Y in {a, J}: the four
+      sums aa, aJ, Ja and JJ of each pattern.  Since p_r^s(x) =
+      c (alpha a(x) + beta J(x)), every two-step composition
+      sum_j p(u_j) p(v_j) is a combination of the four sums of its pattern
+      (see compute_A);
+    - mixed[u, v, a] = sum_j a(u_j) a(J_a v_j) for a in {2, 3}, and
+      L = l_op = sum_a Omega_a mixed[f, fbar, a] and
+      Lbar = l_bar_op = sum_a Omega_a mixed[fbar, f, a];
+    - rotated_sums[a] = sum_j a(J_a f_j) a(J_a fbar_j) for a in {2, 3}.
 
-    and the plain product sums sum_j a(f_j) a(fbar_j) and its reverse.
-    p_r^{+-} of any cached vector is then a scale-and-add, so the lemma
-    suite and the block constants cost roughly one product per check.
+    p_r^{+-} of any cached vector is then a scale-and-add.
     """
 
     def __init__(self, model, triple, ops, basis):
         self.model = model
-        self.triple = triple
         self.ops = ops
-        self.basis = basis
         self.pairs = 2 * model.m
+        vectors = {"f": basis.f, "fbar": basis.f_bar}
+        self.act = {u: [vector_action(model, x) for x in xs]
+                    for u, xs in vectors.items()}
+        self.act_j = {u: {a: [vector_action(model, triple[a] @ x) for x in xs]
+                          for a in (2, 3)} for u, xs in vectors.items()}
+        self.jop = {u: [] for u in vectors}
+        for u, xs in vectors.items():
+            for j, x in enumerate(xs):
+                rotated = {1: vector_action(model, triple[1] @ x),
+                           2: self.act_j[u][2][j], 3: self.act_j[u][3][j]}
+                self.jop[u].append(_j_combination(ops, self.act[u][j], rotated))
 
-        self.act_f = [vector_action(model, f) for f in basis.f]
-        self.act_fbar = [vector_action(model, fb) for fb in basis.f_bar]
-        self.jop_f = [j_operator(model, triple, ops, f) for f in basis.f]
-        self.jop_fbar = [j_operator(model, triple, ops, fb) for fb in basis.f_bar]
+        factors = {"a": self.act, "J": self.jop}
+        self.sums = {(u, v, x + y): _product_sum(factors[x][u], factors[y][v])
+                     for u, v in _PATTERNS for x in "aJ" for y in "aJ"}
+        self.mixed = {(u, v, a): _product_sum(self.act[u], self.act_j[v][a])
+                      for u, v in _PATTERNS for a in (2, 3)}
+        self.l_op, self.l_bar_op = (
+            _product_sum([ops[2], ops[3]], [self.mixed[u, v, 2], self.mixed[u, v, 3]])
+            for u, v in _PATTERNS)
+        self.rotated_sums = {a: _product_sum(self.act_j["f"][a], self.act_j["fbar"][a])
+                             for a in (2, 3)}
 
-        self.act_jf = {a: [vector_action(model, triple[a] @ f) for f in basis.f]
-                       for a in (2, 3)}
-        self.act_jfbar = {a: [vector_action(model, triple[a] @ fb)
-                              for fb in basis.f_bar] for a in (2, 3)}
-
-        dim = model.spinor_dim
-        zero = DenseMatrix.zeros(dim, dim, kind=model.kind)
-        self.mixed_f_fbar = {}
-        self.mixed_fbar_f = {}
-        for a in (2, 3):
-            acc1, acc2 = zero, zero
-            for j in range(self.pairs):
-                acc1 = acc1 + self.act_f[j] @ self.act_jfbar[a][j]
-                acc2 = acc2 + self.act_fbar[j] @ self.act_jf[a][j]
-            self.mixed_f_fbar[a] = acc1
-            self.mixed_fbar_f[a] = acc2
-
-        self.l_op = zero
-        self.l_bar_op = zero
-        for a in (2, 3):
-            self.l_op = self.l_op + ops[a] @ self.mixed_f_fbar[a]
-            self.l_bar_op = self.l_bar_op + ops[a] @ self.mixed_fbar_f[a]
-
-        self.sum_f_fbar = zero
-        self.sum_fbar_f = zero
-        for j in range(self.pairs):
-            self.sum_f_fbar = self.sum_f_fbar + self.act_f[j] @ self.act_fbar[j]
-            self.sum_fbar_f = self.sum_fbar_f + self.act_fbar[j] @ self.act_f[j]
-
-    def p_f(self, r, sign, j):
-        return _p_combination(r, sign, self.act_f[j], self.jop_f[j])
-
-    def p_fbar(self, r, sign, j):
-        return _p_combination(r, sign, self.act_fbar[j], self.jop_fbar[j])
+    def p(self, u, r, sign, j):
+        """p_r^sign(u_j) for the adapted vector u_j, u in {"f", "fbar"}."""
+        return _p_combination(r, sign, self.act[u][j], self.jop[u][j])
 
 
 def closed_form_A(m, r, k, variant):
@@ -182,10 +197,13 @@ def compute_A(model, dec, calc, r, k, variant, tol=None):
     """Evaluate sum_j (left p)(right p) on the block S_r^k and certify that
     the restriction is a scalar multiple of the identity.
 
-    Returns that scalar (ExactScalar, or complex in the float backend).  For
-    r = 0 with a raising left factor the composition passes through the
-    empty degree level; the right factor is certified to annihilate the
-    block and the scalar is 0.
+    With p_l^s(x) = c (alpha a(x) + beta J(x)) for each factor, the sum is
+    c c' (alpha alpha' aa + alpha beta' aJ + beta alpha' Ja + beta beta' JJ)
+    over the four product sums of the variant's vector pattern, so no
+    per-j product is formed here.  Returns that scalar (ExactScalar, or
+    complex in the float backend).  For r = 0 with a raising left factor
+    the composition passes through the empty degree level; the right factor
+    is certified to annihilate the block and the scalar is 0.
     """
     blk = dec.block(r, k)
     if blk.dim == 0:
@@ -194,25 +212,23 @@ def compute_A(model, dec, calc, r, k, variant, tol=None):
         raise DomainError(f"unknown variant {variant!r}")
     left_sign, right_sign, left_vec, right_vec = _VARIANT_TABLE[variant]
     left_level = r + 1 if left_sign < 0 else r - 1
-    p_of = {"f": calc.p_f, "fbar": calc.p_fbar}
 
     if left_level < 0:
         # right factor maps S_0 into the empty level below, so the
         # composition is zero regardless of the (undefined) left factor
         for j in range(calc.pairs):
-            right = p_of[right_vec](r, right_sign, j)
+            right = calc.p(right_vec, r, right_sign, j)
             if not (right @ blk.projector).is_zero(tol):
                 raise IdentityFailure(
                     f"p_0^- does not annihilate block (r={r}, k={k})")
         return scalar_for(blk.projector, 0)
 
-    dim = model.spinor_dim
-    total = DenseMatrix.zeros(dim, dim, kind=model.kind)
-    for j in range(calc.pairs):
-        left = p_of[left_vec](left_level, left_sign, j)
-        right = p_of[right_vec](r, right_sign, j)
-        total = total + left @ right
-    return _restriction_scalar(total, blk.projector, tol)
+    c_left, *left = _p_weights(left_level, left_sign)
+    c_right, *right = _p_weights(r, right_sign)
+    terms = [calc.sums[left_vec, right_vec, x + y].scale(wx * wy)
+             for x, wx in zip("aJ", left) for y, wy in zip("aJ", right)]
+    total = sum(terms[1:], terms[0])
+    return _restriction_scalar(total.scale(c_left * c_right), blk.projector, tol)
 
 
 @dataclass(frozen=True)
@@ -275,124 +291,115 @@ def constants_report(model, dec, calc, tol=None):
     return rep
 
 
-def verify_lemma_identities(model, triple, ops, basis, dec, calc, tol=None):
+def verify_lemma_identities(dec, calc, tol=None):
     """Exact verification of the operator identities of the projector calculus.
 
     Covers the product/anticommutation identities of the rotated adapted
     basis, the expansion of J on the adapted basis, the mixed-product and
     double-J reductions, the restriction scalars on every block (including
     the L and Lbar scalars), the weight/degree mapping properties, the
-    four-fold splitting of each Clifford generator, and the second-order
-    commutators with the Kraines operator.  Returns a VerificationReport;
-    all residuals are exact zeros in the exact backend.
+    four-fold splitting of the Clifford action, and the commutators of the
+    vector actions with the Kraines and Kaehler operators.  Returns a
+    VerificationReport; all residuals are exact zeros in the exact backend.
+
+    Every per-vector identity is checked on the adapted basis f_j, fbar_j
+    of the calculus.  Each residual is C-linear in the vector x, and
+    {f_j, fbar_j} is a basis of C^{4m}, so it vanishes on every real e_i
+    exactly when it vanishes on every f_j and fbar_j.  For the four-fold
+    split of e_i into p_r^s(q^t(e_i)), s, t = +-1: q^-(e_2j) = f_j and
+    q^+(e_2j) = fbar_j, and q^+-(e_2j+1) = -+i q^+-(e_2j) are mere phase
+    multiples.  Since q^-(f_j) = f_j and q^+(f_j) = 0 (the reverse for
+    fbar_j), each adapted vector leaves two pieces: p_r^s(f_j) P_{r,k} must
+    lie in S_{r+s}^{k-1} and p_r^s(fbar_j) P_{r,k} in S_{r+s}^{k+1}.  The
+    pieces add up to the action because p_r^+ + p_r^- = a by construction.
     """
+    model, ops = calc.model, calc.ops
     rep = VerificationReport()
     m = model.m
     sub = f"m={m}"
     dim = model.spinor_dim
     ident = DenseMatrix.identity(dim, kind=model.kind)
     zero = DenseMatrix.zeros(dim, dim, kind=model.kind)
+    sums = calc.sums
+    ffbar, fbarf = sums["f", "fbar", "aa"], sums["fbar", "f", "aa"]
 
     # --- product sums of the adapted basis against the weight operator
     rep.add(residual_entry(
         "adapted_basis_product_sums", f"{sub} fbar*f",
-        calc.sum_fbar_f + ident.scale(m) + ops[1].scale(_I_HALF), tol))
+        fbarf + ident.scale(m) + ops[1].scale(_I_HALF), tol))
     rep.add(residual_entry(
         "adapted_basis_product_sums", f"{sub} f*fbar",
-        calc.sum_f_fbar + ident.scale(m) - ops[1].scale(_I_HALF), tol))
+        ffbar + ident.scale(m) - ops[1].scale(_I_HALF), tol))
 
     # --- rotated product sums: per fixed a the rotation is invisible
     for a in (2, 3):
-        acc = zero
-        for j in range(calc.pairs):
-            acc = acc + calc.act_jf[a][j] @ calc.act_jfbar[a][j]
         rep.add(residual_entry("rotated_basis_product_sum", f"{sub} a={a}",
-                               acc - calc.sum_fbar_f, tol))
-    summed = zero
-    for a in (2, 3):
-        for j in range(calc.pairs):
-            summed = summed + calc.act_jf[a][j] @ calc.act_jfbar[a][j]
+                               calc.rotated_sums[a] - fbarf, tol))
     rep.add(residual_entry("rotated_basis_product_sum", f"{sub} a-summed=2x",
-                           summed - calc.sum_fbar_f.scale(2), tol,
+                           calc.rotated_sums[2] + calc.rotated_sums[3]
+                           - fbarf.scale(2), tol,
                            note="summing over both rotations doubles the right side"))
 
     # --- rotated/unrotated anticommutation
     for a in (2, 3):
         for j in range(calc.pairs):
-            res = calc.act_jf[a][j] @ calc.act_fbar[j] \
-                + calc.act_fbar[j] @ calc.act_jf[a][j]
+            jf, fbar = calc.act_j["f"][a][j], calc.act["fbar"][j]
             rep.add(residual_entry("rotated_vector_anticommute",
-                                   f"{sub} a={a} j={j}", res, tol))
+                                   f"{sub} a={a} j={j}", jf @ fbar + fbar @ jf, tol))
 
     # --- mixed product sums reproduce the other two Kaehler operators
     expectations = {
-        (2, "f_fbar"): ops[2].scale(_HALF) - ops[3].scale(_I_HALF),
-        (3, "f_fbar"): ops[3].scale(_HALF) + ops[2].scale(_I_HALF),
-        (2, "fbar_f"): ops[2].scale(_HALF) + ops[3].scale(_I_HALF),
-        (3, "fbar_f"): ops[3].scale(_HALF) - ops[2].scale(_I_HALF),
+        (2, "f"): ops[2].scale(_HALF) - ops[3].scale(_I_HALF),
+        (3, "f"): ops[3].scale(_HALF) + ops[2].scale(_I_HALF),
+        (2, "fbar"): ops[2].scale(_HALF) + ops[3].scale(_I_HALF),
+        (3, "fbar"): ops[3].scale(_HALF) - ops[2].scale(_I_HALF),
     }
     for a in (2, 3):
-        rep.add(residual_entry("mixed_product_kaehler_form", f"{sub} a={a} f*Jfbar",
-                               calc.mixed_f_fbar[a] - expectations[(a, "f_fbar")], tol))
-        rep.add(residual_entry("mixed_product_kaehler_form", f"{sub} a={a} fbar*Jf",
-                               calc.mixed_fbar_f[a] - expectations[(a, "fbar_f")], tol))
+        for u, v in _PATTERNS:
+            rep.add(residual_entry("mixed_product_kaehler_form",
+                                   f"{sub} a={a} {u}*J{v}",
+                                   calc.mixed[u, v, a] - expectations[a, u], tol))
 
     # --- expansion of J on the adapted basis (weight term becomes +-i Omega_1)
-    for j in range(calc.pairs):
-        rhs = calc.act_f[j].scale(3) + ops[1] @ calc.act_f[j].scale(_I)
-        for a in (2, 3):
-            rhs = rhs + ops[a] @ calc.act_jf[a][j]
-        rep.add(residual_entry("jop_adapted_expansion", f"{sub} f j={j}",
-                               calc.jop_f[j] - rhs, tol))
-        rhs = calc.act_fbar[j].scale(3) - ops[1] @ calc.act_fbar[j].scale(_I)
-        for a in (2, 3):
-            rhs = rhs + ops[a] @ calc.act_jfbar[a][j]
-        rep.add(residual_entry("jop_adapted_expansion", f"{sub} fbar j={j}",
-                               calc.jop_fbar[j] - rhs, tol))
+    for u, t in _WEIGHT_SHIFT.items():
+        for j in range(calc.pairs):
+            act = calc.act[u][j]
+            rhs = act.scale(3) + ops[1] @ act.scale(ExactScalar(0, -t))
+            for a in (2, 3):
+                rhs = rhs + ops[a] @ calc.act_j[u][a][j]
+            rep.add(residual_entry("jop_adapted_expansion", f"{sub} {u} j={j}",
+                                   calc.jop[u][j] - rhs, tol))
 
     # --- first-order products of J(x) with the actions, summed over j
-    ffbar, fbarf = calc.sum_f_fbar, calc.sum_fbar_f
     l_op, l_bar = calc.l_op, calc.l_bar_op
     iom = ops[1].scale(_I)
-    c1 = zero
-    c2 = zero
-    c3 = zero
-    c4 = zero
-    for j in range(calc.pairs):
-        c1 = c1 + calc.jop_f[j] @ calc.act_fbar[j]
-        c2 = c2 + calc.jop_fbar[j] @ calc.act_f[j]
-        c3 = c3 + calc.act_f[j] @ calc.jop_fbar[j]
-        c4 = c4 + calc.act_fbar[j] @ calc.jop_f[j]
     rep.add(residual_entry(
         "jop_product_jf_fbar", sub,
-        c1 - (-l_bar + (ident.scale(3) + iom) @ ffbar), tol))
+        sums["f", "fbar", "Ja"] - (-l_bar + (ident.scale(3) + iom) @ ffbar), tol))
     rep.add(residual_entry(
         "jop_product_jfbar_f", sub,
-        c2 - (-l_op + (ident.scale(3) - iom) @ fbarf), tol))
+        sums["fbar", "f", "Ja"] - (-l_op + (ident.scale(3) - iom) @ fbarf), tol))
     rep.add(residual_entry(
         "jop_product_f_jfbar", sub,
-        c3 - (l_op + (ident - iom) @ ffbar - fbarf.scale(4)), tol))
+        sums["f", "fbar", "aJ"] - (l_op + (ident - iom) @ ffbar - fbarf.scale(4)), tol))
     rep.add(residual_entry(
         "jop_product_fbar_jf", sub,
-        c4 - (l_bar + (ident + iom) @ fbarf - ffbar.scale(4)), tol,
+        sums["fbar", "f", "aJ"] - (l_bar + (ident + iom) @ fbarf - ffbar.scale(4)), tol,
         note="right side attributed to fbar*J(f); the source statement "
              "repeats the line-2 left side here"))
 
     # --- second-order product sums
-    d1 = zero
-    d2 = zero
-    for j in range(calc.pairs):
-        d1 = d1 + calc.jop_f[j] @ calc.jop_fbar[j]
-        d2 = d2 + calc.jop_fbar[j] @ calc.jop_f[j]
     sq23 = ops[2] @ ops[2] + ops[3] @ ops[3]
     rhs1 = fbarf.scale(-12) + sq23 @ fbarf \
         + (iom - ident) @ l_op - (ident - iom) @ l_bar + l_op.scale(4) \
         + (ident.scale(3) + iom) @ (ident - iom) @ ffbar
-    rep.add(residual_entry("jop_jop_sum_f_fbar", sub, d1 - rhs1, tol))
+    rep.add(residual_entry("jop_jop_sum_f_fbar", sub,
+                           sums["f", "fbar", "JJ"] - rhs1, tol))
     rhs2 = ffbar.scale(-12) + sq23 @ ffbar \
         - (ident + iom) @ l_op - (ident + iom) @ l_bar + l_bar.scale(4) \
         + (ident.scale(3) - iom) @ (ident + iom) @ fbarf
-    rep.add(residual_entry("jop_jop_sum_fbar_f", sub, d2 - rhs2, tol))
+    rep.add(residual_entry("jop_jop_sum_fbar_f", sub,
+                           sums["fbar", "f", "JJ"] - rhs2, tol))
 
     # --- restriction scalars on every nonzero block
     for blk in dec.nonzero_blocks():
@@ -408,93 +415,70 @@ def verify_lemma_identities(model, triple, ops, basis, dec, calc, tol=None):
         r_, k_ = blk.r, blk.k
         l_scalar = -2 * r_ * (r_ + 2) + (m - k_) * (2 * m - 2 * k_ + 4)
         lbar_scalar = -2 * r_ * (r_ + 2) + (m - k_) * (2 * m - 2 * k_ - 4)
+        l_p, lbar_p = l_op @ p, l_bar @ p
         rep.add(residual_entry("block_scalar_mixed_sum", bsub,
-                               l_op @ p - p.scale(l_scalar), tol))
+                               l_p - p.scale(l_scalar), tol))
         rep.add(residual_entry("block_scalar_mixed_sum_conj", bsub,
-                               l_bar @ p - p.scale(lbar_scalar), tol))
+                               lbar_p - p.scale(lbar_scalar), tol))
         rep.add(residual_entry("block_scalar_difference", bsub,
-                               (l_bar - l_op) @ p - p.scale(-8 * (m - k_)), tol))
+                               lbar_p - l_p - p.scale(-8 * (m - k_)), tol))
 
     # --- weight-shift mapping property of the adapted actions
-    for j in range(calc.pairs):
-        for k in range(2 * m + 1):
-            pk = dec.k_projectors[k]
-            up = dec.k_projectors.get(k + 1)
-            down = dec.k_projectors.get(k - 1)
-            img = calc.act_fbar[j] @ pk
-            res = img - (up @ img if up is not None else zero)
-            rep.add(residual_entry("k_shift_projection",
-                                   f"{sub} j={j} k={k} raise", res, tol))
-            img = calc.act_f[j] @ pk
-            res = img - (down @ img if down is not None else zero)
-            rep.add(residual_entry("k_shift_projection",
-                                   f"{sub} j={j} k={k} lower", res, tol))
+    for u, t in _WEIGHT_SHIFT.items():
+        for j in range(calc.pairs):
+            for k in range(2 * m + 1):
+                target = dec.k_projectors.get(k + t)
+                img = calc.act[u][j] @ dec.k_projectors[k]
+                res = img - (target @ img if target is not None else zero)
+                rep.add(residual_entry(
+                    "k_shift_projection",
+                    f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}", res, tol))
 
     # --- degree-shift mapping property of the p components
     for j in range(calc.pairs):
         for r in range(m + 1):
             pr = dec.r_projectors[r]
-            up = dec.r_projectors.get(r + 1)
-            down = dec.r_projectors.get(r - 1)
-            for which, pf in (("f", calc.p_f), ("fbar", calc.p_fbar)):
-                img = pf(r, +1, j) @ pr
-                res = img - (up @ img if up is not None else zero)
-                rep.add(residual_entry("r_shift_projection",
-                                       f"{sub} j={j} r={r} {which} raise", res, tol))
-                img = pf(r, -1, j) @ pr
-                res = img - (down @ img if down is not None else zero)
-                rep.add(residual_entry("r_shift_projection",
-                                       f"{sub} j={j} r={r} {which} lower", res, tol))
+            for u in ("f", "fbar"):
+                for s, label in ((+1, "raise"), (-1, "lower")):
+                    target = dec.r_projectors.get(r + s)
+                    img = calc.p(u, r, s, j) @ pr
+                    res = img - (target @ img if target is not None else zero)
+                    rep.add(residual_entry("r_shift_projection",
+                                           f"{sub} j={j} r={r} {u} {label}", res, tol))
 
-    # --- commutators with the Kraines operator
+    # --- commutators of the vector actions with the Kraines and Kaehler operators
     kraines = ops.kraines
-    for i in range(model.n):
-        e = basis_vector(model, i)
-        act = vector_action(model, e)
-        jop = j_operator(model, triple, ops, e)
-        rep.add(residual_entry(
-            "kraines_commutator_jop", f"{sub} i={i}",
-            kraines @ act - act @ kraines - jop.scale(4), tol))
-        rhs = jop.scale(-8) + act.scale(12) \
-            - (act @ (kraines - ident.scale(6 * m))).scale(4)
-        rep.add(residual_entry(
-            "kraines_commutator_jop_second", f"{sub} i={i}",
-            kraines @ jop - jop @ kraines - rhs, tol))
-
-    # --- commutator of the Kaehler operators with vector actions
-    for a in (1, 2, 3):
-        for i in range(model.n):
-            e = basis_vector(model, i)
-            act = vector_action(model, e)
-            rot = vector_action(model, triple[a] @ e)
+    for u, t in _WEIGHT_SHIFT.items():
+        for j in range(calc.pairs):
+            act, jop = calc.act[u][j], calc.jop[u][j]
             rep.add(residual_entry(
-                "kaehler_vector_commutator", f"{sub} a={a} i={i}",
-                ops[a] @ act - act @ ops[a] - rot.scale(2), tol))
+                "kraines_commutator_jop", f"{sub} {u} j={j}",
+                kraines @ act - act @ kraines - jop.scale(4), tol))
+            rhs = jop.scale(-8) + act.scale(12) \
+                - (act @ (kraines - ident.scale(6 * m))).scale(4)
+            rep.add(residual_entry(
+                "kraines_commutator_jop_second", f"{sub} {u} j={j}",
+                kraines @ jop - jop @ kraines - rhs, tol))
+            # a(J_1 u_j) = -t i a(u_j), the weight property of the adapted basis
+            rotated = {1: act.scale(ExactScalar(0, -t)),
+                       2: calc.act_j[u][2][j], 3: calc.act_j[u][3][j]}
+            for a in (1, 2, 3):
+                rep.add(residual_entry(
+                    "kaehler_vector_commutator", f"{sub} a={a} {u} j={j}",
+                    ops[a] @ act - act @ ops[a] - rotated[a].scale(2), tol))
 
-    # --- four-fold splitting of each generator on each block
-    for i in range(model.n):
-        e = basis_vector(model, i)
-        qp = q_plus(model, triple, e)
-        qm = q_minus(model, triple, e)
-        acts = {t: vector_action(model, v) for t, v in ((+1, qp), (-1, qm))}
-        jops = {t: j_operator(model, triple, ops, v) for t, v in ((+1, qp), (-1, qm))}
-        act_e = vector_action(model, e)
-        for blk in dec.nonzero_blocks():
-            recon = zero
-            for s in (+1, -1):
-                for t in (+1, -1):
-                    piece = _p_combination(blk.r, s, acts[t], jops[t]) @ blk.projector
-                    recon = recon + piece
+    # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}
+    for blk in dec.nonzero_blocks():
+        for u, t in _WEIGHT_SHIFT.items():
+            for j in range(calc.pairs):
+                for s in (+1, -1):
+                    piece = calc.p(u, blk.r, s, j) @ blk.projector
                     target = dec.blocks.get((blk.r + s, blk.k + t))
                     absorbed = target.projector @ piece if target is not None else zero
                     rep.add(residual_entry(
                         "clifford_four_fold_split",
-                        f"{sub} i={i} ({blk.r},{blk.k}) s={s:+d} t={t:+d}",
+                        f"{sub} {u} j={j} ({blk.r},{blk.k}) s={s:+d}",
                         piece - absorbed, tol))
-            rep.add(residual_entry(
-                "clifford_four_fold_split",
-                f"{sub} i={i} ({blk.r},{blk.k}) reconstruction",
-                recon - act_e @ blk.projector, tol))
 
     # --- adjointness observation (informational, never fails the suite)
     matches = {"+fbar": 0, "-fbar": 0, "+f": 0, "-f": 0, "none": 0, "total": 0}
@@ -503,13 +487,13 @@ def verify_lemma_identities(model, triple, ops, basis, dec, calc, tol=None):
         if target is None or target.dim == 0:
             continue
         for j in range(calc.pairs):
-            up = target.projector @ calc.p_fbar(blk.r, +1, j) @ blk.projector
+            up = target.projector @ calc.p("fbar", blk.r, +1, j) @ blk.projector
             if up.is_zero(tol):
                 continue
             matches["total"] += 1
             adjoint = up.hermitian()
-            down_fbar = blk.projector @ calc.p_fbar(blk.r + 1, -1, j) @ target.projector
-            down_f = blk.projector @ calc.p_f(blk.r + 1, -1, j) @ target.projector
+            down_fbar = blk.projector @ calc.p("fbar", blk.r + 1, -1, j) @ target.projector
+            down_f = blk.projector @ calc.p("f", blk.r + 1, -1, j) @ target.projector
             if (adjoint - down_fbar).is_zero(tol):
                 matches["+fbar"] += 1
             elif (adjoint + down_fbar).is_zero(tol):

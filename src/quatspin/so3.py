@@ -290,13 +290,18 @@ def find_rotation_with_top_component(irrep, v, budget=1000, seed=0,
     rng = np.random.default_rng([seed, irrep.r])
     best_mag, best_g = -1.0, None
     for i in range(budget):
-        g = identity_rotation(irrep.kind) if i == 0 \
-            else random_rotation(rng, irrep.kind)
-        gen = rotated_generator(irrep, g, tol)
-        p = top_weight_projector(irrep, gen, tol)
-        w = p @ (col if col.kind == gen.kind else col.to_float())
+        if i == 0:
+            # the unrotated H1 = diag(r, r-2, ...) keeps coordinate 0 on top
+            g = identity_rotation(irrep.kind)
+            w = DenseMatrix.from_rows([[col[0, 0]]] + [[0]] * (irrep.dim - 1),
+                                      kind=col.kind)
+        else:
+            g = random_rotation(rng, irrep.kind)
+            gen = rotated_generator(irrep, g, tol)
+            p = top_weight_projector(irrep, gen, tol)
+            w = p @ (col if col.kind == gen.kind else col.to_float())
         mag = math.sqrt(float(w.frobenius_norm2()))
-        accepted = (not w.is_zero()) if gen.kind == "exact" \
+        accepted = (not w.is_zero()) if w.kind == "exact" \
             else mag > threshold
         if accepted:
             return RotationSearch(True, g, mag, i + 1, seed)

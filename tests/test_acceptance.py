@@ -137,8 +137,7 @@ def test_criterion_3_lemma_suite(worlds):
     total = 0
     for m in M_VALUES:
         w = worlds[m]
-        rep = verify_lemma_identities(w.model, w.triple, w.ops, w.basis,
-                                      w.dec, w.calc)
+        rep = verify_lemma_identities(w.dec, w.calc)
         ok = ok and _exact_clean(rep)
         ids = {e.check_id for e in rep.entries}
         ok = ok and required <= ids

@@ -223,6 +223,17 @@ def test_usage_exit_codes(capsys):
     assert run(["verify", "--m-range", "3..1"], capsys)[0] == 2
 
 
+def test_non_finite_tolerances_are_usage_errors(capsys):
+    for argv in (["verify", "--m", "1", "--backend", "float", "--tolerance", "inf"],
+                 ["constants", "--m", "1", "--tolerance", "nan"],
+                 ["so3-check", "--max-r", "0", "--trials", "1", "--budget", "1",
+                  "--threshold", "inf"]):
+        rc, out, err = run(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert "must be finite and > 0" in err
+
+
 def test_flip_gamma_out_of_range(capsys):
     rc, out, err = run(["verify", "--m", "1", "--flip-gamma", "99"], capsys)
     assert rc == 2

@@ -87,10 +87,10 @@ def test_degree_component_rejects_negative_level(world1):
 def test_calculus_matches_direct_operators(world1):
     model, triple, ops, basis, _, calc = world1
     for j in range(2 * model.m):
-        assert calc.act_f[j] == vector_action(model, basis.f[j])
-        assert calc.jop_fbar[j] == j_operator(model, triple, ops, basis.f_bar[j])
-        assert calc.p_f(0, +1, j) == p_plus(model, triple, ops, 0, basis.f[j])
-        assert calc.p_fbar(1, -1, j) == p_minus(model, triple, ops, 1, basis.f_bar[j])
+        assert calc.act["f"][j] == vector_action(model, basis.f[j])
+        assert calc.jop["fbar"][j] == j_operator(model, triple, ops, basis.f_bar[j])
+        assert calc.p("f", 0, +1, j) == p_plus(model, triple, ops, 0, basis.f[j])
+        assert calc.p("fbar", 1, -1, j) == p_minus(model, triple, ops, 1, basis.f_bar[j])
 
 
 def test_closed_form_values_by_hand():
@@ -124,6 +124,27 @@ def test_computed_constants_match_closed_forms_m1(world1):
             got = compute_A(model, dec, calc, blk.r, blk.k, variant)
             want = closed_form_A(model.m, blk.r, blk.k, variant)
             assert got == ExactScalar(want), (blk.r, blk.k, variant)
+
+
+def test_constants_equal_the_per_vector_composition(world2):
+    # reference: sum_j (left p)(right p) formed one adapted vector at a time
+    model, triple, ops, basis, dec, calc = world2
+    vectors = {"f": basis.f, "fbar": basis.f_bar}
+    variants = {"--": (p_minus, +1, p_plus, "f", "fbar"),
+                "+-": (p_plus, -1, p_minus, "f", "fbar"),
+                "-+": (p_minus, +1, p_plus, "fbar", "f"),
+                "++": (p_plus, -1, p_minus, "fbar", "f")}
+    for blk in dec.nonzero_blocks():
+        for variant, (left, shift, right, u, v) in variants.items():
+            if blk.r + shift < 0:
+                continue
+            total = None
+            for x, y in zip(vectors[u], vectors[v]):
+                term = left(model, triple, ops, blk.r + shift, x) \
+                    @ right(model, triple, ops, blk.r, y)
+                total = term if total is None else total + term
+            got = compute_A(model, dec, calc, blk.r, blk.k, variant)
+            assert total @ blk.projector == blk.projector.scale(got), (blk.r, blk.k, variant)
 
 
 def test_worked_constant_value(world2):
@@ -173,8 +194,8 @@ def _rebuild_tail(model):
 
 
 def test_lemma_suite_exact_m1(world1):
-    model, triple, ops, basis, dec, calc = world1
-    rep = verify_lemma_identities(model, triple, ops, basis, dec, calc)
+    *_, dec, calc = world1
+    rep = verify_lemma_identities(dec, calc)
     counts = rep.counts()
     assert rep.ok
     assert counts.get("fail", 0) == 0
@@ -184,8 +205,8 @@ def test_lemma_suite_exact_m1(world1):
 
 
 def test_adjoint_pairing_is_minus_conjugate_vector(world1):
-    model, triple, ops, basis, dec, calc = world1
-    rep = verify_lemma_identities(model, triple, ops, basis, dec, calc)
+    *_, dec, calc = world1
+    rep = verify_lemma_identities(dec, calc)
     notes = [e for e in rep.entries if e.check_id == "block_adjoint_pairing"]
     assert len(notes) == 1
     # every nonzero raising map pairs with minus the f-vector lowering map
