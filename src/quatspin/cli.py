@@ -45,12 +45,7 @@ from .projectors import (
     constants_report,
     verify_lemma_identities,
 )
-from .quaternionic import (
-    build_adapted_basis,
-    build_kaehler_operators,
-    build_standard_triple,
-    structure_report,
-)
+from .quaternionic import build_kaehler_operators, build_standard_triple, structure_report
 from .report import VerificationReport
 from .so3 import build_irrep, find_rotation_with_top_component, irrep_report, random_vector
 
@@ -138,17 +133,20 @@ def build_parser():
                     "identities, block constants, and eigenvalue bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p):
+        p.add_argument("--format", choices=("json", "csv", "table"),
+                       default="json", help="output format (default %(default)s)")
+        p.add_argument("--out", default=None, help="write the report to a file")
+
     def add_common(p, backend_default="exact"):
         p.add_argument("--backend", choices=("exact", "float"),
                        default=backend_default,
                        help="arithmetic backend (default %(default)s)")
         p.add_argument("--tolerance", type=_positive_float, default=1e-10,
                        help="float-backend residual tolerance (default %(default)s)")
-        p.add_argument("--format", choices=("json", "csv", "table"),
-                       default="json", help="output format (default %(default)s)")
         p.add_argument("--seed", type=_nonnegative_int, default=0,
                        help="seed for randomized sampling (default %(default)s)")
-        p.add_argument("--out", default=None, help="write the report to a file")
+        add_output(p)
 
     p = sub.add_parser("verify", help="run the full verification matrix")
     group = p.add_mutually_exclusive_group()
@@ -175,7 +173,7 @@ def build_parser():
     p.add_argument("--complex-dimension", type=_positive_int, default=None,
                    help="complex dimension for the Kaehler comparison "
                         "(default 2m)")
-    add_common(p)
+    add_output(p)
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("decompose", help="joint (r, k) block lattice")
@@ -219,12 +217,11 @@ def _entry_rows(segment, report):
 
 
 def _decomposed(m, config):
-    """Model, triple, Kaehler operators, adapted basis and block decomposition."""
+    """Model, triple, Kaehler operators and block decomposition."""
     model = build_clifford_model(m, kind=config.backend)
     triple = build_standard_triple(model)
     ops = build_kaehler_operators(model, triple)
-    basis = build_adapted_basis(model, triple)
-    return model, triple, ops, basis, decompose(model, ops, config.tolerance)
+    return model, triple, ops, decompose(model, ops, config.tolerance)
 
 
 def cmd_verify(args):
@@ -233,10 +230,10 @@ def cmd_verify(args):
     sections = []
     model_hashes = {}
     for m in config.m_values:
-        model, triple, ops, basis, dec = _decomposed(m, config)
+        model, triple, ops, dec = _decomposed(m, config)
         if args.flip_gamma is not None:
             model = corrupt_gamma(model, args.flip_gamma)
-        calc = ProjectorCalculus(model, triple, ops, basis)
+        calc = ProjectorCalculus(model, triple, ops)
         report = VerificationReport()
         report.extend(structure_report(model, triple, ops, tol).entries)
         report.extend(decomposition_report(dec, model, triple, tol).entries)
@@ -274,8 +271,8 @@ def cmd_verify(args):
 
 def cmd_constants(args):
     config = _config_from(args)
-    model, triple, ops, basis, dec = _decomposed(args.m, config)
-    calc = ProjectorCalculus(model, triple, ops, basis)
+    model, triple, ops, dec = _decomposed(args.m, config)
+    calc = ProjectorCalculus(model, triple, ops)
     constants = block_constants(model, dec, calc, config.tolerance)
     rows = [{"r": c.r, "k": c.k, "variant": c.variant, "computed": c.computed,
              "closed": str(c.closed), "match": c.ok, "note": c.note}
@@ -305,7 +302,6 @@ def _coefficient_dict(coeff):
 
 
 def cmd_bounds(args):
-    config = _config_from(args)
     report = build_bound_report(args.m, args.kappa, args.complex_dimension)
     rows = []
     flat_rows = []
@@ -356,7 +352,7 @@ def cmd_bounds(args):
 def cmd_decompose(args):
     config = _config_from(args)
     m = args.m
-    model, _, _, _, dec = _decomposed(m, config)
+    model, _, _, dec = _decomposed(m, config)
     blocks = [{"r": b.r, "k": b.k, "dim": b.dim,
                "omega_eig": b.omega_eig, "omega1_eig_im": b.weight_im}
               for b in dec.nonzero_blocks()]

@@ -26,10 +26,8 @@ _BLOCK_B = np.array([[0, 1], [-1, 0]], dtype=np.complex128)    # squares to -1
 _BLOCK_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-def resolved_max_m(max_m=None):
-    """Effective model-size cap: explicit argument, else env override, else 4."""
-    if max_m is not None:
-        return int(max_m)
+def resolved_max_m():
+    """Effective model-size cap: the environment override, else 4."""
     env = os.environ.get(MAX_M_ENV)
     if env is not None:
         try:
@@ -64,19 +62,17 @@ class CliffordModel:
         return h.hexdigest()
 
 
-def build_clifford_model(m, kind="exact", max_m=None):
+def build_clifford_model(m, kind="exact"):
     """Build the standard Clifford model for quaternionic dimension m.
 
     Raises DomainError for m < 1 and ResourceLimitError above the cap
-    (default 4, overridable via the QUATSPIN_MAX_M environment variable or
-    the max_m argument).
+    (default 4, overridable via the QUATSPIN_MAX_M environment variable).
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"quaternionic dimension must be a positive integer, got {m!r}")
-    cap = resolved_max_m(max_m)
+    cap = resolved_max_m()
     if m > cap:
-        raise ResourceLimitError(
-            f"m={m} exceeds the cap {cap}; raise it via {MAX_M_ENV} or max_m=")
+        raise ResourceLimitError(f"m={m} exceeds the cap {cap}; raise it via {MAX_M_ENV}")
     if kind not in ("exact", "float"):
         raise DomainError(f"unknown backend kind {kind!r}")
     pairs = 2 * m

@@ -18,7 +18,12 @@ class SpectrumError(QuatspinError, ArithmeticError):
 
 
 class IdentityFailure(QuatspinError, ArithmeticError):
-    """An operator identity that must hold exactly produced a nonzero residual."""
+    """An identity that must hold exactly left a residual; `residual` is its
+    largest entry modulus."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
 
 
 class ResourceLimitError(QuatspinError, RuntimeError):

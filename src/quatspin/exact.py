@@ -384,21 +384,6 @@ class DenseMatrix:
         return ExactScalar(Fraction(int(self._re[i, j]), self._den),
                            Fraction(int(self._im[i, j]), self._den))
 
-    def first_nonzero_index(self, tol=None):
-        """Row-major index of the first nonzero entry (largest, for float)."""
-        if self.kind == "float":
-            if self._c.size == 0:
-                return None
-            mags = np.abs(self._c)
-            ij = np.unravel_index(int(np.argmax(mags)), self._c.shape)
-            if mags[ij] <= (FLOAT_TOL if tol is None else tol):
-                return None
-            return int(ij[0]), int(ij[1])
-        if self._amax == 0:
-            return None
-        nz = np.argwhere((self._re != 0) | (self._im != 0))
-        return int(nz[0][0]), int(nz[0][1])
-
     def trace(self):
         if self.rows != self.cols:
             raise DimensionError("trace of a non-square matrix")

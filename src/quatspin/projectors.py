@@ -22,6 +22,7 @@ from .clifford import vector_action
 from .decomposition import weight_eigenvalue
 from .errors import DomainError, IdentityFailure
 from .exact import DenseMatrix, ExactScalar, scalar_for
+from .quaternionic import build_adapted_basis
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
 
 _VARIANTS = ("--", "+-", "-+", "++")
@@ -101,33 +102,49 @@ def _product_sum(lefts, rights):
     return total
 
 
+def _plus(total, piece):
+    """total + piece, or piece when nothing has been added yet (total None)."""
+    return piece if total is None else total + piece
+
+
+def _outside(image, target):
+    """image minus its part in the range of the projector target (None: none)."""
+    return image if target is None else image - target @ image
+
+
+def _adjoint_match(adjoint, blk, target, calc, j, tol):
+    """"+v" or "-v" if adjoint = +-P_blk p_{r+1}^-(v_j) P_target, else "none".
+
+    v = f is tried first; the fbar map, zero in a clean model since a(fbar_j)
+    raises k, is formed only when f does not match."""
+    for v in ("f", "fbar"):
+        down = blk.projector @ calc.p(v, blk.r + 1, -1, j) @ target.projector
+        if (adjoint - down).is_zero(tol):
+            return "+" + v
+        if (adjoint + down).is_zero(tol):
+            return "-" + v
+    return "none"
+
+
 class ProjectorCalculus:
     """Cached endomorphisms for the adapted basis of one model.
 
     For u in {"f", "fbar"} it holds act[u][j] = a(u_j), jop[u][j] = J(u_j)
     and the rotated actions act_j[u][a][j] = a(J_a u_j) for a in {2, 3}.
     a(J_1 u_j) is not kept: J_1 f_j = i f_j and J_1 fbar_j = -i fbar_j, so
-    it is a phase multiple of a(u_j).  Every sum over j of a product of two
-    cached operators is formed here, once.  Over the patterns (u, v) in
-    {(f, fbar), (fbar, f)}:
-
-    - sums[u, v, XY] = sum_j X(u_j) Y(v_j) for X, Y in {a, J}: the four
-      sums aa, aJ, Ja and JJ of each pattern.  Since p_r^s(x) =
-      c (alpha a(x) + beta J(x)), every two-step composition
-      sum_j p(u_j) p(v_j) is a combination of the four sums of its pattern
-      (see compute_A);
-    - mixed[u, v, a] = sum_j a(u_j) a(J_a v_j) for a in {2, 3}, and
-      L = l_op = sum_a Omega_a mixed[f, fbar, a] and
-      Lbar = l_bar_op = sum_a Omega_a mixed[fbar, f, a];
-    - rotated_sums[a] = sum_j a(J_a f_j) a(J_a fbar_j) for a in {2, 3}.
-
-    p_r^{+-} of any cached vector is then a scale-and-add.
+    it is a phase multiple of a(u_j).  Over the patterns (u, v) in
+    {(f, fbar), (fbar, f)} it forms sums[u, v, XY] = sum_j X(u_j) Y(v_j) for
+    X, Y in {a, J}: the four sums aa, aJ, Ja and JJ of each pattern.  Since
+    p_r^s(x) = c (alpha a(x) + beta J(x)), every two-step composition
+    sum_j p(u_j) p(v_j) is a combination of the four sums of its pattern
+    (see compute_A), and p_r^{+-} of any cached vector is a scale-and-add.
     """
 
-    def __init__(self, model, triple, ops, basis):
+    def __init__(self, model, triple, ops):
         self.model = model
         self.ops = ops
         self.pairs = 2 * model.m
+        basis = build_adapted_basis(model, triple)
         vectors = {"f": basis.f, "fbar": basis.f_bar}
         self.act = {u: [vector_action(model, x) for x in xs]
                     for u, xs in vectors.items()}
@@ -143,13 +160,6 @@ class ProjectorCalculus:
         factors = {"a": self.act, "J": self.jop}
         self.sums = {(u, v, x + y): _product_sum(factors[x][u], factors[y][v])
                      for u, v in _PATTERNS for x in "aJ" for y in "aJ"}
-        self.mixed = {(u, v, a): _product_sum(self.act[u], self.act_j[v][a])
-                      for u, v in _PATTERNS for a in (2, 3)}
-        self.l_op, self.l_bar_op = (
-            _product_sum([ops[2], ops[3]], [self.mixed[u, v, 2], self.mixed[u, v, 3]])
-            for u, v in _PATTERNS)
-        self.rotated_sums = {a: _product_sum(self.act_j["f"][a], self.act_j["fbar"][a])
-                             for a in (2, 3)}
 
     def p(self, u, r, sign, j):
         """p_r^sign(u_j) for the adapted vector u_j, u in {"f", "fbar"}."""
@@ -178,22 +188,21 @@ def closed_form_A(m, r, k, variant):
     return Fraction((-k + m - r) * (2 + m + r), den)
 
 
-def _restriction_scalar(op, proj, tol):
-    """The scalar s with op|block = s * id, certified; IdentityFailure otherwise."""
-    comp = op @ proj
-    idx = proj.first_nonzero_index(tol)
-    if idx is None:
-        raise DomainError("restriction to a zero block has no scalar")
-    pivot = proj[idx]
-    s = comp[idx] / pivot
-    if not (comp - proj.scale(s)).is_zero(tol):
-        raise IdentityFailure(
-            f"operator is not scalar on the block (residual "
-            f"{(comp - proj.scale(s)).max_abs():.3e})")
+def _restriction_scalar(op, blk, tol):
+    """The scalar s with op|block = s * id, certified; IdentityFailure otherwise.
+
+    op P = s P gives trace(op P) = s dim, so s is read off the trace."""
+    comp = op @ blk.projector
+    s = comp.trace() / blk.dim
+    residual = comp - blk.projector.scale(s)
+    if not residual.is_zero(tol):
+        mag = residual.max_abs()
+        raise IdentityFailure(f"operator is not scalar on the block (residual {mag:.3e})",
+                              mag)
     return s
 
 
-def compute_A(model, dec, calc, r, k, variant, tol=None):
+def compute_A(dec, calc, r, k, variant, tol=None):
     """Evaluate sum_j (left p)(right p) on the block S_r^k and certify that
     the restriction is a scalar multiple of the identity.
 
@@ -203,7 +212,8 @@ def compute_A(model, dec, calc, r, k, variant, tol=None):
     per-j product is formed here.  Returns that scalar (ExactScalar, or
     complex in the float backend).  For r = 0 with a raising left factor
     the composition passes through the empty degree level; the right factor
-    is certified to annihilate the block and the scalar is 0.
+    is certified to annihilate the block and the scalar is 0.  A failed
+    certificate raises IdentityFailure with its residual's largest entry.
     """
     blk = dec.block(r, k)
     if blk.dim == 0:
@@ -217,10 +227,10 @@ def compute_A(model, dec, calc, r, k, variant, tol=None):
         # right factor maps S_0 into the empty level below, so the
         # composition is zero regardless of the (undefined) left factor
         for j in range(calc.pairs):
-            right = calc.p(right_vec, r, right_sign, j)
-            if not (right @ blk.projector).is_zero(tol):
+            image = calc.p(right_vec, r, right_sign, j) @ blk.projector
+            if not image.is_zero(tol):
                 raise IdentityFailure(
-                    f"p_0^- does not annihilate block (r={r}, k={k})")
+                    f"p_0^- does not annihilate block (r={r}, k={k})", image.max_abs())
         return scalar_for(blk.projector, 0)
 
     c_left, *left = _p_weights(left_level, left_sign)
@@ -228,7 +238,7 @@ def compute_A(model, dec, calc, r, k, variant, tol=None):
     terms = [calc.sums[left_vec, right_vec, x + y].scale(wx * wy)
              for x, wx in zip("aJ", left) for y, wy in zip("aJ", right)]
     total = sum(terms[1:], terms[0])
-    return _restriction_scalar(total.scale(c_left * c_right), blk.projector, tol)
+    return _restriction_scalar(total.scale(c_left * c_right), blk, tol)
 
 
 @dataclass(frozen=True)
@@ -255,7 +265,8 @@ def block_constants(model, dec, calc, tol=None):
     The float backend matches within 10*tol (1e-8 when tol is None); the
     exact backend requires equality.  A mismatched row's residual is the
     modulus |computed - closed form| in both.  A composition that is not
-    scalar on its block is a failed row, not an error.
+    scalar on its block is a failed row, not an error, whose residual is
+    the largest entry of the failed certificate.
     """
     rows = []
     for blk in dec.nonzero_blocks():
@@ -263,10 +274,11 @@ def block_constants(model, dec, calc, tol=None):
             expect = closed_form_A(model.m, blk.r, blk.k, variant)
             note = "twistor normalization undefined (A = 0)" if expect == 0 else ""
             try:
-                got = compute_A(model, dec, calc, blk.r, blk.k, variant, tol)
+                got = compute_A(dec, calc, blk.r, blk.k, variant, tol)
             except IdentityFailure as exc:
                 rows.append(BlockConstant(blk.r, blk.k, variant, expect, None, False,
-                                          "nan", f"not scalar on block: {exc}"))
+                                          f"{exc.residual:.3e}",
+                                          f"not scalar on block: {exc}"))
                 continue
             if model.kind == "float":
                 resid = abs(got - complex(expect))
@@ -312,6 +324,15 @@ def verify_lemma_identities(dec, calc, tol=None):
     fbar_j), each adapted vector leaves two pieces: p_r^s(f_j) P_{r,k} must
     lie in S_{r+s}^{k-1} and p_r^s(fbar_j) P_{r,k} in S_{r+s}^{k+1}.  The
     pieces add up to the action because p_r^+ + p_r^- = a by construction.
+
+    The degree- and weight-shift rows add up the same pieces.  Each
+    Lagrange projector family sums to I exactly (the interpolation
+    polynomials sum to 1), so P_r = sum_k P_r P_k and P_k = sum_r P_r P_k,
+    and a block of dimension 0 is exactly zero (an idempotent of trace 0),
+    so only the nonzero blocks are read, as pieces and as targets.  Thus
+    p_r^s(u_j) P_r is the sum of the pieces at level r, and a(u_j) P_k
+    the sum over r and s of the pieces at weight k: exactly in the exact
+    backend, up to rounding in the float one.
     """
     model, ops = calc.model, calc.ops
     rep = VerificationReport()
@@ -322,6 +343,14 @@ def verify_lemma_identities(dec, calc, tol=None):
     zero = DenseMatrix.zeros(dim, dim, kind=model.kind)
     sums = calc.sums
     ffbar, fbarf = sums["f", "fbar", "aa"], sums["fbar", "f", "aa"]
+    # mixed[u, v, a] = sum_j a(u_j) a(J_a v_j); L, Lbar = sum_a Omega_a mixed
+    mixed = {(u, v, a): _product_sum(calc.act[u], calc.act_j[v][a])
+             for u, v in _PATTERNS for a in (2, 3)}
+    l_op, l_bar = (_product_sum([ops[2], ops[3]], [mixed[u, v, 2], mixed[u, v, 3]])
+                   for u, v in _PATTERNS)
+    # rotated_sums[a] = sum_j a(J_a f_j) a(J_a fbar_j)
+    rotated_sums = {a: _product_sum(calc.act_j["f"][a], calc.act_j["fbar"][a])
+                    for a in (2, 3)}
 
     # --- product sums of the adapted basis against the weight operator
     rep.add(residual_entry(
@@ -334,10 +363,9 @@ def verify_lemma_identities(dec, calc, tol=None):
     # --- rotated product sums: per fixed a the rotation is invisible
     for a in (2, 3):
         rep.add(residual_entry("rotated_basis_product_sum", f"{sub} a={a}",
-                               calc.rotated_sums[a] - fbarf, tol))
+                               rotated_sums[a] - fbarf, tol))
     rep.add(residual_entry("rotated_basis_product_sum", f"{sub} a-summed=2x",
-                           calc.rotated_sums[2] + calc.rotated_sums[3]
-                           - fbarf.scale(2), tol,
+                           rotated_sums[2] + rotated_sums[3] - fbarf.scale(2), tol,
                            note="summing over both rotations doubles the right side"))
 
     # --- rotated/unrotated anticommutation
@@ -358,7 +386,7 @@ def verify_lemma_identities(dec, calc, tol=None):
         for u, v in _PATTERNS:
             rep.add(residual_entry("mixed_product_kaehler_form",
                                    f"{sub} a={a} {u}*J{v}",
-                                   calc.mixed[u, v, a] - expectations[a, u], tol))
+                                   mixed[u, v, a] - expectations[a, u], tol))
 
     # --- expansion of J on the adapted basis (weight term becomes +-i Omega_1)
     for u, t in _WEIGHT_SHIFT.items():
@@ -371,7 +399,6 @@ def verify_lemma_identities(dec, calc, tol=None):
                                    calc.jop[u][j] - rhs, tol))
 
     # --- first-order products of J(x) with the actions, summed over j
-    l_op, l_bar = calc.l_op, calc.l_bar_op
     iom = ops[1].scale(_I)
     rep.add(residual_entry(
         "jop_product_jf_fbar", sub,
@@ -423,29 +450,6 @@ def verify_lemma_identities(dec, calc, tol=None):
         rep.add(residual_entry("block_scalar_difference", bsub,
                                lbar_p - l_p - p.scale(-8 * (m - k_)), tol))
 
-    # --- weight-shift mapping property of the adapted actions
-    for u, t in _WEIGHT_SHIFT.items():
-        for j in range(calc.pairs):
-            for k in range(2 * m + 1):
-                target = dec.k_projectors.get(k + t)
-                img = calc.act[u][j] @ dec.k_projectors[k]
-                res = img - (target @ img if target is not None else zero)
-                rep.add(residual_entry(
-                    "k_shift_projection",
-                    f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}", res, tol))
-
-    # --- degree-shift mapping property of the p components
-    for j in range(calc.pairs):
-        for r in range(m + 1):
-            pr = dec.r_projectors[r]
-            for u in ("f", "fbar"):
-                for s, label in ((+1, "raise"), (-1, "lower")):
-                    target = dec.r_projectors.get(r + s)
-                    img = calc.p(u, r, s, j) @ pr
-                    res = img - (target @ img if target is not None else zero)
-                    rep.add(residual_entry("r_shift_projection",
-                                           f"{sub} j={j} r={r} {u} {label}", res, tol))
-
     # --- commutators of the vector actions with the Kraines and Kaehler operators
     kraines = ops.kraines
     for u, t in _WEIGHT_SHIFT.items():
@@ -467,18 +471,36 @@ def verify_lemma_identities(dec, calc, tol=None):
                     "kaehler_vector_commutator", f"{sub} a={a} {u} j={j}",
                     ops[a] @ act - act @ ops[a] - rotated[a].scale(2), tol))
 
-    # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}
-    for blk in dec.nonzero_blocks():
-        for u, t in _WEIGHT_SHIFT.items():
-            for j in range(calc.pairs):
-                for s in (+1, -1):
-                    piece = calc.p(u, blk.r, s, j) @ blk.projector
-                    target = dec.blocks.get((blk.r + s, blk.k + t))
-                    absorbed = target.projector @ piece if target is not None else zero
+    # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
+    # pieces add up to the degree-shift image p_r^s(u_j) P_r and the
+    # weight-shift image a(u_j) P_k
+    nonzero = {(b.r, b.k): b for b in dec.nonzero_blocks()}
+    for u, t in _WEIGHT_SHIFT.items():
+        for j in range(calc.pairs):
+            k_images = {}
+            for r in range(m + 1):
+                level = [b for b in nonzero.values() if b.r == r]
+                for s, label in ((+1, "raise"), (-1, "lower")):
+                    p = calc.p(u, r, s, j)
+                    r_image = None
+                    for blk in level:
+                        piece = p @ blk.projector
+                        target = nonzero.get((r + s, blk.k + t))
+                        rep.add(residual_entry(
+                            "clifford_four_fold_split",
+                            f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}",
+                            _outside(piece, target.projector if target else None), tol))
+                        r_image = _plus(r_image, piece)
+                        k_images[blk.k] = _plus(k_images.get(blk.k), piece)
                     rep.add(residual_entry(
-                        "clifford_four_fold_split",
-                        f"{sub} {u} j={j} ({blk.r},{blk.k}) s={s:+d}",
-                        piece - absorbed, tol))
+                        "r_shift_projection", f"{sub} j={j} r={r} {u} {label}",
+                        _outside(zero if r_image is None else r_image,
+                                 dec.r_projectors.get(r + s)), tol))
+            for k in range(2 * m + 1):
+                rep.add(residual_entry(
+                    "k_shift_projection",
+                    f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}",
+                    _outside(k_images.get(k, zero), dec.k_projectors.get(k + t)), tol))
 
     # --- adjointness observation (informational, never fails the suite)
     matches = {"+fbar": 0, "-fbar": 0, "+f": 0, "-f": 0, "none": 0, "total": 0}
@@ -491,19 +513,7 @@ def verify_lemma_identities(dec, calc, tol=None):
             if up.is_zero(tol):
                 continue
             matches["total"] += 1
-            adjoint = up.hermitian()
-            down_fbar = blk.projector @ calc.p("fbar", blk.r + 1, -1, j) @ target.projector
-            down_f = blk.projector @ calc.p("f", blk.r + 1, -1, j) @ target.projector
-            if (adjoint - down_fbar).is_zero(tol):
-                matches["+fbar"] += 1
-            elif (adjoint + down_fbar).is_zero(tol):
-                matches["-fbar"] += 1
-            elif (adjoint - down_f).is_zero(tol):
-                matches["+f"] += 1
-            elif (adjoint + down_f).is_zero(tol):
-                matches["-f"] += 1
-            else:
-                matches["none"] += 1
+            matches[_adjoint_match(up.hermitian(), blk, target, calc, j, tol)] += 1
     verdict = ", ".join(f"{k}:{v}" for k, v in sorted(matches.items()) if v)
     rep.add(info_entry(
         "block_adjoint_pairing", sub,

@@ -67,7 +67,7 @@ def worlds():
         ops = build_kaehler_operators(model, triple)
         basis = build_adapted_basis(model, triple)
         dec = decompose(model, ops)
-        calc = ProjectorCalculus(model, triple, ops, basis)
+        calc = ProjectorCalculus(model, triple, ops)
         out[m] = World(m, model, triple, ops, basis, dec, calc)
     return out
 

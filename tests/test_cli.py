@@ -86,8 +86,8 @@ def test_constants_and_verify_share_the_float_judgement(capsys, monkeypatch):
     # 1e-8, so both commands must reject it by the same judgement
     real = projectors.compute_A
 
-    def off_by_5e_9(model, dec, calc, r, k, variant, tol=None):
-        got = real(model, dec, calc, r, k, variant, tol)
+    def off_by_5e_9(dec, calc, r, k, variant, tol=None):
+        got = real(dec, calc, r, k, variant, tol)
         return got + 5e-9 if (r, k, variant) == (1, 0, "+-") else got
 
     monkeypatch.setattr(projectors, "compute_A", off_by_5e_9)
@@ -108,10 +108,10 @@ def test_constants_and_verify_share_the_float_judgement(capsys, monkeypatch):
 def test_constants_reports_a_non_scalar_block(capsys, monkeypatch):
     real = projectors.compute_A
 
-    def fails_on_one_block(model, dec, calc, r, k, variant, tol=None):
+    def fails_on_one_block(dec, calc, r, k, variant, tol=None):
         if (r, k, variant) == (0, 1, "+-"):
-            raise IdentityFailure("p_0^- does not annihilate block (r=0, k=1)")
-        return real(model, dec, calc, r, k, variant, tol)
+            raise IdentityFailure("p_0^- does not annihilate block (r=0, k=1)", 0.5)
+        return real(dec, calc, r, k, variant, tol)
 
     monkeypatch.setattr(projectors, "compute_A", fails_on_one_block)
     rc, out, err = run(["constants", "--m", "1"], capsys)
@@ -125,6 +125,12 @@ def test_constants_reports_a_non_scalar_block(capsys, monkeypatch):
     assert [(row["r"], row["k"], row["variant"]) for row in bad] == [(0, 1, "+-")]
     assert bad[0]["note"].startswith("not scalar on block")
     assert bad[0]["computed"] is None
+
+    rc, out, err = run(["verify", "--m", "1"], capsys)
+    assert rc == 1
+    failures = json.loads(out)["failures"]
+    assert [(f["check_id"], f["subject"], f["residual"]) for f in failures] == \
+        [("block_constant_match", "m=1 r=0 k=1 variant=+-", "5.000e-01")]
 
 
 def test_bounds_payload(capsys):
@@ -155,6 +161,14 @@ def test_bounds_usage_errors(capsys):
     assert run(["bounds", "--kappa", "-1/3"], capsys)[0] == 2
     assert run(["bounds", "--kappa", "abc"], capsys)[0] == 2
     assert run(["bounds", "--m", "0"], capsys)[0] == 2
+
+
+def test_bounds_rejects_options_it_never_reads(capsys):
+    # the bound table is exact closed forms: no backend, tolerance or seed
+    for option in (["--backend", "float"], ["--tolerance", "1e-3"], ["--seed", "3"]):
+        rc, out, err = run(["bounds", "--m", "2", *option], capsys)
+        assert rc == 2, option
+        assert out == ""
 
 
 def test_bounds_csv_projection(capsys):

@@ -37,12 +37,7 @@ def test_flipped_generator_fails_with_witnesses(m, index, backend, capsys):
     assert err == ""
     failures = json.loads(out)["failures"]
     for f in failures:
-        # a composition that is not scalar on its block has no scalar
-        # residual; its row says so in the note instead
-        if f["residual"] == "nan":
-            assert f["note"].startswith("not scalar on block: "), f
-        else:
-            assert float(f["residual"]) > 0, f
+        assert float(f["residual"]) > 0, f
     assert WITNESS_FAMILIES <= {f["check_id"] for f in failures}
 
 
