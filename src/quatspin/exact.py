@@ -2,9 +2,13 @@
 
 Matrices store a pair of integer numerator arrays (real and imaginary parts)
 over a single positive integer denominator, so every operation reduces to
-integer arithmetic.  Products run through numpy's int64 matmul when a
-precomputed magnitude bound shows they cannot overflow, and fall back to
-object-dtype (arbitrary precision) arrays otherwise.  A float backend with
+integer arithmetic.  A product picks its kernel from a magnitude bound on
+every partial sum, 2 * cols * amax_a * amax_b, where amax is the largest
+numerator of an operand.  Below 2^53 it is four float64 BLAS products,
+exact because float64 holds every integer that arises (see
+`_blas_product`).  Below 2^63 it is numpy's int64 matmul, which has no BLAS.
+Above that, or when an operand already holds object-dtype (arbitrary
+precision) numerators, it is an object-dtype product.  A float backend with
 the same surface (complex128, tolerance-based zero tests) exists for larger
 experiments.
 
@@ -34,6 +38,8 @@ FLOAT_TOL = 1e-10
 # Stay strictly below signed-int64 range for any single sum of two products.
 _INT64_LIMIT = 2**63
 _DOWNCAST_LIMIT = 2**62
+# float64 holds every integer of magnitude up to 2^53 exactly.
+_FLOAT_EXACT_LIMIT = 2**53
 
 
 class ExactScalar:
@@ -164,6 +170,45 @@ def _as_object(a):
     return a if a.dtype == object else a.astype(object)
 
 
+def _blas_product(a_re, a_im, b_re, b_im):
+    """Exact (a_re + i a_im) @ (b_re + i b_im) of int64 arrays, as int64 (re, im).
+
+    Four float64 BLAS products, exact when the caller's guard holds:
+    bound = 2 * cols * amax_a * amax_b < 2^53, where amax_a and amax_b bound
+    the numerator magnitudes of the two operands.
+
+    - Every operand entry converts to float64 exactly.  If amax_b >= 1 then
+      amax_a <= bound / 2 < 2^53, so each entry of a is an integer below 2^53,
+      which float64 holds; the same goes for b.  If amax_b = 0, b is exactly
+      zero: entries of a may round, but each product with an exact 0 is 0,
+      and so is every sum of them, which is the true product.
+    - Entry (i, j) of the real part is sum_t ar_it br_tj - sum_t ai_it bi_tj,
+      and of the imaginary part sum_t ar_it bi_tj + sum_t ai_it br_tj.  Each
+      is 2 * cols terms of magnitude at most amax_a * amax_b.  Any partial
+      sum, of any subset of these terms in any grouping, is an integer of
+      magnitude at most the bound, below 2^53, so float64 holds it exactly
+      and no product, addition or fused multiply-add rounds.  Summation
+      order, blocking, threading and FMA cannot change the result, and
+      numpy's alpha = 1, beta = 0 add nothing.
+    - This assumes a classical GEMM, which forms only these terms and their
+      partial sums; OpenBLAS is one.  A Strassen-like product forms other
+      intermediates, such as sums of operand entries, that the bound does
+      not cover.
+
+    The results are integers below 2^53, so they convert back to int64
+    exactly.  Four real products rather than one complex128 product:
+    OpenBLAS keeps a 64 x 64 real product (m = 3) on one thread but splits
+    the complex one, and a split product stalls whenever another process
+    holds a core.
+    """
+    ar, ai, br, bi = (x.astype(np.float64) for x in (a_re, a_im, b_re, b_im))
+    re = ar @ br
+    re -= ai @ bi
+    im = ar @ bi
+    im += ai @ br
+    return re.astype(np.int64), im.astype(np.int64)
+
+
 class DenseMatrix:
     """Immutable dense matrix over Gaussian rationals, or complex floats.
 
@@ -193,7 +238,8 @@ class DenseMatrix:
     def _normalized(re, im, den, rows, cols):
         if den < 0:
             re, im, den = -re, -im, -den
-        g = math.gcd(den, _array_gcd(re))
+        # den = 1 is already in lowest terms; skip the scan of the numerators
+        g = math.gcd(den, _array_gcd(re)) if den != 1 else 1
         if g != 1:
             g = math.gcd(g, _array_gcd(im))
         if g > 1:
@@ -281,8 +327,11 @@ class DenseMatrix:
         if bound >= _INT64_LIMIT or a_re.dtype == object or b_re.dtype == object:
             a_re, a_im = _as_object(a_re), _as_object(a_im)
             b_re, b_im = _as_object(b_re), _as_object(b_im)
-        re = a_re @ b_re - a_im @ b_im
-        im = a_re @ b_im + a_im @ b_re
+        if a_re.dtype != object and bound < _FLOAT_EXACT_LIMIT:
+            re, im = _blas_product(a_re, a_im, b_re, b_im)
+        else:
+            re = a_re @ b_re - a_im @ b_im
+            im = a_re @ b_im + a_im @ b_re
         return DenseMatrix._normalized(re, im, self._den * other._den,
                                        self.rows, other.cols)
 
@@ -442,15 +491,23 @@ class DenseMatrix:
         return (re + 1j * im) / self._den
 
     def fingerprint(self):
-        """Content hash of the matrix data (canonical form)."""
+        """Content hash of the matrix data (canonical form).
+
+        Numerators below 2^62 (the canonical int64 range) are hashed as their
+        little-endian int64 bytes, larger ones as decimal strings; either way
+        equal matrices hash equal, whatever dtype holds them.
+        """
         h = hashlib.sha256()
         h.update(f"{self.kind}:{self.rows}x{self.cols}".encode())
         if self.kind == "float":
             h.update(self._c.tobytes())
-        else:
-            h.update(str(self._den).encode())
-            h.update(",".join(map(str, self._re.ravel().tolist())).encode())
-            h.update(",".join(map(str, self._im.ravel().tolist())).encode())
+            return h.hexdigest()
+        h.update(str(self._den).encode())
+        for arr in (self._re, self._im):
+            if self._amax < _DOWNCAST_LIMIT:
+                h.update(arr.astype("<i8").tobytes())
+            else:
+                h.update(",".join(map(str, arr.ravel().tolist())).encode())
         return h.hexdigest()
 
     def __repr__(self):

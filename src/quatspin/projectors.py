@@ -112,13 +112,15 @@ def _outside(image, target):
     return image if target is None else image - target @ image
 
 
-def _adjoint_match(adjoint, blk, target, calc, j, tol):
+def _adjoint_match(adjoint, down_f, blk, target, calc, j, tol):
     """"+v" or "-v" if adjoint = +-P_blk p_{r+1}^-(v_j) P_target, else "none".
 
-    v = f is tried first; the fbar map, zero in a clean model since a(fbar_j)
-    raises k, is formed only when f does not match."""
+    v = f is tried first, against its map down_f; the fbar map, zero in a
+    clean model since a(fbar_j) raises k, is formed only when f does not
+    match."""
     for v in ("f", "fbar"):
-        down = blk.projector @ calc.p(v, blk.r + 1, -1, j) @ target.projector
+        down = down_f if v == "f" else \
+            blk.projector @ calc.p(v, blk.r + 1, -1, j) @ target.projector
         if (adjoint - down).is_zero(tol):
             return "+" + v
         if (adjoint + down).is_zero(tol):
@@ -473,10 +475,17 @@ def verify_lemma_identities(dec, calc, tol=None):
 
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the
-    # weight-shift image a(u_j) P_k
+    # weight-shift image a(u_j) P_k.  The part of a piece inside its target
+    # is a block map, and the adjointness observation (informational, never
+    # fails the suite) reads two of them between neighbours b = (r, k) and
+    # t = (r+1, k+1): the raising map P_t p_r^+(fbar_j) P_b, and the lowering
+    # map P_b p_{r+1}^-(f_j) P_t, which the f pass (first in _WEIGHT_SHIFT)
+    # keeps for the fbar pass of the same j.
     nonzero = {(b.r, b.k): b for b in dec.nonzero_blocks()}
-    for u, t in _WEIGHT_SHIFT.items():
-        for j in range(calc.pairs):
+    matches = {"+fbar": 0, "-fbar": 0, "+f": 0, "-f": 0, "none": 0, "total": 0}
+    for j in range(calc.pairs):
+        lowering = {}
+        for u, t in _WEIGHT_SHIFT.items():
             k_images = {}
             for r in range(m + 1):
                 level = [b for b in nonzero.values() if b.r == r]
@@ -486,12 +495,23 @@ def verify_lemma_identities(dec, calc, tol=None):
                     for blk in level:
                         piece = p @ blk.projector
                         target = nonzero.get((r + s, blk.k + t))
+                        inside = None if target is None else target.projector @ piece
                         rep.add(residual_entry(
                             "clifford_four_fold_split",
                             f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}",
-                            _outside(piece, target.projector if target else None), tol))
+                            piece if inside is None else piece - inside, tol))
                         r_image = _plus(r_image, piece)
                         k_images[blk.k] = _plus(k_images.get(blk.k), piece)
+                        if inside is None or s != t:
+                            continue
+                        if u == "f":
+                            lowering[target.r, target.k] = inside
+                            continue
+                        down_f = lowering.pop((r, blk.k))
+                        if not inside.is_zero(tol):
+                            matches["total"] += 1
+                            matches[_adjoint_match(inside.hermitian(), down_f,
+                                                   blk, target, calc, j, tol)] += 1
                     rep.add(residual_entry(
                         "r_shift_projection", f"{sub} j={j} r={r} {u} {label}",
                         _outside(zero if r_image is None else r_image,
@@ -502,18 +522,6 @@ def verify_lemma_identities(dec, calc, tol=None):
                     f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}",
                     _outside(k_images.get(k, zero), dec.k_projectors.get(k + t)), tol))
 
-    # --- adjointness observation (informational, never fails the suite)
-    matches = {"+fbar": 0, "-fbar": 0, "+f": 0, "-f": 0, "none": 0, "total": 0}
-    for blk in dec.nonzero_blocks():
-        target = dec.blocks.get((blk.r + 1, blk.k + 1))
-        if target is None or target.dim == 0:
-            continue
-        for j in range(calc.pairs):
-            up = target.projector @ calc.p("fbar", blk.r, +1, j) @ blk.projector
-            if up.is_zero(tol):
-                continue
-            matches["total"] += 1
-            matches[_adjoint_match(up.hermitian(), blk, target, calc, j, tol)] += 1
     verdict = ", ".join(f"{k}:{v}" for k, v in sorted(matches.items()) if v)
     rep.add(info_entry(
         "block_adjoint_pairing", sub,

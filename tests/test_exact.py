@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quatspin.errors import DimensionError, DomainError, SpectrumError
@@ -203,6 +204,18 @@ def test_scaled_representation_invariance():
     assert scaled == m
     assert m.fingerprint() == scaled.fingerprint()
     assert m.fingerprint() != (m + DenseMatrix.identity(3)).fingerprint()
+
+
+def test_fingerprint_reads_values_not_storage():
+    m = rand_matrix(random.Random(4), 3, 4)
+    stored = [DenseMatrix(rows=3, cols=4, kind="exact", re=re, im=im, den=m._den)
+              for re, im in ((m._re.astype(object), m._im.astype(object)),
+                             (np.asfortranarray(m._re), np.asfortranarray(m._im)))]
+    assert [s.fingerprint() for s in stored] == [m.fingerprint()] * 2
+    big = m.scale(2**62)
+    assert big._amax >= 2**62
+    assert big.fingerprint() == m.scale(2**61).scale(2).fingerprint()
+    assert big.fingerprint() != m.fingerprint()
 
 
 def test_float_backend_mirror():

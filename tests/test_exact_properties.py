@@ -1,8 +1,10 @@
 """Property tests of the exact kernel against a Fraction reference.
 
-Numerators are drawn around 2^31, 2^32, 2^53, 2^62 and 2^63, so the
-operations run through the int64 path, the object-dtype fallback once a bound
-overflows int64, and the downcast back to int64 when a result fits again.
+Numerators are drawn around 2^26, 2^31, 2^32, 2^53, 2^62 and 2^63, so the
+operations run through the float64 BLAS product, the int64 path, the
+object-dtype fallback once a bound overflows int64, and the downcast back to
+int64 when a result fits again.  Near 2^26 the product bound 2 k amax_a amax_b
+straddles 2^53 for inner dimensions k = 1..3, the edge of the BLAS product.
 Near 2^31 a sum of products may overflow int64; near 2^32 one product does.
 """
 
@@ -11,12 +13,14 @@ from fractions import Fraction
 
 import pytest
 
+from quatspin.clifford import build_clifford_model
 from quatspin.exact import DenseMatrix, ExactScalar
+from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-BOUNDARIES = (2**31, 2**32, 2**53, 2**62, 2**63)
+BOUNDARIES = (2**26, 2**31, 2**32, 2**53, 2**62, 2**63)
 
 near_boundary = st.builds(lambda base, offset, sign: sign * (base + offset),
                           st.sampled_from(BOUNDARIES), st.integers(-3, 3),
@@ -70,6 +74,35 @@ def test_matmul_matches_reference(n, k, p, data):
             row.append((re, im))
         expect.append(row)
     assert from_matrix(to_matrix(a) @ to_matrix(b)) == expect
+
+
+def test_product_just_above_the_float_guard_is_exact():
+    # 3 * 3002399751580331 = 2^53 + 1, odd, so float64 cannot hold it; the
+    # bound 2 * 1 * 3 * 3002399751580331 is above 2^53, so int64 takes it
+    product = DenseMatrix.from_rows([[3]]) @ DenseMatrix.from_rows([[3002399751580331]])
+    assert product[0, 0] == 2**53 + 1
+    # the factor 2 of the bound covers the two terms of a complex product:
+    # here each term is below 2^53 but their odd sum, 2^53 + 9 * 2^26 + 9, is not
+    x = 2**26 + 3
+    a = DenseMatrix.from_rows([[ExactScalar(x, x)]])
+    b = DenseMatrix.from_rows([[ExactScalar(2**26 + 2, 2**26 + 1)]])
+    assert (a @ b)[0, 0] == ExactScalar(x, x * (2**27 + 3))
+
+
+def with_object_numerators(m):
+    """The same matrix, its numerators held as object-dtype Python ints."""
+    return DenseMatrix(rows=m.rows, cols=m.cols, kind="exact",
+                       re=m._re.astype(object), im=m._im.astype(object), den=m._den)
+
+
+def test_clifford_layer_product_matches_object_dtype():
+    model = build_clifford_model(3)
+    ops = build_kaehler_operators(model, build_standard_triple(model))
+    a, b = ops.kraines, ops[2]
+    assert a.rows == 64 and 2 * a.cols * a._amax * b._amax < 2**53
+    product = a @ b
+    assert not product.is_zero()
+    assert product == with_object_numerators(a) @ with_object_numerators(b)
 
 
 @settings
