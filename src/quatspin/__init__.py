@@ -45,7 +45,6 @@ from .decomposition import (
     Block,
     JointDecomposition,
     decompose,
-    block_dimension,
     lattice_allows,
     omega_eigenvalue,
     weight_eigenvalue,

@@ -114,11 +114,6 @@ def decompose(model, ops, tol=None):
                               blocks=blocks, r_projectors=r_proj, k_projectors=k_proj)
 
 
-def block_dimension(dec, r, k):
-    """Dimension of S_r^k; DomainError outside the grid."""
-    return dec.block(r, k).dim
-
-
 def decomposition_report(dec, model, triple, tol=None):
     """Re-certify the decomposition against a model.
 
@@ -127,11 +122,29 @@ def decomposition_report(dec, model, triple, tol=None):
     count, and that every Clifford generator maps each block into the four
     diagonal neighbor blocks only.
 
-    The neighbor check is one residual per generator g and nonzero block,
-    R = g P_src - sum_{neighbors d} P_d g P_src.  The block projectors are
-    orthogonal idempotents summing to I (see decompose), so P_d R = P_d g P_src
-    for every non-neighbor d and R is their sum: R = 0 exactly when each
-    P_d g P_src = 0.  A failing row names one non-neighbor block R reaches.
+    The neighbor check reads the marginal families P_r (levels) and P_k
+    (weights).  Per generator g it forms one residual per level and one
+    per weight,
+
+        R_r = g P_r - N_r g P_r,  N_r = P_{r-1} + P_{r+1},
+        R_k = g P_k - N_k g P_k,  N_k = P_{k-1} + P_{k+1},
+
+    where an index outside the grid contributes nothing.  Each family is a
+    set of orthogonal idempotents summing to I, so P_r' R_r = P_r' g P_r for
+    |r' - r| != 1 and 0 otherwise: R_r = 0 exactly when g moves S_r only
+    to S_{r+-1}, and the same for R_k.  A failing row names the first
+    level (weight) that R reaches, which is therefore not adjacent.
+
+    Together the two claims are exactly the joint one, g P_{r,k} =
+    sum_{nonzero d = (r+-1, k+-1)} P_d g P_{r,k} on every nonzero block.
+    The families commute (decompose certifies that the operators do), so
+    P_{r,k} = P_r P_k = P_k P_r, and a block of dimension 0 is exactly
+    zero (an idempotent of trace 0), so N_r N_k is the sum of the nonzero
+    joint neighbor projectors.  Marginal to joint: g P_{r,k} = N_r g P_r P_k
+    = N_r g P_k P_r = N_r N_k g P_{r,k}.  Joint to marginal: by the joint
+    claim g P_r = sum_k g P_{r,k} is a sum of terms P_d g P_{r,k} with d at
+    level r+-1, and N_r P_d = P_d for each, so g P_r = N_r g P_r; the same
+    over r gives g P_k = N_k g P_k.
     """
     rep = VerificationReport()
     m = dec.m
@@ -169,23 +182,20 @@ def decomposition_report(dec, model, triple, tol=None):
                        "pass" if total == dec.spinor_dim else "fail",
                        "0" if total == dec.spinor_dim else str(total - dec.spinor_dim)))
 
-    nonzero = dec.nonzero_blocks()
-    for i in range(model.n):
-        for src in nonzero:
-            img = model.gamma[i] @ src.projector
-            res, far = img, []
-            for dst in nonzero:
-                if abs(dst.r - src.r) == 1 and abs(dst.k - src.k) == 1:
-                    res = res - dst.projector @ img
-                else:
-                    far.append(dst)
-            entry = residual_entry("clifford_neighbor_blocks",
-                                   f"{sub} i={i} ({src.r},{src.k})", res, tol)
-            if entry.status == "fail":
-                hit = next((d for d in far
-                            if not (d.projector @ res).is_zero(tol)), None)
-                entry.note = f"reaches ({hit.r},{hit.k})" if hit else ""
-            rep.add(entry)
+    for label, family in (("r", dec.r_projectors), ("k", dec.k_projectors)):
+        for idx, proj in sorted(family.items()):
+            adjacent = [family[n] for n in (idx - 1, idx + 1) if n in family]
+            near = sum(adjacent[1:], adjacent[0])
+            for i in range(model.n):
+                img = model.gamma[i] @ proj
+                res = img - near @ img
+                entry = residual_entry("clifford_neighbor_blocks",
+                                       f"{sub} i={i} {label}={idx}", res, tol)
+                if entry.status == "fail":
+                    hit = next((n for n, p in sorted(family.items())
+                                if not (p @ res).is_zero(tol)), None)
+                    entry.note = "" if hit is None else f"reaches {label}={hit}"
+                rep.add(entry)
 
     rep.add(info_entry(
         "weight_orientation", sub,

@@ -482,13 +482,8 @@ class DenseMatrix:
     def to_complex_array(self):
         if self.kind == "float":
             return self._c.copy()
-        re = self._re.astype(np.float64) if self._re.dtype != object \
-            else np.array([[float(x) for x in row] for row in self._re.tolist()],
-                          dtype=np.float64).reshape(self._re.shape)
-        im = self._im.astype(np.float64) if self._im.dtype != object \
-            else np.array([[float(x) for x in row] for row in self._im.tolist()],
-                          dtype=np.float64).reshape(self._im.shape)
-        return (re + 1j * im) / self._den
+        return (self._re.astype(np.float64) + 1j * self._im.astype(np.float64)) \
+            / self._den
 
     def fingerprint(self):
         """Content hash of the matrix data (canonical form).

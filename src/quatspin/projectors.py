@@ -23,7 +23,7 @@ from .decomposition import weight_eigenvalue
 from .errors import DomainError, IdentityFailure
 from .exact import DenseMatrix, ExactScalar, scalar_for
 from .quaternionic import build_adapted_basis
-from .report import CheckEntry, VerificationReport, info_entry, residual_entry
+from .report import CheckEntry, VerificationReport, residual_entry
 
 _VARIANTS = ("--", "+-", "-+", "++")
 _HALF = Fraction(1, 2)
@@ -110,22 +110,6 @@ def _plus(total, piece):
 def _outside(image, target):
     """image minus its part in the range of the projector target (None: none)."""
     return image if target is None else image - target @ image
-
-
-def _adjoint_match(adjoint, down_f, blk, target, calc, j, tol):
-    """"+v" or "-v" if adjoint = +-P_blk p_{r+1}^-(v_j) P_target, else "none".
-
-    v = f is tried first, against its map down_f; the fbar map, zero in a
-    clean model since a(fbar_j) raises k, is formed only when f does not
-    match."""
-    for v in ("f", "fbar"):
-        down = down_f if v == "f" else \
-            blk.projector @ calc.p(v, blk.r + 1, -1, j) @ target.projector
-        if (adjoint - down).is_zero(tol):
-            return "+" + v
-        if (adjoint + down).is_zero(tol):
-            return "-" + v
-    return "none"
 
 
 class ProjectorCalculus:
@@ -335,6 +319,15 @@ def verify_lemma_identities(dec, calc, tol=None):
     p_r^s(u_j) P_r is the sum of the pieces at level r, and a(u_j) P_k
     the sum over r and s of the pieces at weight k: exactly in the exact
     backend, up to rounding in the float one.
+
+    The adjoint pairing is one certificate per j and pair of nonzero
+    neighbour blocks b = (r, k), t = (r+1, k+1):
+
+        (P_t p_r^+(fbar_j) P_b)^H + P_b p_{r+1}^-(f_j) P_t = 0,
+
+    so p_r^+ and p_{r+1}^- are adjoint up to sign between the two blocks.
+    Both block maps are the parts of four-fold pieces inside their
+    targets, so the row forms no product of its own.
     """
     model, ops = calc.model, calc.ops
     rep = VerificationReport()
@@ -476,13 +469,10 @@ def verify_lemma_identities(dec, calc, tol=None):
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the
     # weight-shift image a(u_j) P_k.  The part of a piece inside its target
-    # is a block map, and the adjointness observation (informational, never
-    # fails the suite) reads two of them between neighbours b = (r, k) and
-    # t = (r+1, k+1): the raising map P_t p_r^+(fbar_j) P_b, and the lowering
-    # map P_b p_{r+1}^-(f_j) P_t, which the f pass (first in _WEIGHT_SHIFT)
-    # keeps for the fbar pass of the same j.
+    # is a block map; the f pass (first in _WEIGHT_SHIFT) keeps each
+    # lowering map P_b p_{r+1}^-(f_j) P_t for the adjoint pairing of the
+    # fbar pass of the same j.
     nonzero = {(b.r, b.k): b for b in dec.nonzero_blocks()}
-    matches = {"+fbar": 0, "-fbar": 0, "+f": 0, "-f": 0, "none": 0, "total": 0}
     for j in range(calc.pairs):
         lowering = {}
         for u, t in _WEIGHT_SHIFT.items():
@@ -507,11 +497,10 @@ def verify_lemma_identities(dec, calc, tol=None):
                         if u == "f":
                             lowering[target.r, target.k] = inside
                             continue
-                        down_f = lowering.pop((r, blk.k))
-                        if not inside.is_zero(tol):
-                            matches["total"] += 1
-                            matches[_adjoint_match(inside.hermitian(), down_f,
-                                                   blk, target, calc, j, tol)] += 1
+                        rep.add(residual_entry(
+                            "block_adjoint_pairing",
+                            f"{sub} j={j} ({r},{blk.k})->({target.r},{target.k})",
+                            inside.hermitian() + lowering.pop((r, blk.k)), tol))
                     rep.add(residual_entry(
                         "r_shift_projection", f"{sub} j={j} r={r} {u} {label}",
                         _outside(zero if r_image is None else r_image,
@@ -521,10 +510,4 @@ def verify_lemma_identities(dec, calc, tol=None):
                     "k_shift_projection",
                     f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}",
                     _outside(k_images.get(k, zero), dec.k_projectors.get(k + t)), tol))
-
-    verdict = ", ".join(f"{k}:{v}" for k, v in sorted(matches.items()) if v)
-    rep.add(info_entry(
-        "block_adjoint_pairing", sub,
-        f"adjoint of the raising block map against the four candidate "
-        f"lowering maps (sign, vector): {verdict or 'no nonzero maps'}"))
     return rep

@@ -6,7 +6,6 @@ import pytest
 
 from quatspin.clifford import build_clifford_model, corrupt_gamma
 from quatspin.decomposition import (
-    block_dimension,
     decompose,
     decomposition_report,
     lattice_allows,
@@ -73,11 +72,11 @@ def test_absent_blocks_stored(world2):
 
 def test_block_dimension_domain(world1):
     _, _, _, dec = world1
-    assert block_dimension(dec, 0, 1) == 2
+    assert dec.block(0, 1).dim == 2
     with pytest.raises(DomainError):
-        block_dimension(dec, 2, 0)
+        dec.block(2, 0)
     with pytest.raises(DomainError):
-        block_dimension(dec, 0, 3)
+        dec.block(0, 3)
 
 
 def test_marginal_multiplicities_match_lapack(world2):
@@ -229,25 +228,59 @@ def _neighbor_rows(report):
     return [e for e in report.entries if e.check_id == "clifford_neighbor_blocks"]
 
 
+def _even_gamma0(model):
+    # gamma_0 gamma_1 is even: it keeps part of each block in place
+    return dataclasses.replace(
+        model, gamma=(model.gamma[0] @ model.gamma[1],) + model.gamma[1:])
+
+
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_neighbor_check_names_a_far_block(kind):
     model, ops = _world(2, kind)
     triple = build_standard_triple(model)
     dec = decompose(model, ops)
-    nonzero = {(b.r, b.k) for b in dec.nonzero_blocks()}
+    families = {"r": dec.r_projectors, "k": dec.k_projectors}
     clean = _neighbor_rows(decomposition_report(dec, model, triple))
-    assert len(clean) == 4 * model.m * len(nonzero)
+    assert len(clean) == 4 * model.m * (3 * model.m + 2)
+    assert {e.subject for e in clean} == {
+        f"m=2 i={i} {label}={idx}" for i in range(model.n)
+        for label, family in families.items() for idx in family}
     assert all(e.status == "pass" and e.note == "" for e in clean)
-    # gamma_0 gamma_1 is even: it keeps part of each block in place
-    bad = dataclasses.replace(
-        model, gamma=(model.gamma[0] @ model.gamma[1],) + model.gamma[1:])
+    bad = _even_gamma0(model)
     failed = [e for e in _neighbor_rows(decomposition_report(dec, bad, triple))
               if e.status == "fail"]
     assert failed
     for e in failed:
-        i, r, k = map(int, re.fullmatch(r"m=2 i=(\d+) \((\d+),(\d+)\)",
-                                        e.subject).groups())
-        assert i == 0
-        r2, k2 = map(int, re.fullmatch(r"reaches \((\d+),(\d+)\)", e.note).groups())
-        assert (r2, k2) in nonzero
-        assert not (abs(r2 - r) == 1 and abs(k2 - k) == 1)
+        i, label, idx = re.fullmatch(r"m=2 i=(\d+) ([rk])=(\d+)", e.subject).groups()
+        assert i == "0"
+        far = int(re.fullmatch(rf"reaches {label}=(\d+)", e.note).group(1))
+        family = families[label]
+        assert far in family and abs(far - int(idx)) != 1
+        # the named level (weight) is reached: P_far gamma P_idx != 0
+        assert not (family[far] @ bad.gamma[0] @ family[int(idx)]).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_marginal_neighbor_rows_equal_the_joint_claim(kind):
+    # the report checks one row per (generator, level) and (generator,
+    # weight); a generator must fail one exactly when the joint residual
+    # g P_src - sum_{diagonal neighbours d} P_d g P_src of some block does
+    model, ops = _world(2, kind)
+    triple = build_standard_triple(model)
+    dec = decompose(model, ops)
+    nonzero = dec.nonzero_blocks()
+    for mdl, expect in ((model, set()), (_even_gamma0(model), {0})):
+        marginal = {int(re.match(r"m=2 i=(\d+) ", e.subject).group(1))
+                    for e in _neighbor_rows(decomposition_report(dec, mdl, triple))
+                    if e.status == "fail"}
+        joint = set()
+        for i, g in enumerate(mdl.gamma):
+            for src in nonzero:
+                img = g @ src.projector
+                res = img
+                for dst in nonzero:
+                    if abs(dst.r - src.r) == 1 and abs(dst.k - src.k) == 1:
+                        res = res - dst.projector @ img
+                if not res.is_zero():
+                    joint.add(i)
+        assert marginal == joint == expect

@@ -218,6 +218,20 @@ def test_fingerprint_reads_values_not_storage():
     assert big.fingerprint() != m.fingerprint()
 
 
+def test_complex_array_of_object_numerators_rounds_like_float():
+    # numerators above 2^63 stay in object dtype; each must round as float(x)
+    re = np.array([[2**64 + 12345, -(2**70) - 1], [3, 2**63 + 1]], dtype=object)
+    im = np.array([[1, 2**65 + 7], [0, -5]], dtype=object)
+    m = DenseMatrix.from_int_arrays(re, im, den=7)
+    assert m._re.dtype == object and m._den == 7
+
+    def per_element(arr):
+        return np.array([[float(x) for x in row] for row in arr.tolist()])
+
+    want = (per_element(m._re) + 1j * per_element(m._im)) / m._den
+    assert np.array_equal(m.to_complex_array(), want)
+
+
 def test_float_backend_mirror():
     rng = random.Random(5)
     a = rand_matrix(rng, 3, 3)

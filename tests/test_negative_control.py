@@ -5,7 +5,9 @@ decomposed.  For every generator index at m = 1 (both backends) and m = 2
 (exact) the run must fail through report rows with nonzero residuals, never
 through an error, and the failures must reach the decomposition, lemma and
 constant layers, including each per-vector family that is checked on the
-adapted basis.
+adapted basis, and the adjoint pairing of neighbouring block maps.  The
+neighbour rows (clifford_neighbor_blocks) are not among them: -gamma_i moves
+the blocks exactly as gamma_i does, so a sign flip cannot fail them.
 """
 
 import json
@@ -17,7 +19,8 @@ from quatspin import cli
 
 WITNESS_FAMILIES = {"clifford_four_fold_split", "kraines_commutator_jop",
                     "kaehler_vector_commutator", "block_projector_eigen",
-                    "k_shift_projection", "block_constant_match"}
+                    "k_shift_projection", "block_constant_match",
+                    "block_adjoint_pairing"}
 
 CASES = [(1, i, backend) for i in range(4) for backend in ("exact", "float")] \
     + [(2, i, "exact") for i in range(8)]

@@ -204,15 +204,48 @@ def test_lemma_suite_exact_m1(world1):
     assert all(e.residual == "0" for e in rep.entries if e.status == "pass")
 
 
+def _adjoint_pairs(dec):
+    """(b, t) for every pair of nonzero blocks b = (r, k), t = (r+1, k+1)."""
+    nonzero = {(b.r, b.k): b for b in dec.nonzero_blocks()}
+    return [(b, nonzero[b.r + 1, b.k + 1]) for b in nonzero.values()
+            if (b.r + 1, b.k + 1) in nonzero]
+
+
 def test_adjoint_pairing_is_minus_conjugate_vector(world1):
     *_, dec, calc = world1
-    rep = verify_lemma_identities(dec, calc)
-    notes = [e for e in rep.entries if e.check_id == "block_adjoint_pairing"]
-    assert len(notes) == 1
-    # every nonzero raising map pairs with minus the f-vector lowering map
-    assert "-f:" in notes[0].note
-    for other in ("+f:", "+fbar:", "-fbar:", "none:"):
-        assert other not in notes[0].note
+    rows = [e for e in verify_lemma_identities(dec, calc).entries
+            if e.check_id == "block_adjoint_pairing"]
+    # one certificate per (j, b -> t): the raising map is minus the adjoint
+    # of the f-vector lowering map
+    want = sorted(f"m=1 j={j} ({b.r},{b.k})->({t.r},{t.k})"
+                  for j in range(calc.pairs) for b, t in _adjoint_pairs(dec))
+    assert len(want) == 2
+    assert sorted(e.subject for e in rows) == want
+    assert all(e.status == "pass" and e.residual == "0" for e in rows)
+
+
+def test_adjoint_rows_equal_the_direct_block_maps(world2):
+    # the suite reads both block maps off the four-fold pieces; on a
+    # corrupted model each residual must still be the one of
+    # (P_t p_r^+(fbar_j) P_b)^H + P_b p_{r+1}^-(f_j) P_t
+    model, triple, ops, _, dec, _ = world2
+    bad = corrupt_gamma(model, 0)
+    bad_calc = ProjectorCalculus(bad, *_rebuild_tail(bad))
+    got = {e.subject: e.residual
+           for e in verify_lemma_identities(dec, bad_calc).entries
+           if e.check_id == "block_adjoint_pairing"}
+    want = {}
+    for j in range(bad_calc.pairs):
+        for b, t in _adjoint_pairs(dec):
+            pb, pt = b.projector, t.projector
+            raising = pt @ bad_calc.p("fbar", b.r, +1, j) @ pb
+            lowering = pb @ bad_calc.p("f", t.r, -1, j) @ pt
+            subject = f"m=2 j={j} ({b.r},{b.k})->({t.r},{t.k})"
+            want[subject] = residual_entry(
+                "block_adjoint_pairing", subject,
+                raising.hermitian() + lowering).residual
+    assert got == want
+    assert any(r != "0" for r in got.values())
 
 
 def test_float_backend_constants_close():
