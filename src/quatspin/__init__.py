@@ -22,6 +22,7 @@ from .exact import (
     column_space_basis,
     FLOAT_TOL,
 )
+from .sparse import SparseMatrix
 from .clifford import (
     CliffordModel,
     build_clifford_model,

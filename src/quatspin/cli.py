@@ -231,12 +231,14 @@ def cmd_verify(args):
     model_hashes = {}
     for m in config.m_values:
         model, triple, ops, dec = _decomposed(m, config)
+        model_ops = ops
         if args.flip_gamma is not None:
             model = corrupt_gamma(model, args.flip_gamma)
+            model_ops = build_kaehler_operators(model, triple)
         calc = ProjectorCalculus(model, triple, ops)
         report = VerificationReport()
         report.extend(structure_report(model, triple, ops, tol).entries)
-        report.extend(decomposition_report(dec, model, triple, tol).entries)
+        report.extend(decomposition_report(dec, model, model_ops, tol).entries)
         report.extend(verify_lemma_identities(dec, calc, tol).entries)
         report.extend(constants_report(model, dec, calc, tol).entries)
         sections.append((f"m={m}", report))

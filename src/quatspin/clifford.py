@@ -1,9 +1,15 @@
 """Concrete Clifford algebra models of R^{4m} acting on a 2^{2m}-dim spinor space.
 
 Generators satisfy e_i e_j + e_j e_i = -2 delta_ij and are realized by the
-iterated tensor construction (a chain of diagonal sign factors, one of the
-two imaginary-unit 2x2 blocks, then identities), so every matrix entry lies
-in {0, +1, -1, +i, -i}.
+iterated tensor construction Z x ... x Z x X x I x ... x I of 2m factors:
+j diagonal sign factors Z = diag(1, -1), one of the two 2x2 blocks
+A = [[0, i], [i, 0]] and B = [[0, 1], [-1, 0]] (each squares to -1) in
+factor j, then identities.  Each is a phase times a permutation, so every
+matrix entry lies in {0, +1, -1, +i, -i}.  The exact model builds each
+generator by index arithmetic on the bits of the spinor index and stores it
+as a SparseMatrix.  The float model keeps dense complex128 generators from
+the np.kron chain itself: the signed zeros of that chain are part of the
+bytes its content hash reads.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
 from .exact import DenseMatrix
+from .sparse import SparseMatrix
 
 DEFAULT_MAX_M = 4
 MAX_M_ENV = "QUATSPIN_MAX_M"
@@ -44,6 +51,36 @@ def _kron_chain(factors):
     return out
 
 
+def _float_generator_pair(pairs, j):
+    """The dense complex128 pair of _generator_pair, from the np.kron chain."""
+    lead, tail = [_BLOCK_Z] * j, [_BLOCK_I] * (pairs - j - 1)
+    chains = (_kron_chain(lead + [blk] + tail) for blk in (_BLOCK_A, _BLOCK_B))
+    return [DenseMatrix(rows=c.shape[0], cols=c.shape[1], kind="float", c=c)
+            for c in chains]
+
+
+def _generator_pair(pairs, j):
+    """The two generators with block A, then B, in tensor factor j of `pairs`.
+
+    Tensor factor f acts on bit pairs - 1 - f of the spinor index x, so
+    factor 0 is the most significant.  Both blocks flip bit j and send row x
+    to column x ^ (1 << (pairs - 1 - j)).  The Z factors before it give the
+    sign (-1)^(bits 0..j-1 of x); A adds the phase i, B the sign (-1)^(bit j).
+    """
+    x = np.arange(2 ** pairs, dtype=np.int64)
+
+    def sign_of_bit(f):
+        return 1 - 2 * ((x >> (pairs - 1 - f)) & 1)
+
+    sign = np.ones_like(x)
+    for f in range(j):
+        sign *= sign_of_bit(f)
+    perm = x ^ (1 << (pairs - 1 - j))
+    zero = np.zeros_like(x)
+    return (SparseMatrix.monomial(perm, zero, sign),
+            SparseMatrix.monomial(perm, sign * sign_of_bit(j), zero))
+
+
 @dataclass(frozen=True)
 class CliffordModel:
     """A fixed matrix model: m, the 4m generators, and the backend kind."""
@@ -53,6 +90,15 @@ class CliffordModel:
     spinor_dim: int
     gamma: tuple
     kind: str
+
+    def identity(self):
+        """The spinor-space identity, in the storage of the generators."""
+        return type(self.gamma[0]).identity(self.spinor_dim, kind=self.kind)
+
+    def zeros(self):
+        """The spinor-space zero, in the storage of the generators."""
+        return type(self.gamma[0]).zeros(self.spinor_dim, self.spinor_dim,
+                                         kind=self.kind)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -76,20 +122,8 @@ def build_clifford_model(m, kind="exact"):
     if kind not in ("exact", "float"):
         raise DomainError(f"unknown backend kind {kind!r}")
     pairs = 2 * m
-    gammas = []
-    for j in range(pairs):
-        lead = [_BLOCK_Z] * j
-        tail = [_BLOCK_I] * (pairs - j - 1)
-        for blk in (_BLOCK_A, _BLOCK_B):
-            c = _kron_chain(lead + [blk] + tail)
-            if kind == "float":
-                g = DenseMatrix(rows=c.shape[0], cols=c.shape[1], kind="float", c=c)
-            else:
-                # entries are exactly 0, +-1, +-i, so rounding is lossless
-                g = DenseMatrix.from_int_arrays(
-                    np.rint(c.real).astype(np.int64),
-                    np.rint(c.imag).astype(np.int64))
-            gammas.append(g)
+    build = _float_generator_pair if kind == "float" else _generator_pair
+    gammas = [g for j in range(pairs) for g in build(pairs, j)]
     return CliffordModel(m=m, n=4 * m, spinor_dim=2 ** (2 * m),
                          gamma=tuple(gammas), kind=kind)
 
@@ -129,7 +163,7 @@ def vector_action(model, v):
         raise DimensionError(f"expected an {model.n}x1 coefficient column")
     if v.kind != model.kind:
         raise TypeError("vector backend does not match the model backend")
-    out = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim, kind=model.kind)
+    out = model.zeros()
     for i in range(model.n):
         c = v[i, 0]
         if c:

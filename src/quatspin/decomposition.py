@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, SpectrumError
 from .exact import DenseMatrix, ExactScalar, lagrange_eigenprojectors, scalar_for
-from .quaternionic import build_kaehler_operators
+from .sparse import SparseMatrix
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
 
 
@@ -43,7 +43,7 @@ class Block:
     r: int
     k: int
     dim: int
-    projector: DenseMatrix
+    projector: DenseMatrix | SparseMatrix
     omega_eig: int
     weight_im: int
 
@@ -114,13 +114,14 @@ def decompose(model, ops, tol=None):
                               blocks=blocks, r_projectors=r_proj, k_projectors=k_proj)
 
 
-def decomposition_report(dec, model, triple, tol=None):
-    """Re-certify the decomposition against a model.
+def decomposition_report(dec, model, ops, tol=None):
+    """Re-certify the decomposition against a model and its Kaehler operators.
 
-    Rebuilds the Kaehler forms from (model, triple) and checks the stated
-    eigenvalue pairs on every nonzero block, the presence rule, the dimension
-    count, and that every Clifford generator maps each block into the four
-    diagonal neighbor blocks only.
+    `ops` must be the Kaehler operators of `model` (build_kaehler_operators);
+    a corrupted model needs its own.  Checks the stated eigenvalue pairs on
+    every nonzero block, the presence rule, the dimension count, and that
+    every Clifford generator maps each block into the four diagonal neighbor
+    blocks only.
 
     The neighbor check reads the marginal families P_r (levels) and P_k
     (weights).  Per generator g it forms one residual per level and one
@@ -149,8 +150,6 @@ def decomposition_report(dec, model, triple, tol=None):
     rep = VerificationReport()
     m = dec.m
     sub = f"m={m}"
-
-    ops = build_kaehler_operators(model, triple)
 
     total = 0
     for (r, k), blk in sorted(dec.blocks.items()):

@@ -4,16 +4,20 @@ Matrices store a pair of integer numerator arrays (real and imaginary parts)
 over a single positive integer denominator, so every operation reduces to
 integer arithmetic.  A product picks its kernel from a magnitude bound on
 every partial sum, 2 * cols * amax_a * amax_b, where amax is the largest
-numerator of an operand.  Below 2^53 it is four float64 BLAS products,
-exact because float64 holds every integer that arises (see
-`_blas_product`).  Below 2^63 it is numpy's int64 matmul, which has no BLAS.
-Above that, or when an operand already holds object-dtype (arbitrary
-precision) numerators, it is an object-dtype product.  A float backend with
-the same surface (complex128, tolerance-based zero tests) exists for larger
+numerator of an operand.  Below 2^63 it is numpy's int64 matmul.  Above
+that, or when an operand already holds object-dtype (arbitrary precision)
+numerators, it is an object-dtype product.  A float backend with the same
+surface (complex128, tolerance-based zero tests) exists for larger
 experiments.
 
+Only small operands reach the exact kind here: so(3)'s 11 x 11 rationals
+and the 4m x 4m hyperkaehler triple.  The spinor-space operators of the
+Clifford layer use `quatspin.sparse.SparseMatrix`, which keeps the same
+canonical form (`_canonical`) on their nonzeros.
+
 Spectral projectors come from one Lagrange product, certified by its
-eigen-equation alone (see `lagrange_eigenprojectors`).
+eigen-equation alone (see `lagrange_eigenprojectors`); both storages
+supply the identity it starts from.
 
 Callers hand exact scalars (int, Fraction, ExactScalar) to both kinds and
 the float kind converts them itself, so this module is the only one that
@@ -38,8 +42,6 @@ FLOAT_TOL = 1e-10
 # Stay strictly below signed-int64 range for any single sum of two products.
 _INT64_LIMIT = 2**63
 _DOWNCAST_LIMIT = 2**62
-# float64 holds every integer of magnitude up to 2^53 exactly.
-_FLOAT_EXACT_LIMIT = 2**53
 
 
 class ExactScalar:
@@ -170,43 +172,38 @@ def _as_object(a):
     return a if a.dtype == object else a.astype(object)
 
 
-def _blas_product(a_re, a_im, b_re, b_im):
-    """Exact (a_re + i a_im) @ (b_re + i b_im) of int64 arrays, as int64 (re, im).
+def _canonical(re, im, den):
+    """Lowest terms (re, im, den, amax) of numerator arrays over den.
 
-    Four float64 BLAS products, exact when the caller's guard holds:
-    bound = 2 * cols * amax_a * amax_b < 2^53, where amax_a and amax_b bound
-    the numerator magnitudes of the two operands.
-
-    - Every operand entry converts to float64 exactly.  If amax_b >= 1 then
-      amax_a <= bound / 2 < 2^53, so each entry of a is an integer below 2^53,
-      which float64 holds; the same goes for b.  If amax_b = 0, b is exactly
-      zero: entries of a may round, but each product with an exact 0 is 0,
-      and so is every sum of them, which is the true product.
-    - Entry (i, j) of the real part is sum_t ar_it br_tj - sum_t ai_it bi_tj,
-      and of the imaginary part sum_t ar_it bi_tj + sum_t ai_it br_tj.  Each
-      is 2 * cols terms of magnitude at most amax_a * amax_b.  Any partial
-      sum, of any subset of these terms in any grouping, is an integer of
-      magnitude at most the bound, below 2^53, so float64 holds it exactly
-      and no product, addition or fused multiply-add rounds.  Summation
-      order, blocking, threading and FMA cannot change the result, and
-      numpy's alpha = 1, beta = 0 add nothing.
-    - This assumes a classical GEMM, which forms only these terms and their
-      partial sums; OpenBLAS is one.  A Strassen-like product forms other
-      intermediates, such as sums of operand entries, that the bound does
-      not cover.
-
-    The results are integers below 2^53, so they convert back to int64
-    exactly.  Four real products rather than one complex128 product:
-    OpenBLAS keeps a 64 x 64 real product (m = 3) on one thread but splits
-    the complex one, and a split product stalls whenever another process
-    holds a core.
+    The denominator is made positive and divided, with the numerators, by
+    their common gcd; object-dtype numerators go back to int64 when every
+    one lies below 2^62.  Every exact matrix keeps this form, so equal
+    matrices hold equal arrays and hash equal.
     """
-    ar, ai, br, bi = (x.astype(np.float64) for x in (a_re, a_im, b_re, b_im))
-    re = ar @ br
-    re -= ai @ bi
-    im = ar @ bi
-    im += ai @ br
-    return re.astype(np.int64), im.astype(np.int64)
+    if den < 0:
+        re, im, den = -re, -im, -den
+    # den = 1 is already in lowest terms; skip the scan of the numerators
+    g = math.gcd(den, _array_gcd(re)) if den != 1 else 1
+    if g != 1:
+        g = math.gcd(g, _array_gcd(im))
+    if g > 1:
+        re = re // g
+        im = im // g
+        den //= g
+    amax = max(_array_max(re), _array_max(im))
+    if re.dtype == object and amax < _DOWNCAST_LIMIT:
+        re = re.astype(np.int64)
+        im = im.astype(np.int64)
+    return re, im, den, amax
+
+
+def _max_modulus(re, im, den, amax):
+    """Largest |re + i im| / den over numerator arrays, as a float."""
+    if amax == 0:
+        return 0.0
+    if amax >= 2**31:  # re^2 + im^2 would overflow int64
+        re, im = _as_object(re), _as_object(im)
+    return math.sqrt(Fraction(int((re * re + im * im).max()), den ** 2))
 
 
 class DenseMatrix:
@@ -236,20 +233,7 @@ class DenseMatrix:
 
     @staticmethod
     def _normalized(re, im, den, rows, cols):
-        if den < 0:
-            re, im, den = -re, -im, -den
-        # den = 1 is already in lowest terms; skip the scan of the numerators
-        g = math.gcd(den, _array_gcd(re)) if den != 1 else 1
-        if g != 1:
-            g = math.gcd(g, _array_gcd(im))
-        if g > 1:
-            re = re // g
-            im = im // g
-            den //= g
-        amax = max(_array_max(re), _array_max(im))
-        if re.dtype == object and amax < _DOWNCAST_LIMIT:
-            re = re.astype(np.int64)
-            im = im.astype(np.int64)
+        re, im, den, amax = _canonical(re, im, den)
         return DenseMatrix(rows=rows, cols=cols, kind="exact",
                            re=re, im=im, den=den, amax=amax)
 
@@ -327,11 +311,8 @@ class DenseMatrix:
         if bound >= _INT64_LIMIT or a_re.dtype == object or b_re.dtype == object:
             a_re, a_im = _as_object(a_re), _as_object(a_im)
             b_re, b_im = _as_object(b_re), _as_object(b_im)
-        if a_re.dtype != object and bound < _FLOAT_EXACT_LIMIT:
-            re, im = _blas_product(a_re, a_im, b_re, b_im)
-        else:
-            re = a_re @ b_re - a_im @ b_im
-            im = a_re @ b_im + a_im @ b_re
+        re = a_re @ b_re - a_im @ b_im
+        im = a_re @ b_im + a_im @ b_re
         return DenseMatrix._normalized(re, im, self._den * other._den,
                                        self.rows, other.cols)
 
@@ -419,12 +400,7 @@ class DenseMatrix:
         """Largest entry modulus as a float (for residual reporting)."""
         if self.kind == "float":
             return float(np.abs(self._c).max()) if self._c.size else 0.0
-        if self._amax == 0:
-            return 0.0
-        re, im = self._re, self._im
-        if self._amax >= 2**31:  # re^2 + im^2 would overflow int64
-            re, im = _as_object(re), _as_object(im)
-        return math.sqrt(Fraction(int((re * re + im * im).max()), self._den ** 2))
+        return _max_modulus(self._re, self._im, self._den, self._amax)
 
     def __getitem__(self, idx):
         i, j = idx
@@ -525,7 +501,7 @@ def lagrange_projector(a, lam, spectrum):
     `spectrum` hold the whole spectrum of `a`; certify_eigenprojector checks that.
     """
     lam = scalar_for(a, lam)
-    ident = DenseMatrix.identity(a.rows, kind=a.kind)
+    ident = type(a).identity(a.rows, kind=a.kind)
     p = None
     for mu in (scalar_for(a, v) for v in spectrum):
         if mu != lam:
@@ -571,8 +547,8 @@ def column_space_basis(matrix, tol=None):
 
     Exact kind: Gaussian elimination over the Gaussian rationals with a
     first-nonzero-pivot rule, fully reduced, rows sorted by pivot position —
-    a deterministic reduced basis.  Float kind: left singular vectors for
-    singular values above tol.
+    a deterministic reduced basis, in the storage of `matrix`.  Float kind:
+    left singular vectors for singular values above tol.
     """
     if matrix.kind == "float":
         if matrix.cols == 0:
@@ -601,7 +577,4 @@ def column_space_basis(matrix, tol=None):
                 basis[k] = (p2, [x - c * y for x, y in zip(b2, row)])
         basis.append((piv, row))
         basis.sort(key=lambda t: t[0])
-    out = []
-    for _, b in basis:
-        out.append(DenseMatrix.from_rows([[x] for x in b]))
-    return out
+    return [type(matrix).from_rows([[x] for x in b]) for _, b in basis]

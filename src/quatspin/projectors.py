@@ -21,7 +21,7 @@ from fractions import Fraction
 from .clifford import vector_action
 from .decomposition import weight_eigenvalue
 from .errors import DomainError, IdentityFailure
-from .exact import DenseMatrix, ExactScalar, scalar_for
+from .exact import ExactScalar, scalar_for
 from .quaternionic import build_adapted_basis
 from .report import CheckEntry, VerificationReport, residual_entry
 
@@ -333,9 +333,8 @@ def verify_lemma_identities(dec, calc, tol=None):
     rep = VerificationReport()
     m = model.m
     sub = f"m={m}"
-    dim = model.spinor_dim
-    ident = DenseMatrix.identity(dim, kind=model.kind)
-    zero = DenseMatrix.zeros(dim, dim, kind=model.kind)
+    ident = model.identity()
+    zero = model.zeros()
     sums = calc.sums
     ffbar, fbarf = sums["f", "fbar", "aa"], sums["fbar", "f", "aa"]
     # mixed[u, v, a] = sum_j a(u_j) a(J_a v_j); L, Lbar = sum_a Omega_a mixed

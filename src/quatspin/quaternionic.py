@@ -17,6 +17,7 @@ import numpy as np
 from .clifford import basis_vector, vector_action
 from .errors import DomainError
 from .exact import DenseMatrix, ExactScalar
+from .sparse import SparseMatrix
 from .report import VerificationReport, residual_entry
 
 # Left multiplication by i, j, k on H in the basis (1, i, j, k); columns are
@@ -66,7 +67,7 @@ def build_standard_triple(model):
 def kaehler_form(model, triple, a):
     """Omega_a = (1/2) sum_i gamma_i * action(J_a e_i) on the spinor space."""
     j = triple[a]
-    acc = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim, kind=model.kind)
+    acc = model.zeros()
     for i in range(model.n):
         acc = acc + model.gamma[i] @ vector_action(model, j @ basis_vector(model, i))
     return acc.scale(_HALF)
@@ -74,7 +75,7 @@ def kaehler_form(model, triple, a):
 
 def kraines_form(model, omegas):
     """sum_a Omega_a^2 + 6m, the quaternionic 4-form acting on spinors."""
-    acc = DenseMatrix.identity(model.spinor_dim, kind=model.kind).scale(6 * model.m)
+    acc = model.identity().scale(6 * model.m)
     for om in omegas:
         acc = acc + om @ om
     return acc
@@ -85,7 +86,7 @@ class KaehlerOperators:
     """The three Kaehler operators and their Kraines-type sum."""
 
     omega: tuple
-    kraines: DenseMatrix
+    kraines: DenseMatrix | SparseMatrix
 
     def __getitem__(self, a):
         if a not in (1, 2, 3):
@@ -136,7 +137,7 @@ def structure_report(model, triple, ops, tol=None):
     """
     rep = VerificationReport()
     sub = f"m={model.m}"
-    ident_s = DenseMatrix.identity(model.spinor_dim, kind=model.kind)
+    ident_s = model.identity()
     ident_n = DenseMatrix.identity(model.n, kind=model.kind)
 
     for i, gi in enumerate(model.gamma):
@@ -168,8 +169,7 @@ def structure_report(model, triple, ops, tol=None):
 
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            expect = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim,
-                                       kind=model.kind)
+            expect = model.zeros()
             for c in (1, 2, 3):
                 e = epsilon(a, b, c)
                 if e:
@@ -199,7 +199,7 @@ def structure_report(model, triple, ops, tol=None):
     rep.add(residual_entry("sl2_relations", f"{sub} [O+,O-]=O1",
                            plus @ minus - minus @ plus - o1, tol))
 
-    casimir = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim, kind=model.kind)
+    casimir = model.zeros()
     for o in (ops[a].scale(_I_HALF) for a in (1, 2, 3)):
         casimir = casimir + o @ o
     lhs = casimir.scale(Fraction(1, 8))

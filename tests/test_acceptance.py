@@ -106,7 +106,7 @@ def test_criterion_2_spectra_and_lattice(worlds):
     blocks_seen = 0
     for m in M_VALUES:
         w = worlds[m]
-        rep = decomposition_report(w.dec, w.model, w.triple)
+        rep = decomposition_report(w.dec, w.model, w.ops)
         ok = ok and _exact_clean(rep)
         nonzero = w.dec.nonzero_blocks()
         blocks_seen += len(nonzero)

@@ -23,7 +23,7 @@ def model2():
 @pytest.mark.parametrize("m", [1, 2])
 def test_anticommutation_relations(m):
     model = build_clifford_model(m)
-    ident = DenseMatrix.identity(model.spinor_dim)
+    ident = model.identity()
     for i, gi in enumerate(model.gamma):
         for j, gj in enumerate(model.gamma):
             anti = gi @ gj + gj @ gi
@@ -86,7 +86,7 @@ def test_action_squares_to_minus_norm(model2):
         v = complex_vector(model2, coeffs)
         a = vector_action(model2, v)
         norm2 = sum(c * c for c in coeffs)
-        ident = DenseMatrix.identity(model2.spinor_dim)
+        ident = model2.identity()
         assert a @ a == ident.scale(-norm2)
 
 
@@ -122,6 +122,7 @@ def test_content_hash_deterministic():
 
 def test_float_backend_model():
     model = build_clifford_model(1, kind="float")
-    ident = DenseMatrix.identity(model.spinor_dim, kind="float")
+    ident = model.identity()
+    assert isinstance(ident, DenseMatrix)
     for gi in model.gamma:
         assert (gi @ gi + ident).is_zero(1e-12)

@@ -14,7 +14,6 @@ from quatspin.decomposition import (
 )
 from quatspin.errors import DomainError, SpectrumError
 from quatspin.exact import (
-    DenseMatrix,
     ExactScalar,
     column_space_basis,
     lagrange_eigenprojectors,
@@ -45,7 +44,7 @@ def test_kraines_spectrum_m1(world1):
     p_plus, p_minus = projs[ExactScalar(6)], projs[ExactScalar(-6)]
     assert p_plus.trace() == ExactScalar(2)
     assert p_minus.trace() == ExactScalar(2)
-    assert p_plus + p_minus == DenseMatrix.identity(4)
+    assert p_plus + p_minus == model.identity()
 
 
 def test_block_dims_m1(world1):
@@ -83,12 +82,12 @@ def test_marginal_multiplicities_match_lapack(world2):
     # independent oracle: LAPACK eigenvalues of the Hermitian forms
     model, _, ops, dec = world2
     m = model.m
-    kr = np.linalg.eigvalsh(ops.kraines.to_complex_array())
+    kr = np.linalg.eigvalsh(ops.kraines.to_dense().to_complex_array())
     for r in range(m + 1):
         expect = sum(b.dim for b in dec.nonzero_blocks() if b.r == r)
         got = int(np.sum(np.abs(kr - omega_eigenvalue(m, r)) < 1e-8))
         assert got == expect
-    wt = np.linalg.eigvalsh(1j * ops[1].to_complex_array())
+    wt = np.linalg.eigvalsh(1j * ops[1].to_dense().to_complex_array())
     for k in range(2 * m + 1):
         expect = sum(b.dim for b in dec.nonzero_blocks() if b.k == k)
         # eigenvalue of i*Omega_1 is -(2m-2k)
@@ -98,11 +97,11 @@ def test_marginal_multiplicities_match_lapack(world2):
 
 def test_projectors_partition_identity(world2):
     model, _, _, dec = world2
-    total = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim)
+    total = model.zeros()
     for blk in dec.nonzero_blocks():
         total = total + blk.projector
         assert blk.projector @ blk.projector == blk.projector
-    assert total == DenseMatrix.identity(model.spinor_dim)
+    assert total == model.identity()
 
 
 def test_block_bases_are_reduced_and_spanning(world2):
@@ -128,9 +127,9 @@ def test_marginal_families_are_complete_and_orthogonal(m, kind):
     model, ops = _world(m, kind)
     dec = decompose(model, ops)
     tol = 1e-12 if kind == "float" else None
-    ident = DenseMatrix.identity(model.spinor_dim, kind=kind)
+    ident = model.identity()
     for family in (dec.r_projectors, dec.k_projectors):
-        total = DenseMatrix.zeros(model.spinor_dim, model.spinor_dim, kind=kind)
+        total = model.zeros()
         for i, p in family.items():
             total = total + p
             assert (p @ p - p).is_zero(tol), i
@@ -153,7 +152,7 @@ class _SwappedOps:
 
 def _conjugated_omega1(model, ops):
     gamma = model.gamma[0]
-    assert gamma @ gamma == -DenseMatrix.identity(model.spinor_dim)
+    assert gamma @ gamma == -model.identity()
     return gamma @ ops[1] @ -gamma
 
 
@@ -186,15 +185,16 @@ def test_weight_on_middle_slice_vanishes(world2):
 
 
 def test_report_clean(world2):
-    model, triple, _, dec = world2
-    rep = decomposition_report(dec, model, triple)
+    model, _, ops, dec = world2
+    rep = decomposition_report(dec, model, ops)
     assert rep.ok
     assert rep.counts()["fail"] == 0
 
 
 def test_report_catches_tampering(world1):
     model, triple, ops, dec = world1
-    rep = decomposition_report(dec, corrupt_gamma(model, 0), triple)
+    bad = corrupt_gamma(model, 0)
+    rep = decomposition_report(dec, bad, build_kaehler_operators(bad, triple))
     assert not rep.ok
     ids = {e.check_id for e in rep.failures()}
     assert "block_projector_eigen" in ids
@@ -224,7 +224,9 @@ def test_float_backend_decomposition():
     assert dims == {(0, 1): 2, (1, 0): 1, (1, 2): 1}
 
 
-def _neighbor_rows(report):
+def _neighbor_rows(dec, model, triple):
+    """The neighbour rows of the report on model, with its own operators."""
+    report = decomposition_report(dec, model, build_kaehler_operators(model, triple))
     return [e for e in report.entries if e.check_id == "clifford_neighbor_blocks"]
 
 
@@ -240,14 +242,14 @@ def test_neighbor_check_names_a_far_block(kind):
     triple = build_standard_triple(model)
     dec = decompose(model, ops)
     families = {"r": dec.r_projectors, "k": dec.k_projectors}
-    clean = _neighbor_rows(decomposition_report(dec, model, triple))
+    clean = _neighbor_rows(dec, model, triple)
     assert len(clean) == 4 * model.m * (3 * model.m + 2)
     assert {e.subject for e in clean} == {
         f"m=2 i={i} {label}={idx}" for i in range(model.n)
         for label, family in families.items() for idx in family}
     assert all(e.status == "pass" and e.note == "" for e in clean)
     bad = _even_gamma0(model)
-    failed = [e for e in _neighbor_rows(decomposition_report(dec, bad, triple))
+    failed = [e for e in _neighbor_rows(dec, bad, triple)
               if e.status == "fail"]
     assert failed
     for e in failed:
@@ -271,7 +273,7 @@ def test_marginal_neighbor_rows_equal_the_joint_claim(kind):
     nonzero = dec.nonzero_blocks()
     for mdl, expect in ((model, set()), (_even_gamma0(model), {0})):
         marginal = {int(re.match(r"m=2 i=(\d+) ", e.subject).group(1))
-                    for e in _neighbor_rows(decomposition_report(dec, mdl, triple))
+                    for e in _neighbor_rows(dec, mdl, triple)
                     if e.status == "fail"}
         joint = set()
         for i, g in enumerate(mdl.gamma):

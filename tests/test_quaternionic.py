@@ -91,7 +91,7 @@ def test_sl2_ladder(setup1):
 def test_casimir_scalar(setup1):
     model, _, ops = setup1
     o1, plus, minus = sl2_generators(model, ops)
-    ident = DenseMatrix.identity(model.spinor_dim)
+    ident = model.identity()
     casimir = o1 @ o1
     for a, s in ((2, 1), (3, 1)):
         oa = ops[a].scale(ExactScalar(0, Fraction(1, 2)))
