@@ -103,7 +103,7 @@ class SparseMatrix:
 
     @classmethod
     def monomial(cls, perm, re, im):
-        """Row i holds re[i] + i*im[i] in column perm[i] (a phase times a permutation)."""
+        """A phase times a permutation: row i holds re[i] + i*im[i] at column perm[i]."""
         n = len(perm)
         key = np.arange(n, dtype=np.int64) * n + np.asarray(perm, dtype=np.int64)
         return cls._normalized(n, n, key, np.asarray(re, dtype=np.int64),
