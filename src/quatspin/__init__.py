@@ -22,7 +22,7 @@ from .exact import (
     column_space_basis,
     FLOAT_TOL,
 )
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, matrix_type
 from .clifford import (
     CliffordModel,
     build_clifford_model,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
 from .exact import DenseMatrix
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, matrix_type
 
 DEFAULT_MAX_M = 4
 MAX_M_ENV = "QUATSPIN_MAX_M"
@@ -55,8 +55,7 @@ def _float_generator_pair(pairs, j):
     """The dense complex128 pair of _generator_pair, from the np.kron chain."""
     lead, tail = [_BLOCK_Z] * j, [_BLOCK_I] * (pairs - j - 1)
     chains = (_kron_chain(lead + [blk] + tail) for blk in (_BLOCK_A, _BLOCK_B))
-    return [DenseMatrix(rows=c.shape[0], cols=c.shape[1], kind="float", c=c)
-            for c in chains]
+    return [DenseMatrix(c) for c in chains]
 
 
 def _generator_pair(pairs, j):
@@ -92,13 +91,12 @@ class CliffordModel:
     kind: str
 
     def identity(self):
-        """The spinor-space identity, in the storage of the generators."""
-        return type(self.gamma[0]).identity(self.spinor_dim, kind=self.kind)
+        """The spinor-space identity, in the model's backend."""
+        return matrix_type(self.kind).identity(self.spinor_dim)
 
     def zeros(self):
-        """The spinor-space zero, in the storage of the generators."""
-        return type(self.gamma[0]).zeros(self.spinor_dim, self.spinor_dim,
-                                         kind=self.kind)
+        """The spinor-space zero, in the model's backend."""
+        return matrix_type(self.kind).zeros(self.spinor_dim, self.spinor_dim)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -119,8 +117,7 @@ def build_clifford_model(m, kind="exact"):
     cap = resolved_max_m()
     if m > cap:
         raise ResourceLimitError(f"m={m} exceeds the cap {cap}; raise it via {MAX_M_ENV}")
-    if kind not in ("exact", "float"):
-        raise DomainError(f"unknown backend kind {kind!r}")
+    matrix_type(kind)  # DomainError for an unknown backend
     pairs = 2 * m
     build = _float_generator_pair if kind == "float" else _generator_pair
     gammas = [g for j in range(pairs) for g in build(pairs, j)]
@@ -142,15 +139,14 @@ def basis_vector(model, i):
     """The i-th (0-based) standard basis vector of R^{4m} as a column."""
     if not 0 <= i < model.n:
         raise DomainError(f"basis index {i} out of range 0..{model.n - 1}")
-    return DenseMatrix.from_rows([[int(t == i)] for t in range(model.n)],
-                                 kind=model.kind)
+    return matrix_type(model.kind).from_rows([[int(t == i)] for t in range(model.n)])
 
 
 def complex_vector(model, coeffs):
     """Column vector in the complexified R^{4m} from a coefficient sequence."""
     if len(coeffs) != model.n:
         raise DimensionError(f"expected {model.n} coefficients, got {len(coeffs)}")
-    return DenseMatrix.from_rows([[v] for v in coeffs], kind=model.kind)
+    return matrix_type(model.kind).from_rows([[v] for v in coeffs])
 
 
 def vector_action(model, v):
@@ -159,10 +155,10 @@ def vector_action(model, v):
     v is an n x 1 column; the result is sum_i v_i gamma_i, extended
     C-linearly in the coefficients.
     """
-    if not isinstance(v, DenseMatrix) or v.cols != 1 or v.rows != model.n:
-        raise DimensionError(f"expected an {model.n}x1 coefficient column")
-    if v.kind != model.kind:
+    if not isinstance(v, matrix_type(model.kind)):
         raise TypeError("vector backend does not match the model backend")
+    if v.cols != 1 or v.rows != model.n:
+        raise DimensionError(f"expected an {model.n}x1 coefficient column")
     out = model.zeros()
     for i in range(model.n):
         c = v[i, 0]

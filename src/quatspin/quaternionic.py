@@ -17,7 +17,7 @@ import numpy as np
 from .clifford import basis_vector, vector_action
 from .errors import DomainError
 from .exact import DenseMatrix, ExactScalar
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, matrix_type
 from .report import VerificationReport, residual_entry
 
 # Left multiplication by i, j, k on H in the basis (1, i, j, k); columns are
@@ -60,7 +60,7 @@ def build_standard_triple(model):
         arr = np.zeros((n, n), dtype=np.int64)
         for t in range(model.m):
             arr[4 * t:4 * t + 4, 4 * t:4 * t + 4] = block
-        js.append(DenseMatrix.from_rows(arr.tolist(), kind=model.kind))
+        js.append(matrix_type(model.kind).from_rows(arr.tolist()))
     return HyperkahlerTriple(j=tuple(js))
 
 
@@ -138,7 +138,7 @@ def structure_report(model, triple, ops, tol=None):
     rep = VerificationReport()
     sub = f"m={model.m}"
     ident_s = model.identity()
-    ident_n = DenseMatrix.identity(model.n, kind=model.kind)
+    ident_n = matrix_type(model.kind).identity(model.n)
 
     for i, gi in enumerate(model.gamma):
         for j in range(i, model.n):
@@ -153,7 +153,7 @@ def structure_report(model, triple, ops, tol=None):
         rep.add(residual_entry("hk_orthogonality", f"{sub} a={a}",
                                triple[a].transpose() @ triple[a] - ident_n, tol))
         for b in (1, 2, 3):
-            expect = DenseMatrix.zeros(model.n, model.n, kind=model.kind)
+            expect = matrix_type(model.kind).zeros(model.n, model.n)
             if a == b:
                 expect = expect - ident_n
             for c in (1, 2, 3):

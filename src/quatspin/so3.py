@@ -25,13 +25,13 @@ import numpy as np
 from .errors import DimensionError, DomainError, SpectrumError
 from .exact import (
     FLOAT_TOL,
-    DenseMatrix,
     ExactScalar,
     certify_eigenprojector,
     lagrange_projector,
 )
 from .quaternionic import epsilon
 from .report import VerificationReport, residual_entry
+from .sparse import SparseMatrix, matrix_type
 
 _FIXED_QUATERNIONS = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 1, 1, 1))
 
@@ -70,20 +70,18 @@ def _ladder(r, kind="exact"):
     for s in range(1, n):
         x[s - 1][s] = s * (r - s + 1)
         y[s][s - 1] = 1
-    return (DenseMatrix.from_rows(x, kind=kind),
-            DenseMatrix.from_rows(y, kind=kind))
+    cls = matrix_type(kind)
+    return cls.from_rows(x), cls.from_rows(y)
 
 
 def build_irrep(r, kind="exact"):
     """Construct the highest-weight-r irreducible so(3) representation."""
     if not isinstance(r, int) or r < 0:
         raise DomainError(f"highest weight must be a nonnegative integer, got {r}")
-    if kind not in ("exact", "float"):
-        raise DomainError(f"unknown backend kind {kind!r}")
+    cls = matrix_type(kind)
     n = r + 1
-    h1 = DenseMatrix.from_rows(
-        [[r - 2 * s if s == t else 0 for t in range(n)] for s in range(n)],
-        kind=kind)
+    h1 = cls.from_rows(
+        [[r - 2 * s if s == t else 0 for t in range(n)] for s in range(n)])
     x, y = _ladder(r, kind)
     h2 = x + y
     h3 = (x - y).scale(ExactScalar(0, -1))
@@ -209,18 +207,20 @@ def top_weight_projector(irrep, generator, tol=None):
 
 def _column(irrep, v):
     """Coerce a coordinate vector to a nonzero backend column."""
-    if isinstance(v, DenseMatrix):
+    cls = matrix_type(irrep.kind)
+    if isinstance(v, cls):
         if v.rows != irrep.dim or v.cols != 1:
             raise DimensionError(
                 f"expected a {irrep.dim}x1 column, got {v.rows}x{v.cols}")
         col = v
+    elif hasattr(v, "kind"):
+        raise TypeError("column backend does not match the irrep backend")
     else:
         entries = list(v)
         if len(entries) != irrep.dim:
             raise DimensionError(
                 f"expected {irrep.dim} coordinates, got {len(entries)}")
-        col = DenseMatrix.from_rows([[entry] for entry in entries],
-                                    kind=irrep.kind)
+        col = cls.from_rows([[entry] for entry in entries])
     if col.is_zero(0.0):
         raise DomainError("zero vector has no weight components")
     return col
@@ -293,8 +293,8 @@ def find_rotation_with_top_component(irrep, v, budget=1000, seed=0,
         if i == 0:
             # the unrotated H1 = diag(r, r-2, ...) keeps coordinate 0 on top
             g = identity_rotation(irrep.kind)
-            w = DenseMatrix.from_rows([[col[0, 0]]] + [[0]] * (irrep.dim - 1),
-                                      kind=col.kind)
+            w = matrix_type(col.kind).from_rows(
+                [[col[0, 0]]] + [[0]] * (irrep.dim - 1))
         else:
             g = random_rotation(rng, irrep.kind)
             gen = rotated_generator(irrep, g, tol)
@@ -340,7 +340,7 @@ def irrep_report(max_r, tol=None):
                                _comm(x, y) - h1, tol))
 
         for a, b in ((1, 2), (2, 3), (3, 1)):
-            expected = DenseMatrix.zeros(irrep.dim, irrep.dim, kind="exact")
+            expected = SparseMatrix.zeros(irrep.dim, irrep.dim)
             for c in (1, 2, 3):
                 eps = epsilon(a, b, c)
                 if eps:
@@ -351,11 +351,11 @@ def irrep_report(max_r, tol=None):
                 note="structure constants carry the explicit i"))
 
         casimir = (h1 @ h1 + h2 @ h2 + h3 @ h3).scale(Fraction(1, 8))
-        target = DenseMatrix.identity(irrep.dim).scale(Fraction(r * (r + 2), 8))
+        target = SparseMatrix.identity(irrep.dim).scale(Fraction(r * (r + 2), 8))
         rep.add(residual_entry("casimir_scalar", sub, casimir - target, tol,
                                note=f"scalar r(r+2)/8 = {Fraction(r * (r + 2), 8)}"))
 
-        diag = DenseMatrix.from_rows(
+        diag = SparseMatrix.from_rows(
             [[w if s == t else 0 for t in range(irrep.dim)]
              for s, w in enumerate(irrep.weights())])
         rep.add(residual_entry("weight_spectrum", sub, h1 - diag, tol))
@@ -369,13 +369,13 @@ def irrep_report(max_r, tol=None):
             except SpectrumError as exc:
                 rep.add(residual_entry(
                     "rotated_generator_spectrum", qsub,
-                    DenseMatrix.identity(1), tol, note=str(exc)))
+                    SparseMatrix.identity(1), tol, note=str(exc)))
             else:
                 rep.add(residual_entry(
                     "rotated_generator_spectrum", qsub,
-                    DenseMatrix.zeros(1, 1), tol,
+                    SparseMatrix.zeros(1, 1), tol,
                     note="certified spectrum {r, r-2, ..., -r}"))
             rep.add(residual_entry(
                 "rotated_generator_trace", qsub,
-                DenseMatrix.from_rows([[gen.trace()]]), tol))
+                SparseMatrix.from_rows([[gen.trace()]]), tol))
     return rep

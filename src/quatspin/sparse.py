@@ -1,47 +1,116 @@
-"""Sparse exact matrices over Gaussian rationals, for the Clifford layer.
+"""Exact matrices over Gaussian rationals, stored by their nonzeros.
 
-Every spinor-space operator the Clifford layer forms is a sum of a few
-monomial matrices: a generator is a phase times a permutation, and at m = 4
-the Kaehler operators, the Kraines form and every block projector keep at
-most 6 nonzeros in any row of 256.  A `SparseMatrix` stores only the
-nonzeros: their sorted linear indices row * cols + col, and int64 or object
-(Python int) numerator arrays for the real and imaginary parts over one
-positive denominator.  It keeps the canonical form of the dense exact kind
-(`exact._canonical`): lowest terms, and exact zeros dropped, so equal
-matrices hold equal arrays, and `fingerprint` hashes the dense bytes a
-matrix stands for, equal to `DenseMatrix.fingerprint` of the same matrix.
+`SparseMatrix` is the one exact kernel: the spinor-space operators of the
+Clifford layer, the 4m x 4m hyperkaehler triple, the 4m x 1 vectors and
+so(3)'s (r+1) x (r+1) rationals are all held this way.  A spinor-space
+operator is a sum of a few monomial matrices: a generator is a phase times
+a permutation, and at m = 4 the Kaehler operators, the Kraines form and
+every block projector keep at most 6 nonzeros in any row of 256.
+
+A matrix stores the sorted linear indices row * cols + col of its nonzeros,
+and int64 or object (Python int) numerator arrays for their real and
+imaginary parts over one positive denominator.  Every matrix is kept in
+canonical form (`_canonical`): lowest terms, exact zeros dropped, and int64
+numerators whenever all lie below 2^62, so equal matrices hold equal arrays
+and `fingerprint` hashes equal.
 
 A product expands each nonzero A[i, t] against row t of B, then sums the
 terms of equal index with one stable argsort and `np.add.reduceat`; a sum
-concatenates the two operands and reduces the same way.  The choice of
-int64 or object numerators uses the dense kind's bounds: a product stays
+concatenates the two operands and reduces the same way.  A product stays
 int64 while 2 * cols * amax_a * amax_b < 2^63, where amax is the largest
-numerator of an operand, and every result with all numerators below 2^62
-goes back to int64.
+numerator of an operand; past that bound, or with an object operand, it
+runs on Python ints.
 
 Only numpy is used: importing scipy.sparse would cost more than numpy
-itself in every run.  The kind is always "exact"; the float backend stays
-dense.
+itself in every run.  The float backend is `quatspin.exact.DenseMatrix`;
+`matrix_type` maps a backend name to its class.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .exact import (
-    _INT64_LIMIT,
-    DenseMatrix,
-    ExactScalar,
-    _as_object,
-    _canonical,
-    _max_modulus,
-)
+from .exact import DenseMatrix, ExactScalar
+
+# Stay strictly below signed-int64 range for any single sum of two products.
+_INT64_LIMIT = 2**63
+_DOWNCAST_LIMIT = 2**62
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _array_gcd(a):
+    if a.size == 0:
+        return 0
+    if a.dtype == object:
+        g = 0
+        for x in a.tolist():
+            g = math.gcd(g, x if x >= 0 else -x)
+            if g == 1:
+                return 1
+        return g
+    return int(np.gcd.reduce(np.abs(a), initial=0))
+
+
+def _array_max(a):
+    if a.size == 0:
+        return 0
+    if a.dtype == object:
+        return max(abs(x) for x in a.tolist())
+    return int(np.abs(a).max())
+
+
+def _as_object(a):
+    return a if a.dtype == object else a.astype(object)
+
+
+def _canonical(re, im, den):
+    """Lowest terms (re, im, den, amax) of numerator arrays over den.
+
+    The denominator is made positive and divided, with the numerators, by
+    their common gcd; object-dtype numerators go back to int64 when every
+    one lies below 2^62.  Every exact matrix keeps this form, so equal
+    matrices hold equal arrays and hash equal.
+    """
+    if den < 0:
+        re, im, den = -re, -im, -den
+    # den = 1 is already in lowest terms; skip the scan of the numerators
+    g = math.gcd(den, _array_gcd(re)) if den != 1 else 1
+    if g != 1:
+        g = math.gcd(g, _array_gcd(im))
+    if g > 1:
+        re = re // g
+        im = im // g
+        den //= g
+    amax = max(_array_max(re), _array_max(im))
+    if re.dtype == object and amax < _DOWNCAST_LIMIT:
+        re = re.astype(np.int64)
+        im = im.astype(np.int64)
+    return re, im, den, amax
+
+
+def _max_modulus(re, im, den, amax):
+    """Largest |re + i im| / den over numerator arrays, as a float."""
+    if amax == 0:
+        return 0.0
+    if amax >= 2**31:  # re^2 + im^2 would overflow int64
+        re, im = _as_object(re), _as_object(im)
+    return math.sqrt(Fraction(int((re * re + im * im).max()), den ** 2))
+
+
+def _parts(v):
+    """The (re, im) Fractions or ints of an exact entry; TypeError otherwise."""
+    if isinstance(v, ExactScalar):
+        return v.re, v.im
+    if isinstance(v, (int, Fraction)):
+        return v, 0
+    raise TypeError(f"exact entries must be int, Fraction or ExactScalar, "
+                    f"not {type(v).__name__}")
 
 
 def _widened(bound, arrays):
@@ -67,7 +136,7 @@ class SparseMatrix:
 
     Entry (i, j) is (re + i*im)/den at the position of key i * cols + j, and
     zero where no key is stored.  Operands of an operation must both be
-    SparseMatrix; mixing with DenseMatrix raises TypeError.
+    SparseMatrix; mixing with the float DenseMatrix raises TypeError.
     """
 
     __slots__ = ("rows", "cols", "_key", "_re", "_im", "_den", "_amax")
@@ -94,12 +163,34 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, entries):
-        """The nonzeros of DenseMatrix.from_rows(entries), same canonical form."""
-        dense = DenseMatrix.from_rows(entries)
-        re, im = dense._re.ravel(), dense._im.ravel()
-        key = np.flatnonzero((re != 0) | (im != 0)).astype(np.int64)
-        return cls(dense.rows, dense.cols, key, re[key], im[key],
-                   dense._den, dense._amax)
+        """The matrix of a list of rows of int, Fraction or ExactScalar entries.
+
+        Each numerator is the entry's numerator times den // its denominator,
+        over den, the lcm of all denominators.  Ragged rows raise
+        DimensionError; a float or complex entry raises TypeError.
+        """
+        rows = len(entries)
+        cols = len(entries[0]) if rows else 0
+        if any(len(r) != cols for r in entries):
+            raise DimensionError("ragged rows")
+        key, res, ims = [], [], []
+        for i, row in enumerate(entries):
+            for j, v in enumerate(row):
+                re, im = _parts(v)
+                if re or im:
+                    key.append(i * cols + j)
+                    res.append(re)
+                    ims.append(im)
+        parts = res + ims
+        den = math.lcm(*(x.denominator for x in parts))
+        # a prime of den divides the denominator of some entry to its full
+        # power, and then not that entry's numerator over den: lowest terms
+        nums = [x.numerator * (den // x.denominator) for x in parts]
+        amax = max(map(abs, nums), default=0)
+        nums = np.array(nums, dtype=np.int64 if amax < _DOWNCAST_LIMIT else object)
+        n = len(key)
+        return cls(rows, cols, np.array(key, dtype=np.int64), nums[:n], nums[n:],
+                   den, amax)
 
     @classmethod
     def monomial(cls, perm, re, im):
@@ -110,17 +201,13 @@ class SparseMatrix:
                                np.asarray(im, dtype=np.int64), 1)
 
     @classmethod
-    def identity(cls, n, kind="exact"):
-        if kind != "exact":
-            raise DomainError(f"sparse storage is exact only, not {kind!r}")
+    def identity(cls, n):
         return cls(n, n, np.arange(n, dtype=np.int64) * (n + 1),
                    np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 1,
                    1 if n else 0)
 
     @classmethod
-    def zeros(cls, rows, cols, kind="exact"):
-        if kind != "exact":
-            raise DomainError(f"sparse storage is exact only, not {kind!r}")
+    def zeros(cls, rows, cols):
         return cls(rows, cols, _EMPTY, _EMPTY, _EMPTY, 1, 0)
 
     # ------------------------------------------------------------- interface
@@ -202,7 +289,7 @@ class SparseMatrix:
                 and bool(np.array_equal(self._im, other._im)))
 
     def is_zero(self, tol=None):
-        """Exact zero test; tol is ignored, as in the dense exact kind."""
+        """Exact zero test; tol is ignored."""
         return self._amax == 0
 
     def max_abs(self):
@@ -228,28 +315,62 @@ class SparseMatrix:
         return ExactScalar(Fraction(sum(self._re[diag].tolist()), self._den),
                            Fraction(sum(self._im[diag].tolist()), self._den))
 
-    def hermitian(self):
-        """Conjugate transpose."""
+    def _transposed(self, im):
         row, col = np.divmod(self._key, max(self.cols, 1))
         key = col * self.rows + row
         order = np.argsort(key, kind="stable")
         return SparseMatrix(self.cols, self.rows, key[order], self._re[order],
-                            -self._im[order], self._den, self._amax)
+                            im[order], self._den, self._amax)
 
-    def to_dense(self):
-        """The same matrix as an exact DenseMatrix (an N x N array)."""
-        arrays = []
-        for values in (self._re, self._im):
-            full = np.zeros(self.rows * self.cols, dtype=values.dtype)
-            full[self._key] = values
-            arrays.append(full.reshape(self.rows, self.cols))
-        return DenseMatrix(rows=self.rows, cols=self.cols, kind="exact",
-                           re=arrays[0], im=arrays[1], den=self._den,
-                           amax=self._amax)
+    def transpose(self):
+        return self._transposed(self._im)
+
+    def hermitian(self):
+        """Conjugate transpose."""
+        return self._transposed(-self._im)
+
+    def frobenius_norm2(self):
+        """Sum of squared entry moduli, as an exact Fraction."""
+        total = sum(x * x for arr in (self._re, self._im) for x in arr.tolist())
+        return Fraction(total, self._den ** 2)
+
+    def to_float(self):
+        """The same matrix in the float backend (lossy for large numerators)."""
+        full = np.zeros(self.rows * self.cols, dtype=np.complex128)
+        full[self._key] = (self._re.astype(np.float64)
+                           + 1j * self._im.astype(np.float64)) / self._den
+        return DenseMatrix(full.reshape(self.rows, self.cols))
 
     def fingerprint(self):
-        """Content hash of the dense matrix this stands for (DenseMatrix.fingerprint)."""
-        return self.to_dense().fingerprint()
+        """Content hash of the canonical form: its nonzeros, not an N x N array.
+
+        Hashes, in order, the kind, shape, denominator and nonzero count, the
+        sorted linear indices, then the real and the imaginary numerators.
+        Numerators are hashed as little-endian int64 bytes when all lie below
+        2^62, else as comma-separated decimal strings, each closed by ";";
+        either way equal matrices hash equal, whatever dtype holds them.
+        """
+        h = hashlib.sha256()
+        h.update(f"{self.kind}:{self.rows}x{self.cols}:{self._den}:"
+                 f"{self._key.size}:".encode())
+        h.update(self._key.astype("<i8").tobytes())
+        for arr in (self._re, self._im):
+            if self._amax < _DOWNCAST_LIMIT:
+                h.update(arr.astype("<i8").tobytes())
+            else:
+                h.update((",".join(map(str, arr.tolist())) + ";").encode())
+        return h.hexdigest()
 
     def __repr__(self):
         return f"<SparseMatrix {self.rows}x{self.cols} exact nnz={self._key.size}>"
+
+
+_BACKENDS = {"exact": SparseMatrix, "float": DenseMatrix}
+
+
+def matrix_type(kind):
+    """The matrix class of a backend: SparseMatrix (exact) or DenseMatrix (float)."""
+    try:
+        return _BACKENDS[kind]
+    except KeyError:
+        raise DomainError(f"unknown backend kind {kind!r}") from None

@@ -13,6 +13,7 @@ from quatspin.clifford import (
 )
 from quatspin.errors import DimensionError, DomainError, ResourceLimitError
 from quatspin.exact import DenseMatrix, ExactScalar
+from quatspin.sparse import SparseMatrix
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,9 @@ def test_action_linearity(model2):
 
 def test_action_shape_checks(model2):
     with pytest.raises(DimensionError):
-        vector_action(model2, DenseMatrix.zeros(3, 1))
+        vector_action(model2, SparseMatrix.zeros(3, 1))
+    with pytest.raises(TypeError):
+        vector_action(model2, DenseMatrix.zeros(model2.n, 1))
     with pytest.raises(DomainError):
         basis_vector(model2, 8)
 
@@ -118,6 +121,17 @@ def test_content_hash_deterministic():
     a = build_clifford_model(1)
     b = build_clifford_model(1)
     assert a.content_hash() == b.content_hash()
+
+
+@pytest.mark.parametrize("m, kind, digest", [
+    (1, "exact", "fc02a4d813ef31196a4faced14eac65b3077ee4da3ba6d9666469d59c3ed56d8"),
+    (2, "exact", "c388f54a7c9e985024627b82d236b15fe13688a073d08797000fdb55e34435c8"),
+    (1, "float", "26f0fdfaca38ea234bd5bf07692f149b234f0e1be6da8decc02ef6ad08c91dee"),
+])
+def test_model_hash_is_pinned(m, kind, digest):
+    # the exact hash reads the nonzeros of each generator, the float one
+    # its complex128 bytes; a change to either is a change of every report
+    assert build_clifford_model(m, kind=kind).content_hash() == digest
 
 
 def test_float_backend_model():

@@ -82,12 +82,12 @@ def test_marginal_multiplicities_match_lapack(world2):
     # independent oracle: LAPACK eigenvalues of the Hermitian forms
     model, _, ops, dec = world2
     m = model.m
-    kr = np.linalg.eigvalsh(ops.kraines.to_dense().to_complex_array())
+    kr = np.linalg.eigvalsh(ops.kraines.to_float().to_complex_array())
     for r in range(m + 1):
         expect = sum(b.dim for b in dec.nonzero_blocks() if b.r == r)
         got = int(np.sum(np.abs(kr - omega_eigenvalue(m, r)) < 1e-8))
         assert got == expect
-    wt = np.linalg.eigvalsh(1j * ops[1].to_dense().to_complex_array())
+    wt = np.linalg.eigvalsh(1j * ops[1].to_float().to_complex_array())
     for k in range(2 * m + 1):
         expect = sum(b.dim for b in dec.nonzero_blocks() if b.k == k)
         # eigenvalue of i*Omega_1 is -(2m-2k)

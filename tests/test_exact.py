@@ -11,6 +11,7 @@ from quatspin.exact import (
     column_space_basis,
     lagrange_eigenprojectors,
 )
+from quatspin.sparse import SparseMatrix
 
 
 def rand_scalar(rng, span=6):
@@ -21,7 +22,7 @@ def rand_scalar(rng, span=6):
 
 
 def rand_matrix(rng, rows, cols):
-    return DenseMatrix.from_rows(
+    return SparseMatrix.from_rows(
         [[rand_scalar(rng) for _ in range(cols)] for _ in range(rows)])
 
 
@@ -53,22 +54,22 @@ def test_scalar_int_interop():
 def test_identity_multiplication():
     rng = random.Random(1)
     m = rand_matrix(rng, 4, 4)
-    assert DenseMatrix.identity(4) @ m == m
-    assert m @ DenseMatrix.identity(4) == m
+    assert SparseMatrix.identity(4) @ m == m
+    assert m @ SparseMatrix.identity(4) == m
 
 
 def test_symplectic_square():
-    j = DenseMatrix.from_rows([[0, 1], [-1, 0]])
-    assert j @ j == -DenseMatrix.identity(2)
+    j = SparseMatrix.from_rows([[0, 1], [-1, 0]])
+    assert j @ j == -SparseMatrix.identity(2)
 
 
 def test_matmul_shape_error():
-    a = DenseMatrix.zeros(2, 3)
-    b = DenseMatrix.zeros(2, 3)
+    a = SparseMatrix.zeros(2, 3)
+    b = SparseMatrix.zeros(2, 3)
     with pytest.raises(DimensionError):
         a @ b
     with pytest.raises(DimensionError):
-        a + DenseMatrix.zeros(3, 2)
+        a + SparseMatrix.zeros(3, 2)
 
 
 def test_algebra_properties_random():
@@ -87,8 +88,8 @@ def test_algebra_properties_random():
 
 
 def test_common_denominator_normalization():
-    m = DenseMatrix.from_rows([[Fraction(2, 4), Fraction(3, 6)]])
-    n = DenseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]])
+    m = SparseMatrix.from_rows([[Fraction(2, 4), Fraction(3, 6)]])
+    n = SparseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]])
     assert m == n
     assert m[0, 0] == ExactScalar(Fraction(1, 2))
 
@@ -96,15 +97,15 @@ def test_common_denominator_normalization():
 def test_big_integer_fallback():
     # entries large enough that one product overflows int64
     big = 2**40
-    a = DenseMatrix.from_rows([[big, 0], [0, big]])
+    a = SparseMatrix.from_rows([[big, 0], [0, big]])
     sq = a @ a
     assert sq[0, 0] == ExactScalar(big * big)
-    assert (sq - DenseMatrix.identity(2).scale(big * big)).is_zero()
+    assert (sq - SparseMatrix.identity(2).scale(big * big)).is_zero()
 
 
 def test_hermitian_and_trace():
-    m = DenseMatrix.from_rows([[ExactScalar(1, 2), ExactScalar(0, -1)],
-                               [ExactScalar(3), ExactScalar(Fraction(1, 3), 1)]])
+    m = SparseMatrix.from_rows([[ExactScalar(1, 2), ExactScalar(0, -1)],
+                                [ExactScalar(3), ExactScalar(Fraction(1, 3), 1)]])
     h = m.hermitian()
     assert h[0, 0] == ExactScalar(1, -2)
     assert h[0, 1] == ExactScalar(3)
@@ -113,20 +114,20 @@ def test_hermitian_and_trace():
 
 
 def test_diagonal_eigenprojectors():
-    d = DenseMatrix.from_rows([[1, 0], [0, -1]])
+    d = SparseMatrix.from_rows([[1, 0], [0, -1]])
     projs = lagrange_eigenprojectors(d, [1, -1])
-    assert projs[ExactScalar(1)] == DenseMatrix.from_rows([[1, 0], [0, 0]])
-    assert projs[ExactScalar(-1)] == DenseMatrix.from_rows([[0, 0], [0, 1]])
+    assert projs[ExactScalar(1)] == SparseMatrix.from_rows([[1, 0], [0, 0]])
+    assert projs[ExactScalar(-1)] == SparseMatrix.from_rows([[0, 0], [0, 1]])
 
 
 def test_eigenprojectors_reject_duplicates():
-    d = DenseMatrix.identity(2)
+    d = SparseMatrix.identity(2)
     with pytest.raises(DomainError):
         lagrange_eigenprojectors(d, [1, 1])
 
 
 def test_eigenprojectors_certification_failure():
-    d = DenseMatrix.from_rows([[1, 0], [0, 2]])
+    d = SparseMatrix.from_rows([[1, 0], [0, 2]])
     with pytest.raises(SpectrumError):
         lagrange_eigenprojectors(d, [1, -1])
 
@@ -134,63 +135,63 @@ def test_eigenprojectors_certification_failure():
 def test_eigenprojectors_reject_a_jordan_block():
     # (a - I)(a + I) != 0: the stated spectrum is right, but a is not
     # diagonalizable, and the eigen-equation certificate must catch it
-    jordan = DenseMatrix.from_rows([[1, 1], [0, 1]])
+    jordan = SparseMatrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(SpectrumError, match="eigen-equation"):
         lagrange_eigenprojectors(jordan, [1, -1])
 
 
 def test_max_abs_is_the_largest_entry_modulus():
     # the maxima of |re| and |im| sit in different entries
-    assert DenseMatrix.from_rows([[1, ExactScalar(0, 1)]]).max_abs() == 1.0
-    assert DenseMatrix.from_rows(
+    assert SparseMatrix.from_rows([[1, ExactScalar(0, 1)]]).max_abs() == 1.0
+    assert SparseMatrix.from_rows(
         [[ExactScalar(Fraction(3, 2), -2), 1]]).max_abs() == 2.5
     # squares of these numerators overflow int64
     big = 2**31
-    m = DenseMatrix.from_rows([[ExactScalar(3 * big, 4 * big), 1],
-                               [ExactScalar(0, 4 * big + 1), 1]])
+    m = SparseMatrix.from_rows([[ExactScalar(3 * big, 4 * big), 1],
+                                [ExactScalar(0, 4 * big + 1), 1]])
     assert m.max_abs() == 5.0 * big
     assert m.max_abs() == m.to_float().max_abs()
 
 
 def test_eigenprojectors_nontrivial():
     # rank-1 projector pair for a non-diagonal involution
-    m = DenseMatrix.from_rows([[0, 1], [1, 0]])
+    m = SparseMatrix.from_rows([[0, 1], [1, 0]])
     projs = lagrange_eigenprojectors(m, [1, -1])
     p = projs[ExactScalar(1)]
-    assert p == DenseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)],
-                                       [Fraction(1, 2), Fraction(1, 2)]])
+    assert p == SparseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)],
+                                        [Fraction(1, 2), Fraction(1, 2)]])
     assert p.trace() == ExactScalar(1)
 
 
 def test_eigenprojectors_float_backend():
-    d = DenseMatrix.from_rows([[1, 0], [0, -1]], kind="float")
+    d = DenseMatrix.from_rows([[1, 0], [0, -1]])
     projs = lagrange_eigenprojectors(d, [1, -1], tol=1e-12)
     p = projs[complex(1)]
-    assert (p - DenseMatrix.from_rows([[1, 0], [0, 0]], kind="float")).is_zero(1e-12)
+    assert (p - DenseMatrix.from_rows([[1, 0], [0, 0]])).is_zero(1e-12)
 
 
 def test_column_space_basis_exact():
     # second column is a multiple of the first, third independent
-    m = DenseMatrix.from_rows([[1, 2, 0],
-                               [2, 4, 1],
-                               [3, 6, 0]])
+    m = SparseMatrix.from_rows([[1, 2, 0],
+                                [2, 4, 1],
+                                [3, 6, 0]])
     basis = column_space_basis(m)
     assert len(basis) == 2
     # reduced form: pivots normalized to 1, sorted by pivot position
     assert [b[0, 0] for b in basis] == [ExactScalar(1), ExactScalar(0)]
     assert basis[1][1, 0] == ExactScalar(1)
     # the original columns must be reproducible from the basis
-    span = DenseMatrix.from_rows([[basis[j][i, 0] for j in range(2)]
-                                  for i in range(3)])
+    span = SparseMatrix.from_rows([[basis[j][i, 0] for j in range(2)]
+                                   for i in range(3)])
     # column 0 = 1*b0 + 2*b1 + 3*... check via elimination residual instead
-    col0 = DenseMatrix.from_rows([[1], [2], [3]])
-    coeff = DenseMatrix.from_rows([[1], [2]])
+    col0 = SparseMatrix.from_rows([[1], [2], [3]])
+    coeff = SparseMatrix.from_rows([[1], [2]])
     assert span @ coeff == col0
 
 
 def test_column_space_basis_of_projector():
-    p = DenseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)],
-                               [Fraction(1, 2), Fraction(1, 2)]])
+    p = SparseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 2)],
+                                [Fraction(1, 2), Fraction(1, 2)]])
     basis = column_space_basis(p)
     assert len(basis) == 1
     assert basis[0][0, 0] == ExactScalar(1)
@@ -203,33 +204,54 @@ def test_scaled_representation_invariance():
     scaled = m.scale(Fraction(7, 5)).scale(Fraction(5, 7))
     assert scaled == m
     assert m.fingerprint() == scaled.fingerprint()
-    assert m.fingerprint() != (m + DenseMatrix.identity(3)).fingerprint()
+    assert m.fingerprint() != (m + SparseMatrix.identity(3)).fingerprint()
+    # the index bytes are hashed: the same value at another position differs
+    one = SparseMatrix.from_rows([[1, 0], [0, 0]])
+    moved = SparseMatrix.from_rows([[0, 1], [0, 0]])
+    assert one._re.tobytes() == moved._re.tobytes()
+    assert one.fingerprint() != moved.fingerprint()
+
+
+def with_object_numerators(m):
+    """The same matrix, its numerators held as object-dtype Python ints."""
+    return SparseMatrix(m.rows, m.cols, m._key, m._re.astype(object),
+                        m._im.astype(object), m._den, m._amax)
 
 
 def test_fingerprint_reads_values_not_storage():
     m = rand_matrix(random.Random(4), 3, 4)
-    stored = [DenseMatrix(rows=3, cols=4, kind="exact", re=re, im=im, den=m._den)
-              for re, im in ((m._re.astype(object), m._im.astype(object)),
-                             (np.asfortranarray(m._re), np.asfortranarray(m._im)))]
-    assert [s.fingerprint() for s in stored] == [m.fingerprint()] * 2
-    big = m.scale(2**62)
-    assert big._amax >= 2**62
-    assert big.fingerprint() == m.scale(2**61).scale(2).fingerprint()
-    assert big.fingerprint() != m.fingerprint()
+    assert m._re.dtype == np.int64
+    assert with_object_numerators(m).fingerprint() == m.fingerprint()
+    # unit numerators: 2^61 stays below the 2^62 limit of the int64 bytes,
+    # and the second scale crosses it while the product still runs in int64
+    unit = SparseMatrix.from_rows([[1, ExactScalar(0, -1), 0],
+                                   [ExactScalar(1, 1), 0, -1]])
+    half = unit.scale(2**61)
+    big = half.scale(2)
+    assert half._amax < 2**62 <= big._amax and big._re.dtype == np.int64
+    assert big.fingerprint() == with_object_numerators(big).fingerprint()
+    assert big.fingerprint() == unit.scale(2**62).fingerprint()
+    assert big.fingerprint() != half.fingerprint()
+    # numerators past 2^63 only fit object dtype
+    huge = m.scale(2**62)
+    assert huge._re.dtype == object
+    assert huge.fingerprint() == m.scale(2**61).scale(2).fingerprint()
+    assert huge.fingerprint() != m.fingerprint()
 
 
 def test_complex_array_of_object_numerators_rounds_like_float():
     # numerators above 2^63 stay in object dtype; each must round as float(x)
-    re = np.array([[2**64 + 12345, -(2**70) - 1], [3, 2**63 + 1]], dtype=object)
-    im = np.array([[1, 2**65 + 7], [0, -5]], dtype=object)
-    m = DenseMatrix.from_int_arrays(re, im, den=7)
+    re = [[2**64 + 12345, -(2**70) - 1], [3, 2**63 + 1]]
+    im = [[1, 2**65 + 7], [0, -5]]
+    m = SparseMatrix.from_rows([[ExactScalar(Fraction(x, 7), Fraction(y, 7))
+                                 for x, y in zip(rr, ri)] for rr, ri in zip(re, im)])
     assert m._re.dtype == object and m._den == 7
 
-    def per_element(arr):
-        return np.array([[float(x) for x in row] for row in arr.tolist()])
+    def per_element(rows):
+        return np.array([[float(x) for x in row] for row in rows])
 
-    want = (per_element(m._re) + 1j * per_element(m._im)) / m._den
-    assert np.array_equal(m.to_complex_array(), want)
+    want = (per_element(re) + 1j * per_element(im)) / 7
+    assert np.array_equal(m.to_float().to_complex_array(), want)
 
 
 def test_float_backend_mirror():
@@ -237,7 +259,11 @@ def test_float_backend_mirror():
     a = rand_matrix(rng, 3, 3)
     b = rand_matrix(rng, 3, 3)
     fa, fb = a.to_float(), b.to_float()
+    assert isinstance(fa, DenseMatrix) and fa.to_float() is fa
     prod = (a @ b).to_float()
     assert ((fa @ fb) - prod).is_zero(1e-12)
     assert (fa + fb - (a + b).to_float()).is_zero(1e-12)
+    assert (fa.transpose() - a.transpose().to_float()).is_zero(1e-12)
+    assert (fa.hermitian() - a.hermitian().to_float()).is_zero(1e-12)
+    assert fa.frobenius_norm2() == pytest.approx(float(a.frobenius_norm2()))
     assert not fa.is_zero(1e-12)

@@ -1,9 +1,10 @@
-"""Property tests of the exact kernels against a Fraction reference.
+"""Property tests of the exact kernel, SparseMatrix, against a Fraction reference.
 
-Every operation runs on both exact storages, DenseMatrix and SparseMatrix,
-and each result must equal the reference and hold the same canonical form
-in both: the same denominator, the same numerators and dtype, and the same
-fingerprint, so a model hash cannot depend on the storage.
+Every result must equal the reference and hold the canonical form: a
+positive denominator in lowest terms, only nonzeros at strictly increasing
+positions, int64 numerators unless one reaches 2^62, and a fingerprint that
+does not change when the same numerators are held as object dtype, so a
+model hash cannot depend on the storage.
 
 Numerators are drawn around 2^26, 2^31, 2^32, 2^53, 2^62 and 2^63, so the
 operations run through the int64 path, the object-dtype fallback once a
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from quatspin.clifford import build_clifford_model
-from quatspin.exact import DenseMatrix, ExactScalar
+from quatspin.exact import ExactScalar
 from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
 from quatspin.sparse import SparseMatrix
 
@@ -55,9 +56,8 @@ def grids(draw, count=1):
 
 
 def build(g):
-    """The grid as an exact (DenseMatrix, SparseMatrix) pair."""
-    rows = [[ExactScalar(*e) for e in row] for row in g]
-    return DenseMatrix.from_rows(rows), SparseMatrix.from_rows(rows)
+    """The grid as a SparseMatrix of ExactScalar entries."""
+    return SparseMatrix.from_rows([[ExactScalar(*e) for e in row] for row in g])
 
 
 def from_matrix(m):
@@ -65,18 +65,24 @@ def from_matrix(m):
             for i in range(m.rows)]
 
 
-def check(pair, expect):
-    """Both storages give the reference, in one canonical form."""
-    dense, sparse = pair
-    assert from_matrix(dense) == expect
-    assert from_matrix(sparse) == expect
-    assert sparse._den == dense._den
-    assert sparse._re.dtype == dense._re.dtype
-    assert sparse.to_dense() == dense
-    assert sparse.fingerprint() == dense.fingerprint()
+def with_object_numerators(m):
+    """The same sparse matrix, its numerators held as object-dtype Python ints."""
+    return SparseMatrix(m.rows, m.cols, m._key, m._re.astype(object),
+                        m._im.astype(object), m._den, m._amax)
+
+
+def check(m, expect):
+    """The matrix gives the reference, in canonical form."""
+    assert from_matrix(m) == expect
+    nums = m._re.tolist() + m._im.tolist()
+    assert m._den > 0 and math.gcd(m._den, *nums) == 1
+    assert m._amax == max(map(abs, nums), default=0)
+    assert m._re.dtype == m._im.dtype
+    assert m._re.dtype == np.int64 or m._amax >= 2**62
+    assert m.fingerprint() == with_object_numerators(m).fingerprint()
     # only nonzeros are stored, at strictly increasing positions
-    assert ((sparse._re != 0) | (sparse._im != 0)).all()
-    assert (np.diff(sparse._key) > 0).all()
+    assert ((m._re != 0) | (m._im != 0)).all()
+    assert (np.diff(m._key) > 0).all()
 
 
 def mul(x, y):
@@ -101,8 +107,7 @@ def reference_product(a, b):
 def test_matmul_matches_reference(n, k, p, data):
     a = data.draw(grid(n, k))
     b = data.draw(grid(k, p))
-    (da, sa), (db, sb) = build(a), build(b)
-    check((da @ db, sa @ sb), reference_product(a, b))
+    check(build(a) @ build(b), reference_product(a, b))
 
 
 @pytest.mark.parametrize("base", BOUNDARIES)
@@ -110,30 +115,23 @@ def test_matmul_matches_reference(n, k, p, data):
 def test_row_and_column_shapes(base, k):
     row = [[(Fraction(base + t), Fraction(1 - base)) for t in range(k)]]
     col = [[(Fraction(t - base, 3), Fraction(base))] for t in range(k)]
-    (dr, sr), (dc, sc) = build(row), build(col)
-    check((dr @ dc, sr @ sc), reference_product(row, col))
-    check((dc @ dr, sc @ sr), reference_product(col, row))
-    check((dr + dr, sr + sr), [[(2 * x[0], 2 * x[1]) for x in row[0]]])
+    r, c = build(row), build(col)
+    check(r @ c, reference_product(row, col))
+    check(c @ r, reference_product(col, row))
+    check(r + r, [[(2 * x[0], 2 * x[1]) for x in row[0]]])
 
 
 def test_product_just_above_the_float_guard_is_exact():
     # 3 * 3002399751580331 = 2^53 + 1, odd, so float64 cannot hold it; the
-    # int64 path forms it exactly in both storages
-    for cls in (DenseMatrix, SparseMatrix):
-        product = cls.from_rows([[3]]) @ cls.from_rows([[3002399751580331]])
-        assert product[0, 0] == 2**53 + 1
-        # a complex product whose two terms are each below 2^53 but whose
-        # odd sum, 2^53 + 9 * 2^26 + 9, is not
-        x = 2**26 + 3
-        a = cls.from_rows([[ExactScalar(x, x)]])
-        b = cls.from_rows([[ExactScalar(2**26 + 2, 2**26 + 1)]])
-        assert (a @ b)[0, 0] == ExactScalar(x, x * (2**27 + 3))
-
-
-def with_object_numerators(m):
-    """The same sparse matrix, its numerators held as object-dtype Python ints."""
-    return SparseMatrix(m.rows, m.cols, m._key, m._re.astype(object),
-                        m._im.astype(object), m._den, m._amax)
+    # int64 path forms it exactly
+    product = SparseMatrix.from_rows([[3]]) @ SparseMatrix.from_rows([[3002399751580331]])
+    assert product[0, 0] == 2**53 + 1
+    # a complex product whose two terms are each below 2^53 but whose
+    # odd sum, 2^53 + 9 * 2^26 + 9, is not
+    x = 2**26 + 3
+    a = SparseMatrix.from_rows([[ExactScalar(x, x)]])
+    b = SparseMatrix.from_rows([[ExactScalar(2**26 + 2, 2**26 + 1)]])
+    assert (a @ b)[0, 0] == ExactScalar(x, x * (2**27 + 3))
 
 
 def test_clifford_layer_product_matches_object_dtype():
@@ -145,27 +143,25 @@ def test_clifford_layer_product_matches_object_dtype():
     product = a @ b
     assert not product.is_zero()
     assert product == with_object_numerators(a) @ with_object_numerators(b)
-    assert product.to_dense() == a.to_dense() @ b.to_dense()
 
 
 @settings
 @hypothesis.given(grids(count=2))
 def test_add_and_sub_match_reference(pair):
     a, b = pair
-    (da, sa), (db, sb) = build(a), build(b)
-    check((da + db, sa + sb), [[(x[0] + y[0], x[1] + y[1]) for x, y in zip(ra, rb)]
-                               for ra, rb in zip(a, b)])
-    check((da - db, sa - sb), [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)]
-                               for ra, rb in zip(a, b)])
+    sa, sb = build(a), build(b)
+    check(sa + sb, [[(x[0] + y[0], x[1] + y[1]) for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a, b)])
+    check(sa - sb, [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a, b)])
 
 
 @settings
 @hypothesis.given(grids(), entries)
 def test_scale_matches_reference(single, s):
     (a,) = single
-    d, sp = build(a)
     s = ExactScalar(*s)
-    check((d.scale(s), sp.scale(s)), [[mul(x, (s.re, s.im)) for x in row] for row in a])
+    check(build(a).scale(s), [[mul(x, (s.re, s.im)) for x in row] for row in a])
 
 
 @settings
@@ -177,14 +173,14 @@ def test_exact_cancellation_leaves_an_empty_matrix(single, p):
     # [a a] @ [b; -b] = a b - a b: every term is formed, and all cancel
     wide = [row + row for row in a]
     tall = b + [[(-x[0], -x[1]) for x in row] for row in b]
-    (dw, sw), (dt, st_) = build(wide), build(tall)
+    sw, st_ = build(wide), build(tall)
     zero_np = [[(0, 0)] * p for _ in range(n)]
     zero_nk = [[(0, 0)] * k for _ in range(n)]
-    check((dw @ dt, sw @ st_), zero_np)
-    d, sp = build(a)
-    check((d - d, sp - sp), zero_nk)
-    check((d + -d, sp + -sp), zero_nk)
-    check((d.scale(0), sp.scale(0)), zero_nk)
+    check(sw @ st_, zero_np)
+    sp = build(a)
+    check(sp - sp, zero_nk)
+    check(sp + -sp, zero_nk)
+    check(sp.scale(0), zero_nk)
     for m in (sw @ st_, sp - sp, sp.scale(0)):
         assert m.is_zero() and m._key.size == 0 and m._den == 1
 
@@ -194,25 +190,48 @@ def test_exact_cancellation_leaves_an_empty_matrix(single, p):
 def test_all_zero_operands(n, k, p, data):
     a = data.draw(grid(n, k))
     b = data.draw(grid(k, p))
-    (da, sa), (db, sb) = build(a), build(b)
-    dz_nk, sz_nk = DenseMatrix.zeros(n, k), SparseMatrix.zeros(n, k)
-    dz_kp, sz_kp = DenseMatrix.zeros(k, p), SparseMatrix.zeros(k, p)
+    sa, sb = build(a), build(b)
+    sz_nk, sz_kp = SparseMatrix.zeros(n, k), SparseMatrix.zeros(k, p)
     zero_np = [[(0, 0)] * p for _ in range(n)]
-    check((dz_nk @ db, sz_nk @ sb), zero_np)
-    check((da @ dz_kp, sa @ sz_kp), zero_np)
-    check((dz_nk @ dz_kp, sz_nk @ sz_kp), zero_np)
-    check((da + dz_nk, sa + sz_nk), from_matrix(da))
-    check((dz_nk - da, sz_nk - sa), from_matrix(-da))
-    check((dz_nk.scale(ExactScalar(2, -3)), sz_nk.scale(ExactScalar(2, -3))),
-          [[(0, 0)] * k for _ in range(n)])
+    check(sz_nk @ sb, zero_np)
+    check(sa @ sz_kp, zero_np)
+    check(sz_nk @ sz_kp, zero_np)
+    check(sa + sz_nk, a)
+    check(sz_nk - sa, [[(-x[0], -x[1]) for x in row] for row in a])
+    check(sz_nk.scale(ExactScalar(2, -3)), [[(0, 0)] * k for _ in range(n)])
 
 
 @settings
 @hypothesis.given(grids())
 def test_norms_match_reference(single):
     (a,) = single
-    d, sp = build(a)
+    m = build(a)
     squares = [x[0] ** 2 + x[1] ** 2 for row in a for x in row]
-    assert d.frobenius_norm2() == sum(squares)
-    for m in (d, sp):
-        assert math.isclose(m.max_abs(), math.sqrt(max(squares)), rel_tol=1e-12)
+    assert m.frobenius_norm2() == sum(squares)
+    assert math.isclose(m.max_abs(), math.sqrt(max(squares)), rel_tol=1e-12)
+
+
+@settings
+@hypothesis.given(grids())
+def test_transpose_and_hermitian_match_reference(single):
+    (a,) = single
+    m = build(a)
+    t = [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
+    check(m.transpose(), t)
+    check(m.hermitian(), [[(x[0], -x[1]) for x in row] for row in t])
+
+
+def whole_or_fraction(q):
+    return int(q) if q.denominator == 1 else q
+
+
+@settings
+@hypothesis.given(grids())
+def test_from_rows_matches_reference(single):
+    (a,) = single
+    # real entries as int or Fraction, the others as ExactScalar
+    mixed = [[whole_or_fraction(x[0]) if x[1] == 0 else ExactScalar(*x) for x in row]
+             for row in a]
+    check(SparseMatrix.from_rows(mixed), a)
+    real = [[x[0] for x in row] for row in a]
+    check(SparseMatrix.from_rows(real), [[(x, 0) for x in row] for row in real])

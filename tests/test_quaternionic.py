@@ -4,7 +4,7 @@ import pytest
 
 from quatspin.clifford import basis_vector, build_clifford_model, corrupt_gamma, vector_action
 from quatspin.errors import DomainError
-from quatspin.exact import DenseMatrix, ExactScalar
+from quatspin.exact import ExactScalar
 from quatspin.quaternionic import (
     build_adapted_basis,
     build_kaehler_operators,
@@ -14,6 +14,7 @@ from quatspin.quaternionic import (
     sl2_generators,
     structure_report,
 )
+from quatspin.sparse import SparseMatrix
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def test_quaternion_composition(setup1):
     assert triple[1] @ triple[2] == triple[3]
     assert triple[2] @ triple[1] == -triple[3]
     for a in (1, 2, 3):
-        assert triple[a] @ triple[a] == -DenseMatrix.identity(4)
+        assert triple[a] @ triple[a] == -SparseMatrix.identity(4)
 
 
 def test_adaptedness(setup2):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quatspin.errors import DimensionError, DomainError, SpectrumError
-from quatspin.exact import DenseMatrix, ExactScalar
+from quatspin.exact import ExactScalar
 from quatspin.quaternionic import epsilon
 from quatspin.so3 import (
     Rotation,
@@ -21,6 +21,7 @@ from quatspin.so3 import (
     rotation_from_quaternion,
     top_weight_projector,
 )
+from quatspin.sparse import SparseMatrix
 
 
 def _comm(a, b):
@@ -40,7 +41,7 @@ def test_commutators_exact_up_to_r50():
     for r in range(51):
         ir = build_irrep(r)
         for a, b in ((1, 2), (2, 3), (3, 1)):
-            expected = DenseMatrix.zeros(ir.dim, ir.dim)
+            expected = SparseMatrix.zeros(ir.dim, ir.dim)
             for c in (1, 2, 3):
                 eps = epsilon(a, b, c)
                 if eps:
@@ -52,12 +53,12 @@ def test_casimir_scalar():
     for r in range(13):
         ir = build_irrep(r)
         casimir = (ir[1] @ ir[1] + ir[2] @ ir[2] + ir[3] @ ir[3]).scale(Fraction(1, 8))
-        target = DenseMatrix.identity(ir.dim).scale(Fraction(r * (r + 2), 8))
+        target = SparseMatrix.identity(ir.dim).scale(Fraction(r * (r + 2), 8))
         assert (casimir - target).is_zero(), r
     # r = 2: the scalar is exactly 1
     ir2 = build_irrep(2)
     c2 = (ir2[1] @ ir2[1] + ir2[2] @ ir2[2] + ir2[3] @ ir2[3]).scale(Fraction(1, 8))
-    assert (c2 - DenseMatrix.identity(3)).is_zero()
+    assert (c2 - SparseMatrix.identity(3)).is_zero()
 
 
 def test_weight_diagonal_and_trivial_irrep():
@@ -147,8 +148,10 @@ def test_highest_weight_component_oracles():
     gy = rotation_from_quaternion(1, 0, 1, 0)
     mag = highest_weight_component(ir, gy, [0, 1])
     assert mag * mag == pytest.approx(0.5, abs=1e-12)
-    col = DenseMatrix.from_rows([[0], [1]])
+    col = SparseMatrix.from_rows([[0], [1]])
     assert highest_weight_component(ir, gy, col) == pytest.approx(mag)
+    with pytest.raises(TypeError, match="backend"):
+        highest_weight_component(ir, gy, col.to_float())
     with pytest.raises(DomainError):
         highest_weight_component(ir, e, [0, 0])
     with pytest.raises(DimensionError):
@@ -245,7 +248,7 @@ def test_top_weight_projector_rejects_a_corrupted_generator():
     gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
     p = top_weight_projector(ir, gen)
     assert p @ p == p and p.trace() == ExactScalar(1)
-    bump = DenseMatrix.from_rows([[1 if (s, t) == (0, 1) else 0
-                                   for t in range(ir.dim)] for s in range(ir.dim)])
+    bump = SparseMatrix.from_rows([[1 if (s, t) == (0, 1) else 0
+                                    for t in range(ir.dim)] for s in range(ir.dim)])
     with pytest.raises(SpectrumError, match="eigen-equation"):
         top_weight_projector(ir, gen + bump)
