@@ -5,11 +5,9 @@ iterated tensor construction Z x ... x Z x X x I x ... x I of 2m factors:
 j diagonal sign factors Z = diag(1, -1), one of the two 2x2 blocks
 A = [[0, i], [i, 0]] and B = [[0, 1], [-1, 0]] (each squares to -1) in
 factor j, then identities.  Each is a phase times a permutation, so every
-matrix entry lies in {0, +1, -1, +i, -i}.  The exact model builds each
-generator by index arithmetic on the bits of the spinor index and stores it
-as a SparseMatrix.  The float model keeps dense complex128 generators from
-the np.kron chain itself: the signed zeros of that chain are part of the
-bytes its content hash reads.
+matrix entry lies in {0, +1, -1, +i, -i}.  Both backends build each one
+by index arithmetic on the bits of the spinor index, as an exact
+SparseMatrix; the float model converts it with `to_float`.
 """
 
 from __future__ import annotations
@@ -21,16 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
-from .exact import DenseMatrix
 from .sparse import SparseMatrix, matrix_type
 
 DEFAULT_MAX_M = 4
 MAX_M_ENV = "QUATSPIN_MAX_M"
-
-_BLOCK_I = np.eye(2, dtype=np.complex128)
-_BLOCK_A = np.array([[0, 1j], [1j, 0]], dtype=np.complex128)   # squares to -1
-_BLOCK_B = np.array([[0, 1], [-1, 0]], dtype=np.complex128)    # squares to -1
-_BLOCK_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def resolved_max_m():
@@ -42,20 +34,6 @@ def resolved_max_m():
         except ValueError:
             raise DomainError(f"{MAX_M_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_MAX_M
-
-
-def _kron_chain(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-def _float_generator_pair(pairs, j):
-    """The dense complex128 pair of _generator_pair, from the np.kron chain."""
-    lead, tail = [_BLOCK_Z] * j, [_BLOCK_I] * (pairs - j - 1)
-    chains = (_kron_chain(lead + [blk] + tail) for blk in (_BLOCK_A, _BLOCK_B))
-    return [DenseMatrix(c) for c in chains]
 
 
 def _generator_pair(pairs, j):
@@ -119,8 +97,9 @@ def build_clifford_model(m, kind="exact"):
         raise ResourceLimitError(f"m={m} exceeds the cap {cap}; raise it via {MAX_M_ENV}")
     matrix_type(kind)  # DomainError for an unknown backend
     pairs = 2 * m
-    build = _float_generator_pair if kind == "float" else _generator_pair
-    gammas = [g for j in range(pairs) for g in build(pairs, j)]
+    gammas = [g for j in range(pairs) for g in _generator_pair(pairs, j)]
+    if kind == "float":
+        gammas = [g.to_float() for g in gammas]
     return CliffordModel(m=m, n=4 * m, spinor_dim=2 ** (2 * m),
                          gamma=tuple(gammas), kind=kind)
 

@@ -1,10 +1,12 @@
-"""Exact scalars, the float backend, and certified spectral projectors.
+"""Exact scalars, storage by nonzeros, the float backend, and spectral projectors.
 
 `ExactScalar` is a Gaussian rational a + b*i with Fraction components.
-Every exact matrix is a `quatspin.sparse.SparseMatrix`, the one exact
-kernel; `DenseMatrix` here is the float backend, a complex128 array with
-tolerance-based zero tests and the same surface.  `quatspin.sparse.matrix_type`
-maps a backend name to its class.
+Both matrix backends store the sorted linear indices of a matrix's nonzeros
+and value arrays in the same order; the index arithmetic and shape checks
+below serve both, and each backend supplies its value arithmetic.  Every
+exact matrix is a `quatspin.sparse.SparseMatrix`; `DenseMatrix` here is the
+float backend, one complex128 value per nonzero with tolerance-based zero
+tests.  `quatspin.sparse.matrix_type` maps a backend name to its class.
 
 Spectral projectors come from one Lagrange product, certified by its
 eigen-equation alone (see `lagrange_eigenprojectors`); the matrix class
@@ -132,126 +134,220 @@ class ExactScalar:
         return f"ExactScalar({self.re!r}, {self.im!r})"
 
 
-class DenseMatrix:
-    """Immutable dense complex128 matrix: the float backend.
+# ------------------------------------------------------ storage by nonzeros
+# `_key` holds the sorted linear indices row * cols + col of the nonzeros.
 
-    It offers the operations of the exact `quatspin.sparse.SparseMatrix` on
-    one complex128 array and defers every zero test to a tolerance.
+_NO_KEYS = np.zeros(0, dtype=np.int64)
+
+
+def _grid_shape(entries):
+    """(rows, cols) of a list of rows; DimensionError if they are ragged."""
+    rows = len(entries)
+    cols = len(entries[0]) if rows else 0
+    if any(len(r) != cols for r in entries):
+        raise DimensionError("ragged rows")
+    return rows, cols
+
+
+def _product_terms(a, b):
+    """Terms (key, ia, ib) of a @ b, both operands holding a nonzero.
+
+    Each nonzero a[i, t] meets row t of b: term q multiplies nonzero ia[q] of
+    a by nonzero ib[q] of b, and adds to linear index key[q] of the product.
+    """
+    # row t of b holds b._key[start[t]:start[t + 1]]
+    start = np.searchsorted(b._key, np.arange(b.rows + 1, dtype=np.int64) * b.cols)
+    row, mid = np.divmod(a._key, a.cols)
+    counts = start[mid + 1] - start[mid]
+    ends = np.cumsum(counts)
+    ia = np.repeat(np.arange(a._key.size), counts)
+    ib = np.arange(int(ends[-1])) + np.repeat(start[mid] - (ends - counts), counts)
+    return row[ia] * b.cols + b._key[ib] % b.cols, ia, ib
+
+
+def _sum_duplicates(key, *values):
+    """Sort by key and add up, in each value array, the values of equal keys."""
+    if key.size == 0:
+        return (key, *values)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return (key[first], *(np.add.reduceat(v[order], first) for v in values))
+
+
+def _transpose_order(m):
+    """(key, order): the sorted keys of the transpose, and the value order."""
+    row, col = np.divmod(m._key, max(m.cols, 1))
+    key = col * m.rows + row
+    order = np.argsort(key, kind="stable")
+    return key[order], order
+
+
+def _position(m, idx):
+    """Position of entry idx = (i, j) among the stored values, None if zero."""
+    i, j = idx
+    if not (0 <= i < m.rows and 0 <= j < m.cols):
+        raise IndexError(f"index ({i}, {j}) outside {m.rows}x{m.cols}")
+    key = i * m.cols + j
+    pos = int(np.searchsorted(m._key, key))
+    return pos if pos < m._key.size and m._key[pos] == key else None
+
+
+def _diagonal(m):
+    """Mask of the stored values on the diagonal of a square matrix."""
+    if m.rows != m.cols:
+        raise DimensionError("trace of a non-square matrix")
+    # key = i * (n + 1) exactly on the diagonal of an n x n matrix
+    return m._key % (m.cols + 1) == 0
+
+
+class _Nonzeros:
+    """Shape checks and operator dispatch, common to both backends.
+
+    A subclass holds rows, cols and `_key`, and supplies `zeros` and the value
+    arithmetic: `_product` (of operands that each hold a nonzero), `_combine`
+    and `_transposed`.  Mixing the backends raises TypeError.
     """
 
-    __slots__ = ("rows", "cols", "_c")
+    __slots__ = ()
+
+    def __matmul__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if not (self._key.size and other._key.size):
+            return self.zeros(self.rows, other.cols)
+        return self._product(other)
+
+    def _sum(self, other, sign):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionError(
+                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        return self._combine(other, sign)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def transpose(self):
+        return self._transposed(False)
+
+    def hermitian(self):
+        """Conjugate transpose."""
+        return self._transposed(True)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        # the stored form is canonical: equal matrices hold equal arrays
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__slots__)
+
+    def __repr__(self):
+        return (f"<{type(self).__name__} {self.rows}x{self.cols} {self.kind} "
+                f"nnz={self._key.size}>")
+
+
+class DenseMatrix(_Nonzeros):
+    """Immutable complex128 matrix, stored by its nonzeros: the float backend.
+
+    Despite the name the storage is sparse, as in `quatspin.sparse.SparseMatrix`:
+    the sorted linear indices `_key` and one complex128 array `_v` of values.
+    Only exact zeros are dropped, so round-off residues stay stored and every
+    zero test reads them against a tolerance.
+    """
+
+    __slots__ = ("rows", "cols", "_key", "_v")
     kind = "float"
 
-    def __init__(self, c):
-        self.rows, self.cols = c.shape
-        self._c = c
+    def __init__(self, rows, cols, key, v):
+        keep = v != 0
+        self.rows, self.cols, self._key, self._v = rows, cols, key[keep], v[keep]
 
     # ---------------------------------------------------------------- build
 
     @classmethod
     def from_rows(cls, entries):
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        if any(len(r) != cols for r in entries):
-            raise DimensionError("ragged rows")
-        conv = [[v.to_complex() if isinstance(v, ExactScalar) else complex(v)
-                 for v in r] for r in entries]
-        return cls(np.array(conv, dtype=np.complex128).reshape(rows, cols))
+        rows, cols = _grid_shape(entries)
+        v = np.array([x.to_complex() if isinstance(x, ExactScalar) else complex(x)
+                      for r in entries for x in r], dtype=np.complex128)
+        return cls(rows, cols, np.arange(v.size, dtype=np.int64), v)
 
     @classmethod
     def identity(cls, n):
-        return cls(np.eye(n, dtype=np.complex128))
+        return cls(n, n, np.arange(n, dtype=np.int64) * (n + 1),
+                   np.ones(n, dtype=np.complex128))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(np.zeros((rows, cols), np.complex128))
+        return cls(rows, cols, _NO_KEYS, np.zeros(0, dtype=np.complex128))
 
     # ------------------------------------------------------------- interface
 
-    def __matmul__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return DenseMatrix(self._c @ other._c)
+    def _product(self, other):
+        key, ia, ib = _product_terms(self, other)
+        key, v = _sum_duplicates(key, self._v[ia] * other._v[ib])
+        return DenseMatrix(self.rows, other.cols, key, v)
 
     def _combine(self, other, sign):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError(
-                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        return DenseMatrix(self._c + sign * other._c)
-
-    def __add__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self._combine(other, -1)
+        key, v = _sum_duplicates(np.concatenate((self._key, other._key)),
+                                 np.concatenate((self._v, sign * other._v)))
+        return DenseMatrix(self.rows, self.cols, key, v)
 
     def __neg__(self):
-        return DenseMatrix(-self._c)
+        return DenseMatrix(self.rows, self.cols, self._key, -self._v)
 
     def scale(self, s):
         """Multiply by an exact scalar or a complex number."""
-        if isinstance(s, ExactScalar):
-            s = s.to_complex()
-        return DenseMatrix(self._c * complex(s))
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and bool(np.array_equal(self._c, other._c)))
+        s = s.to_complex() if isinstance(s, ExactScalar) else complex(s)
+        return DenseMatrix(self.rows, self.cols, self._key, self._v * s)
 
     def is_zero(self, tol=None):
         """Whether max |entry| is at most tol (FLOAT_TOL if None)."""
-        if self._c.size == 0:
-            return True
-        return bool(np.abs(self._c).max() <= (FLOAT_TOL if tol is None else tol))
+        return self.max_abs() <= (FLOAT_TOL if tol is None else tol)
 
     def max_abs(self):
         """Largest entry modulus (for residual reporting)."""
-        return float(np.abs(self._c).max()) if self._c.size else 0.0
+        return float(np.abs(self._v).max()) if self._v.size else 0.0
 
     def __getitem__(self, idx):
-        i, j = idx
-        return complex(self._c[i, j])
+        pos = _position(self, idx)
+        return 0j if pos is None else complex(self._v[pos])
 
     def trace(self):
-        if self.rows != self.cols:
-            raise DimensionError("trace of a non-square matrix")
-        return complex(self._c.trace())
+        return complex(self._v[_diagonal(self)].sum())
 
-    def transpose(self):
-        return DenseMatrix(self._c.T.copy())
-
-    def hermitian(self):
-        """Conjugate transpose."""
-        return DenseMatrix(self._c.conj().T.copy())
+    def _transposed(self, conjugate):
+        key, order = _transpose_order(self)
+        v = self._v[order]
+        return DenseMatrix(self.cols, self.rows, key, v.conj() if conjugate else v)
 
     def frobenius_norm2(self):
         """Sum of squared entry moduli."""
-        return float(np.sum(np.abs(self._c) ** 2))
+        return float(np.sum(np.abs(self._v) ** 2))
 
     def to_float(self):
         return self
 
     def to_complex_array(self):
-        return self._c.copy()
+        full = np.zeros(self.rows * self.cols, dtype=np.complex128)
+        full[self._key] = self._v
+        return full.reshape(self.rows, self.cols)
 
     def fingerprint(self):
-        """Content hash of the kind, the shape and the complex128 bytes."""
+        """Hash of the kind, shape, nonzero count and sorted linear indices, then
+        the values as little-endian complex128, -0.0 as 0.0 (equal matrices hash equal)."""
         h = hashlib.sha256()
-        h.update(f"{self.kind}:{self.rows}x{self.cols}".encode())
-        h.update(self._c.tobytes())
+        h.update(f"{self.kind}:{self.rows}x{self.cols}:{self._key.size}:".encode())
+        h.update(self._key.astype("<i8").tobytes())
+        h.update((self._v + 0).astype("<c16").tobytes())
         return h.hexdigest()
-
-    def __repr__(self):
-        return f"<DenseMatrix {self.rows}x{self.cols} float>"
 
 
 def scalar_for(matrix, value):
@@ -322,10 +418,10 @@ def column_space_basis(matrix, tol=None):
     if matrix.kind == "float":
         if matrix.cols == 0:
             return []
-        u, s, _ = np.linalg.svd(matrix._c)
+        u, s, _ = np.linalg.svd(matrix.to_complex_array())
         cut = (FLOAT_TOL if tol is None else tol) * max(matrix.rows, matrix.cols)
         rank = int(np.sum(s > cut))
-        return [DenseMatrix(u[:, j:j + 1].copy()) for j in range(rank)]
+        return [DenseMatrix.from_rows(u[:, j:j + 1].tolist()) for j in range(rank)]
     zero = ExactScalar(0)
     basis = []  # list of (pivot_index, coefficients list)
     for j in range(matrix.cols):

@@ -7,23 +7,19 @@ operator is a sum of a few monomial matrices: a generator is a phase times
 a permutation, and at m = 4 the Kaehler operators, the Kraines form and
 every block projector keep at most 6 nonzeros in any row of 256.
 
-A matrix stores the sorted linear indices row * cols + col of its nonzeros,
-and int64 or object (Python int) numerator arrays for their real and
-imaginary parts over one positive denominator.  Every matrix is kept in
-canonical form (`_canonical`): lowest terms, exact zeros dropped, and int64
-numerators whenever all lie below 2^62, so equal matrices hold equal arrays
-and `fingerprint` hashes equal.
-
-A product expands each nonzero A[i, t] against row t of B, then sums the
-terms of equal index with one stable argsort and `np.add.reduceat`; a sum
-concatenates the two operands and reduces the same way.  A product stays
-int64 while 2 * cols * amax_a * amax_b < 2^63, where amax is the largest
-numerator of an operand; past that bound, or with an object operand, it
-runs on Python ints.
+A matrix stores the sorted linear indices of its nonzeros and int64 or
+object (Python int) numerator arrays for their real and imaginary parts
+over one positive denominator, kept in canonical form (`_canonical`):
+lowest terms, exact zeros dropped, and int64 numerators whenever all lie
+below 2^62, so equal matrices hold equal arrays and `fingerprint` hashes
+equal.  The index arithmetic is shared with the float backend,
+`quatspin.exact.DenseMatrix`; only the numerator arithmetic is here.  A
+product stays int64 while 2 * cols * amax_a * amax_b < 2^63, where amax is
+the largest numerator of an operand; past that bound, or with an object
+operand, it runs on Python ints.
 
 Only numpy is used: importing scipy.sparse would cost more than numpy
-itself in every run.  The float backend is `quatspin.exact.DenseMatrix`;
-`matrix_type` maps a backend name to its class.
+itself in every run.  `matrix_type` maps a backend name to its class.
 """
 
 from __future__ import annotations
@@ -34,14 +30,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .exact import DenseMatrix, ExactScalar
+from .errors import DomainError
+from .exact import (DenseMatrix, ExactScalar, _diagonal, _grid_shape, _NO_KEYS, _Nonzeros,
+                    _position, _product_terms, _sum_duplicates, _transpose_order)
 
 # Stay strictly below signed-int64 range for any single sum of two products.
 _INT64_LIMIT = 2**63
 _DOWNCAST_LIMIT = 2**62
-
-_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def _array_gcd(a):
@@ -94,15 +89,6 @@ def _canonical(re, im, den):
     return re, im, den, amax
 
 
-def _max_modulus(re, im, den, amax):
-    """Largest |re + i im| / den over numerator arrays, as a float."""
-    if amax == 0:
-        return 0.0
-    if amax >= 2**31:  # re^2 + im^2 would overflow int64
-        re, im = _as_object(re), _as_object(im)
-    return math.sqrt(Fraction(int((re * re + im * im).max()), den ** 2))
-
-
 def _parts(v):
     """The (re, im) Fractions or ints of an exact entry; TypeError otherwise."""
     if isinstance(v, ExactScalar):
@@ -120,18 +106,7 @@ def _widened(bound, arrays):
     return arrays
 
 
-def _sum_duplicates(key, re, im):
-    """Sort by key and add up the numerators of equal keys."""
-    if key.size == 0:
-        return key, re, im
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return (key[first], np.add.reduceat(re[order], first),
-            np.add.reduceat(im[order], first))
-
-
-class SparseMatrix:
+class SparseMatrix(_Nonzeros):
     """Immutable exact matrix over Gaussian rationals, stored by its nonzeros.
 
     Entry (i, j) is (re + i*im)/den at the position of key i * cols + j, and
@@ -169,10 +144,7 @@ class SparseMatrix:
         over den, the lcm of all denominators.  Ragged rows raise
         DimensionError; a float or complex entry raises TypeError.
         """
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        if any(len(r) != cols for r in entries):
-            raise DimensionError("ragged rows")
+        rows, cols = _grid_shape(entries)
         key, res, ims = [], [], []
         for i, row in enumerate(entries):
             for j, v in enumerate(row):
@@ -208,41 +180,21 @@ class SparseMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, _EMPTY, _EMPTY, _EMPTY, 1, 0)
+        return cls(rows, cols, _NO_KEYS, _NO_KEYS, _NO_KEYS, 1, 0)
 
     # ------------------------------------------------------------- interface
 
-    def __matmul__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows, cols = self.rows, other.cols
-        if self._amax == 0 or other._amax == 0:
-            return SparseMatrix.zeros(rows, cols)
+    def _product(self, other):
         bound = 2 * self.cols * self._amax * other._amax
         a_re, a_im, b_re, b_im = _widened(
             bound, [self._re, self._im, other._re, other._im])
-        # row t of other holds other._key[start[t]:start[t + 1]]
-        start = np.searchsorted(other._key,
-                                np.arange(other.rows + 1, dtype=np.int64) * cols)
-        row, mid = np.divmod(self._key, self.cols)
-        counts = start[mid + 1] - start[mid]
-        ends = np.cumsum(counts)
-        # term q pairs nonzero ia[q] of self with nonzero ib[q] of other
-        ia = np.repeat(np.arange(self._key.size), counts)
-        ib = np.arange(int(ends[-1])) + np.repeat(start[mid] - (ends - counts), counts)
-        key = row[ia] * cols + other._key[ib] % cols
+        key, ia, ib = _product_terms(self, other)
         ar, ai, br, bi = a_re[ia], a_im[ia], b_re[ib], b_im[ib]
         key, re, im = _sum_duplicates(key, ar * br - ai * bi, ar * bi + ai * br)
-        return SparseMatrix._normalized(rows, cols, key, re, im,
+        return SparseMatrix._normalized(self.rows, other.cols, key, re, im,
                                         self._den * other._den)
 
     def _combine(self, other, sign):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError(
-                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         den = math.lcm(self._den, other._den)
         sa, sb = den // self._den, sign * (den // other._den)
         bound = max(self._amax, 1) * abs(sa) + max(other._amax, 1) * abs(sb)
@@ -252,16 +204,6 @@ class SparseMatrix:
                                       np.concatenate((a_re * sa, b_re * sb)),
                                       np.concatenate((a_im * sa, b_im * sb)))
         return SparseMatrix._normalized(self.rows, self.cols, key, re, im, den)
-
-    def __add__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return self._combine(other, -1)
 
     def __neg__(self):
         return SparseMatrix(self.rows, self.cols, self._key, -self._re, -self._im,
@@ -278,56 +220,36 @@ class SparseMatrix:
                                         a_re * pr - a_im * pi,
                                         a_re * pi + a_im * pr, self._den * q)
 
-    def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        # canonical form makes structural equality exact equality
-        return (self.rows == other.rows and self.cols == other.cols
-                and self._den == other._den
-                and bool(np.array_equal(self._key, other._key))
-                and bool(np.array_equal(self._re, other._re))
-                and bool(np.array_equal(self._im, other._im)))
-
     def is_zero(self, tol=None):
         """Exact zero test; tol is ignored."""
         return self._amax == 0
 
     def max_abs(self):
         """Largest entry modulus as a float (for residual reporting)."""
-        return _max_modulus(self._re, self._im, self._den, self._amax)
+        if self._amax == 0:
+            return 0.0
+        re, im = self._re, self._im
+        if self._amax >= 2**31:  # re^2 + im^2 would overflow int64
+            re, im = _as_object(re), _as_object(im)
+        return math.sqrt(Fraction(int((re * re + im * im).max()), self._den ** 2))
 
     def __getitem__(self, idx):
-        i, j = idx
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i}, {j}) outside {self.rows}x{self.cols}")
-        key = i * self.cols + j
-        pos = int(np.searchsorted(self._key, key))
-        if pos == self._key.size or self._key[pos] != key:
+        pos = _position(self, idx)
+        if pos is None:
             return ExactScalar(0)
         return ExactScalar(Fraction(int(self._re[pos]), self._den),
                            Fraction(int(self._im[pos]), self._den))
 
     def trace(self):
-        if self.rows != self.cols:
-            raise DimensionError("trace of a non-square matrix")
-        # key = i * (n + 1) exactly on the diagonal of an n x n matrix
-        diag = self._key % (self.cols + 1) == 0
+        diag = _diagonal(self)
         return ExactScalar(Fraction(sum(self._re[diag].tolist()), self._den),
                            Fraction(sum(self._im[diag].tolist()), self._den))
 
-    def _transposed(self, im):
-        row, col = np.divmod(self._key, max(self.cols, 1))
-        key = col * self.rows + row
-        order = np.argsort(key, kind="stable")
-        return SparseMatrix(self.cols, self.rows, key[order], self._re[order],
-                            im[order], self._den, self._amax)
-
-    def transpose(self):
-        return self._transposed(self._im)
-
-    def hermitian(self):
-        """Conjugate transpose."""
-        return self._transposed(-self._im)
+    def _transposed(self, conjugate):
+        key, order = _transpose_order(self)
+        im = self._im[order]
+        return SparseMatrix(self.cols, self.rows, key, self._re[order],
+                            -im if conjugate else im, self._den, self._amax)
 
     def frobenius_norm2(self):
         """Sum of squared entry moduli, as an exact Fraction."""
@@ -336,10 +258,8 @@ class SparseMatrix:
 
     def to_float(self):
         """The same matrix in the float backend (lossy for large numerators)."""
-        full = np.zeros(self.rows * self.cols, dtype=np.complex128)
-        full[self._key] = (self._re.astype(np.float64)
-                           + 1j * self._im.astype(np.float64)) / self._den
-        return DenseMatrix(full.reshape(self.rows, self.cols))
+        v = (self._re.astype(np.float64) + 1j * self._im.astype(np.float64)) / self._den
+        return DenseMatrix(self.rows, self.cols, self._key, v)
 
     def fingerprint(self):
         """Content hash of the canonical form: its nonzeros, not an N x N array.
@@ -360,9 +280,6 @@ class SparseMatrix:
             else:
                 h.update((",".join(map(str, arr.tolist())) + ";").encode())
         return h.hexdigest()
-
-    def __repr__(self):
-        return f"<SparseMatrix {self.rows}x{self.cols} exact nnz={self._key.size}>"
 
 
 _BACKENDS = {"exact": SparseMatrix, "float": DenseMatrix}

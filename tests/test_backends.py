@@ -21,6 +21,8 @@ def verdicts(rows):
 @pytest.mark.parametrize("argv, expect_fail", [
     (["verify", "--m-range", "1..2"], False),
     (["verify", "--m", "1", "--flip-gamma", "2"], True),
+    (["verify", "--m", "3"], False),
+    (["verify", "--m", "4"], False),
 ])
 def test_backends_give_the_same_verdicts(argv, expect_fail, capsys):
     rc_exact, exact = report_rows(argv + ["--backend", "exact"], capsys)

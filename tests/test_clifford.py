@@ -126,11 +126,12 @@ def test_content_hash_deterministic():
 @pytest.mark.parametrize("m, kind, digest", [
     (1, "exact", "fc02a4d813ef31196a4faced14eac65b3077ee4da3ba6d9666469d59c3ed56d8"),
     (2, "exact", "c388f54a7c9e985024627b82d236b15fe13688a073d08797000fdb55e34435c8"),
-    (1, "float", "26f0fdfaca38ea234bd5bf07692f149b234f0e1be6da8decc02ef6ad08c91dee"),
+    (1, "float", "ac1420d5fb55e68d01731a0bbb0c7ae393524e2747574666a46e194d3539520e"),
 ])
 def test_model_hash_is_pinned(m, kind, digest):
-    # the exact hash reads the nonzeros of each generator, the float one
-    # its complex128 bytes; a change to either is a change of every report
+    # both hashes read the nonzeros of each generator, the exact one its
+    # numerators, the float one its complex128 values; a change to either
+    # is a change of every report
     assert build_clifford_model(m, kind=kind).content_hash() == digest
 
 

@@ -1,11 +1,12 @@
-"""SparseMatrix, the one exact storage.
+"""SparseMatrix, the one exact storage, and the float backend on the same indices.
 
 Every exact matrix is a SparseMatrix: the Clifford layer's spinor-space
 operators, whose rows stay short, and also the triple, the vectors and
-so(3)'s matrices; DenseMatrix is the float backend only.  The generators
-built by index arithmetic equal the iterated tensor products, and importing
-the CLI does not pull in scipy, whose import alone would cost more than
-numpy's.
+so(3)'s matrices.  The float backend, DenseMatrix, stores its nonzeros the
+same way, and its Clifford layer keeps the same short rows.  The generators
+of both backends, built by index arithmetic, equal the iterated tensor
+products of an np.kron chain, and importing the CLI does not pull in scipy,
+whose import alone would cost more than numpy's.
 """
 
 import os
@@ -34,8 +35,27 @@ from quatspin.so3 import (
 from quatspin.sparse import SparseMatrix
 
 
+_BLOCK_I = np.eye(2, dtype=np.complex128)
+_BLOCK_A = np.array([[0, 1j], [1j, 0]], dtype=np.complex128)
+_BLOCK_B = np.array([[0, 1], [-1, 0]], dtype=np.complex128)
+_BLOCK_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
 def _row_nnz(m):
     return np.bincount(m._key // m.cols, minlength=m.rows)
+
+
+def _tensor_generators(m):
+    """Z x ... x Z x (A | B) x I x ... x I over 2m factors, by np.kron."""
+    pairs = 2 * m
+    gammas = []
+    for j in range(pairs):
+        for block in (_BLOCK_A, _BLOCK_B):
+            out = np.ones((1, 1), dtype=np.complex128)
+            for f in [_BLOCK_Z] * j + [block] + [_BLOCK_I] * (pairs - j - 1):
+                out = np.kron(out, f)
+            gammas.append(out)
+    return gammas
 
 
 def test_cli_import_leaves_scipy_out():
@@ -47,20 +67,24 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_exact_clifford_layer_is_sparse_at_m4():
-    model = build_clifford_model(4)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    dec = decompose(model, ops)
-    operators = [*model.gamma, *ops.omega, ops.kraines,
-                 *dec.r_projectors.values(), *dec.k_projectors.values(),
-                 *(b.projector for b in dec.blocks.values())]
-    assert len(operators) == 16 + 3 + 1 + 5 + 9 + 45
-    for op in operators:
-        assert isinstance(op, SparseMatrix)
-        assert _row_nnz(op).max() <= 6
-    for g in model.gamma:
-        assert (_row_nnz(g) == 1).all()
-    # no second exact storage: the small operands are sparse too
+    # the float layer too: its block projectors keep the rows of the exact
+    # ones, round-off residues included, so float cancellation fills none in
+    for kind, cls in (("float", DenseMatrix), ("exact", SparseMatrix)):
+        model = build_clifford_model(4, kind=kind)
+        triple = build_standard_triple(model)
+        ops = build_kaehler_operators(model, triple)
+        dec = decompose(model, ops)
+        operators = [*model.gamma, *ops.omega, ops.kraines,
+                     *dec.r_projectors.values(), *dec.k_projectors.values(),
+                     *(b.projector for b in dec.blocks.values())]
+        assert len(operators) == 16 + 3 + 1 + 5 + 9 + 45
+        for op in operators:
+            assert isinstance(op, cls)
+            assert _row_nnz(op).max() <= 6
+        for g in model.gamma:
+            assert (_row_nnz(g) == 1).all()
+    # no second exact storage: the small operands of the exact model, built
+    # in the last pass above, are sparse too
     basis = build_adapted_basis(model, triple)
     calc = ProjectorCalculus(model, triple, ops)
     actions = [x for u in calc.act for x in calc.act[u]]
@@ -75,12 +99,19 @@ def test_exact_clifford_layer_is_sparse_at_m4():
     assert DenseMatrix.kind == "float" and SparseMatrix.kind == "exact"
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_generators_equal_the_tensor_products(m):
+    reference = _tensor_generators(m)
     exact = build_clifford_model(m)
-    dense = build_clifford_model(m, kind="float")
-    for g, c in zip(exact.gamma, dense.gamma):
-        assert np.array_equal(g.to_float().to_complex_array(), c.to_complex_array())
+    flt = build_clifford_model(m, kind="float")
+    assert len(reference) == len(exact.gamma) == len(flt.gamma) == 4 * m
+    for want, g, c in zip(reference, exact.gamma, flt.gamma):
+        assert np.array_equal(g.to_float().to_complex_array(), want)
+        assert np.array_equal(c.to_complex_array(), want)
+        # the exact entries themselves, not only their float image
+        nonzero = np.argwhere(want)
+        assert len(nonzero) == g._key.size
+        assert all(g[i, j].to_complex() == want[i, j] for i, j in nonzero)
 
 
 def test_entry_access_trace_and_adjoints():
