@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -252,3 +253,22 @@ def test_flip_gamma_out_of_range(capsys):
     rc, out, err = run(["verify", "--m", "1", "--flip-gamma", "99"], capsys)
     assert rc == 2
     assert "generator index" in err or "99" in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--m", "2"],
+     "31600e78c19ae496e9f2696ebb73e91f7117b2f06935c554c53a7cddb1eb4a91"),
+    (["verify", "--m", "2", "--backend", "float"],
+     "f595f89cf83813c0dc9e9b24bf1aaa529364e46844e1d54054d7daac63ca51ee"),
+    (["constants", "--m", "2", "--backend", "float"],
+     "282314e5d76ff0dfbcee5da30ec96ea7413d89ae9ab8162784999d5f07dcda3d"),
+    (["decompose", "--m", "2", "--backend", "float"],
+     "2e8322995d3805eab21da9b783cd13c8223d552d7aed7f4dd4a97fa95171616f"),
+    (["so3-check", "--max-r", "3", "--trials", "5"],
+     "9c14d991e610343fc2b650fd4dcf5ba5839bbeec85300092fefac70718d983be"),
+])
+def test_canonical_json_is_pinned(argv, digest, capsys):
+    # the SHA-256 of the default-option canonical JSON, fixed so that a
+    # refactor cannot move a byte of what the commands print
+    out = run(argv, capsys)[1]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
