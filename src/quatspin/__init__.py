@@ -21,6 +21,7 @@ from .exact import (
     lagrange_eigenprojectors,
     column_space_basis,
     FLOAT_TOL,
+    FLOAT_SCALAR_TOL,
 )
 from .sparse import SparseMatrix, matrix_type
 from .clifford import (

@@ -23,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +38,7 @@ from .errors import (
     QuatspinError,
     ResourceLimitError,
 )
+from .exact import FLOAT_TOL
 from .projectors import (
     ProjectorCalculus,
     block_constants,
@@ -47,7 +47,8 @@ from .projectors import (
 )
 from .quaternionic import build_kaehler_operators, build_standard_triple, structure_report
 from .report import VerificationReport
-from .so3 import build_irrep, find_rotation_with_top_component, irrep_report, random_vector
+from .so3 import (TOP_COMPONENT_THRESHOLD, build_irrep, find_rotation_with_top_component,
+                  irrep_report, random_vector)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class RunConfig:
 
     m_values: tuple
     backend: str
-    tolerance: float
     seed: int
 
 
@@ -90,16 +90,6 @@ def _nonnegative_int(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -142,8 +132,6 @@ def build_parser():
         p.add_argument("--backend", choices=("exact", "float"),
                        default=backend_default,
                        help="arithmetic backend (default %(default)s)")
-        p.add_argument("--tolerance", type=_positive_float, default=1e-10,
-                       help="float-backend residual tolerance (default %(default)s)")
         p.add_argument("--seed", type=_nonnegative_int, default=0,
                        help="seed for randomized sampling (default %(default)s)")
         add_output(p)
@@ -189,8 +177,6 @@ def build_parser():
                    help="random vectors per weight (default %(default)s)")
     p.add_argument("--budget", type=_positive_int, default=1000,
                    help="rotation samples per search (default %(default)s)")
-    p.add_argument("--threshold", type=_positive_float, default=1e-8,
-                   help="float acceptance threshold (default %(default)s)")
     add_common(p, backend_default="float")
     p.set_defaults(handler=cmd_so3_check)
 
@@ -205,8 +191,7 @@ def _config_from(args):
         m_values = (args.m,)
     else:
         m_values = (1, 2)
-    return RunConfig(m_values=m_values, backend=args.backend,
-                     tolerance=args.tolerance, seed=args.seed)
+    return RunConfig(m_values=m_values, backend=args.backend, seed=args.seed)
 
 
 # ------------------------------------------------------------------ commands
@@ -221,12 +206,11 @@ def _decomposed(m, config):
     model = build_clifford_model(m, kind=config.backend)
     triple = build_standard_triple(model)
     ops = build_kaehler_operators(model, triple)
-    return model, triple, ops, decompose(model, ops, config.tolerance)
+    return model, triple, ops, decompose(model, ops)
 
 
 def cmd_verify(args):
     config = _config_from(args)
-    tol = config.tolerance
     sections = []
     model_hashes = {}
     for m in config.m_values:
@@ -237,10 +221,10 @@ def cmd_verify(args):
             model_ops = build_kaehler_operators(model, triple)
         calc = ProjectorCalculus(model, triple, ops)
         report = VerificationReport()
-        report.extend(structure_report(model, triple, ops, tol).entries)
-        report.extend(decomposition_report(dec, model, model_ops, tol).entries)
-        report.extend(verify_lemma_identities(dec, calc, tol).entries)
-        report.extend(constants_report(model, dec, calc, tol).entries)
+        report.extend(structure_report(model, triple, ops).entries)
+        report.extend(decomposition_report(dec, model, model_ops).entries)
+        report.extend(verify_lemma_identities(dec, calc).entries)
+        report.extend(constants_report(model, dec, calc).entries)
         sections.append((f"m={m}", report))
         model_hashes[str(m)] = model.content_hash()
     sections.append(("so3", irrep_report(10)))
@@ -254,7 +238,7 @@ def cmd_verify(args):
     payload = {
         "command": "verify",
         "backend": config.backend,
-        "tolerance": config.tolerance,
+        "tolerance": FLOAT_TOL,
         "seed": config.seed,
         "m_values": list(config.m_values),
         "flip_gamma": args.flip_gamma,
@@ -275,7 +259,7 @@ def cmd_constants(args):
     config = _config_from(args)
     model, triple, ops, dec = _decomposed(args.m, config)
     calc = ProjectorCalculus(model, triple, ops)
-    constants = block_constants(model, dec, calc, config.tolerance)
+    constants = block_constants(model, dec, calc)
     rows = [{"r": c.r, "k": c.k, "variant": c.variant, "computed": c.computed,
              "closed": str(c.closed), "match": c.ok, "note": c.note}
             for c in constants]
@@ -283,7 +267,7 @@ def cmd_constants(args):
     payload = {
         "command": "constants",
         "backend": config.backend,
-        "tolerance": config.tolerance,
+        "tolerance": FLOAT_TOL,
         "m": args.m,
         "model_hash": model.content_hash(),
         "ok": mismatches == 0,
@@ -404,8 +388,7 @@ def cmd_so3_check(args):
             rng = np.random.default_rng([config.seed, r, trial])
             v = random_vector(rng, irrep.dim, config.backend)
             outcome = find_rotation_with_top_component(
-                irrep, v, budget=args.budget, seed=config.seed + trial,
-                threshold=args.threshold, tol=config.tolerance)
+                irrep, v, budget=args.budget, seed=config.seed + trial)
             successes += 1 if outcome.found else 0
             max_used = max(max_used, outcome.samples_used)
         exhaustions = args.trials - successes
@@ -418,7 +401,7 @@ def cmd_so3_check(args):
         "max_r": args.max_r,
         "trials": args.trials,
         "budget": args.budget,
-        "threshold": args.threshold,
+        "threshold": TOP_COMPONENT_THRESHOLD,
         "seed": config.seed,
         "total_exhaustions": total_exhaustions,
         "ok": total_exhaustions == 0,

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SpectrumError
-from .exact import DenseMatrix, ExactScalar, lagrange_eigenprojectors, scalar_for
+from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar,
+                    lagrange_eigenprojectors, scalar_for)
 from .sparse import SparseMatrix
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
 
@@ -67,11 +68,11 @@ class JointDecomposition:
         return [b for (_, b) in sorted(self.blocks.items()) if b.dim > 0]
 
 
-def _integer_trace(p, tol):
+def _integer_trace(p):
     t = p.trace()
     if isinstance(t, complex):
         d = round(t.real)
-        cut = 1e-6 if tol is None else max(tol * p.rows, 1e-9)
+        cut = max(FLOAT_TOL * p.rows, FLOAT_SCALAR_TOL)
         if abs(t.imag) > cut or abs(t.real - d) > cut:
             raise SpectrumError(f"projector trace {t} is not close to an integer")
         return int(d)
@@ -80,7 +81,7 @@ def _integer_trace(p, tol):
     return int(t.re)
 
 
-def decompose(model, ops, tol=None):
+def decompose(model, ops):
     """Split the spinor space into joint eigenblocks of (Kraines, Omega_1).
 
     Both marginal projector families are built by certified Lagrange
@@ -92,13 +93,13 @@ def decompose(model, ops, tol=None):
     """
     m = model.m
     commutator = ops.kraines @ ops[1] - ops[1] @ ops.kraines
-    if not commutator.is_zero(tol):
+    if not commutator.is_zero():
         raise SpectrumError("Kraines form and Omega_1 do not commute "
                             f"(residual {commutator.max_abs():.3e})")
     r_values = [omega_eigenvalue(m, r) for r in range(m + 1)]
     k_values = [weight_eigenvalue(m, k) for k in range(2 * m + 1)]
-    p_r = lagrange_eigenprojectors(ops.kraines, r_values, tol)
-    p_k = lagrange_eigenprojectors(ops[1], k_values, tol)
+    p_r = lagrange_eigenprojectors(ops.kraines, r_values)
+    p_k = lagrange_eigenprojectors(ops[1], k_values)
     r_proj = {r: p_r[scalar_for(ops.kraines, v)] for r, v in enumerate(r_values)}
     k_proj = {k: p_k[scalar_for(ops[1], v)] for k, v in enumerate(k_values)}
 
@@ -106,7 +107,7 @@ def decompose(model, ops, tol=None):
     for r in range(m + 1):
         for k in range(2 * m + 1):
             proj = r_proj[r] @ k_proj[k]
-            dim = _integer_trace(proj, tol)
+            dim = _integer_trace(proj)
             blocks[(r, k)] = Block(r=r, k=k, dim=dim, projector=proj,
                                    omega_eig=omega_eigenvalue(m, r),
                                    weight_im=2 * m - 2 * k)
@@ -114,7 +115,7 @@ def decompose(model, ops, tol=None):
                               blocks=blocks, r_projectors=r_proj, k_projectors=k_proj)
 
 
-def decomposition_report(dec, model, ops, tol=None):
+def decomposition_report(dec, model, ops):
     """Re-certify the decomposition against a model and its Kaehler operators.
 
     `ops` must be the Kaehler operators of `model` (build_kaehler_operators);
@@ -168,11 +169,11 @@ def decomposition_report(dec, model, ops, tol=None):
             continue
         rep.add(residual_entry(
             "block_projector_eigen", f"{sub} r={r} k={k} kraines",
-            ops.kraines @ blk.projector - blk.projector.scale(blk.omega_eig), tol))
+            ops.kraines @ blk.projector - blk.projector.scale(blk.omega_eig)))
         wt = weight_eigenvalue(m, k)
         rep.add(residual_entry(
             "block_projector_eigen", f"{sub} r={r} k={k} weight",
-            ops[1] @ blk.projector - blk.projector.scale(wt), tol))
+            ops[1] @ blk.projector - blk.projector.scale(wt)))
         ok = allowed and blk.weight_im == 2 * r - 4 * ((k + r - m) // 2)
         rep.add(CheckEntry("weight_consistency", f"{sub} r={r} k={k}",
                            "pass" if ok else "fail", "0" if ok else "1"))
@@ -189,10 +190,10 @@ def decomposition_report(dec, model, ops, tol=None):
                 img = model.gamma[i] @ proj
                 res = img - near @ img
                 entry = residual_entry("clifford_neighbor_blocks",
-                                       f"{sub} i={i} {label}={idx}", res, tol)
+                                       f"{sub} i={i} {label}={idx}", res)
                 if entry.status == "fail":
                     hit = next((n for n, p in sorted(family.items())
-                                if not (p @ res).is_zero(tol)), None)
+                                if not (p @ res).is_zero()), None)
                     entry.note = "" if hit is None else f"reaches {label}={hit}"
                 rep.add(entry)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .clifford import vector_action
 from .decomposition import weight_eigenvalue
 from .errors import DomainError, IdentityFailure
-from .exact import ExactScalar, scalar_for
+from .exact import FLOAT_SCALAR_TOL, ExactScalar, scalar_for
 from .quaternionic import build_adapted_basis
 from .report import CheckEntry, VerificationReport, residual_entry
 
@@ -174,21 +174,21 @@ def closed_form_A(m, r, k, variant):
     return Fraction((-k + m - r) * (2 + m + r), den)
 
 
-def _restriction_scalar(op, blk, tol):
+def _restriction_scalar(op, blk):
     """The scalar s with op|block = s * id, certified; IdentityFailure otherwise.
 
     op P = s P gives trace(op P) = s dim, so s is read off the trace."""
     comp = op @ blk.projector
     s = comp.trace() / blk.dim
     residual = comp - blk.projector.scale(s)
-    if not residual.is_zero(tol):
+    if not residual.is_zero():
         mag = residual.max_abs()
         raise IdentityFailure(f"operator is not scalar on the block (residual {mag:.3e})",
                               mag)
     return s
 
 
-def compute_A(dec, calc, r, k, variant, tol=None):
+def compute_A(dec, calc, r, k, variant):
     """Evaluate sum_j (left p)(right p) on the block S_r^k and certify that
     the restriction is a scalar multiple of the identity.
 
@@ -214,7 +214,7 @@ def compute_A(dec, calc, r, k, variant, tol=None):
         # composition is zero regardless of the (undefined) left factor
         for j in range(calc.pairs):
             image = calc.p(right_vec, r, right_sign, j) @ blk.projector
-            if not image.is_zero(tol):
+            if not image.is_zero():
                 raise IdentityFailure(
                     f"p_0^- does not annihilate block (r={r}, k={k})", image.max_abs())
         return scalar_for(blk.projector, 0)
@@ -224,7 +224,7 @@ def compute_A(dec, calc, r, k, variant, tol=None):
     terms = [calc.sums[left_vec, right_vec, x + y].scale(wx * wy)
              for x, wx in zip("aJ", left) for y, wy in zip("aJ", right)]
     total = sum(terms[1:], terms[0])
-    return _restriction_scalar(total.scale(c_left * c_right), blk, tol)
+    return _restriction_scalar(total.scale(c_left * c_right), blk)
 
 
 @dataclass(frozen=True)
@@ -245,12 +245,12 @@ class BlockConstant:
     note: str
 
 
-def block_constants(model, dec, calc, tol=None):
+def block_constants(model, dec, calc):
     """Compute every block constant and judge it against its closed form.
 
-    The float backend matches within 10*tol (1e-8 when tol is None); the
-    exact backend requires equality.  A mismatched row's residual is the
-    modulus |computed - closed form| in both.  A composition that is not
+    The float backend matches within FLOAT_SCALAR_TOL; the exact backend
+    requires equality.  A mismatched row's residual is the modulus
+    |computed - closed form| in both.  A composition that is not
     scalar on its block is a failed row, not an error, whose residual is
     the largest entry of the failed certificate.
     """
@@ -260,7 +260,7 @@ def block_constants(model, dec, calc, tol=None):
             expect = closed_form_A(model.m, blk.r, blk.k, variant)
             note = "twistor normalization undefined (A = 0)" if expect == 0 else ""
             try:
-                got = compute_A(dec, calc, blk.r, blk.k, variant, tol)
+                got = compute_A(dec, calc, blk.r, blk.k, variant)
             except IdentityFailure as exc:
                 rows.append(BlockConstant(blk.r, blk.k, variant, expect, None, False,
                                           f"{exc.residual:.3e}",
@@ -268,7 +268,7 @@ def block_constants(model, dec, calc, tol=None):
                 continue
             if model.kind == "float":
                 resid = abs(got - complex(expect))
-                ok = resid <= (1e-8 if tol is None else 10 * tol)
+                ok = resid <= FLOAT_SCALAR_TOL
                 computed = f"{got.real:.12g}"
             else:
                 ok = got == expect
@@ -279,17 +279,17 @@ def block_constants(model, dec, calc, tol=None):
     return rows
 
 
-def constants_report(model, dec, calc, tol=None):
+def constants_report(model, dec, calc):
     """Compare every computed block constant against its closed form."""
     rep = VerificationReport()
-    for c in block_constants(model, dec, calc, tol):
+    for c in block_constants(model, dec, calc):
         rep.add(CheckEntry("block_constant_match",
                            f"m={model.m} r={c.r} k={c.k} variant={c.variant}",
                            "pass" if c.ok else "fail", c.residual, c.note))
     return rep
 
 
-def verify_lemma_identities(dec, calc, tol=None):
+def verify_lemma_identities(dec, calc):
     """Exact verification of the operator identities of the projector calculus.
 
     Covers the product/anticommutation identities of the rotated adapted
@@ -349,17 +349,17 @@ def verify_lemma_identities(dec, calc, tol=None):
     # --- product sums of the adapted basis against the weight operator
     rep.add(residual_entry(
         "adapted_basis_product_sums", f"{sub} fbar*f",
-        fbarf + ident.scale(m) + ops[1].scale(_I_HALF), tol))
+        fbarf + ident.scale(m) + ops[1].scale(_I_HALF)))
     rep.add(residual_entry(
         "adapted_basis_product_sums", f"{sub} f*fbar",
-        ffbar + ident.scale(m) - ops[1].scale(_I_HALF), tol))
+        ffbar + ident.scale(m) - ops[1].scale(_I_HALF)))
 
     # --- rotated product sums: per fixed a the rotation is invisible
     for a in (2, 3):
         rep.add(residual_entry("rotated_basis_product_sum", f"{sub} a={a}",
-                               rotated_sums[a] - fbarf, tol))
+                               rotated_sums[a] - fbarf))
     rep.add(residual_entry("rotated_basis_product_sum", f"{sub} a-summed=2x",
-                           rotated_sums[2] + rotated_sums[3] - fbarf.scale(2), tol,
+                           rotated_sums[2] + rotated_sums[3] - fbarf.scale(2),
                            note="summing over both rotations doubles the right side"))
 
     # --- rotated/unrotated anticommutation
@@ -367,7 +367,7 @@ def verify_lemma_identities(dec, calc, tol=None):
         for j in range(calc.pairs):
             jf, fbar = calc.act_j["f"][a][j], calc.act["fbar"][j]
             rep.add(residual_entry("rotated_vector_anticommute",
-                                   f"{sub} a={a} j={j}", jf @ fbar + fbar @ jf, tol))
+                                   f"{sub} a={a} j={j}", jf @ fbar + fbar @ jf))
 
     # --- mixed product sums reproduce the other two Kaehler operators
     expectations = {
@@ -380,7 +380,7 @@ def verify_lemma_identities(dec, calc, tol=None):
         for u, v in _PATTERNS:
             rep.add(residual_entry("mixed_product_kaehler_form",
                                    f"{sub} a={a} {u}*J{v}",
-                                   mixed[u, v, a] - expectations[a, u], tol))
+                                   mixed[u, v, a] - expectations[a, u]))
 
     # --- expansion of J on the adapted basis (weight term becomes +-i Omega_1)
     for u, t in _WEIGHT_SHIFT.items():
@@ -390,22 +390,22 @@ def verify_lemma_identities(dec, calc, tol=None):
             for a in (2, 3):
                 rhs = rhs + ops[a] @ calc.act_j[u][a][j]
             rep.add(residual_entry("jop_adapted_expansion", f"{sub} {u} j={j}",
-                                   calc.jop[u][j] - rhs, tol))
+                                   calc.jop[u][j] - rhs))
 
     # --- first-order products of J(x) with the actions, summed over j
     iom = ops[1].scale(_I)
     rep.add(residual_entry(
         "jop_product_jf_fbar", sub,
-        sums["f", "fbar", "Ja"] - (-l_bar + (ident.scale(3) + iom) @ ffbar), tol))
+        sums["f", "fbar", "Ja"] - (-l_bar + (ident.scale(3) + iom) @ ffbar)))
     rep.add(residual_entry(
         "jop_product_jfbar_f", sub,
-        sums["fbar", "f", "Ja"] - (-l_op + (ident.scale(3) - iom) @ fbarf), tol))
+        sums["fbar", "f", "Ja"] - (-l_op + (ident.scale(3) - iom) @ fbarf)))
     rep.add(residual_entry(
         "jop_product_f_jfbar", sub,
-        sums["f", "fbar", "aJ"] - (l_op + (ident - iom) @ ffbar - fbarf.scale(4)), tol))
+        sums["f", "fbar", "aJ"] - (l_op + (ident - iom) @ ffbar - fbarf.scale(4))))
     rep.add(residual_entry(
         "jop_product_fbar_jf", sub,
-        sums["fbar", "f", "aJ"] - (l_bar + (ident + iom) @ fbarf - ffbar.scale(4)), tol,
+        sums["fbar", "f", "aJ"] - (l_bar + (ident + iom) @ fbarf - ffbar.scale(4)),
         note="right side attributed to fbar*J(f); the source statement "
              "repeats the line-2 left side here"))
 
@@ -415,12 +415,12 @@ def verify_lemma_identities(dec, calc, tol=None):
         + (iom - ident) @ l_op - (ident - iom) @ l_bar + l_op.scale(4) \
         + (ident.scale(3) + iom) @ (ident - iom) @ ffbar
     rep.add(residual_entry("jop_jop_sum_f_fbar", sub,
-                           sums["f", "fbar", "JJ"] - rhs1, tol))
+                           sums["f", "fbar", "JJ"] - rhs1))
     rhs2 = ffbar.scale(-12) + sq23 @ ffbar \
         - (ident + iom) @ l_op - (ident + iom) @ l_bar + l_bar.scale(4) \
         + (ident.scale(3) - iom) @ (ident + iom) @ fbarf
     rep.add(residual_entry("jop_jop_sum_fbar_f", sub,
-                           sums["fbar", "f", "JJ"] - rhs2, tol))
+                           sums["fbar", "f", "JJ"] - rhs2))
 
     # --- restriction scalars on every nonzero block
     for blk in dec.nonzero_blocks():
@@ -428,21 +428,21 @@ def verify_lemma_identities(dec, calc, tol=None):
         p = blk.projector
         rep.add(residual_entry(
             "block_scalar_weight", bsub,
-            ops[1] @ p - p.scale(weight_eigenvalue(m, blk.k)), tol,
+            ops[1] @ p - p.scale(weight_eigenvalue(m, blk.k)),
             note="weight scalar carries the explicit i"))
         rep.add(residual_entry(
             "block_scalar_kraines", bsub,
-            ops.kraines @ p - p.scale(blk.omega_eig), tol))
+            ops.kraines @ p - p.scale(blk.omega_eig)))
         r_, k_ = blk.r, blk.k
         l_scalar = -2 * r_ * (r_ + 2) + (m - k_) * (2 * m - 2 * k_ + 4)
         lbar_scalar = -2 * r_ * (r_ + 2) + (m - k_) * (2 * m - 2 * k_ - 4)
         l_p, lbar_p = l_op @ p, l_bar @ p
         rep.add(residual_entry("block_scalar_mixed_sum", bsub,
-                               l_p - p.scale(l_scalar), tol))
+                               l_p - p.scale(l_scalar)))
         rep.add(residual_entry("block_scalar_mixed_sum_conj", bsub,
-                               lbar_p - p.scale(lbar_scalar), tol))
+                               lbar_p - p.scale(lbar_scalar)))
         rep.add(residual_entry("block_scalar_difference", bsub,
-                               lbar_p - l_p - p.scale(-8 * (m - k_)), tol))
+                               lbar_p - l_p - p.scale(-8 * (m - k_))))
 
     # --- commutators of the vector actions with the Kraines and Kaehler operators
     kraines = ops.kraines
@@ -451,19 +451,19 @@ def verify_lemma_identities(dec, calc, tol=None):
             act, jop = calc.act[u][j], calc.jop[u][j]
             rep.add(residual_entry(
                 "kraines_commutator_jop", f"{sub} {u} j={j}",
-                kraines @ act - act @ kraines - jop.scale(4), tol))
+                kraines @ act - act @ kraines - jop.scale(4)))
             rhs = jop.scale(-8) + act.scale(12) \
                 - (act @ (kraines - ident.scale(6 * m))).scale(4)
             rep.add(residual_entry(
                 "kraines_commutator_jop_second", f"{sub} {u} j={j}",
-                kraines @ jop - jop @ kraines - rhs, tol))
+                kraines @ jop - jop @ kraines - rhs))
             # a(J_1 u_j) = -t i a(u_j), the weight property of the adapted basis
             rotated = {1: act.scale(ExactScalar(0, -t)),
                        2: calc.act_j[u][2][j], 3: calc.act_j[u][3][j]}
             for a in (1, 2, 3):
                 rep.add(residual_entry(
                     "kaehler_vector_commutator", f"{sub} a={a} {u} j={j}",
-                    ops[a] @ act - act @ ops[a] - rotated[a].scale(2), tol))
+                    ops[a] @ act - act @ ops[a] - rotated[a].scale(2)))
 
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the
@@ -488,7 +488,7 @@ def verify_lemma_identities(dec, calc, tol=None):
                         rep.add(residual_entry(
                             "clifford_four_fold_split",
                             f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}",
-                            piece if inside is None else piece - inside, tol))
+                            piece if inside is None else piece - inside))
                         r_image = _plus(r_image, piece)
                         k_images[blk.k] = _plus(k_images.get(blk.k), piece)
                         if inside is None or s != t:
@@ -499,14 +499,14 @@ def verify_lemma_identities(dec, calc, tol=None):
                         rep.add(residual_entry(
                             "block_adjoint_pairing",
                             f"{sub} j={j} ({r},{blk.k})->({target.r},{target.k})",
-                            inside.hermitian() + lowering.pop((r, blk.k)), tol))
+                            inside.hermitian() + lowering.pop((r, blk.k))))
                     rep.add(residual_entry(
                         "r_shift_projection", f"{sub} j={j} r={r} {u} {label}",
                         _outside(zero if r_image is None else r_image,
-                                 dec.r_projectors.get(r + s)), tol))
+                                 dec.r_projectors.get(r + s))))
             for k in range(2 * m + 1):
                 rep.add(residual_entry(
                     "k_shift_projection",
                     f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}",
-                    _outside(k_images.get(k, zero), dec.k_projectors.get(k + t)), tol))
+                    _outside(k_images.get(k, zero), dec.k_projectors.get(k + t))))
     return rep

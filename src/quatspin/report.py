@@ -25,9 +25,9 @@ class CheckEntry:
         }
 
 
-def residual_entry(check_id, subject, residual, tol=None, note=""):
+def residual_entry(check_id, subject, residual, note=""):
     """Entry whose status is decided by a residual matrix being (exactly) zero."""
-    if residual.is_zero(tol):
+    if residual.is_zero():
         return CheckEntry(check_id, subject, "pass", "0", note)
     return CheckEntry(check_id, subject, "fail",
                       f"{residual.max_abs():.6e}", note)

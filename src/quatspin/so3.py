@@ -35,6 +35,9 @@ from .sparse import SparseMatrix, matrix_type
 
 _FIXED_QUATERNIONS = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 1, 1, 1))
 
+# A float search accepts a top-weight component of magnitude above this.
+TOP_COMPONENT_THRESHOLD = 1e-8
+
 
 # --------------------------------------------------------------------- irreps
 
@@ -144,10 +147,10 @@ def _rotation_defect(g):
     return dev, abs(det - 1)
 
 
-def check_rotation(g, tol=None):
+def check_rotation(g):
     """Certify R^T R = I and det R = 1 (exactly for the exact kind)."""
     dev, ddet = _rotation_defect(g)
-    limit = 0 if g.kind == "exact" else (FLOAT_TOL if tol is None else tol)
+    limit = 0 if g.kind == "exact" else FLOAT_TOL
     if dev > limit or ddet > limit:
         raise DomainError(
             "not a special orthogonal matrix "
@@ -175,13 +178,13 @@ def random_rotation(rng, kind="float"):
 # -------------------------------------------------- rotated generator algebra
 
 
-def rotated_generator(irrep, g, tol=None):
+def rotated_generator(irrep, g):
     """Image of H1 under the rotation: sum_b g_{0b} H_{b+1}.
 
     Same spectrum as H1 for any valid rotation.  The result is float if
     either the representation or the rotation uses the float backend.
     """
-    check_rotation(g, tol)
+    check_rotation(g)
     out_kind = "float" if "float" in (irrep.kind, g.kind) else "exact"
     total = None
     for b in range(3):
@@ -191,17 +194,17 @@ def rotated_generator(irrep, g, tol=None):
     return total
 
 
-def top_weight_projector(irrep, generator, tol=None):
+def top_weight_projector(irrep, generator):
     """Projector onto the top-eigenvalue (= r) eigenspace of the generator.
 
     The Lagrange product over the known spectrum {r, r-2, ..., -r}.  Exact
     kind: certified by its eigen-equation, which certifies the whole stated
     spectrum; raises SpectrumError otherwise.  Float kind: uncertified, since
-    rounding in a random rotation can leave a residual above the tolerance.
+    rounding in a random rotation can leave a residual above FLOAT_TOL.
     """
     p = lagrange_projector(generator, irrep.r, irrep.weights())
     if generator.kind == "exact":
-        certify_eigenprojector(generator, irrep.r, p, tol)
+        certify_eigenprojector(generator, irrep.r, p)
     return p
 
 
@@ -221,12 +224,12 @@ def _column(irrep, v):
             raise DimensionError(
                 f"expected {irrep.dim} coordinates, got {len(entries)}")
         col = cls.from_rows([[entry] for entry in entries])
-    if col.is_zero(0.0):
+    if col.max_abs() == 0:
         raise DomainError("zero vector has no weight components")
     return col
 
 
-def highest_weight_component(irrep, g, v, tol=None):
+def highest_weight_component(irrep, g, v):
     """Magnitude |a_g^0| of v's component in the rotated top-weight space.
 
     Returned as a float in both backends (square root of the exact norm
@@ -235,10 +238,10 @@ def highest_weight_component(irrep, g, v, tol=None):
     of the (generally oblique) spectral projection of v.
     """
     col = _column(irrep, v)
-    gen = rotated_generator(irrep, g, tol)
+    gen = rotated_generator(irrep, g)
     if col.kind != gen.kind:
         col = col.to_float()
-    p = top_weight_projector(irrep, gen, tol)
+    p = top_weight_projector(irrep, gen)
     return math.sqrt(float((p @ col).frobenius_norm2()))
 
 
@@ -273,16 +276,15 @@ def random_vector(rng, dim, kind="float"):
                 return [int(v) for v in vec]
 
 
-def find_rotation_with_top_component(irrep, v, budget=1000, seed=0,
-                                     threshold=1e-8, tol=None):
+def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
     """First sampled rotation under which v has a nonzero top-weight part.
 
     Sample 0 is always the identity; later samples are uniform rotations
     drawn from a generator seeded with (seed, r), so runs are reproducible.
-    Acceptance is exact nonzero-ness in exact mode and magnitude > threshold
-    in float mode.  Every vector admits such a rotation, so exhaustion at a
-    reasonable budget indicates a real problem and is reported with the best
-    candidate found.
+    Acceptance is exact nonzero-ness in exact mode and magnitude above
+    TOP_COMPONENT_THRESHOLD in float mode.  Every vector admits such a
+    rotation, so exhaustion at a reasonable budget indicates a real problem
+    and is reported with the best candidate found.
     """
     if budget < 1:
         raise DomainError(f"sample budget must be at least 1, got {budget}")
@@ -297,12 +299,12 @@ def find_rotation_with_top_component(irrep, v, budget=1000, seed=0,
                 [[col[0, 0]]] + [[0]] * (irrep.dim - 1))
         else:
             g = random_rotation(rng, irrep.kind)
-            gen = rotated_generator(irrep, g, tol)
-            p = top_weight_projector(irrep, gen, tol)
+            gen = rotated_generator(irrep, g)
+            p = top_weight_projector(irrep, gen)
             w = p @ (col if col.kind == gen.kind else col.to_float())
         mag = math.sqrt(float(w.frobenius_norm2()))
         accepted = (not w.is_zero()) if w.kind == "exact" \
-            else mag > threshold
+            else mag > TOP_COMPONENT_THRESHOLD
         if accepted:
             return RotationSearch(True, g, mag, i + 1, seed)
         if mag > best_mag:
@@ -317,7 +319,7 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
-def irrep_report(max_r, tol=None):
+def irrep_report(max_r):
     """Exact structural checks for all irreps with highest weight <= max_r.
 
     Covers the ladder relations, the generator commutators (which carry an
@@ -333,11 +335,11 @@ def irrep_report(max_r, tol=None):
         sub = f"r={r}"
 
         rep.add(residual_entry("ladder_relations", f"{sub} raise",
-                               _comm(h1, x) - x.scale(2), tol))
+                               _comm(h1, x) - x.scale(2)))
         rep.add(residual_entry("ladder_relations", f"{sub} lower",
-                               _comm(h1, y) + y.scale(2), tol))
+                               _comm(h1, y) + y.scale(2)))
         rep.add(residual_entry("ladder_relations", f"{sub} bracket",
-                               _comm(x, y) - h1, tol))
+                               _comm(x, y) - h1))
 
         for a, b in ((1, 2), (2, 3), (3, 1)):
             expected = SparseMatrix.zeros(irrep.dim, irrep.dim)
@@ -347,35 +349,35 @@ def irrep_report(max_r, tol=None):
                     expected = expected + irrep[c].scale(ExactScalar(0, 2 * eps))
             rep.add(residual_entry(
                 "generator_commutators", f"{sub} [H{a},H{b}]",
-                _comm(irrep[a], irrep[b]) - expected, tol,
+                _comm(irrep[a], irrep[b]) - expected,
                 note="structure constants carry the explicit i"))
 
         casimir = (h1 @ h1 + h2 @ h2 + h3 @ h3).scale(Fraction(1, 8))
         target = SparseMatrix.identity(irrep.dim).scale(Fraction(r * (r + 2), 8))
-        rep.add(residual_entry("casimir_scalar", sub, casimir - target, tol,
+        rep.add(residual_entry("casimir_scalar", sub, casimir - target,
                                note=f"scalar r(r+2)/8 = {Fraction(r * (r + 2), 8)}"))
 
         diag = SparseMatrix.from_rows(
             [[w if s == t else 0 for t in range(irrep.dim)]
              for s, w in enumerate(irrep.weights())])
-        rep.add(residual_entry("weight_spectrum", sub, h1 - diag, tol))
+        rep.add(residual_entry("weight_spectrum", sub, h1 - diag))
 
         for quat in _FIXED_QUATERNIONS:
             g = rotation_from_quaternion(*quat, kind="exact")
-            gen = rotated_generator(irrep, g, tol)
+            gen = rotated_generator(irrep, g)
             qsub = f"{sub} q={quat}"
             try:
-                top_weight_projector(irrep, gen, tol)
+                top_weight_projector(irrep, gen)
             except SpectrumError as exc:
                 rep.add(residual_entry(
                     "rotated_generator_spectrum", qsub,
-                    SparseMatrix.identity(1), tol, note=str(exc)))
+                    SparseMatrix.identity(1), note=str(exc)))
             else:
                 rep.add(residual_entry(
                     "rotated_generator_spectrum", qsub,
-                    SparseMatrix.zeros(1, 1), tol,
+                    SparseMatrix.zeros(1, 1),
                     note="certified spectrum {r, r-2, ..., -r}"))
             rep.add(residual_entry(
                 "rotated_generator_trace", qsub,
-                SparseMatrix.from_rows([[gen.trace()]]), tol))
+                SparseMatrix.from_rows([[gen.trace()]])))
     return rep

@@ -220,8 +220,8 @@ class SparseMatrix(_Nonzeros):
                                         a_re * pr - a_im * pi,
                                         a_re * pi + a_im * pr, self._den * q)
 
-    def is_zero(self, tol=None):
-        """Exact zero test; tol is ignored."""
+    def is_zero(self):
+        """Exact zero test."""
         return self._amax == 0
 
     def max_abs(self):

@@ -180,7 +180,7 @@ def test_criterion_5_bound_coefficients():
 
 
 def test_criterion_6_rotation_search():
-    budget, threshold, trials = 1000, 1e-8, 100
+    budget, trials = 1000, 100
     exhaustions = 0
     searches = 0
     for r in range(11):
@@ -189,7 +189,7 @@ def test_criterion_6_rotation_search():
             rng = np.random.default_rng([2026, r, trial])
             v = random_vector(rng, irrep.dim, "float")
             outcome = find_rotation_with_top_component(
-                irrep, v, budget=budget, seed=trial, threshold=threshold)
+                irrep, v, budget=budget, seed=trial)
             searches += 1
             exhaustions += 0 if outcome.found else 1
     _verdict(6, "top-weight rotation found for every sampled vector",

@@ -4,7 +4,10 @@ import json
 import pytest
 
 from quatspin import cli, projectors
+from quatspin.clifford import build_clifford_model
+from quatspin.decomposition import decompose
 from quatspin.errors import IdentityFailure
+from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
 
 
 def run(argv, capsys):
@@ -82,16 +85,20 @@ def test_constants_float_backend(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_constants_and_verify_share_the_float_judgement(capsys, monkeypatch):
-    # 5e-9 exceeds 10*tol at the default tolerance 1e-10 but stays under
-    # 1e-8, so both commands must reject it by the same judgement
+@pytest.fixture
+def offset_constant(monkeypatch):
+    # 5e-9 exceeds FLOAT_SCALAR_TOL = 1e-9, so every float judgement of the
+    # block constants must reject it
     real = projectors.compute_A
 
-    def off_by_5e_9(dec, calc, r, k, variant, tol=None):
-        got = real(dec, calc, r, k, variant, tol)
+    def off_by_5e_9(dec, calc, r, k, variant):
+        got = real(dec, calc, r, k, variant)
         return got + 5e-9 if (r, k, variant) == (1, 0, "+-") else got
 
     monkeypatch.setattr(projectors, "compute_A", off_by_5e_9)
+
+
+def test_constants_and_verify_share_the_float_judgement(capsys, offset_constant):
     rc, out, err = run(["constants", "--m", "1", "--backend", "float"], capsys)
     assert rc == 1
     data = json.loads(out)
@@ -106,13 +113,22 @@ def test_constants_and_verify_share_the_float_judgement(capsys, monkeypatch):
         [("block_constant_match", "m=1 r=1 k=0 variant=+-")]
 
 
+def test_library_constants_share_the_float_judgement(offset_constant):
+    model = build_clifford_model(1, kind="float")
+    triple = build_standard_triple(model)
+    ops = build_kaehler_operators(model, triple)
+    rows = projectors.block_constants(model, decompose(model, ops),
+                                      projectors.ProjectorCalculus(model, triple, ops))
+    assert [(c.r, c.k, c.variant) for c in rows if not c.ok] == [(1, 0, "+-")]
+
+
 def test_constants_reports_a_non_scalar_block(capsys, monkeypatch):
     real = projectors.compute_A
 
-    def fails_on_one_block(dec, calc, r, k, variant, tol=None):
+    def fails_on_one_block(dec, calc, r, k, variant):
         if (r, k, variant) == (0, 1, "+-"):
             raise IdentityFailure("p_0^- does not annihilate block (r=0, k=1)", 0.5)
-        return real(dec, calc, r, k, variant, tol)
+        return real(dec, calc, r, k, variant)
 
     monkeypatch.setattr(projectors, "compute_A", fails_on_one_block)
     rc, out, err = run(["constants", "--m", "1"], capsys)
@@ -165,8 +181,8 @@ def test_bounds_usage_errors(capsys):
 
 
 def test_bounds_rejects_options_it_never_reads(capsys):
-    # the bound table is exact closed forms: no backend, tolerance or seed
-    for option in (["--backend", "float"], ["--tolerance", "1e-3"], ["--seed", "3"]):
+    # the bound table is exact closed forms: no backend or seed
+    for option in (["--backend", "float"], ["--seed", "3"]):
         rc, out, err = run(["bounds", "--m", "2", *option], capsys)
         assert rc == 2, option
         assert out == ""
@@ -234,19 +250,16 @@ def test_usage_exit_codes(capsys):
     assert run([], capsys)[0] == 2
     assert run(["unknown"], capsys)[0] == 2
     assert run(["verify", "--format", "xml"], capsys)[0] == 2
-    assert run(["verify", "--tolerance", "0"], capsys)[0] == 2
     assert run(["verify", "--m-range", "3..1"], capsys)[0] == 2
 
 
-def test_non_finite_tolerances_are_usage_errors(capsys):
-    for argv in (["verify", "--m", "1", "--backend", "float", "--tolerance", "inf"],
-                 ["constants", "--m", "1", "--tolerance", "nan"],
-                 ["so3-check", "--max-r", "0", "--trials", "1", "--budget", "1",
-                  "--threshold", "inf"]):
-        rc, out, err = run(argv, capsys)
-        assert rc == 2
-        assert out == ""
-        assert "must be finite and > 0" in err
+def test_no_subcommand_takes_a_tolerance_or_threshold(capsys):
+    # float tolerances are constants of the float backend, not options
+    for command in ("verify", "constants", "bounds", "decompose", "so3-check"):
+        for option in ("--tolerance", "--threshold"):
+            rc, out, err = run([command, option, "1e-3"], capsys)
+            assert rc == 2, (command, option)
+            assert out == ""
 
 
 def test_flip_gamma_out_of_range(capsys):

@@ -140,4 +140,4 @@ def test_float_backend_model():
     ident = model.identity()
     assert isinstance(ident, DenseMatrix)
     for gi in model.gamma:
-        assert (gi @ gi + ident).is_zero(1e-12)
+        assert (gi @ gi + ident).max_abs() <= 1e-12

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from quatspin.errors import DimensionError
-from quatspin.exact import DenseMatrix, ExactScalar
+from quatspin.exact import FLOAT_TOL, DenseMatrix, ExactScalar
 from quatspin.sparse import SparseMatrix
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -80,7 +80,7 @@ def test_corner_grids_match_reference(a):
     check(m + m, ref + ref)
     check(m - m, ref - ref)
     check(-m, -ref)
-    assert m.frobenius_norm2() == pytest.approx(np.sum(np.abs(ref) ** 2), rel=1e-15)
+    assert m.frobenius_norm2() == np.sum(ref.real ** 2 + ref.imag ** 2)
 
 
 def test_terms_that_all_land_on_empty_rows():
@@ -105,7 +105,7 @@ def test_all_zero_operands(n, k, p, data):
     check(za @ zb, zero)
     check(a + za, a.to_complex_array())
     check(za - a, -a.to_complex_array())
-    assert za.is_zero(0.0) and za.max_abs() == 0.0 and za.frobenius_norm2() == 0.0
+    assert za.is_zero() and za.max_abs() == 0.0 and za.frobenius_norm2() == 0.0
 
 
 @settings
@@ -147,8 +147,7 @@ def test_entries_trace_and_norms_match_reference(single):
     else:
         with pytest.raises(DimensionError):
             m.trace()
-    # |z|^2 rounds, and the reference adds its zeros in another grouping
-    assert m.frobenius_norm2() == pytest.approx(np.sum(np.abs(ref) ** 2), rel=1e-15)
+    assert m.frobenius_norm2() == np.sum(ref.real ** 2 + ref.imag ** 2)
     assert m.max_abs() == float(np.abs(ref).max())
 
 
@@ -176,15 +175,20 @@ def test_from_rows_matches_reference(single):
             == DenseMatrix.from_rows(a).fingerprint())
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-12, 0.25])
-def test_is_zero_reads_the_stored_values_against_tol(tol):
-    below, above = np.nextafter(tol, 0), np.nextafter(tol, 1)
-    for entry, zero in ((below, True), (tol, True), (above, False)):
+def test_is_zero_reads_the_stored_values_against_float_tol():
+    below, above = np.nextafter(FLOAT_TOL, 0), np.nextafter(FLOAT_TOL, 1)
+    for entry, zero in ((below, True), (FLOAT_TOL, True), (above, False)):
         for sign in (1, -1, 1j, -1j):
             m = DenseMatrix.from_rows([[0, 0], [0, sign * entry]])
-            assert m.is_zero(tol) == zero
+            assert m.is_zero() == zero
             assert m.max_abs() == entry
-    assert DenseMatrix.zeros(2, 3).is_zero(0.0)
+    assert DenseMatrix.zeros(2, 3).is_zero()
+
+
+@pytest.mark.parametrize("cols, norm2", [(1, 0.8125), (64, 52.0)])
+def test_frobenius_norm2_does_not_round_through_the_modulus(cols, norm2):
+    # squaring the rounded modulus |0.75 - 0.5j| gives 0.8125000000000001
+    assert DenseMatrix.from_rows([[0.75 - 0.5j] * cols]).frobenius_norm2() == norm2
 
 
 def test_signed_zeros_hash_equal():

@@ -154,5 +154,5 @@ def test_structure_report_float_backend():
     model = build_clifford_model(1, kind="float")
     triple = build_standard_triple(model)
     ops = build_kaehler_operators(model, triple)
-    rep = structure_report(model, triple, ops, tol=1e-10)
+    rep = structure_report(model, triple, ops)
     assert rep.ok

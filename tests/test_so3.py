@@ -213,14 +213,23 @@ def test_search_exact_integer_vectors():
 
 
 def test_search_exhaustion_reports_best_candidate():
-    # an unreachable float threshold forces exhaustion
+    # coordinate 0 of [0, 1] is zero, so the only sample, the identity, fails
+    for kind in ("float", "exact"):
+        ir = build_irrep(1, kind=kind)
+        out = find_rotation_with_top_component(ir, [0, 1], budget=1, seed=2)
+        assert not out.found
+        assert out.samples_used == 1
+        assert out.rotation is not None
+        assert out.magnitude == 0
+
+
+def test_search_refuses_only_an_exactly_zero_float_column():
     ir = build_irrep(1, kind="float")
-    out = find_rotation_with_top_component(ir, [0, 1], budget=5, seed=2,
-                                           threshold=1e9)
-    assert not out.found
-    assert out.samples_used == 5
-    assert out.rotation is not None
-    assert out.magnitude >= 0
+    # far below FLOAT_TOL, yet not zero: the search runs on it
+    out = find_rotation_with_top_component(ir, [1e-12, 0], budget=2)
+    assert out.magnitude > 0
+    with pytest.raises(DomainError):
+        find_rotation_with_top_component(ir, [0, 0])
 
 
 def test_search_domain_errors():
