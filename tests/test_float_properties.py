@@ -175,14 +175,17 @@ def test_from_rows_matches_reference(single):
             == DenseMatrix.from_rows(a).fingerprint())
 
 
-def test_is_zero_reads_the_stored_values_against_float_tol():
-    below, above = np.nextafter(FLOAT_TOL, 0), np.nextafter(FLOAT_TOL, 1)
-    for entry, zero in ((below, True), (FLOAT_TOL, True), (above, False)):
+@pytest.mark.parametrize("tol", [FLOAT_TOL, 1e-12, 0.25])
+def test_is_zero_reads_the_stored_values_against_tol(tol):
+    # is_zero() judges against FLOAT_TOL; a caller's own bound is max_abs() <= tol
+    below, above = np.nextafter(tol, 0), np.nextafter(tol, 1)
+    for entry, within in ((below, True), (tol, True), (above, False)):
         for sign in (1, -1, 1j, -1j):
             m = DenseMatrix.from_rows([[0, 0], [0, sign * entry]])
-            assert m.is_zero() == zero
+            assert (m.max_abs() <= tol) == within
             assert m.max_abs() == entry
-    assert DenseMatrix.zeros(2, 3).is_zero()
+            assert m.is_zero() == (entry <= FLOAT_TOL)
+    assert DenseMatrix.zeros(2, 3).is_zero() and DenseMatrix.zeros(2, 3).max_abs() == 0.0
 
 
 @pytest.mark.parametrize("cols, norm2", [(1, 0.8125), (64, 52.0)])
