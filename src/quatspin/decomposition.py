@@ -52,7 +52,6 @@ class Block:
 @dataclass
 class JointDecomposition:
     m: int
-    kind: str
     spinor_dim: int
     blocks: dict
     r_projectors: dict = field(repr=False, default_factory=dict)
@@ -111,8 +110,8 @@ def decompose(model, ops):
             blocks[(r, k)] = Block(r=r, k=k, dim=dim, projector=proj,
                                    omega_eig=omega_eigenvalue(m, r),
                                    weight_im=2 * m - 2 * k)
-    return JointDecomposition(m=m, kind=model.kind, spinor_dim=model.spinor_dim,
-                              blocks=blocks, r_projectors=r_proj, k_projectors=k_proj)
+    return JointDecomposition(m=m, spinor_dim=model.spinor_dim, blocks=blocks,
+                              r_projectors=r_proj, k_projectors=k_proj)
 
 
 def decomposition_report(dec, model, ops):
@@ -123,6 +122,13 @@ def decomposition_report(dec, model, ops):
     every nonzero block, the presence rule, the dimension count, and that
     every Clifford generator maps each block into the four diagonal neighbor
     blocks only.
+
+    The two eigen-residuals of a block P, Kraines P - omega_r P and
+    Omega_1 P - i(2m - 2k) P, are formed once each and reported under two
+    check_ids: block_projector_eigen (the stated spectrum) and
+    block_scalar_kraines / block_scalar_weight (the restriction scalars of
+    the lemma suite).  Both read `ops`, so a corrupted model fails them
+    together.
 
     The neighbor check reads the marginal families P_r (levels) and P_k
     (weights).  Per generator g it forms one residual per level and one
@@ -167,13 +173,15 @@ def decomposition_report(dec, model, ops):
                            str(blk.dim) if note else "0", note))
         if blk.dim == 0:
             continue
-        rep.add(residual_entry(
-            "block_projector_eigen", f"{sub} r={r} k={k} kraines",
-            ops.kraines @ blk.projector - blk.projector.scale(blk.omega_eig)))
-        wt = weight_eigenvalue(m, k)
-        rep.add(residual_entry(
-            "block_projector_eigen", f"{sub} r={r} k={k} weight",
-            ops[1] @ blk.projector - blk.projector.scale(wt)))
+        p = blk.projector
+        for claim, res, scalar_id, note in (
+                ("kraines", ops.kraines @ p - p.scale(blk.omega_eig),
+                 "block_scalar_kraines", ""),
+                ("weight", ops[1] @ p - p.scale(weight_eigenvalue(m, k)),
+                 "block_scalar_weight", "weight scalar carries the explicit i")):
+            rep.add(residual_entry("block_projector_eigen",
+                                   f"{sub} r={r} k={k} {claim}", res))
+            rep.add(residual_entry(scalar_id, f"{sub} r={r} k={k}", res, note))
         ok = allowed and blk.weight_im == 2 * r - 4 * ((k + r - m) // 2)
         rep.add(CheckEntry("weight_consistency", f"{sub} r={r} k={k}",
                            "pass" if ok else "fail", "0" if ok else "1"))

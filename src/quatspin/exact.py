@@ -339,9 +339,6 @@ class DenseMatrix(_Nonzeros):
         """Sum of squared entry moduli."""
         return float(np.sum(self._v.real ** 2 + self._v.imag ** 2))
 
-    def to_float(self):
-        return self
-
     def to_complex_array(self):
         full = np.zeros(self.rows * self.cols, dtype=np.complex128)
         full[self._key] = self._v

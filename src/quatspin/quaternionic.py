@@ -118,7 +118,7 @@ def build_adapted_basis(model, triple):
     return AdaptedBasis(f=tuple(fs), f_bar=tuple(fbars))
 
 
-def sl2_generators(model, ops):
+def sl2_generators(ops):
     """O_1 = (i/2) Omega_1 and the ladder pair O^+ = (O_2 + i O_3)/2, O^-."""
     o1, o2, o3 = (ops[a].scale(_I_HALF) for a in (1, 2, 3))
     plus = (o2 + o3.scale(_I)).scale(_HALF)
@@ -191,7 +191,7 @@ def structure_report(model, triple, ops):
         "kraines_rebuild", sub,
         ops.kraines - kraines_form(model, (ops[1], ops[2], ops[3]))))
 
-    o1, plus, minus = sl2_generators(model, ops)
+    o1, plus, minus = sl2_generators(ops)
     rep.add(residual_entry("sl2_relations", f"{sub} [O1,O+]=2O+",
                            o1 @ plus - plus @ o1 - plus.scale(2)))
     rep.add(residual_entry("sl2_relations", f"{sub} [O1,O-]=-2O-",

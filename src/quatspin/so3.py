@@ -181,17 +181,15 @@ def random_rotation(rng, kind="float"):
 def rotated_generator(irrep, g):
     """Image of H1 under the rotation: sum_b g_{0b} H_{b+1}.
 
-    Same spectrum as H1 for any valid rotation.  The result is float if
-    either the representation or the rotation uses the float backend.
+    Same spectrum as H1 for any valid rotation.  The rotation and the
+    representation must use the same backend; TypeError otherwise.
     """
     check_rotation(g)
-    out_kind = "float" if "float" in (irrep.kind, g.kind) else "exact"
-    total = None
-    for b in range(3):
-        h = irrep.h[b] if irrep.kind == out_kind else irrep.h[b].to_float()
-        term = h.scale(g[0, b])
-        total = term if total is None else total + term
-    return total
+    if g.kind != irrep.kind:
+        raise TypeError(
+            f"{g.kind} rotation does not match the {irrep.kind} irrep backend")
+    h1, h2, h3 = irrep.h
+    return h1.scale(g[0, 0]) + h2.scale(g[0, 1]) + h3.scale(g[0, 2])
 
 
 def top_weight_projector(irrep, generator):
@@ -235,14 +233,16 @@ def highest_weight_component(irrep, g, v):
     Returned as a float in both backends (square root of the exact norm
     square in exact mode).  The top-weight space of a non-normal rotated
     generator need not be orthogonal to the lower ones, so this is the norm
-    of the (generally oblique) spectral projection of v.
+    of the (generally oblique) spectral projection of v.  The rotation and
+    a backend column v must use the irrep's backend; TypeError otherwise.
     """
-    col = _column(irrep, v)
-    gen = rotated_generator(irrep, g)
-    if col.kind != gen.kind:
-        col = col.to_float()
-    p = top_weight_projector(irrep, gen)
-    return math.sqrt(float((p @ col).frobenius_norm2()))
+    part = _top_weight_part(irrep, g, _column(irrep, v))
+    return math.sqrt(float(part.frobenius_norm2()))
+
+
+def _top_weight_part(irrep, g, col):
+    """Spectral projection of a backend column onto the rotated top weight."""
+    return top_weight_projector(irrep, rotated_generator(irrep, g)) @ col
 
 
 # ------------------------------------------------------------ rotation search
@@ -295,13 +295,10 @@ def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
         if i == 0:
             # the unrotated H1 = diag(r, r-2, ...) keeps coordinate 0 on top
             g = identity_rotation(irrep.kind)
-            w = matrix_type(col.kind).from_rows(
-                [[col[0, 0]]] + [[0]] * (irrep.dim - 1))
+            w = type(col).from_rows([[col[0, 0]]] + [[0]] * (irrep.dim - 1))
         else:
             g = random_rotation(rng, irrep.kind)
-            gen = rotated_generator(irrep, g)
-            p = top_weight_projector(irrep, gen)
-            w = p @ (col if col.kind == gen.kind else col.to_float())
+            w = _top_weight_part(irrep, g, col)
         mag = math.sqrt(float(w.frobenius_norm2()))
         accepted = (not w.is_zero()) if w.kind == "exact" \
             else mag > TOP_COMPONENT_THRESHOLD

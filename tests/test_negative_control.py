@@ -6,8 +6,10 @@ decomposed.  For every generator index at m = 1 (both backends) and m = 2
 through an error, and the failures must reach the decomposition, lemma and
 constant layers, including each per-vector family that is checked on the
 adapted basis, and the adjoint pairing of neighbouring block maps.  The
-neighbour rows (clifford_neighbor_blocks) are not among them: -gamma_i moves
-the blocks exactly as gamma_i does, so a sign flip cannot fail them.
+Omega_1 and Kraines restriction scalars fail on every block, with the
+residual of their block_projector_eigen twin.  The neighbour rows
+(clifford_neighbor_blocks) are not among the witnesses: -gamma_i moves the
+blocks exactly as gamma_i does, so a sign flip cannot fail them.
 """
 
 import json
@@ -20,7 +22,8 @@ from quatspin import cli
 WITNESS_FAMILIES = {"clifford_four_fold_split", "kraines_commutator_jop",
                     "kaehler_vector_commutator", "block_projector_eigen",
                     "k_shift_projection", "block_constant_match",
-                    "block_adjoint_pairing"}
+                    "block_adjoint_pairing", "block_scalar_weight",
+                    "block_scalar_kraines"}
 
 CASES = [(1, i, backend) for i in range(4) for backend in ("exact", "float")] \
     + [(2, i, "exact") for i in range(8)]
@@ -38,10 +41,20 @@ def test_flipped_generator_fails_with_witnesses(m, index, backend, capsys):
                         "--backend", backend], capsys)
     assert rc == 1
     assert err == ""
-    failures = json.loads(out)["failures"]
+    report = json.loads(out)
+    failures = report["failures"]
     for f in failures:
         assert float(f["residual"]) > 0, f
     assert WITNESS_FAMILIES <= {f["check_id"] for f in failures}
+    # each block scalar row fails on every block with its eigen twin's residual
+    rows = {(e["check_id"], e["subject"]): e for e in report["entries"]}
+    for family, claim in (("block_scalar_kraines", "kraines"),
+                          ("block_scalar_weight", "weight")):
+        for (check_id, subject), e in rows.items():
+            if check_id == family:
+                twin = rows["block_projector_eigen", f"{subject} {claim}"]
+                assert e["status"] == "fail", e
+                assert e["residual"] == twin["residual"], (e, twin)
 
 
 @pytest.mark.parametrize("m", [1, 2])

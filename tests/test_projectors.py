@@ -48,12 +48,12 @@ def test_weight_components_recover_adapted_basis(world1):
     model, triple, _, basis, _, _ = world1
     for j in range(2 * model.m):
         x = basis_vector(model, 2 * j)
-        assert q_minus(model, triple, x) == basis.f[j]
-        assert q_plus(model, triple, x) + q_minus(model, triple, x) == x
+        assert q_minus(triple, x) == basis.f[j]
+        assert q_plus(triple, x) + q_minus(triple, x) == x
         # each component is a weight eigenvector of J_1: J_1 q^- = +i q^-
-        qp = q_plus(model, triple, x)
+        qp = q_plus(triple, x)
         assert (triple[1] @ qp + qp.scale(ExactScalar(0, 1))).is_zero()
-        qm = q_minus(model, triple, x)
+        qm = q_minus(triple, x)
         assert (triple[1] @ qm - qm.scale(ExactScalar(0, 1))).is_zero()
 
 
@@ -63,10 +63,10 @@ def test_weight_components_of_odd_vectors(world1):
     for j in range(2 * model.m):
         even = basis_vector(model, 2 * j)
         odd = basis_vector(model, 2 * j + 1)
-        assert q_plus(model, triple, odd) == \
-            q_plus(model, triple, even).scale(ExactScalar(0, -1))
-        assert q_minus(model, triple, odd) == \
-            q_minus(model, triple, even).scale(ExactScalar(0, 1))
+        assert q_plus(triple, odd) == \
+            q_plus(triple, even).scale(ExactScalar(0, -1))
+        assert q_minus(triple, odd) == \
+            q_minus(triple, even).scale(ExactScalar(0, 1))
 
 
 def test_degree_components_sum_to_action(world2):

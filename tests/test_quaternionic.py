@@ -82,8 +82,8 @@ def test_kraines_commutes_with_weights(setup2):
 
 
 def test_sl2_ladder(setup1):
-    model, _, ops = setup1
-    o1, plus, minus = sl2_generators(model, ops)
+    _, _, ops = setup1
+    o1, plus, minus = sl2_generators(ops)
     assert o1 @ plus - plus @ o1 == plus.scale(2)
     assert o1 @ minus - minus @ o1 == minus.scale(-2)
     assert plus @ minus - minus @ plus == o1
@@ -91,7 +91,7 @@ def test_sl2_ladder(setup1):
 
 def test_casimir_scalar(setup1):
     model, _, ops = setup1
-    o1, plus, minus = sl2_generators(model, ops)
+    o1, plus, minus = sl2_generators(ops)
     ident = model.identity()
     casimir = o1 @ o1
     for a, s in ((2, 1), (3, 1)):

@@ -127,6 +127,10 @@ def test_rotated_generator_oracles():
         rotated_generator(build_irrep(1), Rotation(((1.0, 0.5, 0.0),
                                                     (0.0, 1.0, 0.0),
                                                     (0.0, 0.0, 1.0)), "float"))
+    with pytest.raises(TypeError, match="backend"):
+        rotated_generator(build_irrep(1), identity_rotation("float"))
+    with pytest.raises(TypeError, match="backend"):
+        rotated_generator(build_irrep(1, kind="float"), identity_rotation())
 
 
 def test_rotated_generator_spectrum_randomized():
@@ -152,6 +156,8 @@ def test_highest_weight_component_oracles():
     assert highest_weight_component(ir, gy, col) == pytest.approx(mag)
     with pytest.raises(TypeError, match="backend"):
         highest_weight_component(ir, gy, col.to_float())
+    with pytest.raises(TypeError, match="backend"):
+        highest_weight_component(ir, identity_rotation("float"), col)
     with pytest.raises(DomainError):
         highest_weight_component(ir, e, [0, 0])
     with pytest.raises(DimensionError):
