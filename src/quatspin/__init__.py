@@ -7,6 +7,18 @@ arithmetic, reproduces the block transition constants, and tabulates the
 resulting Dirac eigenvalue lower-bound coefficients.
 """
 
+import os as _os
+import sys as _sys
+
+# No quatspin command makes a BLAS call: load numpy's OpenBLAS on one thread
+# (it reads the variable once, as it loads) unless the caller chose a count.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     QuatspinError,
     DimensionError,

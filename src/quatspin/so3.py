@@ -279,29 +279,34 @@ def random_vector(rng, dim, kind="float"):
 def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
     """First sampled rotation under which v has a nonzero top-weight part.
 
-    Sample 0 is always the identity; later samples are uniform rotations
-    drawn from a generator seeded with (seed, r), so runs are reproducible.
-    Acceptance is exact nonzero-ness in exact mode and magnitude above
-    TOP_COMPONENT_THRESHOLD in float mode.  Every vector admits such a
-    rotation, so exhaustion at a reasonable budget indicates a real problem
-    and is reported with the best candidate found.
+    Sample 0 is always the identity.  The unrotated H1 = diag(r, r-2, ...)
+    keeps coordinate 0 on top, so that sample is decided from v_0 alone,
+    with no matrix built and no generator seeded.  Later samples are uniform
+    rotations drawn from a generator seeded with (seed, r), so runs are
+    reproducible.  Acceptance is a nonzero exact squared norm in exact mode
+    and magnitude above TOP_COMPONENT_THRESHOLD in float mode.  Every vector
+    admits such a rotation, so exhaustion at a reasonable budget indicates a
+    real problem and is reported with the best candidate found.
     """
     if budget < 1:
         raise DomainError(f"sample budget must be at least 1, got {budget}")
     col = _column(irrep, v)
+    exact = irrep.kind == "exact"
+
+    def judged(norm2):
+        mag = math.sqrt(float(norm2))
+        return mag, (norm2 != 0) if exact else mag > TOP_COMPONENT_THRESHOLD
+
+    g, top = identity_rotation(irrep.kind), col[0, 0]
+    mag, accepted = judged(top.abs2() if exact
+                           else top.real * top.real + top.imag * top.imag)
+    if accepted:
+        return RotationSearch(True, g, mag, 1, seed)
+    best_mag, best_g = mag, g
     rng = np.random.default_rng([seed, irrep.r])
-    best_mag, best_g = -1.0, None
-    for i in range(budget):
-        if i == 0:
-            # the unrotated H1 = diag(r, r-2, ...) keeps coordinate 0 on top
-            g = identity_rotation(irrep.kind)
-            w = type(col).from_rows([[col[0, 0]]] + [[0]] * (irrep.dim - 1))
-        else:
-            g = random_rotation(rng, irrep.kind)
-            w = _top_weight_part(irrep, g, col)
-        mag = math.sqrt(float(w.frobenius_norm2()))
-        accepted = (not w.is_zero()) if w.kind == "exact" \
-            else mag > TOP_COMPONENT_THRESHOLD
+    for i in range(1, budget):
+        g = random_rotation(rng, irrep.kind)
+        mag, accepted = judged(_top_weight_part(irrep, g, col).frobenius_norm2())
         if accepted:
             return RotationSearch(True, g, mag, i + 1, seed)
         if mag > best_mag:

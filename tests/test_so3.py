@@ -174,6 +174,36 @@ def test_search_accepts_identity_for_highest_weight_vector():
         assert out.magnitude == pytest.approx(1.0)
 
 
+def test_sample_zero_is_decided_from_the_top_coordinate():
+    # v_0 = 3 + 4i: the identity is accepted with magnitude |v_0| = 5
+    # whatever the other coordinates, in both backends
+    for kind, top in (("exact", ExactScalar(3, 4)), ("float", 3 + 4j)):
+        out = find_rotation_with_top_component(build_irrep(2, kind=kind),
+                                               [top, 1, 0], seed=3)
+        assert out.found and out.samples_used == 1
+        assert out.rotation.entries == identity_rotation(kind).entries
+        assert out.magnitude == 5.0
+    # v_0 = 0: sample 1 is the first draw of the generator seeded with (3, r)
+    pinned = {
+        "exact": ((Fraction(2, 3), Fraction(-22, 39), Fraction(-19, 39)),
+                  (Fraction(1, 3), Fraction(-14, 39), Fraction(34, 39)),
+                  (Fraction(-2, 3), Fraction(-29, 39), Fraction(-2, 39))),
+        "float": ((0.4618987114454629, 0.8808308125390333, -0.10385884674329711),
+                  (0.8772969341507311, -0.436523341103929, 0.19949301241194112),
+                  (0.13038278143508455, -0.1832606132077745, -0.9743797401177641)),
+    }
+    for kind, entries in pinned.items():
+        out = find_rotation_with_top_component(build_irrep(2, kind=kind),
+                                               [0, 1, 2], seed=3)
+        first_draw = random_rotation(np.random.default_rng([3, 2]), kind)
+        assert out.found and out.samples_used == 2
+        assert out.rotation.entries == first_draw.entries
+        if kind == "exact":
+            assert out.rotation.entries == entries
+        else:
+            assert np.allclose(out.rotation.entries, entries, rtol=0, atol=1e-15)
+
+
 def test_search_escapes_vanishing_identity_component():
     # the lowest-weight vector has exactly zero top component at the identity,
     # so the search must move to a non-identity rotation

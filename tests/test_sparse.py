@@ -6,7 +6,8 @@ so(3)'s matrices.  The float backend, DenseMatrix, stores its nonzeros the
 same way, and its Clifford layer keeps the same short rows.  The generators
 of both backends, built by index arithmetic, equal the iterated tensor
 products of an np.kron chain, and importing the CLI does not pull in scipy,
-whose import alone would cost more than numpy's.
+whose import alone would cost more than numpy's, nor start an OpenBLAS
+worker thread, unless the caller asked for one.
 """
 
 import os
@@ -64,6 +65,41 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ), check=True).stdout
     assert out.strip() == "[]"
+
+
+def _threads_and_variable(code, **env):
+    """Threads of a fresh interpreter after `code`, and its OPENBLAS_NUM_THREADS."""
+    probe = ("; import os; print(len(os.listdir('/proc/self/task')), "
+             "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run([sys.executable, "-c", code + probe], capture_output=True,
+                         text=True, env={**base, **env}, check=True).stdout.split()
+    return int(out[0]), out[1]
+
+
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="counts threads in /proc/self/task")
+
+
+@needs_proc_tasks
+def test_cli_import_starts_no_blas_worker():
+    # one thread, and the variable set for numpy's load is gone again
+    assert _threads_and_variable("import quatspin.cli") == (1, "None")
+
+
+@needs_proc_tasks
+def test_cli_import_keeps_the_callers_blas_thread_count():
+    numpy_alone = _threads_and_variable("import numpy", OPENBLAS_NUM_THREADS="2")
+    assert numpy_alone[1] == "2"
+    assert _threads_and_variable("import quatspin.cli",
+                                 OPENBLAS_NUM_THREADS="2") == numpy_alone
+
+
+@needs_proc_tasks
+def test_cli_import_leaves_an_earlier_numpy_alone():
+    numpy_alone = _threads_and_variable("import numpy")
+    assert numpy_alone[1] == "None"
+    assert _threads_and_variable("import numpy, quatspin.cli") == numpy_alone
 
 
 def test_exact_clifford_layer_is_sparse_at_m4():
