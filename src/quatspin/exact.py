@@ -368,15 +368,33 @@ def lagrange_projector(a, lam, spectrum):
 
     The projector for lam (I if lam is the only value) if the distinct values
     `spectrum` hold the whole spectrum of `a`; certify_eigenprojector checks that.
+    The product is formed unscaled and divided once by prod (lam - mu).  A
+    pair +-mu of the other values enters as the one factor a^2 - mu^2 I, with
+    a^2 formed once, since (a - mu I)(a + mu I) = a^2 - mu^2 I and polynomials
+    in a commute.  The result is the same polynomial in a, so an exact result
+    is the same canonical matrix; a symmetric spectrum of s values takes about
+    s/2 products instead of s - 2.
     """
     lam = scalar_for(a, lam)
     ident = type(a).identity(a.rows)
-    p = None
-    for mu in (scalar_for(a, v) for v in spectrum):
-        if mu != lam:
-            f = (a - ident.scale(mu)).scale(1 / (lam - mu))
-            p = f if p is None else p @ f
-    return ident if p is None else p
+    others = [mu for mu in (scalar_for(a, v) for v in spectrum) if mu != lam]
+    factors, denominator, square = [], 1, None
+    while others:
+        mu = others.pop(0)
+        if -mu in others:
+            others.remove(-mu)
+            square = a @ a if square is None else square
+            factors.append(square - ident.scale(mu * mu))
+            denominator *= lam * lam - mu * mu
+        else:
+            factors.append(a - ident.scale(mu))
+            denominator *= lam - mu
+    if not factors:
+        return ident
+    p = factors[0]
+    for f in factors[1:]:
+        p = p @ f
+    return p.scale(1 / denominator)
 
 
 def certify_eigenprojector(a, lam, p):
@@ -396,7 +414,11 @@ def lagrange_eigenprojectors(a, spectrum):
     1, so the P_i sum to I; L_i L_j (i != j) and L_i^2 - L_i vanish at every
     mu, so they are multiples of prod (x - mu): the P_i are idempotent and
     pairwise orthogonal.  Exact in the exact backend, to FLOAT_TOL in the float
-    one; a failure raises SpectrumError with the residual.
+    one; a failure raises SpectrumError with the residual.  The argument
+    reads P_lam only as the polynomial L_lam(a), so the grouping of its
+    factors (the pairs +-mu that `lagrange_projector` multiplies as
+    a^2 - mu^2 I) and the one scale at the end change the work, not the
+    matrix that is certified.
     """
     if a.rows != a.cols:
         raise DimensionError("eigenprojectors need a square matrix")

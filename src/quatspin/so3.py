@@ -31,7 +31,7 @@ from .exact import (
 )
 from .quaternionic import epsilon
 from .report import VerificationReport, residual_entry
-from .sparse import SparseMatrix, matrix_type
+from .sparse import SparseMatrix, _parts, matrix_type
 
 _FIXED_QUATERNIONS = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 1, 1, 1))
 
@@ -134,17 +134,23 @@ def identity_rotation(kind="exact"):
 
 
 def _rotation_defect(g):
-    """Orthogonality and determinant defects, in the rotation's arithmetic."""
-    e = g.entries
-    dev = 0
-    for i in range(3):
-        for j in range(3):
-            dot = sum(e[k][i] * e[k][j] for k in range(3))
-            dev = max(dev, abs(dot - (1 if i == j else 0)))
+    """Orthogonality and determinant defects, in the rotation's arithmetic.
+
+    The entries are read as N / d over a common denominator d (d = 1 for the
+    float kind), so the defects are max |sum_k N_ki N_kj - delta_ij d^2| / d^2
+    and |det N - d^3| / d^3, with the numerators in integer arithmetic for the
+    exact kind.
+    """
+    e, d, conv = g.entries, 1, float
+    if g.kind == "exact":
+        d, conv = math.lcm(*(v.denominator for row in e for v in row)), Fraction
+        e = [[v.numerator * (d // v.denominator) for v in row] for row in e]
+    dev = max(abs(sum(e[k][i] * e[k][j] for k in range(3)) - (d * d if i == j else 0))
+              for i in range(3) for j in range(3))
     det = (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
            - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
            + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
-    return dev, abs(det - 1)
+    return conv(dev) / d ** 2, conv(abs(det - d ** 3)) / d ** 3
 
 
 def check_rotation(g):
@@ -206,25 +212,47 @@ def top_weight_projector(irrep, generator):
     return p
 
 
-def _column(irrep, v):
-    """Coerce a coordinate vector to a nonzero backend column."""
+def _entry_parts(kind, x):
+    """(re, im) of a coordinate in the backend's arithmetic; TypeError otherwise."""
+    if kind == "exact":
+        return _parts(x)
+    z = x.to_complex() if isinstance(x, ExactScalar) else complex(x)
+    return z.real, z.imag
+
+
+def _vector(irrep, v):
+    """A nonzero vector of the irrep's dimension, as a backend column or a list.
+
+    A column is checked on its shape, a coordinate sequence on its length and
+    its entries, with no column built.  Raises DimensionError for a wrong
+    shape or length, DomainError for the zero vector, and TypeError for a
+    column or an entry the irrep's backend does not take.
+    """
     cls = matrix_type(irrep.kind)
     if isinstance(v, cls):
         if v.rows != irrep.dim or v.cols != 1:
             raise DimensionError(
                 f"expected a {irrep.dim}x1 column, got {v.rows}x{v.cols}")
-        col = v
+        nonzero = v.max_abs() != 0
     elif hasattr(v, "kind"):
         raise TypeError("column backend does not match the irrep backend")
     else:
-        entries = list(v)
-        if len(entries) != irrep.dim:
-            raise DimensionError(
-                f"expected {irrep.dim} coordinates, got {len(entries)}")
-        col = cls.from_rows([[entry] for entry in entries])
-    if col.max_abs() == 0:
+        v = list(v)
+        if len(v) != irrep.dim:
+            raise DimensionError(f"expected {irrep.dim} coordinates, got {len(v)}")
+        # a list, not a generator: every entry is read, so a wrong type raises
+        nonzero = any([re or im for re, im in (_entry_parts(irrep.kind, x) for x in v)])
+    if not nonzero:
         raise DomainError("zero vector has no weight components")
-    return col
+    return v
+
+
+def _column(irrep, v):
+    """Coerce a coordinate vector to a nonzero backend column."""
+    v = _vector(irrep, v)
+    if isinstance(v, list):
+        return matrix_type(irrep.kind).from_rows([[entry] for entry in v])
+    return v
 
 
 def highest_weight_component(irrep, g, v):
@@ -279,10 +307,13 @@ def random_vector(rng, dim, kind="float"):
 def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
     """First sampled rotation under which v has a nonzero top-weight part.
 
-    Sample 0 is always the identity.  The unrotated H1 = diag(r, r-2, ...)
-    keeps coordinate 0 on top, so that sample is decided from v_0 alone,
-    with no matrix built and no generator seeded.  Later samples are uniform
-    rotations drawn from a generator seeded with (seed, r), so runs are
+    v is a coordinate sequence or a backend column.  A sequence is checked on
+    its coordinates (length, entry types, not all zero) and raises what its
+    column would.  Sample 0 is always the identity.  The unrotated
+    H1 = diag(r, r-2, ...) keeps coordinate 0 on top, so that sample is
+    decided from v_0 alone, with no generator seeded; the column of a
+    sequence is built only when sample 1 is needed.  Later samples are
+    uniform rotations drawn from a generator seeded with (seed, r), so runs are
     reproducible.  Acceptance is a nonzero exact squared norm in exact mode
     and magnitude above TOP_COMPONENT_THRESHOLD in float mode.  Every vector
     admits such a rotation, so exhaustion at a reasonable budget indicates a
@@ -290,18 +321,19 @@ def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
     """
     if budget < 1:
         raise DomainError(f"sample budget must be at least 1, got {budget}")
-    col = _column(irrep, v)
+    v = _vector(irrep, v)
     exact = irrep.kind == "exact"
 
     def judged(norm2):
         mag = math.sqrt(float(norm2))
         return mag, (norm2 != 0) if exact else mag > TOP_COMPONENT_THRESHOLD
 
-    g, top = identity_rotation(irrep.kind), col[0, 0]
-    mag, accepted = judged(top.abs2() if exact
-                           else top.real * top.real + top.imag * top.imag)
+    g = identity_rotation(irrep.kind)
+    re, im = _entry_parts(irrep.kind, v[0] if isinstance(v, list) else v[0, 0])
+    mag, accepted = judged(re * re + im * im)
     if accepted:
         return RotationSearch(True, g, mag, 1, seed)
+    col = _column(irrep, v)
     best_mag, best_g = mag, g
     rng = np.random.default_rng([seed, irrep.r])
     for i in range(1, budget):
@@ -330,6 +362,8 @@ def irrep_report(max_r):
     rotated by fixed rational quaternions.
     """
     rep = VerificationReport()
+    rotations = [(quat, rotation_from_quaternion(*quat, kind="exact"))
+                 for quat in _FIXED_QUATERNIONS]
     for r in range(max_r + 1):
         irrep = build_irrep(r, kind="exact")
         h1, h2, h3 = irrep.h
@@ -364,8 +398,7 @@ def irrep_report(max_r):
              for s, w in enumerate(irrep.weights())])
         rep.add(residual_entry("weight_spectrum", sub, h1 - diag))
 
-        for quat in _FIXED_QUATERNIONS:
-            g = rotation_from_quaternion(*quat, kind="exact")
+        for quat, g in rotations:
             gen = rotated_generator(irrep, g)
             qsub = f"{sub} q={quat}"
             try:

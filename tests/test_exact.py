@@ -6,10 +6,13 @@ import pytest
 
 from quatspin.errors import DimensionError, DomainError, SpectrumError
 from quatspin.exact import (
+    FLOAT_TOL,
     DenseMatrix,
     ExactScalar,
     column_space_basis,
     lagrange_eigenprojectors,
+    lagrange_projector,
+    scalar_for,
 )
 from quatspin.sparse import SparseMatrix
 
@@ -138,6 +141,70 @@ def test_eigenprojectors_reject_a_jordan_block():
     jordan = SparseMatrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(SpectrumError, match="eigen-equation"):
         lagrange_eigenprojectors(jordan, [1, -1])
+
+
+def sequential_lagrange(a, lam, spectrum):
+    """Reference: one scaled factor (a - mu I)/(lam - mu) at a time, in order."""
+    lam = scalar_for(a, lam)
+    ident = type(a).identity(a.rows)
+    p = ident
+    for mu in (scalar_for(a, v) for v in spectrum):
+        if mu != lam:
+            p = p @ (a - ident.scale(mu)).scale(1 / (lam - mu))
+    return p
+
+
+LAGRANGE_SPECTRA = [
+    [3, 1, -1, -3],               # pairs +-1; lam = 3 leaves -3 = -lam alone
+    [2, 0, -2],                   # 0 is never paired
+    [4, 2, 0, -2, -4, 1],         # so(3)-like weights plus an unpaired value
+    [Fraction(1, 2), Fraction(-1, 2), Fraction(5, 3)],
+    [ExactScalar(0, 2), ExactScalar(0, -2), ExactScalar(1, 1),
+     ExactScalar(-1, -1), 0],     # Gaussian pairs, as i(2m - 2k)
+    [7],                          # lam alone: the identity
+]
+
+
+def test_lagrange_projector_matches_the_sequential_product():
+    # the same polynomial in a for any a, certified or not, so exact equality
+    # of the canonical forms holds on random matrices
+    rng = random.Random(29)
+    for spectrum in LAGRANGE_SPECTRA:
+        for n in (1, 3, 4):
+            a = rand_matrix(rng, n, n)
+            for lam in spectrum:
+                assert lagrange_projector(a, lam, spectrum) == \
+                    sequential_lagrange(a, lam, spectrum), (spectrum, n, lam)
+
+
+def test_lagrange_projector_float_matches_within_tolerance():
+    rng = np.random.default_rng(5)
+    a = DenseMatrix.from_rows((rng.standard_normal((4, 4))
+                               + 1j * rng.standard_normal((4, 4))).tolist())
+    for spectrum in ([3, 1, -1, -3], [2j, -2j, 1 + 1j, -1 - 1j, 0]):
+        for lam in spectrum:
+            diff = (lagrange_projector(a, lam, spectrum)
+                    - sequential_lagrange(a, lam, spectrum))
+            assert diff.max_abs() <= FLOAT_TOL, (spectrum, lam)
+
+
+def test_paired_projectors_still_reject_a_jordan_block_and_a_wrong_spectrum():
+    # lam = 2 pairs +-1 into a^2 - I; the Jordan block on 1 breaks a P = 2 P
+    jordan = SparseMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
+    with pytest.raises(SpectrumError, match="eigen-equation"):
+        lagrange_eigenprojectors(jordan, [2, 1, -1])
+    # the true spectrum {1, 3, -3} is not inside the stated {1, 2, -2}
+    with pytest.raises(SpectrumError, match="eigen-equation"):
+        lagrange_eigenprojectors(SparseMatrix.from_rows(
+            [[1, 0, 0], [0, 3, 0], [0, 0, -3]]), [1, 2, -2])
+    # a right spectrum with pairs certifies, and the projectors sum to I
+    d = SparseMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 3]])
+    projs = lagrange_eigenprojectors(d, [1, -1, 3, -3])
+    total = SparseMatrix.zeros(3, 3)
+    for p in projs.values():
+        total = total + p
+    assert total == SparseMatrix.identity(3)
+    assert projs[ExactScalar(-3)].is_zero()
 
 
 def test_max_abs_is_the_largest_entry_modulus():

@@ -9,6 +9,8 @@ from quatspin.exact import ExactScalar
 from quatspin.quaternionic import epsilon
 from quatspin.so3 import (
     Rotation,
+    RotationSearch,
+    _rotation_defect,
     build_irrep,
     check_rotation,
     find_rotation_with_top_component,
@@ -21,7 +23,7 @@ from quatspin.so3 import (
     rotation_from_quaternion,
     top_weight_projector,
 )
-from quatspin.sparse import SparseMatrix
+from quatspin.sparse import SparseMatrix, matrix_type
 
 
 def _comm(a, b):
@@ -112,6 +114,51 @@ def test_rotation_validity_checks():
                           "float")
     with pytest.raises(DomainError):
         check_rotation(reflection)
+
+
+def fraction_defect(g):
+    """Reference: the defects summed entry by entry in the rotation's arithmetic."""
+    e = g.entries
+    dev = 0
+    for i in range(3):
+        for j in range(3):
+            dot = sum(e[k][i] * e[k][j] for k in range(3))
+            dev = max(dev, abs(dot - (1 if i == j else 0)))
+    det = (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
+           - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
+           + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
+    return dev, abs(det - 1)
+
+
+def corrupted_rotations(kind):
+    """A shear, a reflection and a rotation with one entry moved, of one kind."""
+    conv = Fraction if kind == "exact" else float
+    g = rotation_from_quaternion(2, 3, 6, 0, kind=kind)
+    moved = [list(row) for row in g.entries]
+    moved[1][2] += conv(1) / 7
+    grid = (((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    return [Rotation(tuple(tuple(conv(x) for x in row) for row in rows), kind)
+            for rows in grid] + [Rotation(tuple(map(tuple, moved)), kind)]
+
+
+def test_rotation_defect_matches_the_entrywise_reference():
+    rng = np.random.default_rng(17)
+    for kind in ("exact", "float"):
+        rotations = [rotation_from_quaternion(*(int(x) for x in q), kind=kind)
+                     for q in rng.integers(-9, 10, size=(60, 4)) if q.any()][:50]
+        assert len(rotations) == 50
+        for g in rotations + corrupted_rotations(kind):
+            assert _rotation_defect(g) == fraction_defect(g), (kind, g.entries)
+    for g in corrupted_rotations("exact"):
+        dev, ddet = _rotation_defect(g)
+        assert isinstance(dev, Fraction) and isinstance(ddet, Fraction)
+
+
+def test_check_rotation_rejects_each_corruption():
+    for kind in ("exact", "float"):
+        for g in corrupted_rotations(kind):
+            with pytest.raises(DomainError, match="special orthogonal"):
+                check_rotation(g)
 
 
 def test_rotated_generator_oracles():
@@ -231,10 +278,13 @@ def test_search_float_random_vectors():
     for r in range(1, 7):
         ir = build_irrep(r, kind="float")
         for trial in range(10):
-            v = random_vector(rng, ir.dim, "float")
+            # v_0 = 0 rules out the identity, so the search samples Haar
+            # rotations and runs the float projector
+            v = [0j] + random_vector(rng, ir.dim, "float")[1:]
             out = find_rotation_with_top_component(ir, v, budget=200,
                                                    seed=100 * r + trial)
             assert out.found, (r, trial)
+            assert out.samples_used >= 2
             assert out.magnitude > 1e-8
 
 
@@ -268,6 +318,52 @@ def test_search_refuses_only_an_exactly_zero_float_column():
         find_rotation_with_top_component(ir, [0, 0])
 
 
+def as_column(kind, v):
+    return matrix_type(kind).from_rows([[x] for x in v])
+
+
+def test_search_checks_coordinates_like_a_column():
+    for kind, other in (("exact", "float"), ("float", "exact")):
+        ir = build_irrep(2, kind=kind)
+        with pytest.raises(DimensionError):
+            find_rotation_with_top_component(ir, [1, 0])
+        with pytest.raises(DimensionError):
+            find_rotation_with_top_component(ir, as_column(kind, [1, 0]))
+        with pytest.raises(DomainError):
+            find_rotation_with_top_component(ir, [0, 0, 0])
+        with pytest.raises(DomainError):
+            find_rotation_with_top_component(ir, iter([0, 0, 0]))
+        with pytest.raises(TypeError, match="backend"):
+            find_rotation_with_top_component(ir, as_column(other, [1, 0, 0]))
+    # an exact irrep takes no float coordinate, wherever it sits
+    with pytest.raises(TypeError):
+        find_rotation_with_top_component(build_irrep(2), [1, 0, 0.5])
+
+
+def test_search_gives_the_same_outcome_for_a_list_and_a_column():
+    rng = np.random.default_rng(43)
+    cases = 0
+    for kind in ("exact", "float"):
+        for r in range(6):
+            ir = build_irrep(r, kind=kind)
+            for budget in (1, 2, 50):
+                for trial in range(4):
+                    v = random_vector(rng, ir.dim, kind)
+                    if trial % 2 and r:
+                        v[0] = 0
+                        v[-1] = v[-1] or 1
+                    seed = 10 * r + trial
+                    outs = [find_rotation_with_top_component(ir, x, budget=budget,
+                                                             seed=seed)
+                            for x in (v, iter(v), as_column(kind, v))]
+                    fields = [(o.found, o.rotation.entries, repr(o.magnitude),
+                               o.samples_used, o.seed) for o in outs]
+                    assert all(isinstance(o, RotationSearch) for o in outs)
+                    assert fields[0] == fields[1] == fields[2], (kind, r, budget, v)
+                    cases += 1
+    assert cases == 2 * 6 * 3 * 4
+
+
 def test_search_domain_errors():
     ir = build_irrep(1)
     with pytest.raises(DomainError):
@@ -297,3 +393,23 @@ def test_top_weight_projector_rejects_a_corrupted_generator():
                                     for t in range(ir.dim)] for s in range(ir.dim)])
     with pytest.raises(SpectrumError, match="eigen-equation"):
         top_weight_projector(ir, gen + bump)
+
+
+def test_top_weight_projector_product_count(monkeypatch):
+    # counts the exact products that do work (both operands nonzero): a
+    # guard on the Lagrange pairing, free of timing
+    calls = []
+    product = SparseMatrix._product
+
+    def counted(a, b):
+        calls.append(a.rows)
+        return product(a, b)
+
+    ir = build_irrep(10)
+    gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
+    monkeypatch.setattr(SparseMatrix, "_product", counted)
+    top_weight_projector(ir, gen)
+    assert len(calls) <= 7
+    calls.clear()
+    assert irrep_report(10).ok
+    assert len(calls) <= 280
