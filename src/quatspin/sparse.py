@@ -251,6 +251,12 @@ class SparseMatrix(_Nonzeros):
         return SparseMatrix(self.cols, self.rows, key, self._re[order],
                             -im if conjugate else im, self._den, self._amax)
 
+    def numerators(self):
+        """(den, {(i, j): (re, im)}): the nonzeros' Python-int numerators over den."""
+        rows, cols = np.divmod(self._key, max(self.cols, 1))
+        return self._den, dict(zip(zip(rows.tolist(), cols.tolist()),
+                                   zip(self._re.tolist(), self._im.tolist())))
+
     def frobenius_norm2(self):
         """Sum of squared entry moduli, as an exact Fraction."""
         total = sum(x * x for arr in (self._re, self._im) for x in arr.tolist())

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from quatspin.errors import DimensionError, DomainError, SpectrumError
-from quatspin.exact import ExactScalar
+from quatspin.exact import ExactScalar, certify_eigenprojector, lagrange_projector
 from quatspin.quaternionic import epsilon
 from quatspin.so3 import (
+    _FIXED_QUATERNIONS,
     Rotation,
     RotationSearch,
     _rotation_defect,
@@ -395,9 +396,118 @@ def test_top_weight_projector_rejects_a_corrupted_generator():
         top_weight_projector(ir, gen + bump)
 
 
+def lagrange_reference(ir, gen):
+    """The Lagrange product over the stated spectrum, certified by its eigen-equation."""
+    p = lagrange_projector(gen, ir.r, ir.weights())
+    certify_eigenprojector(gen, ir.r, p)
+    return p
+
+
+AXIS_QUATERNIONS = ((1, 0, 0, 0), (3, 2, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1))
+
+
+def certificate_quaternions(r):
+    rng = np.random.default_rng([59, r])
+    drawn = [tuple(int(x) for x in q) for q in rng.integers(-9, 10, size=(40, 4))
+             if q.any()][:30]
+    assert len(drawn) == 30
+    return drawn + list(AXIS_QUATERNIONS) + list(_FIXED_QUATERNIONS)
+
+
+@pytest.mark.parametrize("r", range(11))
+def test_top_weight_projector_equals_the_lagrange_product(r):
+    ir = build_irrep(r)
+    for q in certificate_quaternions(r):
+        gen = rotated_generator(ir, rotation_from_quaternion(*q))
+        assert top_weight_projector(ir, gen) == lagrange_reference(ir, gen), q
+
+
+def unit(n, i, j, value=1):
+    return SparseMatrix.from_rows([[value if (s, t) == (i, j) else 0 for t in range(n)]
+                                   for s in range(n)])
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_top_weight_projector_refuses_each_corruption(r):
+    # a bump on an off-diagonal, a moved diagonal entry, one zeroed band
+    # entry and an entry off the three bands.  On a random rotation the
+    # continuant refuses the spectrum; on an axis rotation (gen = +-H1) a
+    # bump or an off-band entry leaves a triangular matrix with the right
+    # spectrum, refused because it is no rotated generator
+    ir = build_irrep(r)
+    n = ir.dim
+    for q in certificate_quaternions(r)[:5] + list(AXIS_QUATERNIONS):
+        gen = rotated_generator(ir, rotation_from_quaternion(*q))
+        corrupted = [gen + unit(n, 0, 1), gen + unit(n, r, r)]
+        if gen[r, r - 1]:  # the axis rotations leave the bands zero
+            corrupted.append(gen - unit(n, r, r - 1, gen[r, r - 1]))
+        if n > 2:
+            corrupted.append(gen + unit(n, 0, 2))
+        for bad in corrupted:
+            with pytest.raises(SpectrumError, match="eigen-equation"):
+                top_weight_projector(ir, bad)
+
+
+def test_a_repeated_eigenvalue_is_refused():
+    # diag(2, 2, -2) vanishes on every Lagrange factor's complement, so the
+    # Lagrange product passes its eigen-equation as a rank-2 "projector";
+    # the continuant sees det(0 - H) = 8, not 0
+    ir = build_irrep(2)
+    gen = SparseMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, -2]])
+    assert lagrange_reference(ir, gen).trace() == ExactScalar(2)
+    with pytest.raises(SpectrumError, match="eigen-equation fails for 0"):
+        top_weight_projector(ir, gen)
+    with pytest.raises(DimensionError):
+        top_weight_projector(ir, SparseMatrix.identity(2))
+
+
+def reference_search(ir, v, budget, seed):
+    """The search with every sample judged by the Lagrange projector's norm."""
+    col = SparseMatrix.from_rows([[x] for x in v])
+    rng = np.random.default_rng([seed, ir.r])
+    best_mag, best_g = None, None
+    for i in range(budget):
+        g = identity_rotation() if i == 0 else random_rotation(rng, "exact")
+        norm2 = (lagrange_reference(ir, rotated_generator(ir, g)) @ col).frobenius_norm2()
+        mag = math.sqrt(float(norm2))
+        if norm2 != 0:
+            return True, g.entries, repr(mag), i + 1
+        if best_mag is None or mag > best_mag:
+            best_mag, best_g = mag, g
+    return False, best_g.entries, repr(best_mag), budget
+
+
+def search_vectors(r):
+    """40 seeded vectors with v_0 = 0 (r >= 1); every fourth has rational entries."""
+    rng = np.random.default_rng([61, r])
+    out = []
+    for trial in range(40):
+        v = random_vector(rng, r + 1, "exact")
+        if r:
+            v[0] = 0
+            v[-1] = v[-1] or 1
+        if trial % 4 == 3:
+            v = [ExactScalar(Fraction(x, 3), Fraction(trial - x, 7)) for x in v]
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("r", range(11))
+def test_search_matches_the_lagrange_reference(r):
+    ir = build_irrep(r)
+    for trial, v in enumerate(search_vectors(r)):
+        seed = 1000 + trial
+        want = reference_search(ir, v, 50, seed)
+        for x in (v, SparseMatrix.from_rows([[c] for c in v])):
+            out = find_rotation_with_top_component(ir, x, budget=50, seed=seed)
+            assert (out.found, out.rotation.entries, repr(out.magnitude),
+                    out.samples_used) == want, (r, trial)
+            assert repr(highest_weight_component(ir, out.rotation, x)) == want[2]
+
+
 def test_top_weight_projector_product_count(monkeypatch):
     # counts the exact products that do work (both operands nonzero): a
-    # guard on the Lagrange pairing, free of timing
+    # guard on the continuant certificate, free of timing
     calls = []
     product = SparseMatrix._product
 
@@ -409,7 +519,11 @@ def test_top_weight_projector_product_count(monkeypatch):
     gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
     monkeypatch.setattr(SparseMatrix, "_product", counted)
     top_weight_projector(ir, gen)
-    assert len(calls) <= 7
+    assert len(calls) <= 1
     calls.clear()
     assert irrep_report(10).ok
-    assert len(calls) <= 280
+    assert len(calls) <= 150
+    calls.clear()
+    out = find_rotation_with_top_component(ir, [0] * 10 + [1], seed=4)
+    assert out.found and out.samples_used >= 2
+    assert calls == []
