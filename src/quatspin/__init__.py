@@ -55,6 +55,12 @@ from .quaternionic import (
     build_adapted_basis,
     structure_report,
 )
+from .symmetry import (
+    LineSymmetry,
+    LineSymmetryCertificate,
+    line_symmetries,
+    certify_line_symmetry,
+)
 from .decomposition import (
     Block,
     JointDecomposition,

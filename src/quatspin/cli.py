@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-verify      run the structure/decomposition/identity/constant suites plus the
-            so(3) representation checks; exit 0 iff every check passes
+verify      run the structure/line-symmetry/decomposition/identity/constant
+            suites plus the so(3) representation checks; exit 0 iff every
+            check passes
 constants   table of computed vs closed-form block constants for one m
 bounds      eigenvalue-bound coefficient table (universal, per-configuration,
             and comparison rows) for one m
@@ -47,6 +48,7 @@ from .projectors import (
 )
 from .quaternionic import build_kaehler_operators, build_standard_triple, structure_report
 from .report import VerificationReport
+from .symmetry import certify_line_symmetry
 from .so3 import (TOP_COMPONENT_THRESHOLD, build_irrep, find_rotation_with_top_component,
                   irrep_report, random_vector)
 
@@ -209,6 +211,11 @@ def _decomposed(m, config):
     return model, triple, ops, decompose(model, ops)
 
 
+def _tolerance(config):
+    """The float tolerance, in float reports only: no exact check applies one."""
+    return {"tolerance": FLOAT_TOL} if config.backend == "float" else {}
+
+
 def cmd_verify(args):
     config = _config_from(args)
     sections = []
@@ -220,10 +227,12 @@ def cmd_verify(args):
             model = corrupt_gamma(model, args.flip_gamma)
             model_ops = build_kaehler_operators(model, triple)
         calc = ProjectorCalculus(model, triple, ops)
+        symmetry = certify_line_symmetry(dec, calc, model_ops)
         report = VerificationReport()
         report.extend(structure_report(model, triple, ops).entries)
-        report.extend(decomposition_report(dec, model, model_ops).entries)
-        report.extend(verify_lemma_identities(dec, calc).entries)
+        report.extend(symmetry.report.entries)
+        report.extend(decomposition_report(dec, model, model_ops, symmetry).entries)
+        report.extend(verify_lemma_identities(dec, calc, symmetry).entries)
         report.extend(constants_report(model, dec, calc).entries)
         sections.append((f"m={m}", report))
         model_hashes[str(m)] = model.content_hash()
@@ -238,7 +247,7 @@ def cmd_verify(args):
     payload = {
         "command": "verify",
         "backend": config.backend,
-        "tolerance": FLOAT_TOL,
+        **_tolerance(config),
         "seed": config.seed,
         "m_values": list(config.m_values),
         "flip_gamma": args.flip_gamma,
@@ -267,7 +276,7 @@ def cmd_constants(args):
     payload = {
         "command": "constants",
         "backend": config.backend,
-        "tolerance": FLOAT_TOL,
+        **_tolerance(config),
         "m": args.m,
         "model_hash": model.content_hash(),
         "ok": mismatches == 0,

@@ -17,6 +17,7 @@ from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar,
                     lagrange_eigenprojectors, scalar_for)
 from .sparse import SparseMatrix
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
+from .symmetry import generator_orbits
 
 
 def omega_eigenvalue(m, r):
@@ -51,9 +52,17 @@ class Block:
 
 @dataclass
 class JointDecomposition:
+    """The blocks S_r^k, and the level (r) and weight (k) projector families.
+
+    r_projectors and k_projectors are the certified Lagrange polynomials of
+    `kraines` and `omega1`, the operators they were built from.
+    """
+
     m: int
     spinor_dim: int
     blocks: dict
+    kraines: DenseMatrix | SparseMatrix = field(repr=False)
+    omega1: DenseMatrix | SparseMatrix = field(repr=False)
     r_projectors: dict = field(repr=False, default_factory=dict)
     k_projectors: dict = field(repr=False, default_factory=dict)
 
@@ -111,10 +120,11 @@ def decompose(model, ops):
                                    omega_eig=omega_eigenvalue(m, r),
                                    weight_im=2 * m - 2 * k)
     return JointDecomposition(m=m, spinor_dim=model.spinor_dim, blocks=blocks,
+                              kraines=ops.kraines, omega1=ops[1],
                               r_projectors=r_proj, k_projectors=k_proj)
 
 
-def decomposition_report(dec, model, ops):
+def decomposition_report(dec, model, ops, symmetry=None):
     """Re-certify the decomposition against a model and its Kaehler operators.
 
     `ops` must be the Kaehler operators of `model` (build_kaehler_operators);
@@ -153,6 +163,17 @@ def decomposition_report(dec, model, ops):
     claim g P_r = sum_k g P_{r,k} is a sum of terms P_d g P_{r,k} with d at
     level r+-1, and N_r P_d = P_d for each, so g P_r = N_r g P_r; the same
     over r gives g P_k = N_k g P_k.
+
+    `symmetry` is an optional `certify_line_symmetry(dec, calc, ops)` with
+    calc.model = model.  When it passes, the neighbor rows are computed
+    for the generators i = 0 and 1 only, representatives of the orbits of
+    the even and the odd i under the certified line symmetries: each lift
+    S commutes with the Kraines form and Omega_1 of dec, hence with every
+    P_r, P_k and N, so R_{sigma(i)} = +-S R_i S^H.  The row of another i
+    copies the status, residual and note of its representative, since a
+    monomial S with entries in {1, -1, i, -i} keeps the largest entry
+    modulus exactly and P R_{sigma(i)} = 0 exactly when P R_i = 0 (see
+    quatspin.symmetry).  Otherwise every row is computed directly.
     """
     rep = VerificationReport()
     m = dec.m
@@ -190,11 +211,12 @@ def decomposition_report(dec, model, ops):
                        "pass" if total == dec.spinor_dim else "fail",
                        "0" if total == dec.spinor_dim else str(total - dec.spinor_dim)))
 
+    orbits = generator_orbits(symmetry, dec, model, ops)
     for label, family in (("r", dec.r_projectors), ("k", dec.k_projectors)):
         for idx, proj in sorted(family.items()):
             adjacent = [family[n] for n in (idx - 1, idx + 1) if n in family]
             near = sum(adjacent[1:], adjacent[0])
-            for i in range(model.n):
+            for i, *derived in orbits:
                 img = model.gamma[i] @ proj
                 res = img - near @ img
                 entry = residual_entry("clifford_neighbor_blocks",
@@ -203,7 +225,7 @@ def decomposition_report(dec, model, ops):
                     hit = next((n for n, p in sorted(family.items())
                                 if not (p @ res).is_zero()), None)
                     entry.note = "" if hit is None else f"reaches {label}={hit}"
-                rep.add(entry)
+                rep.add_derived(entry, [f"{sub} i={c} {label}={idx}" for c in derived])
 
     rep.add(info_entry(
         "weight_orientation", sub,

@@ -212,8 +212,9 @@ class _Nonzeros:
     """Shape checks and operator dispatch, common to both backends.
 
     A subclass holds rows, cols and `_key`, and supplies `zeros` and the value
-    arithmetic: `_product` (of operands that each hold a nonzero), `_combine`
-    and `_transposed`.  Mixing the backends raises TypeError.
+    arithmetic: `_product` (of operands that each hold a nonzero), `_combine`,
+    `_transposed` and `_unit_phases` (which stored values are 1, -1, i or
+    -i).  Mixing the backends raises TypeError.
     """
 
     __slots__ = ()
@@ -248,6 +249,18 @@ class _Nonzeros:
     def hermitian(self):
         """Conjugate transpose."""
         return self._transposed(True)
+
+    def unit_monomial_defect(self):
+        """0 for a permutation matrix times phases in {1, -1, i, -i}.
+
+        Otherwise a positive count: the stored entries outside those four
+        phases, plus the rows and the columns that do not hold exactly one
+        stored entry.  Judged exactly in both backends.
+        """
+        row, col = np.divmod(self._key, max(self.cols, 1))
+        lines = sum(int(np.count_nonzero(np.bincount(idx, minlength=size) != 1))
+                    for idx, size in ((row, self.rows), (col, self.cols)))
+        return lines + int(np.count_nonzero(~self._unit_phases()))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -334,6 +347,10 @@ class DenseMatrix(_Nonzeros):
         key, order = _transpose_order(self)
         v = self._v[order]
         return DenseMatrix(self.cols, self.rows, key, v.conj() if conjugate else v)
+
+    def _unit_phases(self):
+        re, im = self._v.real, self._v.imag
+        return ((re == 0) & (np.abs(im) == 1)) | ((im == 0) & (np.abs(re) == 1))
 
     def frobenius_norm2(self):
         """Sum of squared entry moduli."""

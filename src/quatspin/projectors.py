@@ -23,6 +23,7 @@ from .errors import DomainError, IdentityFailure
 from .exact import FLOAT_SCALAR_TOL, ExactScalar, scalar_for
 from .quaternionic import build_adapted_basis
 from .report import CheckEntry, VerificationReport, residual_entry
+from .symmetry import vector_orbits
 
 _VARIANTS = ("--", "+-", "-+", "++")
 _HALF = Fraction(1, 2)
@@ -127,6 +128,7 @@ class ProjectorCalculus:
 
     def __init__(self, model, triple, ops):
         self.model = model
+        self.triple = triple
         self.ops = ops
         self.pairs = 2 * model.m
         basis = build_adapted_basis(model, triple)
@@ -288,7 +290,7 @@ def constants_report(model, dec, calc):
     return rep
 
 
-def verify_lemma_identities(dec, calc):
+def verify_lemma_identities(dec, calc, symmetry=None):
     """Exact verification of the operator identities of the projector calculus.
 
     Covers the product/anticommutation identities of the rotated adapted
@@ -330,9 +332,31 @@ def verify_lemma_identities(dec, calc):
     so p_r^+ and p_{r+1}^- are adjoint up to sign between the two blocks.
     Both block maps are the parts of four-fold pieces inside their
     targets, so the row forms no product of its own.
+
+    `symmetry` is an optional `certify_line_symmetry(dec, calc, ops)`.
+    When it passes, the per-vector families (rotated_vector_anticommute,
+    jop_adapted_expansion, kraines_commutator_jop and _second,
+    kaehler_vector_commutator, the four-fold split, the r- and k-shift
+    projections and the adjoint pairing) are computed for j = 0 only.  The
+    certified line symmetries act transitively on j, and a lift S carrying
+    f_0 to +-f_j' (and fbar_0 to the same sign times fbar_j') commutes with
+    calc.ops and with the Kraines form and Omega_1 whose Lagrange
+    polynomials are dec's projectors, so R_j' = +-S R_0 S^H for each such
+    residual.  S is monomial with entries in {1, -1, i, -i}, so R_j' has
+    exactly the largest entry modulus of R_0, and the row of j' copies the
+    status, residual and note of the row of j = 0 (see quatspin.symmetry).
+    Otherwise, or when the certificate was made on other objects, every
+    row is computed directly.
     """
     model, ops = calc.model, calc.ops
     rep = VerificationReport()
+    orbits = vector_orbits(symmetry, dec, calc)
+
+    def add(orbit, check_id, subject, residual):
+        # subject(j) names the row of vector j; the orbit's first is computed
+        rep.add_derived(residual_entry(check_id, subject(orbit[0]), residual),
+                        [subject(j) for j in orbit[1:]])
+
     m = model.m
     sub = f"m={m}"
     ident = model.identity()
@@ -366,10 +390,11 @@ def verify_lemma_identities(dec, calc):
 
     # --- rotated/unrotated anticommutation
     for a in (2, 3):
-        for j in range(calc.pairs):
+        for orbit in orbits:
+            j = orbit[0]
             jf, fbar = calc.act_j["f"][a][j], calc.act["fbar"][j]
-            rep.add(residual_entry("rotated_vector_anticommute",
-                                   f"{sub} a={a} j={j}", jf @ fbar + fbar @ jf))
+            add(orbit, "rotated_vector_anticommute", lambda j: f"{sub} a={a} j={j}",
+                jf @ fbar + fbar @ jf)
 
     # --- mixed product sums reproduce the other two Kaehler operators
     expectations = {
@@ -386,13 +411,14 @@ def verify_lemma_identities(dec, calc):
 
     # --- expansion of J on the adapted basis (weight term becomes +-i Omega_1)
     for u, t in _WEIGHT_SHIFT.items():
-        for j in range(calc.pairs):
+        for orbit in orbits:
+            j = orbit[0]
             act = calc.act[u][j]
             rhs = act.scale(3) + ops[1] @ act.scale(ExactScalar(0, -t))
             for a in (2, 3):
                 rhs = rhs + ops[a] @ calc.act_j[u][a][j]
-            rep.add(residual_entry("jop_adapted_expansion", f"{sub} {u} j={j}",
-                                   calc.jop[u][j] - rhs))
+            add(orbit, "jop_adapted_expansion", lambda j: f"{sub} {u} j={j}",
+                calc.jop[u][j] - rhs)
 
     # --- first-order products of J(x) with the actions, summed over j
     iom = ops[1].scale(_I)
@@ -442,23 +468,22 @@ def verify_lemma_identities(dec, calc):
     # --- commutators of the vector actions with the Kraines and Kaehler operators
     kraines = ops.kraines
     for u, t in _WEIGHT_SHIFT.items():
-        for j in range(calc.pairs):
+        for orbit in orbits:
+            j = orbit[0]
             act, jop = calc.act[u][j], calc.jop[u][j]
-            rep.add(residual_entry(
-                "kraines_commutator_jop", f"{sub} {u} j={j}",
-                kraines @ act - act @ kraines - jop.scale(4)))
+            add(orbit, "kraines_commutator_jop", lambda j: f"{sub} {u} j={j}",
+                kraines @ act - act @ kraines - jop.scale(4))
             rhs = jop.scale(-8) + act.scale(12) \
                 - (act @ (kraines - ident.scale(6 * m))).scale(4)
-            rep.add(residual_entry(
-                "kraines_commutator_jop_second", f"{sub} {u} j={j}",
-                kraines @ jop - jop @ kraines - rhs))
+            add(orbit, "kraines_commutator_jop_second", lambda j: f"{sub} {u} j={j}",
+                kraines @ jop - jop @ kraines - rhs)
             # a(J_1 u_j) = -t i a(u_j), the weight property of the adapted basis
             rotated = {1: act.scale(ExactScalar(0, -t)),
                        2: calc.act_j[u][2][j], 3: calc.act_j[u][3][j]}
             for a in (1, 2, 3):
-                rep.add(residual_entry(
-                    "kaehler_vector_commutator", f"{sub} a={a} {u} j={j}",
-                    ops[a] @ act - act @ ops[a] - rotated[a].scale(2)))
+                add(orbit, "kaehler_vector_commutator",
+                    lambda j: f"{sub} a={a} {u} j={j}",
+                    ops[a] @ act - act @ ops[a] - rotated[a].scale(2))
 
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the
@@ -467,7 +492,8 @@ def verify_lemma_identities(dec, calc):
     # lowering map P_b p_{r+1}^-(f_j) P_t for the adjoint pairing of the
     # fbar pass of the same j.
     nonzero = {(b.r, b.k): b for b in dec.nonzero_blocks()}
-    for j in range(calc.pairs):
+    for orbit in orbits:
+        j = orbit[0]
         lowering = {}
         for u, t in _WEIGHT_SHIFT.items():
             k_images = {}
@@ -480,10 +506,9 @@ def verify_lemma_identities(dec, calc):
                         piece = p @ blk.projector
                         target = nonzero.get((r + s, blk.k + t))
                         inside = None if target is None else target.projector @ piece
-                        rep.add(residual_entry(
-                            "clifford_four_fold_split",
-                            f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}",
-                            piece if inside is None else piece - inside))
+                        add(orbit, "clifford_four_fold_split",
+                            lambda j: f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}",
+                            piece if inside is None else piece - inside)
                         r_image = _plus(r_image, piece)
                         k_images[blk.k] = _plus(k_images.get(blk.k), piece)
                         if inside is None or s != t:
@@ -491,17 +516,16 @@ def verify_lemma_identities(dec, calc):
                         if u == "f":
                             lowering[target.r, target.k] = inside
                             continue
-                        rep.add(residual_entry(
-                            "block_adjoint_pairing",
-                            f"{sub} j={j} ({r},{blk.k})->({target.r},{target.k})",
-                            inside.hermitian() + lowering.pop((r, blk.k))))
-                    rep.add(residual_entry(
-                        "r_shift_projection", f"{sub} j={j} r={r} {u} {label}",
+                        pair = f"({r},{blk.k})->({target.r},{target.k})"
+                        add(orbit, "block_adjoint_pairing",
+                            lambda j: f"{sub} j={j} {pair}",
+                            inside.hermitian() + lowering.pop((r, blk.k)))
+                    add(orbit, "r_shift_projection",
+                        lambda j: f"{sub} j={j} r={r} {u} {label}",
                         _outside(zero if r_image is None else r_image,
-                                 dec.r_projectors.get(r + s))))
+                                 dec.r_projectors.get(r + s)))
             for k in range(2 * m + 1):
-                rep.add(residual_entry(
-                    "k_shift_projection",
-                    f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}",
-                    _outside(k_images.get(k, zero), dec.k_projectors.get(k + t))))
+                add(orbit, "k_shift_projection",
+                    lambda j: f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}",
+                    _outside(k_images.get(k, zero), dec.k_projectors.get(k + t)))
     return rep

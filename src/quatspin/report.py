@@ -49,6 +49,13 @@ class VerificationReport:
     def extend(self, entries):
         self.entries.extend(entries)
 
+    def add_derived(self, entry, subjects):
+        """Add entry, then a copy of its status, residual and note under each
+        of `subjects`: rows derived from entry's by a certified symmetry."""
+        self.add(entry)
+        self.extend(CheckEntry(entry.check_id, subject, entry.status, entry.residual,
+                               entry.note) for subject in subjects)
+
     @property
     def ok(self):
         return all(e.status != "fail" for e in self.entries)

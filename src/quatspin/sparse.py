@@ -251,6 +251,10 @@ class SparseMatrix(_Nonzeros):
         return SparseMatrix(self.cols, self.rows, key, self._re[order],
                             -im if conjugate else im, self._den, self._amax)
 
+    def _unit_phases(self):
+        # a Gaussian integer is a unit exactly when |re| + |im| = 1
+        return (np.abs(self._re) + np.abs(self._im) == 1) & (self._den == 1)
+
     def numerators(self):
         """(den, {(i, j): (re, im)}): the nonzeros' Python-int numerators over den."""
         rows, cols = np.divmod(self._key, max(self.cols, 1))

@@ -1,0 +1,210 @@
+"""Spin lifts of the quaternionic line symmetries, certified on one model.
+
+R^{4m} = H^m: line t spans e_{4t}, ..., e_{4t+3}, the coordinates of 1, i,
+j, k, and the hyperkaehler triple is left multiplication by i, j and k on
+every line.  Swapping two lines, and multiplying one line on the right by a
+unit quaternion, are orthogonal maps that commute with the triple.  Their
+spin lifts (Lawson and Michelsohn, Spin Geometry, 1989, ch. I) are
+
+    swap of lines t, t+1:  S = (1/4) prod_{i=0..3} (gamma_{4t+i} - gamma_{4t+4+i}),
+    right-j on line 0:     S = (1/2) (1 + gamma_2 gamma_0)(1 + gamma_3 gamma_1).
+
+Each conjugates the generators by a signed permutation stated here in
+advance, S gamma_c = s_c gamma_{sigma(c)} S: a swap exchanges gamma_{4t+i}
+and gamma_{4t+4+i}; right-j sends gamma_0, gamma_1, gamma_2, gamma_3 to
+-gamma_2, -gamma_3, gamma_0, gamma_1; both fix every other generator.
+
+Derived rows.  Let rho be the signed permutation e_c -> s_c e_{sigma(c)} of
+R^{4m}.  The certified relations give S a(x) S^H = a(rho x) for the
+Clifford action a, and rho commutes with J_1, J_2 and J_3.  sigma keeps the
+parity of c, so rho f_j = s f_{pi(j)} and rho fbar_j = s fbar_{pi(j)} with
+pi(j) = sigma(2j)/2 and s = s_{2j}; S therefore conjugates a(u_j),
+a(J_a u_j) and J(u_j) to s times the same operators of u_{pi(j)}.  S also
+commutes with the Kaehler operators the rows read and with the two
+operators whose Lagrange polynomials are the projectors of the
+decomposition, so it fixes every other factor of a row.  A per-vector
+residual of the lemma suite is then R_{pi(j)} = +-S R_j S^H, and a
+per-generator residual of decomposition_report R_{sigma(c)} = +-S R_c S^H.
+S is a permutation times phases in {1, -1, i, -i}, so S R S^H holds the
+entries of R, moved and multiplied by units: R_{pi(j)} has exactly the
+largest entry modulus of R_j in both backends and vanishes exactly when
+R_j does, and for a projector P commuting with S, P R_{pi(j)} = 0 exactly
+when P R_j = 0.  A derived row copies the status, residual and note of the
+computed row of its orbit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .report import CheckEntry, VerificationReport, residual_entry
+from .sparse import matrix_type
+
+CHECK_ID = "line_symmetry"
+
+
+@dataclass(frozen=True)
+class LineSymmetry:
+    """A spin lift S with S gamma_c = sign gamma_target S for each
+    (target, sign) = signed_permutation[c]."""
+
+    name: str
+    matrix: object
+    signed_permutation: tuple
+
+
+def _signed_permutation(n, moves):
+    sigma = [(c, 1) for c in range(n)]
+    for c, image in moves.items():
+        sigma[c] = image
+    return tuple(sigma)
+
+
+def line_symmetries(model):
+    """The lifts of right-j on line 0 and of the m - 1 adjacent line swaps."""
+    g, n = model.gamma, model.n
+    one = model.identity()
+    right_j = ((one + g[2] @ g[0]) @ (one + g[3] @ g[1])).scale(Fraction(1, 2))
+    lifts = [LineSymmetry("right-j line=0", right_j, _signed_permutation(
+        n, {0: (2, -1), 1: (3, -1), 2: (0, 1), 3: (1, 1)}))]
+    for t in range(model.m - 1):
+        a, b = 4 * t, 4 * t + 4
+        s = g[a] - g[b]
+        for i in range(1, 4):
+            s = s @ (g[a + i] - g[b + i])
+        moves = {**{a + i: (b + i, 1) for i in range(4)},
+                 **{b + i: (a + i, 1) for i in range(4)}}
+        lifts.append(LineSymmetry(f"swap lines={t},{t + 1}", s.scale(Fraction(1, 4)),
+                                  _signed_permutation(n, moves)))
+    return tuple(lifts)
+
+
+@dataclass(frozen=True)
+class LineSymmetryCertificate:
+    """The line_symmetry rows of one world and the objects they were made on."""
+
+    report: VerificationReport
+    lifts: tuple
+    dec: object
+    calc: object
+    ops: object
+
+    @property
+    def ok(self):
+        return self.report.ok
+
+
+def _claims_entry(subject, residuals):
+    """One row over labelled residuals: it passes when every one vanishes;
+    otherwise its residual is their largest entry modulus and its note
+    names the first that does not vanish."""
+    failed = [(label, res.max_abs()) for label, res in residuals if not res.is_zero()]
+    if not failed:
+        return CheckEntry(CHECK_ID, subject, "pass")
+    return CheckEntry(CHECK_ID, subject, "fail",
+                      f"{max(mag for _, mag in failed):.6e}", f"fails at {failed[0][0]}")
+
+
+def _operators(dec, calc, ops):
+    """(label, operator) for each spinor operator the derived rows read, each
+    object once."""
+    named = [*((f"Omega_{a}", calc.ops[a]) for a in (1, 2, 3)),
+             ("Kraines", calc.ops.kraines),
+             *((f"report Omega_{a}", ops[a]) for a in (1, 2, 3)),
+             ("report Kraines", ops.kraines),
+             ("decomposition Kraines", dec.kraines),
+             ("decomposition Omega_1", dec.omega1)]
+    out = []
+    for label, op in named:
+        if all(op is not seen for _, seen in out):
+            out.append((label, op))
+    return out
+
+
+def certify_line_symmetry(dec, calc, ops):
+    """Certify the line symmetries on the world of verify_lemma_identities(dec,
+    calc) and decomposition_report(dec, calc.model, ops).
+
+    Four `line_symmetry` rows per lift S of `line_symmetries(calc.model)`:
+
+    - "monomial": S is a permutation times phases in {1, -1, i, -i}, judged
+      exactly in both backends; the residual counts the defects;
+    - "unitary": S^H S = I;
+    - "generators": S gamma_c = s_c gamma_{sigma(c)} S for every c, and the
+      signed permutation rho commutes with J_1, J_2, J_3 of calc's triple;
+    - "operators": S commutes with Omega_1, Omega_2, Omega_3 and the Kraines
+      form of calc.ops and of ops, and with dec.kraines and dec.omega1.
+
+    A failed row's note names its first failing claim.  The m - 1 swaps and
+    right-j act transitively on the adapted index j, and their orbits on the
+    generator index are the even and the odd c.
+    """
+    model = calc.model
+    sub = f"m={model.m}"
+    operators = _operators(dec, calc, ops)
+    one = model.identity()
+    rep = VerificationReport()
+    lifts = line_symmetries(model)
+    for lift in lifts:
+        s, name = lift.matrix, f"{sub} {lift.name}"
+        defect = s.unit_monomial_defect()
+        rep.add(CheckEntry(CHECK_ID, f"{name} monomial", "fail" if defect else "pass",
+                           str(defect)))
+        rep.add(residual_entry(CHECK_ID, f"{name} unitary", s.hermitian() @ s - one))
+        grid = [[0] * model.n for _ in range(model.n)]
+        generators = []
+        for c, (target, sign) in enumerate(lift.signed_permutation):
+            grid[target][c] = sign
+            generators.append((f"gamma_{c}", s @ model.gamma[c]
+                               - (model.gamma[target] @ s).scale(sign)))
+        rho, j = matrix_type(model.kind).from_rows(grid), calc.triple
+        triple = [(f"J_{a}", rho @ j[a] - j[a] @ rho) for a in (1, 2, 3)]
+        rep.add(_claims_entry(f"{name} generators", generators + triple))
+        rep.add(_claims_entry(f"{name} operators",
+                              [(label, s @ op - op @ s) for label, op in operators]))
+    return LineSymmetryCertificate(rep, lifts, dec, calc, ops)
+
+
+def _orbits(size, perms):
+    """Orbits of range(size) under permutations given as image sequences,
+    each sorted, ordered by their smallest member."""
+    root = list(range(size))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for perm in perms:
+        for i, image in enumerate(perm):
+            a, b = find(i), find(image)
+            root[max(a, b)] = min(a, b)
+    orbits = {}
+    for i in range(size):
+        orbits.setdefault(find(i), []).append(i)
+    return list(orbits.values())
+
+
+def vector_orbits(symmetry, dec, calc):
+    """Orbits of the adapted index j that verify_lemma_identities(dec, calc)
+    may read off their first member: all of 0..2m-1 when `symmetry` is a
+    passing certificate made on dec and calc, else singletons."""
+    if symmetry is None or not (symmetry.ok and symmetry.dec is dec
+                                and symmetry.calc is calc):
+        return [[j] for j in range(calc.pairs)]
+    # sigma keeps the parity of c, so f_j goes to a multiple of f_{sigma(2j)/2}
+    return _orbits(calc.pairs, ([lift.signed_permutation[2 * j][0] // 2
+                                 for j in range(calc.pairs)] for lift in symmetry.lifts))
+
+
+def generator_orbits(symmetry, dec, model, ops):
+    """Orbits of the generator index c that decomposition_report(dec, model,
+    ops) may read off their first member: the even and the odd c when
+    `symmetry` is a passing certificate made on dec, model and ops, else
+    singletons."""
+    if symmetry is None or not (symmetry.ok and symmetry.dec is dec
+                                and symmetry.ops is ops and symmetry.calc.model is model):
+        return [[c] for c in range(model.n)]
+    return _orbits(model.n, ([target for target, _ in lift.signed_permutation]
+                             for lift in symmetry.lifts))

@@ -262,6 +262,14 @@ def test_no_subcommand_takes_a_tolerance_or_threshold(capsys):
             assert out == ""
 
 
+def test_only_float_reports_state_a_tolerance(capsys):
+    # no exact check applies FLOAT_TOL, so an exact report does not state it
+    for command in ("verify", "constants"):
+        for backend, stated in (("exact", False), ("float", True)):
+            out = run([command, "--m", "1", "--backend", backend], capsys)[1]
+            assert ("tolerance" in json.loads(out)) is stated, (command, backend)
+
+
 def test_flip_gamma_out_of_range(capsys):
     rc, out, err = run(["verify", "--m", "1", "--flip-gamma", "99"], capsys)
     assert rc == 2
@@ -270,9 +278,9 @@ def test_flip_gamma_out_of_range(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--m", "2"],
-     "31600e78c19ae496e9f2696ebb73e91f7117b2f06935c554c53a7cddb1eb4a91"),
+     "87fb2f74f128478dc9829db232f1b3e104b17c7e8a5cdf94986fb51f63f37f94"),
     (["verify", "--m", "2", "--backend", "float"],
-     "f595f89cf83813c0dc9e9b24bf1aaa529364e46844e1d54054d7daac63ca51ee"),
+     "002706ade1945a9d135b16b4e56be6bd550d8f482ecc60c7522184d1cef62b45"),
     (["constants", "--m", "2", "--backend", "float"],
      "282314e5d76ff0dfbcee5da30ec96ea7413d89ae9ab8162784999d5f07dcda3d"),
     (["decompose", "--m", "2", "--backend", "float"],

@@ -9,11 +9,16 @@ adapted basis, and the adjoint pairing of neighbouring block maps.  The
 Omega_1 and Kraines restriction scalars fail on every block, with the
 residual of their block_projector_eigen twin.  The neighbour rows
 (clifford_neighbor_blocks) are not among the witnesses: -gamma_i moves the
-blocks exactly as gamma_i does, so a sign flip cannot fail them.
+blocks exactly as gamma_i does, so a sign flip cannot fail them.  The
+line-symmetry certificate fails on every run: its lifts, built from the
+flipped model, do not commute with the clean Kaehler operators that the
+calculus keeps, so every per-vector and per-generator row is computed
+directly.
 """
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -23,7 +28,7 @@ WITNESS_FAMILIES = {"clifford_four_fold_split", "kraines_commutator_jop",
                     "kaehler_vector_commutator", "block_projector_eigen",
                     "k_shift_projection", "block_constant_match",
                     "block_adjoint_pairing", "block_scalar_weight",
-                    "block_scalar_kraines"}
+                    "block_scalar_kraines", "line_symmetry"}
 
 CASES = [(1, i, backend) for i in range(4) for backend in ("exact", "float")] \
     + [(2, i, "exact") for i in range(8)]
@@ -57,18 +62,34 @@ def test_flipped_generator_fails_with_witnesses(m, index, backend, capsys):
                 assert e["residual"] == twin["residual"], (e, twin)
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_per_vector_row_counts(m, capsys):
+    # every adapted index j (generator i) carries its own rows, once each,
+    # whether they were computed or derived by a line symmetry
     rc, out, err = run(["verify", "--m", str(m)], capsys)
     assert rc == 0
     entries = json.loads(out)["entries"]
-    blocks = {re.search(r"r=\d+ k=\d+", e["subject"]).group()
+    blocks = {tuple(map(int, re.search(r"r=(\d+) k=(\d+)", e["subject"]).groups()))
               for e in entries if e["check_id"] == "block_scalar_weight"}
+    rows_per_j = {
+        "clifford_four_fold_split": 4 * len(blocks),
+        "kraines_commutator_jop": 2,
+        "kraines_commutator_jop_second": 2,
+        "kaehler_vector_commutator": 6,
+        "rotated_vector_anticommute": 2,
+        "jop_adapted_expansion": 2,
+        "r_shift_projection": 4 * (m + 1),
+        "k_shift_projection": 2 * (2 * m + 1),
+        "block_adjoint_pairing": sum((r + 1, k + 1) in blocks for r, k in blocks),
+    }
 
-    def rows(check_id):
-        return sum(e["check_id"] == check_id for e in entries)
+    def index_counts(check_id, index):
+        subjects = [e["subject"] for e in entries if e["check_id"] == check_id]
+        assert len(set(subjects)) == len(subjects), check_id
+        return Counter(int(re.search(rf"\b{index}=(\d+)", s).group(1)) for s in subjects)
 
-    assert rows("clifford_four_fold_split") == 8 * m * len(blocks)
-    assert rows("kraines_commutator_jop") == 4 * m
-    assert rows("kraines_commutator_jop_second") == 4 * m
-    assert rows("kaehler_vector_commutator") == 12 * m
+    for check_id, per_j in rows_per_j.items():
+        assert index_counts(check_id, "j") == {j: per_j for j in range(2 * m)}, check_id
+    assert index_counts("clifford_neighbor_blocks", "i") == \
+        {i: 3 * m + 2 for i in range(4 * m)}
+    assert sum(e["check_id"] == "line_symmetry" for e in entries) == 4 * m

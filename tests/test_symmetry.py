@@ -1,0 +1,211 @@
+"""The line-symmetry certificate, and the rows derived from it.
+
+Derived rows must equal the rows computed directly, compared on (check_id,
+subject, status, residual, note), wherever the certificate passes: on clean
+models, on worlds rebuilt from a sign-flipped model, and on worlds whose
+Kaehler operators are scaled or relabelled, where many rows fail with
+nonzero residuals.  Where it fails (the --flip-gamma hybrid, or a flipped
+model carrying its own operators with a clean decomposition), every row is
+computed directly.  Each claim of the certificate fails under a named
+corruption with a positive residual.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from quatspin import symmetry as symmetry_module
+from quatspin.clifford import build_clifford_model, corrupt_gamma
+from quatspin.decomposition import decompose, decomposition_report
+from quatspin.exact import _Nonzeros
+from quatspin.projectors import ProjectorCalculus, verify_lemma_identities
+from quatspin.quaternionic import (KaehlerOperators, build_kaehler_operators,
+                                   build_standard_triple, kraines_form)
+from quatspin.symmetry import (certify_line_symmetry, generator_orbits, line_symmetries,
+                               vector_orbits)
+
+
+def _world(model):
+    triple = build_standard_triple(model)
+    ops = build_kaehler_operators(model, triple)
+    return decompose(model, ops), ProjectorCalculus(model, triple, ops), ops
+
+
+def _rows(rep):
+    return sorted((e.check_id, e.subject, e.status, e.residual, e.note)
+                  for e in rep.entries)
+
+
+def _derived_and_direct(dec, calc, ops):
+    """(certificate, rows with it, rows computed directly) of both consumers."""
+    cert = certify_line_symmetry(dec, calc, ops)
+    derived = _rows(verify_lemma_identities(dec, calc, cert)) \
+        + _rows(decomposition_report(dec, calc.model, ops, cert))
+    direct = _rows(verify_lemma_identities(dec, calc)) \
+        + _rows(decomposition_report(dec, calc.model, ops))
+    return cert, derived, direct
+
+
+def _scaled(model, ops):
+    omega = tuple(o.scale(2) for o in ops.omega)
+    return KaehlerOperators(omega=omega, kraines=kraines_form(model, omega))
+
+
+def _relabelled(model, ops):
+    return KaehlerOperators(omega=(ops[1], ops[3], ops[2]), kraines=ops.kraines)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_derived_rows_equal_direct_rows(m, kind):
+    model = build_clifford_model(m, kind=kind)
+    dec, calc, ops = _world(model)
+    cert, derived, direct = _derived_and_direct(dec, calc, ops)
+    assert cert.ok and len(cert.report.entries) == 4 * m
+    assert vector_orbits(cert, dec, calc) == [list(range(2 * m))]
+    assert generator_orbits(cert, dec, model, ops) == \
+        [list(range(0, 4 * m, 2)), list(range(1, 4 * m, 2))]
+    assert derived == direct
+    assert all(row[2] == "pass" for row in direct if row[0] != "weight_orientation")
+
+    # the same holds where the certificate passes and many rows fail: the
+    # Kaehler operators doubled, or Omega_2 and Omega_3 exchanged
+    for wrong in (_scaled(model, ops), _relabelled(model, ops)):
+        calc = ProjectorCalculus(model, calc.triple, wrong)
+        cert, derived, direct = _derived_and_direct(dec, calc, wrong)
+        assert cert.ok
+        assert sum(row[2] == "fail" for row in direct) > 30 * m
+        assert derived == direct
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_rebuilt_flipped_world_derives_the_direct_rows(index):
+    dec, calc, ops = _world(corrupt_gamma(build_clifford_model(2), index))
+    cert, derived, direct = _derived_and_direct(dec, calc, ops)
+    assert cert.ok
+    assert derived == direct
+
+
+@pytest.mark.parametrize("index", [0, 3, 4, 7])
+def test_flipped_model_with_a_clean_decomposition_fails_the_certificate(index):
+    clean = build_clifford_model(2)
+    triple = build_standard_triple(clean)
+    clean_ops = build_kaehler_operators(clean, triple)
+    clean_dec = decompose(clean, clean_ops)
+    bad = corrupt_gamma(clean, index)
+    bad_ops = build_kaehler_operators(bad, triple)
+    # the --flip-gamma hybrid: the calculus keeps the clean operators, the
+    # report reads the flipped model's; then the flipped model with its own
+    # operators and the clean decomposition
+    for calc_ops, note in ((clean_ops, "fails at Omega_1"),
+                           (bad_ops, "fails at decomposition Kraines")):
+        calc = ProjectorCalculus(bad, triple, calc_ops)
+        cert, derived, direct = _derived_and_direct(clean_dec, calc, bad_ops)
+        failures = cert.report.failures()
+        assert failures and all(e.subject.endswith("operators") for e in failures)
+        assert all(e.note == note and float(e.residual) > 0 for e in failures)
+        assert vector_orbits(cert, clean_dec, calc) == [[j] for j in range(4)]
+        assert derived == direct
+
+
+def test_a_certificate_covers_only_the_objects_it_was_made_on():
+    model = build_clifford_model(2)
+    dec, calc, ops = _world(model)
+    cert = certify_line_symmetry(dec, calc, ops)
+    other_dec, other_calc, other_ops = _world(model)
+    singletons = [[j] for j in range(4)]
+    assert vector_orbits(cert, other_dec, calc) == singletons
+    assert vector_orbits(cert, dec, other_calc) == singletons
+    assert generator_orbits(cert, dec, model, other_ops) == [[c] for c in range(8)]
+    assert vector_orbits(None, dec, calc) == singletons
+
+
+def _failed(cert, claim):
+    """The failing rows of one claim; each must carry a positive residual."""
+    rows = [e for e in cert.report.failures() if e.subject.endswith(claim)]
+    assert all(float(e.residual) > 0 for e in rows), rows
+    return rows
+
+
+def test_a_non_clifford_generator_fails_every_claim():
+    # gamma_0 -> gamma_0 gamma_1 still squares to -1 but commutes with
+    # gamma_2: the right-j lift becomes singular
+    model = build_clifford_model(2)
+    dec, calc, ops = _world(model)
+    gamma = list(model.gamma)
+    gamma[0] = gamma[0] @ gamma[1]
+    bad = replace(model, gamma=tuple(gamma))
+    calc = ProjectorCalculus(bad, calc.triple, ops)
+    cert = certify_line_symmetry(dec, calc, ops)
+    assert not cert.ok
+    for claim in ("monomial", "unitary", "generators", "operators"):
+        assert _failed(cert, claim), claim
+    assert _failed(cert, "generators")[0].note == "fails at gamma_0"
+    assert _failed(cert, "operators")[0].note == "fails at Omega_1"
+
+
+def test_a_corrupted_omega_2_fails_only_the_commutation():
+    model = build_clifford_model(2)
+    dec, calc, ops = _world(model)
+    bad_ops = KaehlerOperators(omega=(ops[1], ops[2] + model.gamma[0], ops[3]),
+                               kraines=ops.kraines)
+    calc = ProjectorCalculus(model, calc.triple, bad_ops)
+    cert = certify_line_symmetry(dec, calc, bad_ops)
+    assert [e.subject for e in cert.report.failures()] == \
+        ["m=2 right-j line=0 operators", "m=2 swap lines=0,1 operators"]
+    assert all(e.note == "fails at Omega_2" for e in _failed(cert, "operators"))
+    assert vector_orbits(cert, dec, calc) == [[j] for j in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_corrupted_lifts_fail_their_claims(kind, monkeypatch):
+    model = build_clifford_model(2, kind=kind)
+    dec, calc, ops = _world(model)
+    right_j, swap = line_symmetries(model)
+    sigma = list(right_j.signed_permutation)
+    sigma[0] = (2, 1)
+    g0, g2 = model.gamma[0], model.gamma[2]
+    reflection = tuple((c, -1 if c in (0, 2) else 1) for c in range(8))
+    cases = [
+        # a stated sign that S does not realise
+        (replace(right_j, signed_permutation=tuple(sigma)), {"generators": "gamma_0"}),
+        # 2S: no unit entries, S^H S = 4I; the linear relations still hold
+        (replace(right_j, matrix=right_j.matrix.scale(2)),
+         {"monomial": "", "unitary": ""}),
+        # gamma_0 gamma_2 lifts the half turn in the plane (e_0, e_2), stated
+        # correctly, which does not commute with the triple
+        (replace(right_j, matrix=g0 @ g2, signed_permutation=reflection),
+         {"generators": "J_1", "operators": "Omega_1"}),
+    ]
+    for lift, claims in cases:
+        monkeypatch.setattr(symmetry_module, "line_symmetries",
+                            lambda model, lift=lift: (lift, swap))
+        cert = certify_line_symmetry(dec, calc, ops)
+        failed = {e.subject.split()[-1]: e.note for e in cert.report.failures()}
+        assert failed == {claim: note and f"fails at {note}"
+                          for claim, note in claims.items()}, lift.name
+        for claim in claims:
+            assert _failed(cert, claim)
+        assert vector_orbits(cert, dec, calc) == [[j] for j in range(4)]
+
+
+def test_line_symmetry_product_count(monkeypatch):
+    # counts every product the two consumers issue at m = 3 exact (796 and
+    # 284 when every row is computed directly): a guard, free of timing, on
+    # the rows derived from j = 0 and from the generators 0 and 1
+    model = build_clifford_model(3)
+    dec, calc, ops = _world(model)
+    cert = certify_line_symmetry(dec, calc, ops)
+    calls = []
+    product = _Nonzeros.__matmul__
+
+    def counted(a, b):
+        calls.append(a.rows)
+        return product(a, b)
+
+    monkeypatch.setattr(_Nonzeros, "__matmul__", counted)
+    assert verify_lemma_identities(dec, calc, cert).ok
+    assert len(calls) <= 196
+    calls.clear()
+    assert decomposition_report(dec, model, ops, cert).ok
+    assert len(calls) <= 64
