@@ -229,7 +229,7 @@ def cmd_verify(args):
         calc = ProjectorCalculus(model, triple, ops)
         symmetry = certify_line_symmetry(dec, calc, model_ops)
         report = VerificationReport()
-        report.extend(structure_report(model, triple, ops).entries)
+        report.extend(structure_report(model, triple, ops, symmetry).entries)
         report.extend(symmetry.report.entries)
         report.extend(decomposition_report(dec, model, model_ops, symmetry).entries)
         report.extend(verify_lemma_identities(dec, calc, symmetry).entries)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
+from .exact import fused_sum
 from .sparse import SparseMatrix, matrix_type
 
 DEFAULT_MAX_M = 4
@@ -138,9 +139,5 @@ def vector_action(model, v):
         raise TypeError("vector backend does not match the model backend")
     if v.cols != 1 or v.rows != model.n:
         raise DimensionError(f"expected an {model.n}x1 coefficient column")
-    out = model.zeros()
-    for i in range(model.n):
-        c = v[i, 0]
-        if c:
-            out = out + model.gamma[i].scale(c)
-    return out
+    terms = [(c, model.gamma[i]) for (i, _), c in v.nonzero_entries()]
+    return fused_sum(terms=terms) if terms else model.zeros()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SpectrumError
-from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar,
+from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, fused_sum,
                     lagrange_eigenprojectors, scalar_for)
 from .sparse import SparseMatrix
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
@@ -100,7 +100,7 @@ def decompose(model, ops):
     position is stored, absent blocks with dim 0.
     """
     m = model.m
-    commutator = ops.kraines @ ops[1] - ops[1] @ ops.kraines
+    commutator = fused_sum([(1, ops.kraines, ops[1]), (-1, ops[1], ops.kraines)])
     if not commutator.is_zero():
         raise SpectrumError("Kraines form and Omega_1 do not commute "
                             f"(residual {commutator.max_abs():.3e})")

@@ -3,7 +3,10 @@
 `ExactScalar` is a Gaussian rational a + b*i with Fraction components.
 Both matrix backends store the sorted linear indices of a matrix's nonzeros
 and value arrays in the same order; the index arithmetic and shape checks
-below serve both, and each backend supplies its value arithmetic.  Every
+below serve both, and each backend supplies its value arithmetic.
+`fused_sum` evaluates a sum of products and matrices with one term
+expansion, one sort and one canonicalisation; a binary product, sum or
+difference is its smallest case.  Every
 exact matrix is a `quatspin.sparse.SparseMatrix`; `DenseMatrix` here is the
 float backend, one complex128 value per nonzero with tolerance-based zero
 tests.  `quatspin.sparse.matrix_type` maps a backend name to its class.
@@ -156,20 +159,53 @@ def _grid_shape(entries):
     return rows, cols
 
 
-def _product_terms(a, b):
-    """Terms (key, ia, ib) of a @ b, both operands holding a nonzero.
+def _product_terms(row, mid, b_key, inner, cols):
+    """Terms (key, ia, ib) of a @ b, for a holding a nonzero.
 
-    Each nonzero a[i, t] meets row t of b: term q multiplies nonzero ia[q] of
-    a by nonzero ib[q] of b, and adds to linear index key[q] of the product.
+    The nonzeros of a sit at (row, mid); b is inner x cols with sorted keys
+    b_key.  Each nonzero a[i, t] meets row t of b: term q multiplies nonzero
+    ia[q] of a by nonzero ib[q] of b, and adds to linear index key[q] of the
+    product.
     """
-    # row t of b holds b._key[start[t]:start[t + 1]]
-    start = np.searchsorted(b._key, np.arange(b.rows + 1, dtype=np.int64) * b.cols)
-    row, mid = np.divmod(a._key, a.cols)
-    counts = start[mid + 1] - start[mid]
+    # row t of b holds b_key[start[t]:start[t + 1]]
+    start = np.searchsorted(b_key, np.arange(0, (inner + 1) * cols, cols, dtype=np.int64))
+    lo = start[mid]
+    counts = start[mid + 1] - lo
     ends = np.cumsum(counts)
-    ia = np.repeat(np.arange(a._key.size), counts)
-    ib = np.arange(int(ends[-1])) + np.repeat(start[mid] - (ends - counts), counts)
-    return row[ia] * b.cols + b._key[ib] % b.cols, ia, ib
+    ia = np.repeat(np.arange(row.size), counts)
+    ib = np.arange(int(ends[-1])) + np.repeat(lo - (ends - counts), counts)
+    return row[ia] * cols + b_key[ib] % cols, ia, ib
+
+
+def _joined(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _stacked_terms(products, cols, values):
+    """The part (key, values(ia, ib), distinct) of sum_t L_t @ R_t, in one expansion.
+
+    products holds (c, L, R) with L_t inner x ., R_t inner x cols, each
+    holding a nonzero.  The sum is [L_1 ... L_T] @ [R_1; ...; R_T]: L_t's
+    columns are offset by t * inner and R_t's keys by t * inner * cols, so
+    the concatenated keys of the R_t stay sorted.  values(ia, ib) gives the
+    term values from the indices ia and ib into the concatenated nonzeros
+    of the L_t and of the R_t; the index arrays are dropped before the
+    terms are summed.  distinct says the keys are already sorted and
+    distinct: a single product whose left operand holds at most one nonzero
+    per row, whose terms for row i are row t of R in order.
+    """
+    inner = products[0][1].cols
+    rows, mids, r_keys = [], [], []
+    for t, (_, left, right) in enumerate(products):
+        row, mid = np.divmod(left._key, inner)
+        rows.append(row)
+        mids.append(mid + t * inner if t else mid)
+        r_keys.append(right._key + t * inner * cols if t else right._key)
+    row = _joined(rows)
+    distinct = len(products) == 1 and bool((row[1:] != row[:-1]).all())
+    key, ia, ib = _product_terms(row, _joined(mids), _joined(r_keys),
+                                 len(products) * inner, cols)
+    return key, values(ia, ib), distinct
 
 
 def _sum_duplicates(key, *values):
@@ -178,8 +214,32 @@ def _sum_duplicates(key, *values):
         return (key, *values)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    new = np.empty(key.size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = new.nonzero()[0]
     return (key[first], *(np.add.reduceat(v[order], first) for v in values))
+
+
+def _accumulate(parts):
+    """(key, values, added): the sum of parts (key, values, distinct).
+
+    values is a tuple of arrays in key order, and distinct says the part's
+    keys are sorted and distinct.  A lone distinct part is returned as it
+    is (added False: no sum was formed, so no value can have cancelled).
+    Distinct parts with equal key arrays add their values in part order.
+    Otherwise all parts are concatenated, in order, for one stable sort.
+    """
+    key, values, distinct = parts[0]
+    if len(parts) == 1 and distinct:
+        return key, values, False
+    if distinct and all(d and np.array_equal(k, key) for k, _, d in parts[1:]):
+        for _, more, _ in parts[1:]:
+            values = tuple(x + y for x, y in zip(values, more))
+        return key, values, True
+    key, *values = _sum_duplicates(_joined([p[0] for p in parts]),
+                                   *map(_joined, zip(*(p[1] for p in parts))))
+    return key, tuple(values), True
 
 
 def _transpose_order(m):
@@ -208,16 +268,61 @@ def _diagonal(m):
     return m._key % (m.cols + 1) == 0
 
 
+def fused_sum(products=(), terms=()):
+    """sum_t c_t L_t @ R_t + sum_s d_s M_s, with one term expansion, one
+    stable sort and one canonicalisation.
+
+    products holds (c, L, R) triples and terms (d, M) pairs, all matrices of
+    one backend (TypeError otherwise) and of matching shapes
+    (DimensionError otherwise).  Coefficients are exact scalars (int,
+    Fraction, ExactScalar), or complex numbers in the float backend.  The
+    terms of all products are expanded at once, as one product of stacked
+    operands (`_stacked_terms`), and summed with the terms of the M_s.  An
+    exact result is the canonical matrix of the operation-by-operation sum;
+    a float one adds the terms of each entry in stacked order, so it may
+    round differently from a loop of binary operations.
+    """
+    operands = [x for _, a, b in products for x in (a, b)] + [m for _, m in terms]
+    if not operands:
+        raise DimensionError("an empty sum has no shape")
+    cls = type(operands[0])
+    if not all(isinstance(x, cls) for x in operands):
+        raise TypeError("operands of a fused sum must share one backend")
+    for _, a, b in products:
+        if a.cols != b.rows:
+            raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    shapes = {(a.rows, b.cols) for _, a, b in products} | {(m.rows, m.cols) for _, m in terms}
+    if len(shapes) != 1:
+        raise DimensionError(f"cannot add terms of shapes {sorted(shapes)}")
+    (rows, cols), = shapes
+    return cls._linear(rows, cols, products, terms)
+
+
 class _Nonzeros:
     """Shape checks and operator dispatch, common to both backends.
 
-    A subclass holds rows, cols and `_key`, and supplies `zeros` and the value
-    arithmetic: `_product` (of operands that each hold a nonzero), `_combine`,
-    `_transposed` and `_unit_phases` (which stored values are 1, -1, i or
-    -i).  Mixing the backends raises TypeError.
+    A subclass holds rows, cols and `_key`, and supplies `zeros`, `scale`
+    and the value arithmetic: `_fused` (a fused sum of operands that each
+    hold a nonzero, with nonzero coefficients), `_transposed`, `_scalars`
+    (the stored values as scalars) and `_unit_phases` (which stored values
+    are 1, -1, i or -i).  A product and a sum or difference are fused sums
+    of one product or two terms.  Mixing the backends raises TypeError.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _linear(cls, rows, cols, products, terms):
+        """A fused sum, its zero operands and coefficients dropped first."""
+        products = [(c, a, b) for c, a, b in products
+                    if c != 0 and a._key.size and b._key.size]
+        terms = [(d, m) for d, m in terms if d != 0 and m._key.size]
+        if products or len(terms) > 1:
+            return cls._fused(rows, cols, products, terms)
+        if terms:
+            (d, m), = terms
+            return m if d == 1 else m.scale(d)
+        return cls.zeros(rows, cols)
 
     def __matmul__(self, other):
         if not isinstance(other, type(self)):
@@ -229,13 +334,17 @@ class _Nonzeros:
             return self.zeros(self.rows, other.cols)
         return self._product(other)
 
+    def _product(self, other):
+        """self @ other, both holding a nonzero."""
+        return self._fused(self.rows, other.cols, ((1, self, other),), ())
+
     def _sum(self, other, sign):
         if not isinstance(other, type(self)):
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError(
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        return self._combine(other, sign)
+        return self._linear(self.rows, self.cols, (), ((1, self), (sign, other)))
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -249,6 +358,12 @@ class _Nonzeros:
     def hermitian(self):
         """Conjugate transpose."""
         return self._transposed(True)
+
+    def nonzero_entries(self):
+        """[((i, j), value)] for the stored entries in key order, each value a
+        backend scalar (ExactScalar, or complex in the float backend)."""
+        rows, cols = np.divmod(self._key, max(self.cols, 1))
+        return list(zip(zip(rows.tolist(), cols.tolist()), self._scalars()))
 
     def unit_monomial_defect(self):
         """0 for a permutation matrix times phases in {1, -1, i, -i}.
@@ -274,6 +389,15 @@ class _Nonzeros:
                 f"nnz={self._key.size}>")
 
 
+def _complex(s):
+    return s.to_complex() if isinstance(s, ExactScalar) else complex(s)
+
+
+def _weighted_values(v, c):
+    """Float values v times the coefficient c (v itself for c = 1)."""
+    return v if c == 1 else v * _complex(c)
+
+
 class DenseMatrix(_Nonzeros):
     """Immutable complex128 matrix, stored by its nonzeros: the float backend.
 
@@ -288,7 +412,9 @@ class DenseMatrix(_Nonzeros):
 
     def __init__(self, rows, cols, key, v):
         keep = v != 0
-        self.rows, self.cols, self._key, self._v = rows, cols, key[keep], v[keep]
+        if not keep.all():
+            key, v = key[keep], v[keep]
+        self.rows, self.cols, self._key, self._v = rows, cols, key, v
 
     # ---------------------------------------------------------------- build
 
@@ -310,23 +436,24 @@ class DenseMatrix(_Nonzeros):
 
     # ------------------------------------------------------------- interface
 
-    def _product(self, other):
-        key, ia, ib = _product_terms(self, other)
-        key, v = _sum_duplicates(key, self._v[ia] * other._v[ib])
-        return DenseMatrix(self.rows, other.cols, key, v)
-
-    def _combine(self, other, sign):
-        key, v = _sum_duplicates(np.concatenate((self._key, other._key)),
-                                 np.concatenate((self._v, sign * other._v)))
-        return DenseMatrix(self.rows, self.cols, key, v)
+    @classmethod
+    def _fused(cls, rows, cols, products, terms):
+        parts = []
+        if products:
+            left = _joined([_weighted_values(a._v, c) for c, a, _ in products])
+            right = _joined([b._v for _, _, b in products])
+            parts.append(_stacked_terms(products, cols,
+                                        lambda ia, ib: (left[ia] * right[ib],)))
+        parts += [(m._key, (_weighted_values(m._v, d),), True) for d, m in terms]
+        key, (v,), _ = _accumulate(parts)
+        return cls(rows, cols, key, v)
 
     def __neg__(self):
         return DenseMatrix(self.rows, self.cols, self._key, -self._v)
 
     def scale(self, s):
         """Multiply by an exact scalar or a complex number."""
-        s = s.to_complex() if isinstance(s, ExactScalar) else complex(s)
-        return DenseMatrix(self.rows, self.cols, self._key, self._v * s)
+        return DenseMatrix(self.rows, self.cols, self._key, self._v * _complex(s))
 
     def is_zero(self):
         """Whether max |entry| is at most FLOAT_TOL."""
@@ -351,6 +478,9 @@ class DenseMatrix(_Nonzeros):
     def _unit_phases(self):
         re, im = self._v.real, self._v.imag
         return ((re == 0) & (np.abs(im) == 1)) | ((im == 0) & (np.abs(re) == 1))
+
+    def _scalars(self):
+        return self._v.tolist()
 
     def frobenius_norm2(self):
         """Sum of squared entry moduli."""
@@ -416,7 +546,7 @@ def lagrange_projector(a, lam, spectrum):
 
 def certify_eigenprojector(a, lam, p):
     """Raise SpectrumError unless a P = lam P (exactly, or to FLOAT_TOL for float)."""
-    residual = a @ p - p.scale(lam)
+    residual = fused_sum([(1, a, p)], [(-lam, p)])
     if not residual.is_zero():
         raise SpectrumError(
             f"eigen-equation fails for {lam} (residual {residual.max_abs():.3e})")

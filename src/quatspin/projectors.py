@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .clifford import vector_action
 from .errors import DomainError, IdentityFailure
-from .exact import FLOAT_SCALAR_TOL, ExactScalar, scalar_for
+from .exact import FLOAT_SCALAR_TOL, ExactScalar, fused_sum, scalar_for
 from .quaternionic import build_adapted_basis
 from .report import CheckEntry, VerificationReport, residual_entry
 from .symmetry import vector_orbits
@@ -62,10 +62,7 @@ def j_operator(model, triple, ops, x):
 
 def _j_combination(ops, act, rotated):
     """J(x) from a(x) and the rotated actions rotated[a] = a(J_a x)."""
-    out = act.scale(3)
-    for a in (1, 2, 3):
-        out = out + ops[a] @ rotated[a]
-    return out
+    return fused_sum([(1, ops[a], rotated[a]) for a in (1, 2, 3)], [(3, act)])
 
 
 def _p_weights(r, sign):
@@ -77,9 +74,9 @@ def _p_weights(r, sign):
 
 
 def _p_combination(r, sign, act, jop):
+    # alpha a(x) + beta J(x) first, then one scale by c: the float order
     c, alpha, beta = _p_weights(r, sign)
-    scaled = act.scale(alpha)
-    return (scaled + jop if beta > 0 else scaled - jop).scale(c)
+    return fused_sum(terms=[(alpha, act), (beta, jop)]).scale(c)
 
 
 def p_plus(model, triple, ops, r, x):
@@ -96,10 +93,7 @@ def p_minus(model, triple, ops, r, x):
 
 def _product_sum(lefts, rights):
     """sum_j lefts[j] @ rights[j]."""
-    total = lefts[0] @ rights[0]
-    for left, right in zip(lefts[1:], rights[1:]):
-        total = total + left @ right
-    return total
+    return fused_sum([(1, left, right) for left, right in zip(lefts, rights)])
 
 
 def _plus(total, piece):
@@ -147,10 +141,33 @@ class ProjectorCalculus:
         factors = {"a": self.act, "J": self.jop}
         self.sums = {(u, v, x + y): _product_sum(factors[x][u], factors[y][v])
                      for u, v in _PATTERNS for x in "aJ" for y in "aJ"}
+        self._two_step = {}
 
     def p(self, u, r, sign, j):
         """p_r^sign(u_j) for the adapted vector u_j, u in {"f", "fbar"}."""
         return _p_combination(r, sign, self.act[u][j], self.jop[u][j])
+
+    def two_step(self, r, variant):
+        """sum_j (left p)(right p) of a variant at level r (see compute_A).
+
+        With p_l^s(x) = c (alpha a(x) + beta J(x)) for each factor, the sum
+        is c c' (alpha alpha' aa + alpha beta' aJ + beta alpha' Ja +
+        beta beta' JJ) over the four product sums of the variant's vector
+        pattern.  It depends on (r, variant) only, so it is formed once for
+        all blocks of a level: the weighted sums are added first, then scaled
+        once by c c', which keeps the float rounding of every constant.  The
+        left factor's level must exist (r >= 1 for a raising left factor).
+        """
+        key = r, variant
+        if key not in self._two_step:
+            left_sign, right_sign, left_vec, right_vec = _VARIANT_TABLE[variant]
+            c_left, *left = _p_weights(r + 1 if left_sign < 0 else r - 1, left_sign)
+            c_right, *right = _p_weights(r, right_sign)
+            total = fused_sum(terms=[(wx * wy, self.sums[left_vec, right_vec, x + y])
+                                     for x, wx in zip("aJ", left)
+                                     for y, wy in zip("aJ", right)])
+            self._two_step[key] = total.scale(c_left * c_right)
+        return self._two_step[key]
 
 
 def closed_form_A(m, r, k, variant):
@@ -181,7 +198,7 @@ def _restriction_scalar(op, blk):
     op P = s P gives trace(op P) = s dim, so s is read off the trace."""
     comp = op @ blk.projector
     s = comp.trace() / blk.dim
-    residual = comp - blk.projector.scale(s)
+    residual = fused_sum(terms=[(1, comp), (-s, blk.projector)])
     if not residual.is_zero():
         mag = residual.max_abs()
         raise IdentityFailure(f"operator is not scalar on the block (residual {mag:.3e})",
@@ -195,9 +212,10 @@ def compute_A(dec, calc, r, k, variant):
 
     With p_l^s(x) = c (alpha a(x) + beta J(x)) for each factor, the sum is
     c c' (alpha alpha' aa + alpha beta' aJ + beta alpha' Ja + beta beta' JJ)
-    over the four product sums of the variant's vector pattern, so no
-    per-j product is formed here.  Returns that scalar (ExactScalar, or
-    complex in the float backend).  For r = 0 with a raising left factor
+    over the four product sums of the variant's vector pattern, formed once
+    per (r, variant) by `ProjectorCalculus.two_step`, so no per-j product is
+    formed here.  Returns that scalar (ExactScalar, or complex in the float
+    backend).  For r = 0 with a raising left factor
     the composition passes through the empty degree level; the right factor
     is certified to annihilate the block and the scalar is 0.  A failed
     certificate raises IdentityFailure with its residual's largest entry.
@@ -207,10 +225,9 @@ def compute_A(dec, calc, r, k, variant):
         raise DomainError(f"block (r={r}, k={k}) is zero; no restriction scalar")
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
-    left_sign, right_sign, left_vec, right_vec = _VARIANT_TABLE[variant]
-    left_level = r + 1 if left_sign < 0 else r - 1
+    left_sign, right_sign, _, right_vec = _VARIANT_TABLE[variant]
 
-    if left_level < 0:
+    if r == 0 and left_sign > 0:
         # right factor maps S_0 into the empty level below, so the
         # composition is zero regardless of the (undefined) left factor
         for j in range(calc.pairs):
@@ -220,12 +237,7 @@ def compute_A(dec, calc, r, k, variant):
                     f"p_0^- does not annihilate block (r={r}, k={k})", image.max_abs())
         return scalar_for(blk.projector, 0)
 
-    c_left, *left = _p_weights(left_level, left_sign)
-    c_right, *right = _p_weights(r, right_sign)
-    terms = [calc.sums[left_vec, right_vec, x + y].scale(wx * wy)
-             for x, wx in zip("aJ", left) for y, wy in zip("aJ", right)]
-    total = sum(terms[1:], terms[0])
-    return _restriction_scalar(total.scale(c_left * c_right), blk)
+    return _restriction_scalar(calc.two_step(r, variant), blk)
 
 
 @dataclass(frozen=True)
@@ -394,7 +406,7 @@ def verify_lemma_identities(dec, calc, symmetry=None):
             j = orbit[0]
             jf, fbar = calc.act_j["f"][a][j], calc.act["fbar"][j]
             add(orbit, "rotated_vector_anticommute", lambda j: f"{sub} a={a} j={j}",
-                jf @ fbar + fbar @ jf)
+                fused_sum([(1, jf, fbar), (1, fbar, jf)]))
 
     # --- mixed product sums reproduce the other two Kaehler operators
     expectations = {
@@ -414,11 +426,11 @@ def verify_lemma_identities(dec, calc, symmetry=None):
         for orbit in orbits:
             j = orbit[0]
             act = calc.act[u][j]
-            rhs = act.scale(3) + ops[1] @ act.scale(ExactScalar(0, -t))
-            for a in (2, 3):
-                rhs = rhs + ops[a] @ calc.act_j[u][a][j]
+            # J(u_j) - (3 a(u_j) + Omega_1 (-t i) a(u_j) + sum_{a=2,3} Omega_a a(J_a u_j))
+            rhs = [(ExactScalar(0, t), ops[1], act),
+                   *((-1, ops[a], calc.act_j[u][a][j]) for a in (2, 3))]
             add(orbit, "jop_adapted_expansion", lambda j: f"{sub} {u} j={j}",
-                calc.jop[u][j] - rhs)
+                fused_sum(rhs, [(1, calc.jop[u][j]), (-3, act)]))
 
     # --- first-order products of J(x) with the actions, summed over j
     iom = ops[1].scale(_I)
@@ -472,18 +484,19 @@ def verify_lemma_identities(dec, calc, symmetry=None):
             j = orbit[0]
             act, jop = calc.act[u][j], calc.jop[u][j]
             add(orbit, "kraines_commutator_jop", lambda j: f"{sub} {u} j={j}",
-                kraines @ act - act @ kraines - jop.scale(4))
-            rhs = jop.scale(-8) + act.scale(12) \
-                - (act @ (kraines - ident.scale(6 * m))).scale(4)
+                fused_sum([(1, kraines, act), (-1, act, kraines)], [(-4, jop)]))
+            # [K, J(x)] = -8 J(x) + 12 a(x) - 4 a(x) (K - 6m)
             add(orbit, "kraines_commutator_jop_second", lambda j: f"{sub} {u} j={j}",
-                kraines @ jop - jop @ kraines - rhs)
+                fused_sum([(1, kraines, jop), (-1, jop, kraines), (4, act, kraines)],
+                          [(8, jop), (-12 - 24 * m, act)]))
             # a(J_1 u_j) = -t i a(u_j), the weight property of the adapted basis
-            rotated = {1: act.scale(ExactScalar(0, -t)),
-                       2: calc.act_j[u][2][j], 3: calc.act_j[u][3][j]}
+            rotated = {1: (ExactScalar(0, -t), act),
+                       2: (1, calc.act_j[u][2][j]), 3: (1, calc.act_j[u][3][j])}
             for a in (1, 2, 3):
+                c, rot = rotated[a]
                 add(orbit, "kaehler_vector_commutator",
                     lambda j: f"{sub} a={a} {u} j={j}",
-                    ops[a] @ act - act @ ops[a] - rotated[a].scale(2))
+                    fused_sum([(1, ops[a], act), (-1, act, ops[a])], [(-2 * c, rot)]))
 
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the

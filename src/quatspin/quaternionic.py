@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clifford import basis_vector, vector_action
+from .clifford import basis_vector
 from .errors import DomainError
-from .exact import DenseMatrix, ExactScalar
+from .exact import DenseMatrix, ExactScalar, fused_sum
 from .sparse import SparseMatrix, matrix_type
 from .report import VerificationReport, residual_entry
+from .symmetry import generator_pair_orbits
 
 # Left multiplication by i, j, k on H in the basis (1, i, j, k); columns are
 # images of the basis vectors.
@@ -65,20 +66,18 @@ def build_standard_triple(model):
 
 
 def kaehler_form(model, triple, a):
-    """Omega_a = (1/2) sum_i gamma_i * action(J_a e_i) on the spinor space."""
-    j = triple[a]
-    acc = model.zeros()
-    for i in range(model.n):
-        acc = acc + model.gamma[i] @ vector_action(model, j @ basis_vector(model, i))
-    return acc.scale(_HALF)
+    """Omega_a = (1/2) sum_i gamma_i * action(J_a e_i) on the spinor space.
+
+    action(J_a e_i) = sum_k J_a[k, i] gamma_k, so Omega_a is the one fused
+    sum (1/2) sum_{k,i} J_a[k, i] gamma_i gamma_k over the nonzeros of J_a.
+    """
+    g = model.gamma
+    return fused_sum([(_HALF * c, g[i], g[k]) for (k, i), c in triple[a].nonzero_entries()])
 
 
 def kraines_form(model, omegas):
     """sum_a Omega_a^2 + 6m, the quaternionic 4-form acting on spinors."""
-    acc = model.identity().scale(6 * model.m)
-    for om in omegas:
-        acc = acc + om @ om
-    return acc
+    return fused_sum([(1, om, om) for om in omegas], [(6 * model.m, model.identity())])
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def sl2_generators(ops):
     return o1, plus, minus
 
 
-def structure_report(model, triple, ops):
+def structure_report(model, triple, ops, symmetry=None):
     """Verify the defining structural identities of the model.
 
     Clifford anticommutation, the quaternion relations and orthogonality of
@@ -134,34 +133,36 @@ def structure_report(model, triple, ops):
     Kaehler operators, their compatibility with the Kraines sum, the ladder
     relations of the associated sl2 generators, and the Casimir identity.
     All residuals are exact zeros in the exact backend.
+
+    `symmetry` is an optional `certify_line_symmetry` certificate.  When it
+    passes and was made on `model`, the clifford_anticommutation rows are
+    computed for one generator pair (i, j) per orbit under the certified
+    lifts, which map (i, j) to the sorted (sigma(i), sigma(j)): 9 pairs at
+    every m >= 2.  A lift S with S gamma_c S^H = s_c gamma_sigma(c) carries
+    the residual R_ij = gamma_i gamma_j + gamma_j gamma_i + 2 delta_ij to
+    s_i s_j R_sigma(i)sigma(j), so the row of another pair copies its
+    representative's status, residual and note (see quatspin.symmetry).
+    Otherwise every row is computed directly.
     """
     rep = VerificationReport()
     sub = f"m={model.m}"
     ident_s = model.identity()
     ident_n = matrix_type(model.kind).identity(model.n)
 
-    for i, gi in enumerate(model.gamma):
-        for j in range(i, model.n):
-            gj = model.gamma[j]
-            res = gi @ gj + gj @ gi
-            if i == j:
-                res = res + ident_s.scale(2)
-            rep.add(residual_entry("clifford_anticommutation",
-                                   f"{sub} i={i} j={j}", res))
+    g = model.gamma
+    for (i, j), *derived in generator_pair_orbits(symmetry, model):
+        res = fused_sum([(1, g[i], g[j]), (1, g[j], g[i])], [(2 * int(i == j), ident_s)])
+        rep.add_derived(residual_entry("clifford_anticommutation", f"{sub} i={i} j={j}", res),
+                        [f"{sub} i={a} j={b}" for a, b in derived])
 
     for a in (1, 2, 3):
-        rep.add(residual_entry("hk_orthogonality", f"{sub} a={a}",
-                               triple[a].transpose() @ triple[a] - ident_n))
+        rep.add(residual_entry("hk_orthogonality", f"{sub} a={a}", fused_sum(
+            [(1, triple[a].transpose(), triple[a])], [(-1, ident_n)])))
         for b in (1, 2, 3):
-            expect = matrix_type(model.kind).zeros(model.n, model.n)
-            if a == b:
-                expect = expect - ident_n
-            for c in (1, 2, 3):
-                e = epsilon(a, b, c)
-                if e:
-                    expect = expect + triple[c].scale(e)
-            rep.add(residual_entry("quaternion_relations", f"{sub} a={a} b={b}",
-                                   triple[a] @ triple[b] - expect))
+            # J_a J_b = -delta_ab + sum_c eps_abc J_c
+            rep.add(residual_entry("quaternion_relations", f"{sub} a={a} b={b}", fused_sum(
+                [(1, triple[a], triple[b])],
+                [(int(a == b), ident_n), *((-epsilon(a, b, c), triple[c]) for c in (1, 2, 3))])))
 
     for j in range(2 * model.m):
         res = triple[1] @ basis_vector(model, 2 * j) - basis_vector(model, 2 * j + 1)
@@ -169,17 +170,13 @@ def structure_report(model, triple, ops):
 
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            expect = model.zeros()
-            for c in (1, 2, 3):
-                e = epsilon(a, b, c)
-                if e:
-                    expect = expect + ops[c].scale(4 * e)
-            res = ops[a] @ ops[b] - ops[b] @ ops[a] - expect
+            res = fused_sum([(1, ops[a], ops[b]), (-1, ops[b], ops[a])],
+                            [(-4 * epsilon(a, b, c), ops[c]) for c in (1, 2, 3)])
             rep.add(residual_entry("kaehler_commutators", f"{sub} a={a} b={b}",
                                    res))
 
     for a in (1, 2, 3):
-        res = ops.kraines @ ops[a] - ops[a] @ ops.kraines
+        res = fused_sum([(1, ops.kraines, ops[a]), (-1, ops[a], ops.kraines)])
         rep.add(residual_entry("kraines_commutes_weight", f"{sub} a={a}", res))
 
     # consistency of the supplied operators with the model they claim to
@@ -192,17 +189,14 @@ def structure_report(model, triple, ops):
         ops.kraines - kraines_form(model, (ops[1], ops[2], ops[3]))))
 
     o1, plus, minus = sl2_generators(ops)
-    rep.add(residual_entry("sl2_relations", f"{sub} [O1,O+]=2O+",
-                           o1 @ plus - plus @ o1 - plus.scale(2)))
-    rep.add(residual_entry("sl2_relations", f"{sub} [O1,O-]=-2O-",
-                           o1 @ minus - minus @ o1 + minus.scale(2)))
-    rep.add(residual_entry("sl2_relations", f"{sub} [O+,O-]=O1",
-                           plus @ minus - minus @ plus - o1))
+    for name, x, y, rhs in (("[O1,O+]=2O+", o1, plus, [(-2, plus)]),
+                            ("[O1,O-]=-2O-", o1, minus, [(2, minus)]),
+                            ("[O+,O-]=O1", plus, minus, [(-1, o1)])):
+        rep.add(residual_entry("sl2_relations", f"{sub} {name}",
+                               fused_sum([(1, x, y), (-1, y, x)], rhs)))
 
-    casimir = model.zeros()
-    for o in (ops[a].scale(_I_HALF) for a in (1, 2, 3)):
-        casimir = casimir + o @ o
-    lhs = casimir.scale(Fraction(1, 8))
-    rhs = (ops.kraines - ident_s.scale(6 * model.m)).scale(Fraction(-1, 32))
-    rep.add(residual_entry("casimir_identity", sub, lhs - rhs))
+    # (1/8) sum_a o_a^2 - rhs with o_a = (i/2) Omega_a, rhs = -(Kraines - 6m)/32
+    rep.add(residual_entry("casimir_identity", sub, fused_sum(
+        [(Fraction(1, 8), o, o) for o in (ops[a].scale(_I_HALF) for a in (1, 2, 3))],
+        [(Fraction(1, 32), ops.kraines), (Fraction(-6 * model.m, 32), ident_s)])))
     return rep

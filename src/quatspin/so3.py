@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionError, DomainError, SpectrumError
-from .exact import FLOAT_TOL, ExactScalar, lagrange_projector
+from .exact import FLOAT_TOL, ExactScalar, fused_sum, lagrange_projector
 from .quaternionic import epsilon
 from .report import VerificationReport, residual_entry
 from .sparse import SparseMatrix, _parts, matrix_type
@@ -203,14 +203,14 @@ def rotated_generator(irrep, g):
     """Image of H1 under the rotation: sum_b g_{0b} H_{b+1}.
 
     Same spectrum as H1 for any valid rotation.  The rotation and the
-    representation must use the same backend; TypeError otherwise.
+    representation must use the same backend; TypeError otherwise.  One
+    fused combination of the three generators.
     """
     check_rotation(g)
     if g.kind != irrep.kind:
         raise TypeError(
             f"{g.kind} rotation does not match the {irrep.kind} irrep backend")
-    h1, h2, h3 = irrep.h
-    return h1.scale(g[0, 0]) + h2.scale(g[0, 1]) + h3.scale(g[0, 2])
+    return fused_sum(terms=list(zip(g.row(0), irrep.h)))
 
 
 def _gmul(a, b):
@@ -329,7 +329,7 @@ def top_weight_projector(irrep, generator):
     norm = re * re + im * im
     col = SparseMatrix.from_rows([[ExactScalar(a, b)] for a, b in w])
     row = SparseMatrix.from_rows([[ExactScalar(a, b) for a, b in left]])
-    return (col @ row).scale(ExactScalar(Fraction(re, norm), Fraction(-im, norm)))
+    return fused_sum([(ExactScalar(Fraction(re, norm), Fraction(-im, norm)), col, row)])
 
 
 def _entry_parts(kind, x):
@@ -495,8 +495,9 @@ def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
 # -------------------------------------------------------------- verification
 
 
-def _comm(a, b):
-    return a @ b - b @ a
+def _comm(a, b, terms=()):
+    """a b - b a + sum_s d_s M_s over terms (d_s, M_s), as one fused sum."""
+    return fused_sum([(1, a, b), (-1, b, a)], terms)
 
 
 def irrep_report(max_r):
@@ -516,32 +517,31 @@ def irrep_report(max_r):
     for r in range(max_r + 1):
         irrep = build_irrep(r, kind="exact")
         h1, h2, h3 = irrep.h
-        ih3 = h3.scale(ExactScalar(0, 1))
-        x, y = (h2 + ih3).scale(Fraction(1, 2)), (h2 - ih3).scale(Fraction(1, 2))
+        # X = (H2 + i H3)/2 and Y = (H2 - i H3)/2
+        x, y = (fused_sum(terms=[(Fraction(1, 2), h2), (ExactScalar(0, Fraction(t, 2)), h3)])
+                for t in (1, -1))
         sub = f"r={r}"
 
         rep.add(residual_entry("ladder_relations", f"{sub} raise",
-                               _comm(h1, x) - x.scale(2)))
+                               _comm(h1, x, [(-2, x)])))
         rep.add(residual_entry("ladder_relations", f"{sub} lower",
-                               _comm(h1, y) + y.scale(2)))
+                               _comm(h1, y, [(2, y)])))
         rep.add(residual_entry("ladder_relations", f"{sub} bracket",
-                               _comm(x, y) - h1))
+                               _comm(x, y, [(-1, h1)])))
 
         for a, b in ((1, 2), (2, 3), (3, 1)):
-            expected = SparseMatrix.zeros(irrep.dim, irrep.dim)
-            for c in (1, 2, 3):
-                eps = epsilon(a, b, c)
-                if eps:
-                    expected = expected + irrep[c].scale(ExactScalar(0, 2 * eps))
+            # [H_a, H_b] = 2i eps_abc H_c
             rep.add(residual_entry(
                 "generator_commutators", f"{sub} [H{a},H{b}]",
-                _comm(irrep[a], irrep[b]) - expected,
+                _comm(irrep[a], irrep[b],
+                      [(ExactScalar(0, -2 * epsilon(a, b, c)), irrep[c]) for c in (1, 2, 3)]),
                 note="structure constants carry the explicit i"))
 
-        casimir = (h1 @ h1 + h2 @ h2 + h3 @ h3).scale(Fraction(1, 8))
-        target = SparseMatrix.identity(irrep.dim).scale(Fraction(r * (r + 2), 8))
-        rep.add(residual_entry("casimir_scalar", sub, casimir - target,
-                               note=f"scalar r(r+2)/8 = {Fraction(r * (r + 2), 8)}"))
+        scalar = Fraction(r * (r + 2), 8)
+        casimir = fused_sum([(Fraction(1, 8), h, h) for h in irrep.h],
+                            [(-scalar, SparseMatrix.identity(irrep.dim))])
+        rep.add(residual_entry("casimir_scalar", sub, casimir,
+                               note=f"scalar r(r+2)/8 = {scalar}"))
 
         diag = SparseMatrix.from_rows(
             [[w if s == t else 0 for t in range(irrep.dim)]

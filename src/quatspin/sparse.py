@@ -15,8 +15,10 @@ below 2^62, so equal matrices hold equal arrays and `fingerprint` hashes
 equal.  The index arithmetic is shared with the float backend,
 `quatspin.exact.DenseMatrix`; only the numerator arithmetic is here.  A
 product stays int64 while 2 * cols * amax_a * amax_b < 2^63, where amax is
-the largest numerator of an operand; past that bound, or with an object
-operand, it runs on Python ints.
+the largest numerator of an operand, and a fused sum (`exact.fused_sum`)
+while the same bounds, weighted by its coefficients over one common
+denominator, add up to less than 2^63; past that bound it runs on Python
+ints, as it does for an operand that holds them.
 
 Only numpy is used: importing scipy.sparse would cost more than numpy
 itself in every run.  `matrix_type` maps a backend name to its class.
@@ -31,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .exact import (DenseMatrix, ExactScalar, _diagonal, _grid_shape, _NO_KEYS, _Nonzeros,
-                    _position, _product_terms, _sum_duplicates, _transpose_order)
+from .exact import (DenseMatrix, ExactScalar, _accumulate, _diagonal, _grid_shape, _joined,
+                    _NO_KEYS, _Nonzeros, _position, _stacked_terms, _transpose_order)
 
 # Stay strictly below signed-int64 range for any single sum of two products.
 _INT64_LIMIT = 2**63
@@ -83,10 +85,14 @@ def _canonical(re, im, den):
         im = im // g
         den //= g
     amax = max(_array_max(re), _array_max(im))
+    return (*_settled(re, im, amax), den, amax)
+
+
+def _settled(re, im, amax):
+    """The numerators as int64 when they are object dtype and all lie below 2^62."""
     if re.dtype == object and amax < _DOWNCAST_LIMIT:
-        re = re.astype(np.int64)
-        im = im.astype(np.int64)
-    return re, im, den, amax
+        return re.astype(np.int64), im.astype(np.int64)
+    return re, im
 
 
 def _parts(v):
@@ -99,11 +105,46 @@ def _parts(v):
                     f"not {type(v).__name__}")
 
 
-def _widened(bound, arrays):
-    """The arrays as object dtype when bound reaches 2^63 or any is object."""
-    if bound >= _INT64_LIMIT or any(a.dtype == object for a in arrays):
-        return [_as_object(a) for a in arrays]
-    return arrays
+def _gaussian(c):
+    """(re, im, q): an exact scalar as Gaussian-integer numerators over q > 0."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    c = ExactScalar.coerce(c)
+    re, im = c.re, c.im
+    q = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q
+
+
+def _weights(items):
+    """Gaussian-integer weights of scalars c_t / den_t over one denominator.
+
+    items holds (c_t, den_t, size_t) with c_t an exact scalar.  Returns
+    (weights, den, bound): c_t / den_t = (wr_t + i wi_t) / den for
+    (wr_t, wi_t) = weights[t], den the lcm of the q_t den_t, and bound =
+    sum_t size_t (|wr_t| + |wi_t|).
+    """
+    gaussians = [(_gaussian(c), d, size) for c, d, size in items]
+    den = math.lcm(*(q * d for (_, _, q), d, _ in gaussians))
+    weights, bound = [], 0
+    for (re, im, q), d, size in gaussians:
+        f = den // (q * d)
+        weights.append((re * f, im * f))
+        bound += size * (abs(re) + abs(im)) * f
+    return weights, den, bound
+
+
+def _weighted(re, im, w, wide):
+    """(re + i im) (wr + i wi) for w = (wr, wi), on object arrays when wide."""
+    if wide:
+        re, im = _as_object(re), _as_object(im)
+    wr, wi = w
+    if wi == 0:
+        return (re, im) if wr == 1 else (re * wr, im * wr)
+    if wr == 0:
+        return -im * wi, re * wi
+    return re * wr - im * wi, re * wi + im * wr
 
 
 class SparseMatrix(_Nonzeros):
@@ -129,10 +170,13 @@ class SparseMatrix(_Nonzeros):
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def _normalized(cls, rows, cols, key, re, im, den):
-        keep = (re != 0) | (im != 0)
-        if not keep.all():
-            key, re, im = key[keep], re[keep], im[keep]
+    def _normalized(cls, rows, cols, key, re, im, den, may_cancel=True):
+        """The canonical matrix of the numerators over den; may_cancel False
+        skips the zero mask when no numerator can be zero."""
+        if may_cancel:
+            keep = (re != 0) | (im != 0)
+            if not keep.all():
+                key, re, im = key[keep], re[keep], im[keep]
         re, im, den, amax = _canonical(re, im, den)
         return cls(rows, cols, key, re, im, den, amax)
 
@@ -184,41 +228,62 @@ class SparseMatrix(_Nonzeros):
 
     # ------------------------------------------------------------- interface
 
-    def _product(self, other):
-        bound = 2 * self.cols * self._amax * other._amax
-        a_re, a_im, b_re, b_im = _widened(
-            bound, [self._re, self._im, other._re, other._im])
-        key, ia, ib = _product_terms(self, other)
-        ar, ai, br, bi = a_re[ia], a_im[ia], b_re[ib], b_im[ib]
-        key, re, im = _sum_duplicates(key, ar * br - ai * bi, ar * bi + ai * br)
-        return SparseMatrix._normalized(self.rows, other.cols, key, re, im,
-                                        self._den * other._den)
+    @classmethod
+    def _fused(cls, rows, cols, products, terms):
+        # every coefficient and denominator folds into Gaussian-integer
+        # weights over one common denominator; the weights of the products
+        # go onto their left operands.  A product term is bounded by
+        # 2 inner amax_L amax_R and a plain one by amax_M, each times |w|,
+        # and every partial sum by their total.  Below 2^63 int64 cannot
+        # overflow; an object operand (amax >= 2^62) keeps object arithmetic.
+        weights, den, bound = _weights(
+            [(c, a._den * b._den, 2 * a.cols * a._amax * b._amax) for c, a, b in products]
+            + [(d, m._den, m._amax) for d, m in terms])
+        wide = bound >= _INT64_LIMIT
+        parts = []
+        if products:
+            a_re, a_im = (_joined(x) for x in zip(*(
+                _weighted(a._re, a._im, w, wide) for w, (_, a, _) in zip(weights, products))))
+            b_re, b_im = (_joined(x) for x in zip(*(
+                _weighted(b._re, b._im, (1, 0), wide) for _, _, b in products)))
 
-    def _combine(self, other, sign):
-        den = math.lcm(self._den, other._den)
-        sa, sb = den // self._den, sign * (den // other._den)
-        bound = max(self._amax, 1) * abs(sa) + max(other._amax, 1) * abs(sb)
-        a_re, a_im, b_re, b_im = _widened(
-            bound, [self._re, self._im, other._re, other._im])
-        key, re, im = _sum_duplicates(np.concatenate((self._key, other._key)),
-                                      np.concatenate((a_re * sa, b_re * sb)),
-                                      np.concatenate((a_im * sa, b_im * sb)))
-        return SparseMatrix._normalized(self.rows, self.cols, key, re, im, den)
+            def values(ia, ib):
+                ar, ai, br, bi = a_re[ia], a_im[ia], b_re[ib], b_im[ib]
+                return ar * br - ai * bi, ar * bi + ai * br
+
+            parts.append(_stacked_terms(products, cols, values))
+        parts += [(m._key, _weighted(m._re, m._im, w, wide), True)
+                  for w, (_, m) in zip(weights[len(products):], terms)]
+        key, (re, im), added = _accumulate(parts)
+        # without an addition every value is a product of nonzero Gaussian
+        # integers, never zero
+        return cls._normalized(rows, cols, key, re, im, den, may_cancel=added)
 
     def __neg__(self):
         return SparseMatrix(self.rows, self.cols, self._key, -self._re, -self._im,
                             self._den, self._amax)
 
     def scale(self, s):
-        """Multiply by an exact scalar."""
-        s = ExactScalar.coerce(s)
-        q = math.lcm(s.re.denominator, s.im.denominator)
-        pr, pi = int(s.re * q), int(s.im * q)
-        bound = max(self._amax, 1) * (abs(pr) + abs(pi))
-        a_re, a_im = _widened(bound, [self._re, self._im])
-        return SparseMatrix._normalized(self.rows, self.cols, self._key,
-                                        a_re * pr - a_im * pi,
-                                        a_re * pi + a_im * pr, self._den * q)
+        """Multiply by an exact scalar.
+
+        An integer s or a unit +-i needs no gcd scan: the numerators are
+        coprime to den, so only gcd(den, s) cancels, and +-i swaps the parts.
+        """
+        re, im, q = _gaussian(s)
+        if self._amax == 0 or (re, im) == (0, 0):
+            return SparseMatrix.zeros(self.rows, self.cols)
+        if q == 1 and im == 0:
+            g = math.gcd(self._den, re)
+            k, amax = re // g, self._amax * abs(re // g)
+            wide = amax >= _INT64_LIMIT
+            a_re, a_im = _weighted(self._re, self._im, (k, 0), wide)
+            return SparseMatrix(self.rows, self.cols, self._key,
+                                *_settled(a_re, a_im, amax), self._den // g, amax)
+        if q == 1 and re == 0 and abs(im) == 1:
+            a_re, a_im = _weighted(self._re, self._im, (0, im), False)
+            return SparseMatrix(self.rows, self.cols, self._key,
+                                *_settled(a_re, a_im, self._amax), self._den, self._amax)
+        return SparseMatrix._fused(self.rows, self.cols, (), ((s, self),))
 
     def is_zero(self):
         """Exact zero test."""
@@ -260,6 +325,13 @@ class SparseMatrix(_Nonzeros):
         rows, cols = np.divmod(self._key, max(self.cols, 1))
         return self._den, dict(zip(zip(rows.tolist(), cols.tolist()),
                                    zip(self._re.tolist(), self._im.tolist())))
+
+    def _scalars(self):
+        if self._den == 1:
+            return [ExactScalar(re, im)
+                    for re, im in zip(self._re.tolist(), self._im.tolist())]
+        return [ExactScalar(Fraction(re, self._den), Fraction(im, self._den))
+                for re, im in zip(self._re.tolist(), self._im.tolist())]
 
     def frobenius_norm2(self):
         """Sum of squared entry moduli, as an exact Fraction."""

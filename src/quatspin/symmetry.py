@@ -23,8 +23,10 @@ a(J_a u_j) and J(u_j) to s times the same operators of u_{pi(j)}.  S also
 commutes with the Kaehler operators the rows read and with the two
 operators whose Lagrange polynomials are the projectors of the
 decomposition, so it fixes every other factor of a row.  A per-vector
-residual of the lemma suite is then R_{pi(j)} = +-S R_j S^H, and a
-per-generator residual of decomposition_report R_{sigma(c)} = +-S R_c S^H.
+residual of the lemma suite is then R_{pi(j)} = +-S R_j S^H, a
+per-generator residual of decomposition_report R_{sigma(c)} = +-S R_c S^H,
+and a generator-pair residual of structure_report, gamma_i gamma_j +
+gamma_j gamma_i + 2 delta_ij, R_{sigma(i)sigma(j)} = +-S R_ij S^H.
 S is a permutation times phases in {1, -1, i, -i}, so S R S^H holds the
 entries of R, moved and multiplied by units: R_{pi(j)} has exactly the
 largest entry modulus of R_j in both backends and vanishes exactly when
@@ -38,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import fused_sum
 from .report import CheckEntry, VerificationReport, residual_entry
 from .sparse import matrix_type
 
@@ -151,18 +154,19 @@ def certify_line_symmetry(dec, calc, ops):
         defect = s.unit_monomial_defect()
         rep.add(CheckEntry(CHECK_ID, f"{name} monomial", "fail" if defect else "pass",
                            str(defect)))
-        rep.add(residual_entry(CHECK_ID, f"{name} unitary", s.hermitian() @ s - one))
+        rep.add(residual_entry(CHECK_ID, f"{name} unitary",
+                               fused_sum([(1, s.hermitian(), s)], [(-1, one)])))
         grid = [[0] * model.n for _ in range(model.n)]
         generators = []
         for c, (target, sign) in enumerate(lift.signed_permutation):
             grid[target][c] = sign
-            generators.append((f"gamma_{c}", s @ model.gamma[c]
-                               - (model.gamma[target] @ s).scale(sign)))
+            generators.append((f"gamma_{c}", fused_sum(
+                [(1, s, model.gamma[c]), (-sign, model.gamma[target], s)])))
         rho, j = matrix_type(model.kind).from_rows(grid), calc.triple
-        triple = [(f"J_{a}", rho @ j[a] - j[a] @ rho) for a in (1, 2, 3)]
+        triple = [(f"J_{a}", fused_sum([(1, rho, j[a]), (-1, j[a], rho)])) for a in (1, 2, 3)]
         rep.add(_claims_entry(f"{name} generators", generators + triple))
-        rep.add(_claims_entry(f"{name} operators",
-                              [(label, s @ op - op @ s) for label, op in operators]))
+        rep.add(_claims_entry(f"{name} operators", [
+            (label, fused_sum([(1, s, op), (-1, op, s)])) for label, op in operators]))
     return LineSymmetryCertificate(rep, lifts, dec, calc, ops)
 
 
@@ -208,3 +212,21 @@ def generator_orbits(symmetry, dec, model, ops):
         return [[c] for c in range(model.n)]
     return _orbits(model.n, ([target for target, _ in lift.signed_permutation]
                              for lift in symmetry.lifts))
+
+
+def generator_pair_orbits(symmetry, model):
+    """Orbits of the generator pairs (i, j), i <= j, that structure_report
+    may read off their first member: under each certified lift (i, j) goes
+    to the sorted (sigma(i), sigma(j)), when `symmetry` is a passing
+    certificate made on `model`; else singletons.  Each orbit is sorted and
+    the orbits are ordered by their first pair."""
+    pairs = [(i, j) for i in range(model.n) for j in range(i, model.n)]
+    if symmetry is None or not (symmetry.ok and symmetry.calc.model is model):
+        return [[pair] for pair in pairs]
+    index = {pair: t for t, pair in enumerate(pairs)}
+
+    def image(sigma):
+        return [index[tuple(sorted((sigma[i][0], sigma[j][0])))] for i, j in pairs]
+
+    return [[pairs[t] for t in orbit] for orbit in
+            _orbits(len(pairs), (image(lift.signed_permutation) for lift in symmetry.lifts))]

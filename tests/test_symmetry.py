@@ -14,15 +14,15 @@ from dataclasses import replace
 
 import pytest
 
+from quatspin import exact as exact_module
 from quatspin import symmetry as symmetry_module
 from quatspin.clifford import build_clifford_model, corrupt_gamma
 from quatspin.decomposition import decompose, decomposition_report
-from quatspin.exact import _Nonzeros
 from quatspin.projectors import ProjectorCalculus, verify_lemma_identities
 from quatspin.quaternionic import (KaehlerOperators, build_kaehler_operators,
-                                   build_standard_triple, kraines_form)
-from quatspin.symmetry import (certify_line_symmetry, generator_orbits, line_symmetries,
-                               vector_orbits)
+                                   build_standard_triple, kraines_form, structure_report)
+from quatspin.symmetry import (certify_line_symmetry, generator_orbits,
+                               generator_pair_orbits, line_symmetries, vector_orbits)
 
 
 def _world(model):
@@ -37,12 +37,14 @@ def _rows(rep):
 
 
 def _derived_and_direct(dec, calc, ops):
-    """(certificate, rows with it, rows computed directly) of both consumers."""
+    """(certificate, rows with it, rows computed directly) of the three consumers."""
     cert = certify_line_symmetry(dec, calc, ops)
     derived = _rows(verify_lemma_identities(dec, calc, cert)) \
-        + _rows(decomposition_report(dec, calc.model, ops, cert))
+        + _rows(decomposition_report(dec, calc.model, ops, cert)) \
+        + _rows(structure_report(calc.model, calc.triple, ops, cert))
     direct = _rows(verify_lemma_identities(dec, calc)) \
-        + _rows(decomposition_report(dec, calc.model, ops))
+        + _rows(decomposition_report(dec, calc.model, ops)) \
+        + _rows(structure_report(calc.model, calc.triple, ops))
     return cert, derived, direct
 
 
@@ -65,6 +67,12 @@ def test_derived_rows_equal_direct_rows(m, kind):
     assert vector_orbits(cert, dec, calc) == [list(range(2 * m))]
     assert generator_orbits(cert, dec, model, ops) == \
         [list(range(0, 4 * m, 2)), list(range(1, 4 * m, 2))]
+    # generator pairs within a line: {00, 22}, {11, 33}, {01, 23}, {02},
+    # {03, 12}, {13}; across two lines: even-even, even-odd and odd-odd
+    pairs = generator_pair_orbits(cert, model)
+    assert len(pairs) == (6 if m == 1 else 9)
+    assert sorted(pair for orbit in pairs for pair in orbit) == \
+        [(i, j) for i in range(4 * m) for j in range(i, 4 * m)]
     assert derived == direct
     assert all(row[2] == "pass" for row in direct if row[0] != "weight_orientation")
 
@@ -105,6 +113,7 @@ def test_flipped_model_with_a_clean_decomposition_fails_the_certificate(index):
         assert failures and all(e.subject.endswith("operators") for e in failures)
         assert all(e.note == note and float(e.residual) > 0 for e in failures)
         assert vector_orbits(cert, clean_dec, calc) == [[j] for j in range(4)]
+        assert len(generator_pair_orbits(cert, bad)) == 36
         assert derived == direct
 
 
@@ -118,6 +127,9 @@ def test_a_certificate_covers_only_the_objects_it_was_made_on():
     assert vector_orbits(cert, dec, other_calc) == singletons
     assert generator_orbits(cert, dec, model, other_ops) == [[c] for c in range(8)]
     assert vector_orbits(None, dec, calc) == singletons
+    every_pair = [[(i, j)] for i in range(8) for j in range(i, 8)]
+    assert generator_pair_orbits(cert, build_clifford_model(2)) == every_pair
+    assert generator_pair_orbits(None, model) == every_pair
 
 
 def _failed(cert, claim):
@@ -190,22 +202,23 @@ def test_corrupted_lifts_fail_their_claims(kind, monkeypatch):
 
 
 def test_line_symmetry_product_count(monkeypatch):
-    # counts every product the two consumers issue at m = 3 exact (796 and
-    # 284 when every row is computed directly): a guard, free of timing, on
-    # the rows derived from j = 0 and from the generators 0 and 1
+    # counts the term expansions, one per product or fused sum of products,
+    # that the two consumers make at m = 3 exact (796 and 284 binary
+    # products when every row is computed directly): a guard, free of
+    # timing, on the rows derived from j = 0 and from the generators 0 and 1
     model = build_clifford_model(3)
     dec, calc, ops = _world(model)
     cert = certify_line_symmetry(dec, calc, ops)
     calls = []
-    product = _Nonzeros.__matmul__
+    expand = exact_module._product_terms
 
-    def counted(a, b):
-        calls.append(a.rows)
-        return product(a, b)
+    def counted(*args):
+        calls.append(args[-1])
+        return expand(*args)
 
-    monkeypatch.setattr(_Nonzeros, "__matmul__", counted)
+    monkeypatch.setattr(exact_module, "_product_terms", counted)
     assert verify_lemma_identities(dec, calc, cert).ok
-    assert len(calls) <= 196
+    assert len(calls) <= 146
     calls.clear()
     assert decomposition_report(dec, model, ops, cert).ok
     assert len(calls) <= 64
