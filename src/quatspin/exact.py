@@ -184,27 +184,28 @@ def _joined(arrays):
 def _stacked_terms(products, cols, values):
     """The part (key, values(ia, ib), distinct) of sum_t L_t @ R_t, in one expansion.
 
-    products holds (c, L, R) with L_t inner x ., R_t inner x cols, each
-    holding a nonzero.  The sum is [L_1 ... L_T] @ [R_1; ...; R_T]: L_t's
-    columns are offset by t * inner and R_t's keys by t * inner * cols, so
-    the concatenated keys of the R_t stay sorted.  values(ia, ib) gives the
+    products holds (c, L, R) with L_t . x n_t and R_t n_t x cols, each
+    holding a nonzero; the inner sizes n_t may differ.  The sum is
+    [L_1 ... L_T] @ [R_1; ...; R_T]: with o_t = n_1 + ... + n_{t-1}, L_t's
+    columns are offset by o_t and R_t's keys by o_t * cols, so the
+    concatenated keys of the R_t stay sorted.  values(ia, ib) gives the
     term values from the indices ia and ib into the concatenated nonzeros
     of the L_t and of the R_t; the index arrays are dropped before the
     terms are summed.  distinct says the keys are already sorted and
     distinct: a single product whose left operand holds at most one nonzero
     per row, whose terms for row i are row t of R in order.
     """
-    inner = products[0][1].cols
+    offset = 0
     rows, mids, r_keys = [], [], []
-    for t, (_, left, right) in enumerate(products):
-        row, mid = np.divmod(left._key, inner)
+    for _, left, right in products:
+        row, mid = np.divmod(left._key, left.cols)
         rows.append(row)
-        mids.append(mid + t * inner if t else mid)
-        r_keys.append(right._key + t * inner * cols if t else right._key)
+        mids.append(mid + offset if offset else mid)
+        r_keys.append(right._key + offset * cols if offset else right._key)
+        offset += left.cols
     row = _joined(rows)
     distinct = len(products) == 1 and bool((row[1:] != row[:-1]).all())
-    key, ia, ib = _product_terms(row, _joined(mids), _joined(r_keys),
-                                 len(products) * inner, cols)
+    key, ia, ib = _product_terms(row, _joined(mids), _joined(r_keys), offset, cols)
     return key, values(ia, ib), distinct
 
 
@@ -268,19 +269,48 @@ def _diagonal(m):
     return m._key % (m.cols + 1) == 0
 
 
+# expanded terms held at once by a fused sum of several products: about 6
+# MB of exact term arrays.  Sums reach 4,096 terms at m = 4 and 20,480 at
+# m = 5, and up to 673,792 at m = 7.
+_TERM_CAP = 2**16
+
+
+def _chunks(products):
+    """products in consecutive runs of at most _TERM_CAP expanded terms.
+
+    A product L @ R expands about nnz(L) nnz(R) / inner terms (exactly,
+    when the rows of R hold equally many nonzeros); a single product above
+    the cap makes a run of its own.
+    """
+    chunks, size = [], 0
+    for p in products:
+        _, a, b = p
+        n = a._key.size * b._key.size // a.cols
+        if not chunks or size + n > _TERM_CAP:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(p)
+        size += n
+    return chunks
+
+
 def fused_sum(products=(), terms=()):
     """sum_t c_t L_t @ R_t + sum_s d_s M_s, with one term expansion, one
     stable sort and one canonicalisation.
 
     products holds (c, L, R) triples and terms (d, M) pairs, all matrices of
     one backend (TypeError otherwise) and of matching shapes
-    (DimensionError otherwise).  Coefficients are exact scalars (int,
-    Fraction, ExactScalar), or complex numbers in the float backend.  The
-    terms of all products are expanded at once, as one product of stacked
-    operands (`_stacked_terms`), and summed with the terms of the M_s.  An
-    exact result is the canonical matrix of the operation-by-operation sum;
-    a float one adds the terms of each entry in stacked order, so it may
-    round differently from a loop of binary operations.
+    (DimensionError otherwise); the inner sizes of the products may differ.
+    Coefficients are exact scalars (int, Fraction, ExactScalar), or complex
+    numbers in the float backend.  The terms of all products are expanded
+    at once, as one product of stacked operands (`_stacked_terms`), and
+    summed with the terms of the M_s.  Products expanding more than
+    _TERM_CAP terms in all are split into runs (`_chunks`) added into a
+    running total, so the terms held at once stay near the cap.  An exact
+    result is the canonical matrix of the operation-by-operation sum; a
+    float one adds the terms of each entry in stacked order (run by run
+    past the cap), so it may round differently from a loop of binary
+    operations.
     """
     operands = [x for _, a, b in products for x in (a, b)] + [m for _, m in terms]
     if not operands:
@@ -316,6 +346,14 @@ class _Nonzeros:
         """A fused sum, its zero operands and coefficients dropped first."""
         products = [(c, a, b) for c, a, b in products
                     if c != 0 and a._key.size and b._key.size]
+        chunks = _chunks(products)
+        if len(chunks) > 1:
+            # a long sum is expanded a chunk at a time into a running total,
+            # so the terms held at once stay near _TERM_CAP
+            total = cls._linear(rows, cols, chunks[0], terms)
+            for chunk in chunks[1:]:
+                total = cls._linear(rows, cols, chunk, ((1, total),))
+            return total
         terms = [(d, m) for d, m in terms if d != 0 and m._key.size]
         if products or len(terms) > 1:
             return cls._fused(rows, cols, products, terms)
@@ -332,10 +370,6 @@ class _Nonzeros:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if not (self._key.size and other._key.size):
             return self.zeros(self.rows, other.cols)
-        return self._product(other)
-
-    def _product(self, other):
-        """self @ other, both holding a nonzero."""
         return self._fused(self.rows, other.cols, ((1, self, other),), ())
 
     def _sum(self, other, sign):

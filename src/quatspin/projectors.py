@@ -155,11 +155,15 @@ class ProjectorCalculus:
         beta beta' JJ) over the four product sums of the variant's vector
         pattern.  It depends on (r, variant) only, so it is formed once for
         all blocks of a level: the weighted sums are added first, then scaled
-        once by c c', which keeps the float rounding of every constant.  The
-        left factor's level must exist (r >= 1 for a raising left factor).
+        once by c c', which keeps the float rounding of every constant.  Only
+        the sums of the level last asked for are kept, as `block_constants`
+        asks level by level.  The left factor's level must exist (r >= 1 for
+        a raising left factor).
         """
         key = r, variant
         if key not in self._two_step:
+            if any(level != r for level, _ in self._two_step):
+                self._two_step.clear()
             left_sign, right_sign, left_vec, right_vec = _VARIANT_TABLE[variant]
             c_left, *left = _p_weights(r + 1 if left_sign < 0 else r - 1, left_sign)
             c_right, *right = _p_weights(r, right_sign)

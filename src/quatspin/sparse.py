@@ -85,14 +85,10 @@ def _canonical(re, im, den):
         im = im // g
         den //= g
     amax = max(_array_max(re), _array_max(im))
-    return (*_settled(re, im, amax), den, amax)
-
-
-def _settled(re, im, amax):
-    """The numerators as int64 when they are object dtype and all lie below 2^62."""
     if re.dtype == object and amax < _DOWNCAST_LIMIT:
-        return re.astype(np.int64), im.astype(np.int64)
-    return re, im
+        re = re.astype(np.int64)
+        im = im.astype(np.int64)
+    return re, im, den, amax
 
 
 def _parts(v):
@@ -264,25 +260,9 @@ class SparseMatrix(_Nonzeros):
                             self._den, self._amax)
 
     def scale(self, s):
-        """Multiply by an exact scalar.
-
-        An integer s or a unit +-i needs no gcd scan: the numerators are
-        coprime to den, so only gcd(den, s) cancels, and +-i swaps the parts.
-        """
-        re, im, q = _gaussian(s)
-        if self._amax == 0 or (re, im) == (0, 0):
+        """Multiply by an exact scalar."""
+        if self._amax == 0 or s == 0:
             return SparseMatrix.zeros(self.rows, self.cols)
-        if q == 1 and im == 0:
-            g = math.gcd(self._den, re)
-            k, amax = re // g, self._amax * abs(re // g)
-            wide = amax >= _INT64_LIMIT
-            a_re, a_im = _weighted(self._re, self._im, (k, 0), wide)
-            return SparseMatrix(self.rows, self.cols, self._key,
-                                *_settled(a_re, a_im, amax), self._den // g, amax)
-        if q == 1 and re == 0 and abs(im) == 1:
-            a_re, a_im = _weighted(self._re, self._im, (0, im), False)
-            return SparseMatrix(self.rows, self.cols, self._key,
-                                *_settled(a_re, a_im, self._amax), self._den, self._amax)
         return SparseMatrix._fused(self.rows, self.cols, (), ((s, self),))
 
     def is_zero(self):

@@ -73,11 +73,13 @@ def matrices(draw, rows, cols, numerators, monomial_rows=False):
 
 @st.composite
 def sums(draw, numerators=st.one_of(small, near_boundary), monomial_rows=False):
-    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    rows, cols = (draw(st.integers(1, 3)) for _ in range(2))
+    # each product draws its own inner size
+    inners = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(0, 3)))]
     products = [(draw(coefficients),
                  draw(matrices(rows, inner, numerators, monomial_rows)),
                  draw(matrices(inner, cols, numerators)))
-                for _ in range(draw(st.integers(0, 3)))]
+                for inner in inners]
     terms = [(draw(coefficients), draw(matrices(rows, cols, numerators)))
              for _ in range(draw(st.integers(0 if products else 1, 3)))]
     return rows, cols, products, terms
@@ -178,7 +180,7 @@ def test_the_int64_bound_on_both_sides(a, b, count, dtype):
     assert_canonical(fused_sum([(1, wide, right)]))
 
 
-def test_integer_and_unit_scales_skip_the_fraction_round_trip():
+def test_integer_and_unit_scales_are_canonical():
     m = SparseMatrix.from_rows([[Fraction(1, 6), ExactScalar(Fraction(5, 6), -1)],
                                 [0, Fraction(-1, 4)]])
     for s in (2, 3, -12, 2**62, ExactScalar(0, 1), ExactScalar(0, -1), 0):
@@ -186,6 +188,48 @@ def test_integer_and_unit_scales_skip_the_fraction_round_trip():
         assert got == fused_sum(terms=[(Fraction(1), m), (ExactScalar.coerce(s) - 1, m)])
         assert_canonical(got)
     assert m.scale(12)._den == 1
+
+
+def test_products_of_different_inner_sizes():
+    # [L_1 L_2] @ [R_1; R_2] with inner sizes 1 and 3: R_2's keys are offset
+    # by the inner size of L_1 alone
+    a = SparseMatrix.from_rows([[1], [2]])
+    b = SparseMatrix.from_rows([[1, 3]])
+    c = SparseMatrix.from_rows([[1, 0, 2], [0, I, 1]])
+    d = SparseMatrix.from_rows([[1, 0], [0, 1], [5, Fraction(7, 2)]])
+    products = [(1, a, b), (Fraction(1, 3), c, d), (-I, a, b)]
+    got = fused_sum(products)
+    assert got == reference(2, 2, products, [])
+    assert_canonical(got)
+    floats = as_float(2, 2, products, [])
+    assert (fused_sum(floats[2]) - reference(*floats)).max_abs() <= FLOAT_TOL
+
+
+@settings
+@hypothesis.given(sums(numerators=small))
+def test_long_sums_are_expanded_in_chunks(case):
+    # with a cap of 4 terms nearly every product is a chunk of its own, added
+    # into a running total: exact results are still the canonical loop
+    calls = []
+    expand = exact._product_terms
+
+    def counted(*args):
+        calls.append(args[-1])
+        return expand(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_TERM_CAP", 4)
+        mp.setattr(exact, "_product_terms", counted)
+        got = fused_sum(*case[2:])
+        floats = as_float(*case)
+        got_float = fused_sum(*floats[2:])
+        working = [p for p in case[2] if p[0] != 0 and p[1]._key.size and p[2]._key.size]
+        chunks = len(exact._chunks(working))
+    assert got == reference(*case)
+    assert_canonical(got)
+    assert (got_float - reference(*floats)).max_abs() <= FLOAT_TOL
+    # one expansion per chunk, in each backend
+    assert len(calls) == 2 * chunks
 
 
 def test_fused_sum_rejects_mixed_backends_and_shapes():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quatspin import exact as exact_module
 from quatspin.errors import DimensionError, DomainError, SpectrumError
 from quatspin.exact import ExactScalar, certify_eigenprojector, lagrange_projector
 from quatspin.quaternionic import epsilon
@@ -506,23 +507,24 @@ def test_search_matches_the_lagrange_reference(r):
 
 
 def test_top_weight_projector_product_count(monkeypatch):
-    # counts the exact products that do work (both operands nonzero): a
-    # guard on the continuant certificate, free of timing
+    # counts the term expansions (exact._product_terms), one per product or
+    # fused sum of products that does work: a guard on the continuant
+    # certificate and the fused sums of irrep_report, free of timing
     calls = []
-    product = SparseMatrix._product
+    expand = exact_module._product_terms
 
-    def counted(a, b):
-        calls.append(a.rows)
-        return product(a, b)
+    def counted(*args):
+        calls.append(args[-1])
+        return expand(*args)
 
     ir = build_irrep(10)
     gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
-    monkeypatch.setattr(SparseMatrix, "_product", counted)
+    monkeypatch.setattr(exact_module, "_product_terms", counted)
     top_weight_projector(ir, gen)
     assert len(calls) <= 1
     calls.clear()
     assert irrep_report(10).ok
-    assert len(calls) <= 150
+    assert len(calls) <= 70
     calls.clear()
     out = find_rotation_with_top_component(ir, [0] * 10 + [1], seed=4)
     assert out.found and out.samples_used >= 2
