@@ -64,6 +64,8 @@ from .symmetry import (
 from .decomposition import (
     Block,
     JointDecomposition,
+    World,
+    build_world,
     decompose,
     lattice_allows,
     omega_eigenvalue,

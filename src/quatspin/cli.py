@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import build_bound_report
 from .clifford import build_clifford_model, corrupt_gamma
-from .decomposition import decompose, decomposition_report
+from .decomposition import build_world, decomposition_report
 from .errors import (
     DimensionError,
     DomainError,
@@ -46,7 +46,7 @@ from .projectors import (
     constants_report,
     verify_lemma_identities,
 )
-from .quaternionic import build_kaehler_operators, build_standard_triple, structure_report
+from .quaternionic import structure_report
 from .report import VerificationReport
 from .symmetry import certify_line_symmetry
 from .so3 import (TOP_COMPONENT_THRESHOLD, build_irrep, find_rotation_with_top_component,
@@ -199,50 +199,41 @@ def _config_from(args):
 # ------------------------------------------------------------------ commands
 
 
-def _entry_rows(segment, report):
-    return [{"segment": segment, **e.as_dict()} for e in report.sorted_entries()]
-
-
-def _decomposed(m, config):
-    """Model, triple, Kaehler operators and block decomposition."""
-    model = build_clifford_model(m, kind=config.backend)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    return model, triple, ops, decompose(model, ops)
-
-
 def _tolerance(config):
     """The float tolerance, in float reports only: no exact check applies one."""
     return {"tolerance": FLOAT_TOL} if config.backend == "float" else {}
 
 
+def world_report(world):
+    """Every check of one world, in report order."""
+    calc = ProjectorCalculus(world)
+    symmetry = certify_line_symmetry(world)
+    parts = (structure_report(world, symmetry), symmetry.report,
+             decomposition_report(world, symmetry),
+             verify_lemma_identities(calc, symmetry), constants_report(calc))
+    return VerificationReport([e for part in parts for e in part.entries])
+
+
 def cmd_verify(args):
     config = _config_from(args)
+    models = [build_clifford_model(m, kind=config.backend) for m in config.m_values]
+    if args.flip_gamma is not None:
+        # every index is checked before the first world is built
+        flipped = [corrupt_gamma(model, args.flip_gamma) for model in models]
     sections = []
     model_hashes = {}
-    for m in config.m_values:
-        model, triple, ops, dec = _decomposed(m, config)
-        model_ops = ops
+    for t, model in enumerate(models):
+        world = build_world(model)
         if args.flip_gamma is not None:
-            model = corrupt_gamma(model, args.flip_gamma)
-            model_ops = build_kaehler_operators(model, triple)
-        calc = ProjectorCalculus(model, triple, ops)
-        symmetry = certify_line_symmetry(dec, calc, model_ops)
-        report = VerificationReport()
-        report.extend(structure_report(model, triple, ops, symmetry).entries)
-        report.extend(symmetry.report.entries)
-        report.extend(decomposition_report(dec, model, model_ops, symmetry).entries)
-        report.extend(verify_lemma_identities(dec, calc, symmetry).entries)
-        report.extend(constants_report(model, dec, calc).entries)
-        sections.append((f"m={m}", report))
-        model_hashes[str(m)] = model.content_hash()
+            # the stated decomposition under the corrupted generator list
+            world = build_world(flipped[t], dec=world.dec)
+        sections.append((f"m={model.m}", world_report(world)))
+        model_hashes[str(model.m)] = world.model.content_hash()
     sections.append(("so3", irrep_report(10)))
 
-    combined = VerificationReport()
-    rows = []
-    for segment, report in sections:
-        combined.extend(report.entries)
-        rows.extend(_entry_rows(segment, report))
+    combined = VerificationReport([e for _, report in sections for e in report.entries])
+    rows = [{"segment": segment, **e.as_dict()}
+            for segment, report in sections for e in report.sorted_entries()]
     counts = combined.counts()
     payload = {
         "command": "verify",
@@ -266,9 +257,8 @@ def cmd_verify(args):
 
 def cmd_constants(args):
     config = _config_from(args)
-    model, triple, ops, dec = _decomposed(args.m, config)
-    calc = ProjectorCalculus(model, triple, ops)
-    constants = block_constants(model, dec, calc)
+    world = build_world(build_clifford_model(args.m, kind=config.backend))
+    constants = block_constants(ProjectorCalculus(world))
     rows = [{"r": c.r, "k": c.k, "variant": c.variant, "computed": c.computed,
              "closed": str(c.closed), "match": c.ok, "note": c.note}
             for c in constants]
@@ -278,7 +268,7 @@ def cmd_constants(args):
         "backend": config.backend,
         **_tolerance(config),
         "m": args.m,
-        "model_hash": model.content_hash(),
+        "model_hash": world.model.content_hash(),
         "ok": mismatches == 0,
         "counts": {"match": len(rows) - mismatches, "mismatch": mismatches},
         "rows": rows,
@@ -347,7 +337,8 @@ def cmd_bounds(args):
 def cmd_decompose(args):
     config = _config_from(args)
     m = args.m
-    model, _, _, dec = _decomposed(m, config)
+    world = build_world(build_clifford_model(m, kind=config.backend))
+    model, dec = world.model, world.dec
     blocks = [{"r": b.r, "k": b.k, "dim": b.dim,
                "omega_eig": b.omega_eig, "omega1_eig_im": b.weight_im}
               for b in dec.nonzero_blocks()]

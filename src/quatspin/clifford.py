@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,8 +111,7 @@ def corrupt_gamma(model, index):
         raise DomainError(f"generator index {index} out of range 0..{model.n - 1}")
     gammas = list(model.gamma)
     gammas[index] = -gammas[index]
-    return CliffordModel(m=model.m, n=model.n, spinor_dim=model.spinor_dim,
-                         gamma=tuple(gammas), kind=model.kind)
+    return replace(model, gamma=tuple(gammas))
 
 
 def basis_vector(model, i):

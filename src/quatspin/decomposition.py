@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from .errors import DomainError, SpectrumError
 from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, fused_sum,
                     lagrange_eigenprojectors, scalar_for)
+from .clifford import CliffordModel
+from .quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_operators,
+                           build_standard_triple)
 from .sparse import SparseMatrix
 from .report import CheckEntry, VerificationReport, info_entry, residual_entry
 from .symmetry import generator_orbits
@@ -124,21 +127,42 @@ def decompose(model, ops):
                               r_projectors=r_proj, k_projectors=k_proj)
 
 
-def decomposition_report(dec, model, ops, symmetry=None):
-    """Re-certify the decomposition against a model and its Kaehler operators.
+@dataclass(frozen=True, eq=False)
+class World:
+    """One m as every check reads it: a Clifford model, its triple, the
+    Kaehler operators of its own generators, and the decomposition."""
 
-    `ops` must be the Kaehler operators of `model` (build_kaehler_operators);
-    a corrupted model needs its own.  Checks the stated eigenvalue pairs on
-    every nonzero block, the presence rule, the dimension count, and that
-    every Clifford generator maps each block into the four diagonal neighbor
-    blocks only.
+    model: CliffordModel
+    triple: HyperkahlerTriple
+    ops: KaehlerOperators
+    dec: JointDecomposition
+
+
+def build_world(model, dec=None):
+    """The world of `model`, over `dec` (by default decompose(model, ops)).
+
+    The operators always come from the model's own generators.  A negative
+    control passes the standard world's dec, the stated object, so that a
+    corruption is a function on the generator list only.
+    """
+    triple = build_standard_triple(model)
+    ops = build_kaehler_operators(model, triple)
+    return World(model, triple, ops, decompose(model, ops) if dec is None else dec)
+
+
+def decomposition_report(world, symmetry=None):
+    """Re-certify the world's decomposition against its model and operators.
+
+    Checks the stated eigenvalue pairs on every nonzero block, the presence
+    rule, the dimension count, and that every Clifford generator maps each
+    block into the four diagonal neighbor blocks only.
 
     The two eigen-residuals of a block P, Kraines P - omega_r P and
     Omega_1 P - i(2m - 2k) P, are formed once each and reported under two
     check_ids: block_projector_eigen (the stated spectrum) and
     block_scalar_kraines / block_scalar_weight (the restriction scalars of
-    the lemma suite).  Both read `ops`, so a corrupted model fails them
-    together.
+    the lemma suite).  Both read the world's operators, so a corrupted
+    generator list fails them together.
 
     The neighbor check reads the marginal families P_r (levels) and P_k
     (weights).  Per generator g it forms one residual per level and one
@@ -164,17 +188,14 @@ def decomposition_report(dec, model, ops, symmetry=None):
     level r+-1, and N_r P_d = P_d for each, so g P_r = N_r g P_r; the same
     over r gives g P_k = N_k g P_k.
 
-    `symmetry` is an optional `certify_line_symmetry(dec, calc, ops)` with
-    calc.model = model.  When it passes, the neighbor rows are computed
-    for the generators i = 0 and 1 only, representatives of the orbits of
-    the even and the odd i under the certified line symmetries: each lift
-    S commutes with the Kraines form and Omega_1 of dec, hence with every
-    P_r, P_k and N, so R_{sigma(i)} = +-S R_i S^H.  The row of another i
-    copies the status, residual and note of its representative, since a
-    monomial S with entries in {1, -1, i, -i} keeps the largest entry
-    modulus exactly and P R_{sigma(i)} = 0 exactly when P R_i = 0 (see
-    quatspin.symmetry).  Otherwise every row is computed directly.
+    `symmetry` is an optional `certify_line_symmetry(world)`.  When it
+    passes on this world, the neighbor rows are computed for the
+    generators i = 0 and 1 only, representatives of the even and the odd
+    i, and the row of another i copies its representative: each lift
+    commutes with every P_r, P_k and N (see quatspin.symmetry).
+    Otherwise every row is computed directly.
     """
+    model, ops, dec = world.model, world.ops, world.dec
     rep = VerificationReport()
     m = dec.m
     sub = f"m={m}"
@@ -211,7 +232,7 @@ def decomposition_report(dec, model, ops, symmetry=None):
                        "pass" if total == dec.spinor_dim else "fail",
                        "0" if total == dec.spinor_dim else str(total - dec.spinor_dim)))
 
-    orbits = generator_orbits(symmetry, dec, model, ops)
+    orbits = generator_orbits(symmetry, world)
     for label, family in (("r", dec.r_projectors), ("k", dec.k_projectors)):
         for idx, proj in sorted(family.items()):
             adjacent = [family[n] for n in (idx - 1, idx + 1) if n in family]

@@ -107,7 +107,7 @@ def _outside(image, target):
 
 
 class ProjectorCalculus:
-    """Cached endomorphisms for the adapted basis of one model.
+    """Cached endomorphisms for the adapted basis of one world's model.
 
     For u in {"f", "fbar"} it holds act[u][j] = a(u_j), jop[u][j] = J(u_j)
     and the rotated actions act_j[u][a][j] = a(J_a u_j) for a in {2, 3}.
@@ -120,10 +120,9 @@ class ProjectorCalculus:
     (see compute_A), and p_r^{+-} of any cached vector is a scale-and-add.
     """
 
-    def __init__(self, model, triple, ops):
-        self.model = model
-        self.triple = triple
-        self.ops = ops
+    def __init__(self, world):
+        self.world = world
+        model, triple, ops = world.model, world.triple, world.ops
         self.pairs = 2 * model.m
         basis = build_adapted_basis(model, triple)
         vectors = {"f": basis.f, "fbar": basis.f_bar}
@@ -210,7 +209,7 @@ def _restriction_scalar(op, blk):
     return s
 
 
-def compute_A(dec, calc, r, k, variant):
+def compute_A(calc, r, k, variant):
     """Evaluate sum_j (left p)(right p) on the block S_r^k and certify that
     the restriction is a scalar multiple of the identity.
 
@@ -224,7 +223,7 @@ def compute_A(dec, calc, r, k, variant):
     is certified to annihilate the block and the scalar is 0.  A failed
     certificate raises IdentityFailure with its residual's largest entry.
     """
-    blk = dec.block(r, k)
+    blk = calc.world.dec.block(r, k)
     if blk.dim == 0:
         raise DomainError(f"block (r={r}, k={k}) is zero; no restriction scalar")
     if variant not in _VARIANTS:
@@ -262,8 +261,8 @@ class BlockConstant:
     note: str
 
 
-def block_constants(model, dec, calc):
-    """Compute every block constant and judge it against its closed form.
+def block_constants(calc):
+    """Compute every block constant of calc.world; judge it by its closed form.
 
     The float backend matches within FLOAT_SCALAR_TOL; the exact backend
     requires equality.  A mismatched row's residual is the modulus
@@ -271,13 +270,14 @@ def block_constants(model, dec, calc):
     scalar on its block is a failed row, not an error, whose residual is
     the largest entry of the failed certificate.
     """
+    model = calc.world.model
     rows = []
-    for blk in dec.nonzero_blocks():
+    for blk in calc.world.dec.nonzero_blocks():
         for variant in _VARIANTS:
             expect = closed_form_A(model.m, blk.r, blk.k, variant)
             note = "twistor normalization undefined (A = 0)" if expect == 0 else ""
             try:
-                got = compute_A(dec, calc, blk.r, blk.k, variant)
+                got = compute_A(calc, blk.r, blk.k, variant)
             except IdentityFailure as exc:
                 rows.append(BlockConstant(blk.r, blk.k, variant, expect, None, False,
                                           f"{exc.residual:.3e}",
@@ -296,17 +296,17 @@ def block_constants(model, dec, calc):
     return rows
 
 
-def constants_report(model, dec, calc):
+def constants_report(calc):
     """Compare every computed block constant against its closed form."""
     rep = VerificationReport()
-    for c in block_constants(model, dec, calc):
+    for c in block_constants(calc):
         rep.add(CheckEntry("block_constant_match",
-                           f"m={model.m} r={c.r} k={c.k} variant={c.variant}",
+                           f"m={calc.world.model.m} r={c.r} k={c.k} variant={c.variant}",
                            "pass" if c.ok else "fail", c.residual, c.note))
     return rep
 
 
-def verify_lemma_identities(dec, calc, symmetry=None):
+def verify_lemma_identities(calc, symmetry=None):
     """Exact verification of the operator identities of the projector calculus.
 
     Covers the product/anticommutation identities of the rotated adapted
@@ -316,7 +316,7 @@ def verify_lemma_identities(dec, calc, symmetry=None):
     Clifford action, and the commutators of the vector actions with the
     Kraines and Kaehler operators.  The Omega_1 and Kraines scalars of a
     block (block_scalar_weight, block_scalar_kraines) are not formed here:
-    decomposition_report certifies them on the model under test.  Returns
+    decomposition_report certifies them on the same world.  Returns
     a VerificationReport; all residuals are exact zeros in the exact
     backend.
 
@@ -349,24 +349,18 @@ def verify_lemma_identities(dec, calc, symmetry=None):
     Both block maps are the parts of four-fold pieces inside their
     targets, so the row forms no product of its own.
 
-    `symmetry` is an optional `certify_line_symmetry(dec, calc, ops)`.
-    When it passes, the per-vector families (rotated_vector_anticommute,
-    jop_adapted_expansion, kraines_commutator_jop and _second,
-    kaehler_vector_commutator, the four-fold split, the r- and k-shift
-    projections and the adjoint pairing) are computed for j = 0 only.  The
-    certified line symmetries act transitively on j, and a lift S carrying
-    f_0 to +-f_j' (and fbar_0 to the same sign times fbar_j') commutes with
-    calc.ops and with the Kraines form and Omega_1 whose Lagrange
-    polynomials are dec's projectors, so R_j' = +-S R_0 S^H for each such
-    residual.  S is monomial with entries in {1, -1, i, -i}, so R_j' has
-    exactly the largest entry modulus of R_0, and the row of j' copies the
-    status, residual and note of the row of j = 0 (see quatspin.symmetry).
-    Otherwise, or when the certificate was made on other objects, every
-    row is computed directly.
+    `symmetry` is an optional `certify_line_symmetry(calc.world)`.  When
+    it passes on that world, the per-vector families
+    (rotated_vector_anticommute, jop_adapted_expansion,
+    kraines_commutator_jop and _second, kaehler_vector_commutator, the
+    four-fold split, the r- and k-shift projections and the adjoint
+    pairing) are computed for j = 0 only: the certified lifts act
+    transitively on j, and the row of j' copies the row of j = 0 (see
+    quatspin.symmetry).  Otherwise every row is computed directly.
     """
-    model, ops = calc.model, calc.ops
+    model, ops, dec = calc.world.model, calc.world.ops, calc.world.dec
     rep = VerificationReport()
-    orbits = vector_orbits(symmetry, dec, calc)
+    orbits = vector_orbits(symmetry, calc.world)
 
     def add(orbit, check_id, subject, residual):
         # subject(j) names the row of vector j; the orbit's first is computed

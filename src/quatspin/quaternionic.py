@@ -125,8 +125,8 @@ def sl2_generators(ops):
     return o1, plus, minus
 
 
-def structure_report(model, triple, ops, symmetry=None):
-    """Verify the defining structural identities of the model.
+def structure_report(world, symmetry=None):
+    """Verify the defining structural identities of a world's model.
 
     Clifford anticommutation, the quaternion relations and orthogonality of
     the triple, adaptedness of the basis pairing, the commutator table of the
@@ -134,23 +134,21 @@ def structure_report(model, triple, ops, symmetry=None):
     relations of the associated sl2 generators, and the Casimir identity.
     All residuals are exact zeros in the exact backend.
 
-    `symmetry` is an optional `certify_line_symmetry` certificate.  When it
-    passes and was made on `model`, the clifford_anticommutation rows are
-    computed for one generator pair (i, j) per orbit under the certified
-    lifts, which map (i, j) to the sorted (sigma(i), sigma(j)): 9 pairs at
-    every m >= 2.  A lift S with S gamma_c S^H = s_c gamma_sigma(c) carries
-    the residual R_ij = gamma_i gamma_j + gamma_j gamma_i + 2 delta_ij to
-    s_i s_j R_sigma(i)sigma(j), so the row of another pair copies its
-    representative's status, residual and note (see quatspin.symmetry).
-    Otherwise every row is computed directly.
+    `symmetry` is an optional `certify_line_symmetry(world)`.  When it
+    passes on this world, the clifford_anticommutation rows are computed
+    for one generator pair per orbit under the certified lifts, which map
+    (i, j) to the sorted (sigma(i), sigma(j)): 9 pairs at every m >= 2.
+    The row of another pair copies its representative (see
+    quatspin.symmetry).  Otherwise every row is computed directly.
     """
+    model, triple, ops = world.model, world.triple, world.ops
     rep = VerificationReport()
     sub = f"m={model.m}"
     ident_s = model.identity()
     ident_n = matrix_type(model.kind).identity(model.n)
 
     g = model.gamma
-    for (i, j), *derived in generator_pair_orbits(symmetry, model):
+    for (i, j), *derived in generator_pair_orbits(symmetry, world):
         res = fused_sum([(1, g[i], g[j]), (1, g[j], g[i])], [(2 * int(i == j), ident_s)])
         rep.add_derived(residual_entry("clifford_anticommutation", f"{sub} i={i} j={j}", res),
                         [f"{sub} i={a} j={b}" for a, b in derived])
@@ -179,8 +177,8 @@ def structure_report(model, triple, ops, symmetry=None):
         res = fused_sum([(1, ops.kraines, ops[a]), (-1, ops[a], ops.kraines)])
         rep.add(residual_entry("kraines_commutes_weight", f"{sub} a={a}", res))
 
-    # consistency of the supplied operators with the model they claim to
-    # come from; this is what catches a tampered generator
+    # consistency of the operators with the model they claim to come from;
+    # build_world derives them from it, so only a hand-assembled world fails
     for a in (1, 2, 3):
         rep.add(residual_entry("kaehler_rebuild", f"{sub} a={a}",
                                ops[a] - kaehler_form(model, triple, a)))

@@ -1,4 +1,4 @@
-"""Spin lifts of the quaternionic line symmetries, certified on one model.
+"""Spin lifts of the quaternionic line symmetries, certified on one world.
 
 R^{4m} = H^m: line t spans e_{4t}, ..., e_{4t+3}, the coordinates of 1, i,
 j, k, and the hyperkaehler triple is left multiplication by i, j and k on
@@ -32,7 +32,9 @@ entries of R, moved and multiplied by units: R_{pi(j)} has exactly the
 largest entry modulus of R_j in both backends and vanishes exactly when
 R_j does, and for a projector P commuting with S, P R_{pi(j)} = 0 exactly
 when P R_j = 0.  A derived row copies the status, residual and note of the
-computed row of its orbit.
+computed row of its orbit.  Rows are derived only on the very world (by
+object identity) whose model, triple, operators and decomposition the
+certificate was made on.
 """
 
 from __future__ import annotations
@@ -85,13 +87,11 @@ def line_symmetries(model):
 
 @dataclass(frozen=True)
 class LineSymmetryCertificate:
-    """The line_symmetry rows of one world and the objects they were made on."""
+    """The line_symmetry rows of one world, and that world."""
 
     report: VerificationReport
     lifts: tuple
-    dec: object
-    calc: object
-    ops: object
+    world: object
 
     @property
     def ok(self):
@@ -109,43 +109,32 @@ def _claims_entry(subject, residuals):
                       f"{max(mag for _, mag in failed):.6e}", f"fails at {failed[0][0]}")
 
 
-def _operators(dec, calc, ops):
-    """(label, operator) for each spinor operator the derived rows read, each
-    object once."""
-    named = [*((f"Omega_{a}", calc.ops[a]) for a in (1, 2, 3)),
-             ("Kraines", calc.ops.kraines),
-             *((f"report Omega_{a}", ops[a]) for a in (1, 2, 3)),
-             ("report Kraines", ops.kraines),
-             ("decomposition Kraines", dec.kraines),
-             ("decomposition Omega_1", dec.omega1)]
-    out = []
-    for label, op in named:
-        if all(op is not seen for _, seen in out):
-            out.append((label, op))
-    return out
+def certify_line_symmetry(world):
+    """Certify the line symmetries on the world that structure_report,
+    decomposition_report and verify_lemma_identities read.
 
-
-def certify_line_symmetry(dec, calc, ops):
-    """Certify the line symmetries on the world of verify_lemma_identities(dec,
-    calc) and decomposition_report(dec, calc.model, ops).
-
-    Four `line_symmetry` rows per lift S of `line_symmetries(calc.model)`:
+    Four `line_symmetry` rows per lift S of `line_symmetries(world.model)`:
 
     - "monomial": S is a permutation times phases in {1, -1, i, -i}, judged
       exactly in both backends; the residual counts the defects;
     - "unitary": S^H S = I;
     - "generators": S gamma_c = s_c gamma_{sigma(c)} S for every c, and the
-      signed permutation rho commutes with J_1, J_2, J_3 of calc's triple;
+      signed permutation rho commutes with J_1, J_2, J_3 of the world's
+      triple;
     - "operators": S commutes with Omega_1, Omega_2, Omega_3 and the Kraines
-      form of calc.ops and of ops, and with dec.kraines and dec.omega1.
+      form of the world, and with dec.kraines and dec.omega1 when they are
+      other objects (a decomposition stated for another generator list).
 
     A failed row's note names its first failing claim.  The m - 1 swaps and
     right-j act transitively on the adapted index j, and their orbits on the
     generator index are the even and the odd c.
     """
-    model = calc.model
+    model, ops, dec = world.model, world.ops, world.dec
     sub = f"m={model.m}"
-    operators = _operators(dec, calc, ops)
+    operators = [*((f"Omega_{a}", ops[a]) for a in (1, 2, 3)), ("Kraines", ops.kraines),
+                 *((label, op) for label, op, own in (
+                     ("decomposition Kraines", dec.kraines, ops.kraines),
+                     ("decomposition Omega_1", dec.omega1, ops[1])) if op is not own)]
     one = model.identity()
     rep = VerificationReport()
     lifts = line_symmetries(model)
@@ -162,12 +151,19 @@ def certify_line_symmetry(dec, calc, ops):
             grid[target][c] = sign
             generators.append((f"gamma_{c}", fused_sum(
                 [(1, s, model.gamma[c]), (-sign, model.gamma[target], s)])))
-        rho, j = matrix_type(model.kind).from_rows(grid), calc.triple
+        rho, j = matrix_type(model.kind).from_rows(grid), world.triple
         triple = [(f"J_{a}", fused_sum([(1, rho, j[a]), (-1, j[a], rho)])) for a in (1, 2, 3)]
         rep.add(_claims_entry(f"{name} generators", generators + triple))
         rep.add(_claims_entry(f"{name} operators", [
             (label, fused_sum([(1, s, op), (-1, op, s)])) for label, op in operators]))
-    return LineSymmetryCertificate(rep, lifts, dec, calc, ops)
+    return LineSymmetryCertificate(rep, lifts, world)
+
+
+def _lifts(symmetry, world):
+    """The lifts of `symmetry` when it is a passing certificate made on
+    `world` itself, else none: then every orbit is a singleton."""
+    certified = symmetry is not None and symmetry.ok and symmetry.world is world
+    return symmetry.lifts if certified else ()
 
 
 def _orbits(size, perms):
@@ -190,43 +186,37 @@ def _orbits(size, perms):
     return list(orbits.values())
 
 
-def vector_orbits(symmetry, dec, calc):
-    """Orbits of the adapted index j that verify_lemma_identities(dec, calc)
-    may read off their first member: all of 0..2m-1 when `symmetry` is a
-    passing certificate made on dec and calc, else singletons."""
-    if symmetry is None or not (symmetry.ok and symmetry.dec is dec
-                                and symmetry.calc is calc):
-        return [[j] for j in range(calc.pairs)]
+def vector_orbits(symmetry, world):
+    """Orbits of the adapted index j that verify_lemma_identities may read
+    off their first member on `world`: all of 0..2m-1 when `symmetry` is a
+    passing certificate made on it, else singletons."""
+    pairs = 2 * world.model.m
     # sigma keeps the parity of c, so f_j goes to a multiple of f_{sigma(2j)/2}
-    return _orbits(calc.pairs, ([lift.signed_permutation[2 * j][0] // 2
-                                 for j in range(calc.pairs)] for lift in symmetry.lifts))
+    return _orbits(pairs, ([lift.signed_permutation[2 * j][0] // 2 for j in range(pairs)]
+                           for lift in _lifts(symmetry, world)))
 
 
-def generator_orbits(symmetry, dec, model, ops):
-    """Orbits of the generator index c that decomposition_report(dec, model,
-    ops) may read off their first member: the even and the odd c when
-    `symmetry` is a passing certificate made on dec, model and ops, else
-    singletons."""
-    if symmetry is None or not (symmetry.ok and symmetry.dec is dec
-                                and symmetry.ops is ops and symmetry.calc.model is model):
-        return [[c] for c in range(model.n)]
-    return _orbits(model.n, ([target for target, _ in lift.signed_permutation]
-                             for lift in symmetry.lifts))
+def generator_orbits(symmetry, world):
+    """Orbits of the generator index c that decomposition_report may read
+    off their first member on `world`: the even and the odd c when
+    `symmetry` is a passing certificate made on it, else singletons."""
+    return _orbits(world.model.n, ([target for target, _ in lift.signed_permutation]
+                                   for lift in _lifts(symmetry, world)))
 
 
-def generator_pair_orbits(symmetry, model):
+def generator_pair_orbits(symmetry, world):
     """Orbits of the generator pairs (i, j), i <= j, that structure_report
-    may read off their first member: under each certified lift (i, j) goes
-    to the sorted (sigma(i), sigma(j)), when `symmetry` is a passing
-    certificate made on `model`; else singletons.  Each orbit is sorted and
-    the orbits are ordered by their first pair."""
-    pairs = [(i, j) for i in range(model.n) for j in range(i, model.n)]
-    if symmetry is None or not (symmetry.ok and symmetry.calc.model is model):
-        return [[pair] for pair in pairs]
+    may read off their first member on `world`: under each certified lift
+    (i, j) goes to the sorted (sigma(i), sigma(j)), when `symmetry` is a
+    passing certificate made on it; else singletons.  Each orbit is sorted
+    and the orbits are ordered by their first pair."""
+    n = world.model.n
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {pair: t for t, pair in enumerate(pairs)}
 
     def image(sigma):
         return [index[tuple(sorted((sigma[i][0], sigma[j][0])))] for i, j in pairs]
 
     return [[pairs[t] for t in orbit] for orbit in
-            _orbits(len(pairs), (image(lift.signed_permutation) for lift in symmetry.lifts))]
+            _orbits(len(pairs), (image(lift.signed_permutation)
+                                 for lift in _lifts(symmetry, world)))]

@@ -19,7 +19,6 @@ automatically on failure.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,47 +31,26 @@ from quatspin.bounds import (
     universal_coefficient,
 )
 from quatspin.clifford import build_clifford_model
-from quatspin.decomposition import decompose, decomposition_report, lattice_allows
+from quatspin.decomposition import build_world, decomposition_report, lattice_allows
 from quatspin.projectors import (
     ProjectorCalculus,
     constants_report,
     verify_lemma_identities,
 )
-from quatspin.quaternionic import (
-    build_adapted_basis,
-    build_kaehler_operators,
-    build_standard_triple,
-    structure_report,
-)
+from quatspin.quaternionic import structure_report
 from quatspin.so3 import build_irrep, find_rotation_with_top_component, random_vector
 
 M_VALUES = (1, 2, 3)
 
 
-@dataclass
-class World:
-    m: int
-    model: object
-    triple: object
-    ops: object
-    basis: object
-    dec: object
-    calc: object
-
-
-def build_world(m):
-    model = build_clifford_model(m)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    basis = build_adapted_basis(model, triple)
-    dec = decompose(model, ops)
-    calc = ProjectorCalculus(model, triple, ops)
-    return World(m, model, triple, ops, basis, dec, calc)
+def _calculus(m):
+    """The projector calculus of the standard world of m; calc.world is it."""
+    return ProjectorCalculus(build_world(build_clifford_model(m)))
 
 
 @pytest.fixture(scope="module")
-def worlds():
-    return {m: build_world(m) for m in M_VALUES}
+def calculi():
+    return {m: _calculus(m) for m in M_VALUES}
 
 
 def _verdict(criterion, label, ok, detail):
@@ -87,15 +65,14 @@ def _exact_clean(report):
         e.residual == "0" for e in report.entries if e.status == "pass")
 
 
-def test_criterion_1_structure_invariants(worlds):
+def test_criterion_1_structure_invariants(calculi):
     required = {"quaternion_relations", "hk_orthogonality", "hk_adaptedness",
                 "clifford_anticommutation", "kaehler_commutators",
                 "sl2_relations", "casimir_identity"}
     ok = True
     total = 0
     for m in M_VALUES:
-        w = worlds[m]
-        rep = structure_report(w.model, w.triple, w.ops)
+        rep = structure_report(calculi[m].world)
         ok = ok and _exact_clean(rep)
         ok = ok and required <= {e.check_id for e in rep.entries}
         total += rep.counts()["pass"]
@@ -103,12 +80,12 @@ def test_criterion_1_structure_invariants(worlds):
              f"{total} checks, residuals all 0")
 
 
-def test_criterion_2_spectra_and_lattice(worlds):
+def test_criterion_2_spectra_and_lattice(calculi):
     ok = True
     blocks_seen = 0
     for m in M_VALUES:
-        w = worlds[m]
-        rep = decomposition_report(w.dec, w.model, w.ops)
+        w = calculi[m].world
+        rep = decomposition_report(w)
         ok = ok and _exact_clean(rep)
         nonzero = w.dec.nonzero_blocks()
         blocks_seen += len(nonzero)
@@ -125,7 +102,7 @@ def test_criterion_2_spectra_and_lattice(worlds):
              ok, f"{blocks_seen} nonzero blocks across m in {{1,2,3}}")
 
 
-def test_criterion_3_lemma_suite(worlds):
+def test_criterion_3_lemma_suite(calculi):
     required = {"clifford_four_fold_split",
                 "k_shift_projection", "r_shift_projection",
                 "kraines_commutator_jop", "kraines_commutator_jop_second",
@@ -139,27 +116,27 @@ def test_criterion_3_lemma_suite(worlds):
     ok = True
     total = 0
     for m in M_VALUES:
-        w = worlds[m]
-        rep = verify_lemma_identities(w.dec, w.calc)
+        calc = calculi[m]
+        rep = verify_lemma_identities(calc)
         ok = ok and _exact_clean(rep)
         ids = {e.check_id for e in rep.entries}
         ok = ok and required <= ids
         # restriction scalars certified on every nonzero block
         scalar_subjects = {e.subject for e in rep.entries
                            if e.check_id == "block_scalar_mixed_sum"}
-        ok = ok and len(scalar_subjects) == len(w.dec.nonzero_blocks())
+        ok = ok and len(scalar_subjects) == len(calc.world.dec.nonzero_blocks())
         total += rep.counts()["pass"]
     _verdict(3, "operator-identity suite exact-zero incl. restriction scalars",
              ok, f"{total} identities")
 
 
-def test_criterion_4_constants_reproduction(worlds):
+def test_criterion_4_constants_reproduction(calculi):
     ok = True
     total = 0
     for m in (*M_VALUES, 4):
-        w = worlds[m] if m in worlds else build_world(m)
-        rep = constants_report(w.model, w.dec, w.calc)
-        expected = 4 * len(w.dec.nonzero_blocks())
+        calc = calculi[m] if m in calculi else _calculus(m)
+        rep = constants_report(calc)
+        expected = 4 * len(calc.world.dec.nonzero_blocks())
         ok = ok and _exact_clean(rep) and rep.counts()["pass"] == expected
         total += expected
     _verdict(4, "computed block constants equal closed forms exactly", ok,

@@ -1,19 +1,28 @@
-"""The names the benchmark harness wraps must exist in the package.
+"""The names the benchmark harness wraps must exist in the package, and be
+reached through them.
 
 `perfbench/tracer.py` wraps every function in its LAYER_OF_SPAN table by
 "module.attribute" and the DenseMatrix kernel operations by name, so a
-rename in quatspin breaks traced benchmark runs.  The harness's own tests
-are not in the default test paths; this one keeps the contract in tier-1.
+rename in quatspin breaks traced benchmark runs.  It rebinds the module
+globals that hold each function, so a caller that reached one through a
+reference captured elsewhere would record no span and empty that layer's
+metrics; a traced `verify --m 1` must therefore record a span of every
+stage.  The harness's own tests are not in the default test paths; these
+keep the contract in tier-1.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 from quatspin.exact import DenseMatrix
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer(monkeypatch):
@@ -37,3 +46,18 @@ def test_every_traced_name_resolves(monkeypatch):
 def test_wrapped_kernel_operations_exist():
     for op in ("__matmul__", "__add__", "__sub__", "scale"):
         assert callable(getattr(DenseMatrix, op, None)), op
+
+
+def test_a_traced_verify_records_every_stage(tmp_path):
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-B", str(TRACER), str(trace), "verify", "--m", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    spans = {span["name"] for span in json.loads(trace.read_text())["spans"]}
+    for name in ("quaternionic.structure_report", "quaternionic.build_kaehler_operators",
+                 "decomposition.decompose", "decomposition.decomposition_report",
+                 "projectors.ProjectorCalculus", "projectors.verify_lemma_identities",
+                 "projectors.constants_report"):
+        assert name in spans, name

@@ -1,13 +1,13 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
-from quatspin import cli, projectors
+from quatspin import cli, decomposition, projectors, quaternionic
 from quatspin.clifford import build_clifford_model
-from quatspin.decomposition import decompose
+from quatspin.decomposition import build_world
 from quatspin.errors import IdentityFailure
-from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
 
 
 def run(argv, capsys):
@@ -91,8 +91,8 @@ def offset_constant(monkeypatch):
     # block constants must reject it
     real = projectors.compute_A
 
-    def off_by_5e_9(dec, calc, r, k, variant):
-        got = real(dec, calc, r, k, variant)
+    def off_by_5e_9(calc, r, k, variant):
+        got = real(calc, r, k, variant)
         return got + 5e-9 if (r, k, variant) == (1, 0, "+-") else got
 
     monkeypatch.setattr(projectors, "compute_A", off_by_5e_9)
@@ -114,21 +114,18 @@ def test_constants_and_verify_share_the_float_judgement(capsys, offset_constant)
 
 
 def test_library_constants_share_the_float_judgement(offset_constant):
-    model = build_clifford_model(1, kind="float")
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    rows = projectors.block_constants(model, decompose(model, ops),
-                                      projectors.ProjectorCalculus(model, triple, ops))
+    world = build_world(build_clifford_model(1, kind="float"))
+    rows = projectors.block_constants(projectors.ProjectorCalculus(world))
     assert [(c.r, c.k, c.variant) for c in rows if not c.ok] == [(1, 0, "+-")]
 
 
 def test_constants_reports_a_non_scalar_block(capsys, monkeypatch):
     real = projectors.compute_A
 
-    def fails_on_one_block(dec, calc, r, k, variant):
+    def fails_on_one_block(calc, r, k, variant):
         if (r, k, variant) == (0, 1, "+-"):
             raise IdentityFailure("p_0^- does not annihilate block (r=0, k=1)", 0.5)
-        return real(dec, calc, r, k, variant)
+        return real(calc, r, k, variant)
 
     monkeypatch.setattr(projectors, "compute_A", fails_on_one_block)
     rc, out, err = run(["constants", "--m", "1"], capsys)
@@ -274,6 +271,67 @@ def test_flip_gamma_out_of_range(capsys):
     rc, out, err = run(["verify", "--m", "1", "--flip-gamma", "99"], capsys)
     assert rc == 2
     assert "generator index" in err or "99" in err
+
+
+def _replace_everywhere(monkeypatch, original, replacement):
+    """Bind `replacement` wherever a quatspin module holds `original`."""
+    for name, module in list(sys.modules.items()):
+        if name == "quatspin" or name.startswith("quatspin."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def test_flip_gamma_is_checked_before_any_world(capsys, monkeypatch):
+    # the index is checked against every requested m before the first
+    # decomposition: at m = 8 that one would take about 30 s
+    def refuse(model, ops):
+        raise AssertionError("decompose called before the index was checked")
+
+    _replace_everywhere(monkeypatch, decomposition.decompose, refuse)
+    monkeypatch.setenv("QUATSPIN_MAX_M", "8")
+    for argv, message in ((["--m", "8", "--flip-gamma", "99"], "99 out of range 0..31"),
+                          (["--m-range", "2..3", "--flip-gamma", "9"], "9 out of range 0..7")):
+        rc, out, err = run(["verify", *argv], capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: generator index {message}\n"
+
+
+@pytest.fixture
+def world_work(monkeypatch):
+    """The m of every call of the three stages a world is made of."""
+    calls = {"build_kaehler_operators": [], "decompose": [], "ProjectorCalculus": []}
+
+    def counted(name, fn, m_of):
+        def wrapper(*args):
+            calls[name].append(m_of(args))
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((quaternionic, "build_kaehler_operators"), (decomposition, "decompose")):
+        original = getattr(module, name)
+        _replace_everywhere(monkeypatch, original,
+                            counted(name, original, lambda args: args[0].m))
+    init = projectors.ProjectorCalculus.__init__
+    monkeypatch.setattr(projectors.ProjectorCalculus, "__init__", counted(
+        "ProjectorCalculus", init, lambda args: args[1].model.m))
+    return calls
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["decompose", "--m", "2"],
+     {"build_kaehler_operators": [2], "decompose": [2], "ProjectorCalculus": []}),
+    (["verify", "--m-range", "1..2"],
+     {"build_kaehler_operators": [1, 2], "decompose": [1, 2], "ProjectorCalculus": [1, 2]}),
+    # the stated decomposition is the standard world's, made once
+    (["verify", "--m", "1", "--flip-gamma", "0"],
+     {"build_kaehler_operators": [1, 1], "decompose": [1], "ProjectorCalculus": [1]}),
+])
+def test_each_command_builds_one_world_per_m(argv, expect, world_work, capsys):
+    # a guard, free of timing, on the work of the decompose and verify
+    # benchmark workloads
+    run(argv, capsys)
+    assert world_work == expect
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -6,6 +6,7 @@ import pytest
 
 from quatspin.clifford import build_clifford_model, corrupt_gamma
 from quatspin.decomposition import (
+    build_world,
     decompose,
     decomposition_report,
     lattice_allows,
@@ -18,27 +19,24 @@ from quatspin.exact import (
     column_space_basis,
     lagrange_eigenprojectors,
 )
-from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
+
+
+def _world(m, kind="exact"):
+    return build_world(build_clifford_model(m, kind=kind))
 
 
 @pytest.fixture(scope="module")
 def world1():
-    model = build_clifford_model(1)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    return model, triple, ops, decompose(model, ops)
+    return _world(1)
 
 
 @pytest.fixture(scope="module")
 def world2():
-    model = build_clifford_model(2)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    return model, triple, ops, decompose(model, ops)
+    return _world(2)
 
 
 def test_kraines_spectrum_m1(world1):
-    model, _, ops, _ = world1
+    model, ops = world1.model, world1.ops
     # spectrum {6, -6}; both projectors rank 2 and complementary
     projs = lagrange_eigenprojectors(ops.kraines, [6, -6])
     p_plus, p_minus = projs[ExactScalar(6)], projs[ExactScalar(-6)]
@@ -48,21 +46,19 @@ def test_kraines_spectrum_m1(world1):
 
 
 def test_block_dims_m1(world1):
-    _, _, _, dec = world1
-    dims = {(b.r, b.k): b.dim for b in dec.nonzero_blocks()}
+    dims = {(b.r, b.k): b.dim for b in world1.dec.nonzero_blocks()}
     assert dims == {(0, 1): 2, (1, 0): 1, (1, 2): 1}
 
 
 def test_block_dims_m2(world2):
-    _, _, _, dec = world2
-    dims = {(b.r, b.k): b.dim for b in dec.nonzero_blocks()}
+    dims = {(b.r, b.k): b.dim for b in world2.dec.nonzero_blocks()}
     assert dims == {(0, 2): 5, (1, 1): 4, (1, 3): 4,
                     (2, 0): 1, (2, 2): 1, (2, 4): 1}
     assert sum(dims.values()) == 16
 
 
 def test_absent_blocks_stored(world2):
-    _, _, _, dec = world2
+    dec = world2.dec
     assert dec.block(0, 0).dim == 0
     assert dec.block(1, 2).dim == 0  # odd k+r-m is off the lattice
     assert not lattice_allows(2, 1, 2)
@@ -70,7 +66,7 @@ def test_absent_blocks_stored(world2):
 
 
 def test_block_dimension_domain(world1):
-    _, _, _, dec = world1
+    dec = world1.dec
     assert dec.block(0, 1).dim == 2
     with pytest.raises(DomainError):
         dec.block(2, 0)
@@ -80,7 +76,7 @@ def test_block_dimension_domain(world1):
 
 def test_marginal_multiplicities_match_lapack(world2):
     # independent oracle: LAPACK eigenvalues of the Hermitian forms
-    model, _, ops, dec = world2
+    model, ops, dec = world2.model, world2.ops, world2.dec
     m = model.m
     kr = np.linalg.eigvalsh(ops.kraines.to_float().to_complex_array())
     for r in range(m + 1):
@@ -96,7 +92,7 @@ def test_marginal_multiplicities_match_lapack(world2):
 
 
 def test_projectors_partition_identity(world2):
-    model, _, _, dec = world2
+    model, dec = world2.model, world2.dec
     total = model.zeros()
     for blk in dec.nonzero_blocks():
         total = total + blk.projector
@@ -105,8 +101,7 @@ def test_projectors_partition_identity(world2):
 
 
 def test_block_bases_are_reduced_and_spanning(world2):
-    _, _, _, dec = world2
-    for blk in dec.nonzero_blocks():
+    for blk in world2.dec.nonzero_blocks():
         basis = column_space_basis(blk.projector)
         assert len(basis) == blk.dim
         for v in basis:
@@ -114,18 +109,12 @@ def test_block_bases_are_reduced_and_spanning(world2):
             assert blk.projector @ v == v
 
 
-def _world(m, kind):
-    model = build_clifford_model(m, kind=kind)
-    triple = build_standard_triple(model)
-    return model, build_kaehler_operators(model, triple)
-
-
 @pytest.mark.parametrize("m, kind", [(1, "exact"), (2, "exact"),
                                      (1, "float"), (2, "float"), (3, "float")])
 def test_marginal_families_are_complete_and_orthogonal(m, kind):
     # decompose certifies only the eigen-equations; these follow from them
-    model, ops = _world(m, kind)
-    dec = decompose(model, ops)
+    world = _world(m, kind)
+    model, dec = world.model, world.dec
     tol = 1e-12 if kind == "float" else 0
     ident = model.identity()
     for family in (dec.r_projectors, dec.k_projectors):
@@ -156,16 +145,16 @@ def _conjugated_omega1(model, ops):
     return gamma @ ops[1] @ -gamma
 
 
-def test_decompose_rejects_a_noncommuting_omega1():
+def test_decompose_rejects_a_noncommuting_omega1(world1, world2):
     # gamma_0 Omega_1 gamma_0^{-1} has the spectrum of Omega_1, so both
     # projector families certify, but it does not commute with Kraines
-    model, ops = _world(2, "exact")
+    model, ops = world2.model, world2.ops
     conj = _conjugated_omega1(model, ops)
     assert not (ops.kraines @ conj - conj @ ops.kraines).is_zero()
     with pytest.raises(SpectrumError, match="do not commute"):
         decompose(model, _SwappedOps(ops, conj))
     # at m = 1 the same conjugate commutes, so the control needs m = 2
-    model, ops = _world(1, "exact")
+    model, ops = world1.model, world1.ops
     conj = _conjugated_omega1(model, ops)
     assert (ops.kraines @ conj - conj @ ops.kraines).is_zero()
 
@@ -179,29 +168,26 @@ def test_eigenvalue_formulas():
 
 def test_weight_on_middle_slice_vanishes(world2):
     # Omega_1 annihilates the k=m slice
-    model, _, ops, dec = world2
-    p_mid = dec.k_projectors[model.m]
-    assert (ops[1] @ p_mid).is_zero()
+    p_mid = world2.dec.k_projectors[world2.model.m]
+    assert (world2.ops[1] @ p_mid).is_zero()
 
 
 def test_report_clean(world2):
-    model, _, ops, dec = world2
-    rep = decomposition_report(dec, model, ops)
+    rep = decomposition_report(world2)
     assert rep.ok
     assert rep.counts()["fail"] == 0
 
 
 def test_report_catches_tampering(world1):
-    model, triple, ops, dec = world1
-    bad = corrupt_gamma(model, 0)
-    rep = decomposition_report(dec, bad, build_kaehler_operators(bad, triple))
+    bad = corrupt_gamma(world1.model, 0)
+    rep = decomposition_report(build_world(bad, dec=world1.dec))
     assert not rep.ok
     ids = {e.check_id for e in rep.failures()}
     assert "block_projector_eigen" in ids
 
 
 def test_wrong_spectrum_rejected(world1):
-    model, _, ops, _ = world1
+    model, ops = world1.model, world1.ops
 
     class FakeOps:
         def __init__(self, real):
@@ -216,17 +202,13 @@ def test_wrong_spectrum_rejected(world1):
 
 
 def test_float_backend_decomposition():
-    model = build_clifford_model(1, kind="float")
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    dec = decompose(model, ops)
-    dims = {(b.r, b.k): b.dim for b in dec.nonzero_blocks()}
+    dims = {(b.r, b.k): b.dim for b in _world(1, "float").dec.nonzero_blocks()}
     assert dims == {(0, 1): 2, (1, 0): 1, (1, 2): 1}
 
 
-def _neighbor_rows(dec, model, triple):
-    """The neighbour rows of the report on model, with its own operators."""
-    report = decomposition_report(dec, model, build_kaehler_operators(model, triple))
+def _neighbor_rows(world):
+    """The neighbour rows of the report on a world."""
+    report = decomposition_report(world)
     return [e for e in report.entries if e.check_id == "clifford_neighbor_blocks"]
 
 
@@ -238,18 +220,17 @@ def _even_gamma0(model):
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_neighbor_check_names_a_far_block(kind):
-    model, ops = _world(2, kind)
-    triple = build_standard_triple(model)
-    dec = decompose(model, ops)
+    world = _world(2, kind)
+    model, dec = world.model, world.dec
     families = {"r": dec.r_projectors, "k": dec.k_projectors}
-    clean = _neighbor_rows(dec, model, triple)
+    clean = _neighbor_rows(world)
     assert len(clean) == 4 * model.m * (3 * model.m + 2)
     assert {e.subject for e in clean} == {
         f"m=2 i={i} {label}={idx}" for i in range(model.n)
         for label, family in families.items() for idx in family}
     assert all(e.status == "pass" and e.note == "" for e in clean)
     bad = _even_gamma0(model)
-    failed = [e for e in _neighbor_rows(dec, bad, triple)
+    failed = [e for e in _neighbor_rows(build_world(bad, dec=dec))
               if e.status == "fail"]
     assert failed
     for e in failed:
@@ -267,13 +248,12 @@ def test_marginal_neighbor_rows_equal_the_joint_claim(kind):
     # the report checks one row per (generator, level) and (generator,
     # weight); a generator must fail one exactly when the joint residual
     # g P_src - sum_{diagonal neighbours d} P_d g P_src of some block does
-    model, ops = _world(2, kind)
-    triple = build_standard_triple(model)
-    dec = decompose(model, ops)
+    world = _world(2, kind)
+    model, dec = world.model, world.dec
     nonzero = dec.nonzero_blocks()
     for mdl, expect in ((model, set()), (_even_gamma0(model), {0})):
         marginal = {int(re.match(r"m=2 i=(\d+) ", e.subject).group(1))
-                    for e in _neighbor_rows(dec, mdl, triple)
+                    for e in _neighbor_rows(build_world(mdl, dec=dec))
                     if e.status == "fail"}
         joint = set()
         for i, g in enumerate(mdl.gamma):

@@ -20,12 +20,11 @@ import pytest
 
 from quatspin import exact
 from quatspin.clifford import build_clifford_model
-from quatspin.decomposition import decompose
+from quatspin.decomposition import build_world
 from quatspin.exact import FLOAT_TOL, DenseMatrix, ExactScalar, fused_sum
 from quatspin.errors import DimensionError
 from quatspin.projectors import ProjectorCalculus
-from quatspin.quaternionic import (build_kaehler_operators, build_standard_triple,
-                                   structure_report)
+from quatspin.quaternionic import build_kaehler_operators, structure_report
 from quatspin.sparse import SparseMatrix
 from quatspin.symmetry import certify_line_symmetry
 
@@ -251,8 +250,7 @@ def test_operator_layers_sort_count(monkeypatch):
     # (_product_terms) of the three layers at m = 3 exact: a guard, free of
     # timing, on the fused sums.  One binary operation at a time they made
     # 150 / 75, 310 / 126 and 518 / 282.
-    model = build_clifford_model(3)
-    triple = build_standard_triple(model)
+    world = build_world(build_clifford_model(3))
     calls = {"sorts": 0, "expansions": 0}
 
     def counted(name, fn):
@@ -268,11 +266,11 @@ def test_operator_layers_sort_count(monkeypatch):
         calls.update(sorts=0, expansions=0)
         return fn(*args), (calls["sorts"], calls["expansions"])
 
-    ops, kaehler = measured(build_kaehler_operators, model, triple)
+    _, kaehler = measured(build_kaehler_operators, world.model, world.triple)
     assert kaehler[0] <= 4 and kaehler[1] <= 4
-    calc, calculus = measured(ProjectorCalculus, model, triple, ops)
+    _, calculus = measured(ProjectorCalculus, world)
     assert calculus[0] <= 32 and calculus[1] <= 62
-    cert = certify_line_symmetry(decompose(model, ops), calc, ops)
-    rep, structure = measured(structure_report, model, triple, ops, cert)
+    cert = certify_line_symmetry(world)
+    rep, structure = measured(structure_report, world, cert)
     assert rep.ok
     assert structure[0] <= 29 and structure[1] <= 47

@@ -1,34 +1,51 @@
-"""Negative-control matrix: every sign-flipped generator breaks the suite.
+"""Negative-control matrix: every corrupted generator list breaks the suite.
 
-`verify --flip-gamma i` replaces gamma_i by -gamma_i after the blocks are
-decomposed.  For every generator index at m = 1 (both backends) and m = 2
-(exact) the run must fail through report rows with nonzero residuals, never
-through an error, and the failures must reach the decomposition, lemma and
-constant layers, including each per-vector family that is checked on the
-adapted basis, and the adjoint pairing of neighbouring block maps.  The
-Omega_1 and Kraines restriction scalars fail on every block, with the
-residual of their block_projector_eigen twin.  The neighbour rows
-(clifford_neighbor_blocks) are not among the witnesses: -gamma_i moves the
-blocks exactly as gamma_i does, so a sign flip cannot fail them.  The
-line-symmetry certificate fails on every run: its lifts, built from the
-flipped model, do not commute with the clean Kaehler operators that the
-calculus keeps, so every per-vector and per-generator row is computed
-directly.
+A negative control keeps the decomposition of the standard world as the
+stated object and corrupts only the generator list: the world of the
+corrupted model (its triple, and Kaehler operators rebuilt from its own
+generators) over the standard decomposition, `build_world(bad, dec=...)`.
+A corrupted model that rebuilt its decomposition too would be checked
+against its own blocks, and a sign-flipped one is an equivalent model that
+passes every row.
+
+Two corruptions, each for every generator index at m = 1 (both backends)
+and m = 2 (exact); each run must fail through report rows with positive
+residuals, never through an error:
+
+- `verify --flip-gamma i` replaces gamma_i by -gamma_i.  The failures must
+  reach the decomposition, lemma and constant layers, including the
+  four-fold split and the adjoint pairing of neighbouring block maps, and
+  the line-symmetry certificate, whose lifts do not commute with the
+  Kraines form and Omega_1 of the stated decomposition.  The Omega_1 and
+  Kraines restriction scalars fail on every block, with the residual of
+  their block_projector_eigen twin.  A sign flip is consistent with the
+  operators rebuilt from it, so the per-vector commutators with the
+  Kaehler and Kraines operators, and the neighbour rows (-gamma_i moves
+  the blocks exactly as gamma_i does), cannot fail under it.
+- the product substitution gamma_i -> gamma_i gamma_{i+1 mod 4m} puts an
+  even element in an odd slot: it must fail those commutators, the
+  neighbour rows, Clifford anticommutation and the rotated anticommutation
+  of the adapted basis.
 """
 
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from quatspin import cli
+from quatspin.clifford import build_clifford_model
+from quatspin.decomposition import build_world
 
-WITNESS_FAMILIES = {"clifford_four_fold_split", "kraines_commutator_jop",
-                    "kaehler_vector_commutator", "block_projector_eigen",
+WITNESS_FAMILIES = {"clifford_four_fold_split", "block_projector_eigen",
                     "k_shift_projection", "block_constant_match",
                     "block_adjoint_pairing", "block_scalar_weight",
                     "block_scalar_kraines", "line_symmetry"}
+SUBSTITUTION_FAMILIES = {"kraines_commutator_jop", "kaehler_vector_commutator",
+                         "clifford_neighbor_blocks", "clifford_anticommutation",
+                         "rotated_vector_anticommute"}
 
 CASES = [(1, i, backend) for i in range(4) for backend in ("exact", "float")] \
     + [(2, i, "exact") for i in range(8)]
@@ -60,6 +77,23 @@ def test_flipped_generator_fails_with_witnesses(m, index, backend, capsys):
                 twin = rows["block_projector_eigen", f"{subject} {claim}"]
                 assert e["status"] == "fail", e
                 assert e["residual"] == twin["residual"], (e, twin)
+
+
+def _substituted(model, index):
+    """model with gamma_index replaced by gamma_index gamma_{index+1 mod 4m}."""
+    gamma = list(model.gamma)
+    gamma[index] = gamma[index] @ gamma[(index + 1) % model.n]
+    return replace(model, gamma=tuple(gamma))
+
+
+@pytest.mark.parametrize("m,index,backend", CASES)
+def test_product_substitution_fails_with_witnesses(m, index, backend):
+    standard = build_world(build_clifford_model(m, kind=backend))
+    world = build_world(_substituted(standard.model, index), dec=standard.dec)
+    failures = cli.world_report(world).failures()
+    for e in failures:
+        assert float(e.residual) > 0, e
+    assert SUBSTITUTION_FAMILIES <= {e.check_id for e in failures}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -4,7 +4,7 @@ import pytest
 
 from quatspin.clifford import basis_vector, build_clifford_model, corrupt_gamma, \
     vector_action
-from quatspin.decomposition import decompose
+from quatspin.decomposition import build_world
 from quatspin.errors import DomainError, IdentityFailure
 from quatspin.exact import ExactScalar
 from quatspin.projectors import (
@@ -19,19 +19,21 @@ from quatspin.projectors import (
     q_plus,
     verify_lemma_identities,
 )
-from quatspin.quaternionic import build_adapted_basis, build_kaehler_operators, \
-    build_standard_triple
+from quatspin.quaternionic import build_adapted_basis
 from quatspin.report import residual_entry
 
 
 def _world(m, kind="exact"):
-    model = build_clifford_model(m, kind=kind)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    basis = build_adapted_basis(model, triple)
-    dec = decompose(model, ops)
-    calc = ProjectorCalculus(model, triple, ops)
-    return model, triple, ops, basis, dec, calc
+    """model, triple, ops, adapted basis, dec and calculus of one world."""
+    world = build_world(build_clifford_model(m, kind=kind))
+    model, triple = world.model, world.triple
+    return (model, triple, world.ops, build_adapted_basis(model, triple), world.dec,
+            ProjectorCalculus(world))
+
+
+def _corrupted_calculus(dec, model, index):
+    """The calculus of model with gamma_index sign-flipped, over the stated dec."""
+    return ProjectorCalculus(build_world(corrupt_gamma(model, index), dec=dec))
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +124,7 @@ def test_computed_constants_match_closed_forms_m1(world1):
     model, _, _, _, dec, calc = world1
     for blk in dec.nonzero_blocks():
         for variant in ("--", "+-", "-+", "++"):
-            got = compute_A(dec, calc, blk.r, blk.k, variant)
+            got = compute_A(calc, blk.r, blk.k, variant)
             want = closed_form_A(model.m, blk.r, blk.k, variant)
             assert got == ExactScalar(want), (blk.r, blk.k, variant)
 
@@ -144,58 +146,49 @@ def test_constants_equal_the_per_vector_composition(world2):
                 term = left(model, triple, ops, blk.r + shift, x) \
                     @ right(model, triple, ops, blk.r, y)
                 total = term if total is None else total + term
-            got = compute_A(dec, calc, blk.r, blk.k, variant)
+            got = compute_A(calc, blk.r, blk.k, variant)
             assert total @ blk.projector == blk.projector.scale(got), (blk.r, blk.k, variant)
 
 
 def test_worked_constant_value(world2):
-    model, _, _, _, dec, calc = world2
-    assert compute_A(dec, calc, 0, 2, "--") == ExactScalar(-2)
+    calc = world2[-1]
+    assert compute_A(calc, 0, 2, "--") == ExactScalar(-2)
 
 
 def test_compute_rejects_zero_block_and_bad_variant(world2):
-    model, _, _, _, dec, calc = world2
+    calc = world2[-1]
     with pytest.raises(DomainError):
-        compute_A(dec, calc, 0, 0, "--")  # off the weight lattice
+        compute_A(calc, 0, 0, "--")  # off the weight lattice
     with pytest.raises(DomainError):
-        compute_A(dec, calc, 0, 2, "xx")
+        compute_A(calc, 0, 2, "xx")
 
 
 def test_top_degree_raising_composition_vanishes(world2):
     # at r = m the "--" constant is 0: there is no degree level above m
-    model, _, _, _, dec, calc = world2
+    calc = world2[-1]
     for k in (0, 2, 4):
-        got = compute_A(dec, calc, 2, k, "--")
+        got = compute_A(calc, 2, k, "--")
         assert got == ExactScalar(0)
         assert closed_form_A(2, 2, k, "--") == 0
 
 
 def test_constants_report_all_pass_m2(world2):
-    model, _, _, _, dec, calc = world2
-    rep = constants_report(model, dec, calc)
+    calc = world2[-1]
+    rep = constants_report(calc)
     assert rep.ok
     # 6 nonzero blocks x 4 variants
     assert rep.counts()["pass"] == 24
 
 
 def test_constants_report_flags_corruption(world2):
-    model, _, _, _, dec, calc = world2
-    bad = corrupt_gamma(model, 0)
-    bad_calc = ProjectorCalculus(bad, *_rebuild_tail(bad))
-    rep = constants_report(bad, dec, bad_calc)
+    model, _, _, _, dec, _ = world2
+    rep = constants_report(_corrupted_calculus(dec, model, 0))
     assert not rep.ok
     assert any(e.status == "fail" for e in rep.entries)
 
 
-def _rebuild_tail(model):
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    return triple, ops
-
-
 def test_lemma_suite_exact_m1(world1):
-    *_, dec, calc = world1
-    rep = verify_lemma_identities(dec, calc)
+    rep = verify_lemma_identities(world1[-1])
     counts = rep.counts()
     assert rep.ok
     assert counts.get("fail", 0) == 0
@@ -213,7 +206,7 @@ def _adjoint_pairs(dec):
 
 def test_adjoint_pairing_is_minus_conjugate_vector(world1):
     *_, dec, calc = world1
-    rows = [e for e in verify_lemma_identities(dec, calc).entries
+    rows = [e for e in verify_lemma_identities(calc).entries
             if e.check_id == "block_adjoint_pairing"]
     # one certificate per (j, b -> t): the raising map is minus the adjoint
     # of the f-vector lowering map
@@ -228,11 +221,10 @@ def test_adjoint_rows_equal_the_direct_block_maps(world2):
     # the suite reads both block maps off the four-fold pieces; on a
     # corrupted model each residual must still be the one of
     # (P_t p_r^+(fbar_j) P_b)^H + P_b p_{r+1}^-(f_j) P_t
-    model, triple, ops, _, dec, _ = world2
-    bad = corrupt_gamma(model, 0)
-    bad_calc = ProjectorCalculus(bad, *_rebuild_tail(bad))
+    model, _, _, _, dec, _ = world2
+    bad_calc = _corrupted_calculus(dec, model, 0)
     got = {e.subject: e.residual
-           for e in verify_lemma_identities(dec, bad_calc).entries
+           for e in verify_lemma_identities(bad_calc).entries
            if e.check_id == "block_adjoint_pairing"}
     want = {}
     for j in range(bad_calc.pairs):
@@ -250,19 +242,18 @@ def test_adjoint_rows_equal_the_direct_block_maps(world2):
 
 def test_float_backend_constants_close():
     model, triple, ops, basis, dec, calc = _world(1, kind="float")
-    got = compute_A(dec, calc, 0, 1, "--")
+    got = compute_A(calc, 0, 1, "--")
     assert abs(got - (-1)) < 1e-9
 
 
 def test_restriction_rejects_non_scalar_operator(world1):
-    model, triple, ops, basis, dec, calc = world1
-    bad = corrupt_gamma(model, 1)
-    bad_calc = ProjectorCalculus(bad, *_rebuild_tail(bad))
+    model, _, _, _, dec, _ = world1
+    bad_calc = _corrupted_calculus(dec, model, 1)
     # the clean blocks are not invariant for the corrupted calculus
     with pytest.raises((IdentityFailure, AssertionError)):
         for blk in dec.nonzero_blocks():
             for variant in ("--", "+-"):
-                got = compute_A(dec, bad_calc, blk.r, blk.k, variant)
+                got = compute_A(bad_calc, blk.r, blk.k, variant)
                 want = closed_form_A(model.m, blk.r, blk.k, variant)
                 assert got == ExactScalar(want)
 
@@ -271,11 +262,10 @@ def test_shift_rows_equal_the_direct_products(world2):
     # the suite reads the r- and k-shift images off the four-fold pieces;
     # on a corrupted model, where many rows fail, each residual must still
     # be the one of the direct image p_r^s(u_j) P_r or a(u_j) P_k
-    model, triple, ops, _, dec, _ = world2
-    bad = corrupt_gamma(model, 0)
-    bad_calc = ProjectorCalculus(bad, *_rebuild_tail(bad))
+    model, _, _, _, dec, _ = world2
+    bad_calc = _corrupted_calculus(dec, model, 0)
     got = {(e.check_id, e.subject): e.residual
-           for e in verify_lemma_identities(dec, bad_calc).entries
+           for e in verify_lemma_identities(bad_calc).entries
            if e.check_id in ("r_shift_projection", "k_shift_projection")}
 
     def outside(img, target):

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from quatspin.clifford import basis_vector, build_clifford_model, corrupt_gamma, vector_action
+from quatspin.decomposition import build_world
 from quatspin.errors import DomainError
 from quatspin.exact import ExactScalar
 from quatspin.quaternionic import (
@@ -119,9 +121,8 @@ def test_adapted_basis_isotropy(setup2):
         assert total == basis_vector(model, 0) or not total.is_zero()
 
 
-def test_structure_report_all_pass(setup1):
-    model, triple, ops = setup1
-    rep = structure_report(model, triple, ops)
+def test_structure_report_all_pass():
+    rep = structure_report(build_world(build_clifford_model(1)))
     assert rep.ok
     counts = rep.counts()
     assert counts["fail"] == 0
@@ -131,18 +132,14 @@ def test_structure_report_all_pass(setup1):
 def test_consistent_sign_flip_is_still_a_model():
     # rebuilding everything from a sign-flipped generator gives an equivalent
     # model (the flip extends to an algebra automorphism), so nothing fails
-    model = corrupt_gamma(build_clifford_model(1), 0)
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    assert structure_report(model, triple, ops).ok
+    assert structure_report(build_world(corrupt_gamma(build_clifford_model(1), 0))).ok
 
 
 def test_structure_report_flags_tampered_generator():
-    # corruption injected after the operators were built is an inconsistency
-    clean = build_clifford_model(1)
-    triple = build_standard_triple(clean)
-    ops = build_kaehler_operators(clean, triple)
-    rep = structure_report(corrupt_gamma(clean, 0), triple, ops)
+    # a world assembled by hand with the operators of the clean generators
+    # is an inconsistency: build_world never makes one
+    clean = build_world(build_clifford_model(1))
+    rep = structure_report(replace(clean, model=corrupt_gamma(clean.model, 0)))
     assert not rep.ok
     ids = {e.check_id for e in rep.failures()}
     assert "kaehler_rebuild" in ids
@@ -151,8 +148,5 @@ def test_structure_report_flags_tampered_generator():
 
 
 def test_structure_report_float_backend():
-    model = build_clifford_model(1, kind="float")
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    rep = structure_report(model, triple, ops)
+    rep = structure_report(build_world(build_clifford_model(1, kind="float")))
     assert rep.ok

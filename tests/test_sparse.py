@@ -18,15 +18,11 @@ import numpy as np
 import pytest
 
 from quatspin.clifford import build_clifford_model
-from quatspin.decomposition import decompose
+from quatspin.decomposition import build_world
 from quatspin.errors import DimensionError
 from quatspin.exact import DenseMatrix, ExactScalar
 from quatspin.projectors import ProjectorCalculus
-from quatspin.quaternionic import (
-    build_adapted_basis,
-    build_kaehler_operators,
-    build_standard_triple,
-)
+from quatspin.quaternionic import build_adapted_basis
 from quatspin.so3 import (
     build_irrep,
     rotated_generator,
@@ -106,10 +102,8 @@ def test_exact_clifford_layer_is_sparse_at_m4():
     # the float layer too: its block projectors keep the rows of the exact
     # ones, round-off residues included, so float cancellation fills none in
     for kind, cls in (("float", DenseMatrix), ("exact", SparseMatrix)):
-        model = build_clifford_model(4, kind=kind)
-        triple = build_standard_triple(model)
-        ops = build_kaehler_operators(model, triple)
-        dec = decompose(model, ops)
+        world = build_world(build_clifford_model(4, kind=kind))
+        model, ops, dec = world.model, world.ops, world.dec
         operators = [*model.gamma, *ops.omega, ops.kraines,
                      *dec.r_projectors.values(), *dec.k_projectors.values(),
                      *(b.projector for b in dec.blocks.values())]
@@ -121,8 +115,9 @@ def test_exact_clifford_layer_is_sparse_at_m4():
             assert (_row_nnz(g) == 1).all()
     # no second exact storage: the small operands of the exact model, built
     # in the last pass above, are sparse too
+    triple = world.triple
     basis = build_adapted_basis(model, triple)
-    calc = ProjectorCalculus(model, triple, ops)
+    calc = ProjectorCalculus(world)
     actions = [x for u in calc.act for x in calc.act[u]]
     actions += [x for u in calc.act_j for a in calc.act_j[u] for x in calc.act_j[u][a]]
     irrep = build_irrep(10)

@@ -2,12 +2,12 @@
 
 Derived rows must equal the rows computed directly, compared on (check_id,
 subject, status, residual, note), wherever the certificate passes: on clean
-models, on worlds rebuilt from a sign-flipped model, and on worlds whose
-Kaehler operators are scaled or relabelled, where many rows fail with
-nonzero residuals.  Where it fails (the --flip-gamma hybrid, or a flipped
-model carrying its own operators with a clean decomposition), every row is
-computed directly.  Each claim of the certificate fails under a named
-corruption with a positive residual.
+worlds, on worlds rebuilt from a sign-flipped model, and on hand-built
+worlds whose Kaehler operators are scaled or relabelled, where many rows
+fail with nonzero residuals.  Where it fails (a sign-flipped generator list
+over the stated decomposition, or that world given the clean operators by
+hand), every row is computed directly.  Each claim of the certificate fails
+under a named corruption with a positive residual.
 """
 
 from dataclasses import replace
@@ -17,18 +17,11 @@ import pytest
 from quatspin import exact as exact_module
 from quatspin import symmetry as symmetry_module
 from quatspin.clifford import build_clifford_model, corrupt_gamma
-from quatspin.decomposition import decompose, decomposition_report
+from quatspin.decomposition import build_world, decomposition_report
 from quatspin.projectors import ProjectorCalculus, verify_lemma_identities
-from quatspin.quaternionic import (KaehlerOperators, build_kaehler_operators,
-                                   build_standard_triple, kraines_form, structure_report)
+from quatspin.quaternionic import KaehlerOperators, kraines_form, structure_report
 from quatspin.symmetry import (certify_line_symmetry, generator_orbits,
                                generator_pair_orbits, line_symmetries, vector_orbits)
-
-
-def _world(model):
-    triple = build_standard_triple(model)
-    ops = build_kaehler_operators(model, triple)
-    return decompose(model, ops), ProjectorCalculus(model, triple, ops), ops
 
 
 def _rows(rep):
@@ -36,15 +29,16 @@ def _rows(rep):
                   for e in rep.entries)
 
 
-def _derived_and_direct(dec, calc, ops):
+def _derived_and_direct(world):
     """(certificate, rows with it, rows computed directly) of the three consumers."""
-    cert = certify_line_symmetry(dec, calc, ops)
-    derived = _rows(verify_lemma_identities(dec, calc, cert)) \
-        + _rows(decomposition_report(dec, calc.model, ops, cert)) \
-        + _rows(structure_report(calc.model, calc.triple, ops, cert))
-    direct = _rows(verify_lemma_identities(dec, calc)) \
-        + _rows(decomposition_report(dec, calc.model, ops)) \
-        + _rows(structure_report(calc.model, calc.triple, ops))
+    calc = ProjectorCalculus(world)
+    cert = certify_line_symmetry(world)
+    derived = _rows(verify_lemma_identities(calc, cert)) \
+        + _rows(decomposition_report(world, cert)) \
+        + _rows(structure_report(world, cert))
+    direct = _rows(verify_lemma_identities(calc)) \
+        + _rows(decomposition_report(world)) \
+        + _rows(structure_report(world))
     return cert, derived, direct
 
 
@@ -61,75 +55,76 @@ def _relabelled(model, ops):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_derived_rows_equal_direct_rows(m, kind):
     model = build_clifford_model(m, kind=kind)
-    dec, calc, ops = _world(model)
-    cert, derived, direct = _derived_and_direct(dec, calc, ops)
+    world = build_world(model)
+    cert, derived, direct = _derived_and_direct(world)
     assert cert.ok and len(cert.report.entries) == 4 * m
-    assert vector_orbits(cert, dec, calc) == [list(range(2 * m))]
-    assert generator_orbits(cert, dec, model, ops) == \
+    assert vector_orbits(cert, world) == [list(range(2 * m))]
+    assert generator_orbits(cert, world) == \
         [list(range(0, 4 * m, 2)), list(range(1, 4 * m, 2))]
     # generator pairs within a line: {00, 22}, {11, 33}, {01, 23}, {02},
     # {03, 12}, {13}; across two lines: even-even, even-odd and odd-odd
-    pairs = generator_pair_orbits(cert, model)
+    pairs = generator_pair_orbits(cert, world)
     assert len(pairs) == (6 if m == 1 else 9)
     assert sorted(pair for orbit in pairs for pair in orbit) == \
         [(i, j) for i in range(4 * m) for j in range(i, 4 * m)]
     assert derived == direct
     assert all(row[2] == "pass" for row in direct if row[0] != "weight_orientation")
 
-    # the same holds where the certificate passes and many rows fail: the
-    # Kaehler operators doubled, or Omega_2 and Omega_3 exchanged
-    for wrong in (_scaled(model, ops), _relabelled(model, ops)):
-        calc = ProjectorCalculus(model, calc.triple, wrong)
-        cert, derived, direct = _derived_and_direct(dec, calc, wrong)
+    # the same holds where the certificate passes and many rows fail: a
+    # world assembled by hand with the Kaehler operators doubled, or with
+    # Omega_2 and Omega_3 exchanged; these fail two lemma families that no
+    # corruption of the generator list fails
+    for wrong, witnesses in (
+            (_scaled(model, world.ops),
+             {"adapted_basis_product_sums", "mixed_product_kaehler_form"}),
+            (_relabelled(model, world.ops), {"mixed_product_kaehler_form"})):
+        cert, derived, direct = _derived_and_direct(replace(world, ops=wrong))
         assert cert.ok
         assert sum(row[2] == "fail" for row in direct) > 30 * m
+        assert witnesses <= {row[0] for row in direct if row[2] == "fail"}
         assert derived == direct
 
 
 @pytest.mark.parametrize("index", range(8))
 def test_rebuilt_flipped_world_derives_the_direct_rows(index):
-    dec, calc, ops = _world(corrupt_gamma(build_clifford_model(2), index))
-    cert, derived, direct = _derived_and_direct(dec, calc, ops)
+    cert, derived, direct = _derived_and_direct(
+        build_world(corrupt_gamma(build_clifford_model(2), index)))
     assert cert.ok
     assert derived == direct
 
 
 @pytest.mark.parametrize("index", [0, 3, 4, 7])
 def test_flipped_model_with_a_clean_decomposition_fails_the_certificate(index):
-    clean = build_clifford_model(2)
-    triple = build_standard_triple(clean)
-    clean_ops = build_kaehler_operators(clean, triple)
-    clean_dec = decompose(clean, clean_ops)
-    bad = corrupt_gamma(clean, index)
-    bad_ops = build_kaehler_operators(bad, triple)
-    # the --flip-gamma hybrid: the calculus keeps the clean operators, the
-    # report reads the flipped model's; then the flipped model with its own
-    # operators and the clean decomposition
-    for calc_ops, note in ((clean_ops, "fails at Omega_1"),
-                           (bad_ops, "fails at decomposition Kraines")):
-        calc = ProjectorCalculus(bad, triple, calc_ops)
-        cert, derived, direct = _derived_and_direct(clean_dec, calc, bad_ops)
+    clean = build_world(build_clifford_model(2))
+    flipped = build_world(corrupt_gamma(clean.model, index), dec=clean.dec)
+    # the flipped generator list over the stated decomposition (verify
+    # --flip-gamma), then that world given the clean operators by hand
+    for world, note in ((flipped, "fails at decomposition Kraines"),
+                        (replace(flipped, ops=clean.ops), "fails at Omega_1")):
+        cert, derived, direct = _derived_and_direct(world)
         failures = cert.report.failures()
         assert failures and all(e.subject.endswith("operators") for e in failures)
         assert all(e.note == note and float(e.residual) > 0 for e in failures)
-        assert vector_orbits(cert, clean_dec, calc) == [[j] for j in range(4)]
-        assert len(generator_pair_orbits(cert, bad)) == 36
+        assert vector_orbits(cert, world) == [[j] for j in range(4)]
+        assert len(generator_pair_orbits(cert, world)) == 36
         assert derived == direct
 
 
 def test_a_certificate_covers_only_the_objects_it_was_made_on():
     model = build_clifford_model(2)
-    dec, calc, ops = _world(model)
-    cert = certify_line_symmetry(dec, calc, ops)
-    other_dec, other_calc, other_ops = _world(model)
+    world = build_world(model)
+    cert = certify_line_symmetry(world)
     singletons = [[j] for j in range(4)]
-    assert vector_orbits(cert, other_dec, calc) == singletons
-    assert vector_orbits(cert, dec, other_calc) == singletons
-    assert generator_orbits(cert, dec, model, other_ops) == [[c] for c in range(8)]
-    assert vector_orbits(None, dec, calc) == singletons
     every_pair = [[(i, j)] for i in range(8) for j in range(i, 8)]
-    assert generator_pair_orbits(cert, build_clifford_model(2)) == every_pair
-    assert generator_pair_orbits(None, model) == every_pair
+    # equal worlds that are other objects: rebuilt, over the same
+    # decomposition, or copied field by field
+    for other in (build_world(model), build_world(model, dec=world.dec), replace(world)):
+        assert vector_orbits(cert, other) == singletons
+        assert generator_orbits(cert, other) == [[c] for c in range(8)]
+        assert generator_pair_orbits(cert, other) == every_pair
+    assert vector_orbits(None, world) == singletons
+    assert generator_orbits(None, world) == [[c] for c in range(8)]
+    assert generator_pair_orbits(None, world) == every_pair
 
 
 def _failed(cert, claim):
@@ -142,13 +137,11 @@ def _failed(cert, claim):
 def test_a_non_clifford_generator_fails_every_claim():
     # gamma_0 -> gamma_0 gamma_1 still squares to -1 but commutes with
     # gamma_2: the right-j lift becomes singular
-    model = build_clifford_model(2)
-    dec, calc, ops = _world(model)
-    gamma = list(model.gamma)
+    clean = build_world(build_clifford_model(2))
+    gamma = list(clean.model.gamma)
     gamma[0] = gamma[0] @ gamma[1]
-    bad = replace(model, gamma=tuple(gamma))
-    calc = ProjectorCalculus(bad, calc.triple, ops)
-    cert = certify_line_symmetry(dec, calc, ops)
+    cert = certify_line_symmetry(
+        build_world(replace(clean.model, gamma=tuple(gamma)), dec=clean.dec))
     assert not cert.ok
     for claim in ("monomial", "unitary", "generators", "operators"):
         assert _failed(cert, claim), claim
@@ -157,22 +150,21 @@ def test_a_non_clifford_generator_fails_every_claim():
 
 
 def test_a_corrupted_omega_2_fails_only_the_commutation():
-    model = build_clifford_model(2)
-    dec, calc, ops = _world(model)
-    bad_ops = KaehlerOperators(omega=(ops[1], ops[2] + model.gamma[0], ops[3]),
-                               kraines=ops.kraines)
-    calc = ProjectorCalculus(model, calc.triple, bad_ops)
-    cert = certify_line_symmetry(dec, calc, bad_ops)
+    world = build_world(build_clifford_model(2))
+    ops = world.ops
+    world = replace(world, ops=KaehlerOperators(
+        omega=(ops[1], ops[2] + world.model.gamma[0], ops[3]), kraines=ops.kraines))
+    cert = certify_line_symmetry(world)
     assert [e.subject for e in cert.report.failures()] == \
         ["m=2 right-j line=0 operators", "m=2 swap lines=0,1 operators"]
     assert all(e.note == "fails at Omega_2" for e in _failed(cert, "operators"))
-    assert vector_orbits(cert, dec, calc) == [[j] for j in range(4)]
+    assert vector_orbits(cert, world) == [[j] for j in range(4)]
 
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_corrupted_lifts_fail_their_claims(kind, monkeypatch):
     model = build_clifford_model(2, kind=kind)
-    dec, calc, ops = _world(model)
+    world = build_world(model)
     right_j, swap = line_symmetries(model)
     sigma = list(right_j.signed_permutation)
     sigma[0] = (2, 1)
@@ -192,13 +184,13 @@ def test_corrupted_lifts_fail_their_claims(kind, monkeypatch):
     for lift, claims in cases:
         monkeypatch.setattr(symmetry_module, "line_symmetries",
                             lambda model, lift=lift: (lift, swap))
-        cert = certify_line_symmetry(dec, calc, ops)
+        cert = certify_line_symmetry(world)
         failed = {e.subject.split()[-1]: e.note for e in cert.report.failures()}
         assert failed == {claim: note and f"fails at {note}"
                           for claim, note in claims.items()}, lift.name
         for claim in claims:
             assert _failed(cert, claim)
-        assert vector_orbits(cert, dec, calc) == [[j] for j in range(4)]
+        assert vector_orbits(cert, world) == [[j] for j in range(4)]
 
 
 def test_line_symmetry_product_count(monkeypatch):
@@ -206,9 +198,9 @@ def test_line_symmetry_product_count(monkeypatch):
     # that the two consumers make at m = 3 exact (796 and 284 binary
     # products when every row is computed directly): a guard, free of
     # timing, on the rows derived from j = 0 and from the generators 0 and 1
-    model = build_clifford_model(3)
-    dec, calc, ops = _world(model)
-    cert = certify_line_symmetry(dec, calc, ops)
+    world = build_world(build_clifford_model(3))
+    calc = ProjectorCalculus(world)
+    cert = certify_line_symmetry(world)
     calls = []
     expand = exact_module._product_terms
 
@@ -217,8 +209,8 @@ def test_line_symmetry_product_count(monkeypatch):
         return expand(*args)
 
     monkeypatch.setattr(exact_module, "_product_terms", counted)
-    assert verify_lemma_identities(dec, calc, cert).ok
+    assert verify_lemma_identities(calc, cert).ok
     assert len(calls) <= 146
     calls.clear()
-    assert decomposition_report(dec, model, ops, cert).ok
+    assert decomposition_report(world, cert).ok
     assert len(calls) <= 64
