@@ -14,16 +14,22 @@ so3-check   randomized search statistics for top-weight-exposing rotations
 JSON is the canonical format (sorted keys, stable byte output); csv and
 table are projections of the same rows.  Rationals are serialized as "p/q"
 strings; purely imaginary eigenvalues by their imaginary part, under a
-field name that says so.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 resource refusal.
+field name that says so.  Reports are written to their sink as they are
+encoded, JSON in batches of the chunks json.dumps would join and csv row by
+row: the bytes are those of json.dumps, and the render's memory does not
+grow with the report.  Tables still size their columns from every row
+first.  A reader that closes the pipe early ends the run quietly.  Exit
+codes: 0 success, 1 verification failure, 2 usage error, 3 resource
+refusal; a closed pipe does not change them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -415,14 +421,12 @@ def cmd_so3_check(args):
 # ------------------------------------------------------------------ emission
 
 
-def _format_csv(fieldnames, rows):
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+def _write_csv(sink, fieldnames, rows):
+    writer = csv.DictWriter(sink, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: ("" if row.get(k) is None else row.get(k, ""))
                          for k in fieldnames})
-    return buf.getvalue()
 
 
 def _format_table(fieldnames, rows, preamble):
@@ -438,14 +442,40 @@ def _format_table(fieldnames, rows, preamble):
     return "\n".join(lines) + "\n"
 
 
-def _render(result, fmt):
+# JSON chunks joined per write: one write per chunk costs CPU, the whole
+# text costs memory in proportion to the report
+_JSON_CHUNKS_PER_WRITE = 1024
+
+
+def _render(result, fmt, sink):
+    """Write the report to sink in fmt, JSON and csv as they are encoded."""
     if fmt == "json":
-        return json.dumps(result.payload, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        return _format_csv(result.fieldnames, result.rows)
-    if result.table_text is not None:
-        return result.table_text
-    return _format_table(result.fieldnames, result.rows, result.preamble)
+        # the chunks json.dumps joins, so the bytes are the same
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(result.payload)
+        while text := "".join(itertools.islice(chunks, _JSON_CHUNKS_PER_WRITE)):
+            sink.write(text)
+        sink.write("\n")
+    elif fmt == "csv":
+        _write_csv(sink, result.fieldnames, result.rows)
+    elif result.table_text is not None:
+        sink.write(result.table_text)
+    else:
+        sink.write(_format_table(result.fieldnames, result.rows, result.preamble))
+
+
+def _silence_stdout():
+    """Point the stdout descriptor, if there is one, at the null device.
+
+    Called after a reader closed the pipe: the flush at interpreter exit
+    then writes what is still buffered there instead of failing again.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except ValueError:      # io.UnsupportedOperation: a stream with no descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def main(argv=None):
@@ -465,12 +495,16 @@ def main(argv=None):
     except QuatspinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(result, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            _render(result, args.format, fh)
+        return result.exit_code
+    try:
+        _render(result, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; the verdict stands
+        _silence_stdout()
     return result.exit_code
 
 

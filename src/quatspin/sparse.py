@@ -42,24 +42,15 @@ _DOWNCAST_LIMIT = 2**62
 
 
 def _array_gcd(a):
-    if a.size == 0:
-        return 0
     if a.dtype == object:
-        g = 0
-        for x in a.tolist():
-            g = math.gcd(g, x if x >= 0 else -x)
-            if g == 1:
-                return 1
-        return g
+        return math.gcd(*a.tolist())
     return int(np.gcd.reduce(np.abs(a), initial=0))
 
 
 def _array_max(a):
-    if a.size == 0:
-        return 0
     if a.dtype == object:
-        return max(abs(x) for x in a.tolist())
-    return int(np.abs(a).max())
+        return max(map(abs, a.tolist()), default=0)
+    return int(np.abs(a).max(initial=0))
 
 
 def _as_object(a):

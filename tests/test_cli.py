@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +245,7 @@ def test_out_file(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(path.read_text())["ok"] is True
+    assert path.read_bytes() == run(["constants", "--m", "1"], capsys)[1].encode()
 
 
 def test_usage_exit_codes(capsys):
@@ -351,3 +356,50 @@ def test_canonical_json_is_pinned(argv, digest, capsys):
     # refactor cannot move a byte of what the commands print
     out = run(argv, capsys)[1]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--m", "2", "--format", "csv"],
+     "20d97f79ecfa4ef19d25862b851b52ab050d2478eac4867aaeb545758602222d"),
+    (["decompose", "--m", "2", "--format", "table"],
+     "5098651ec4f8d1c2dc069b79d5d1c806749b7d07df636db1d4b5b19603ff3d87"),
+    (["bounds", "--m", "2", "--format", "table"],
+     "ab7825a376b694813c41767ab6c9921df4e94fb83ad4e88ffafbea680c97ee0d"),
+])
+def test_csv_and_table_output_is_pinned(argv, digest, capsys):
+    # the csv rows, the decompose grid and the generic table, as the
+    # canonical JSON pins above
+    out = run(argv, capsys)[1]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_json_render_memory_does_not_grow_with_the_report(tmp_path):
+    # the report is written as it is encoded: rendering it never holds the
+    # whole text (a join of every chunk held about 7 times its length)
+    args = cli.build_parser().parse_args(["verify", "--m", "3"])
+    result = args.handler(args)
+    path = tmp_path / "report.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            cli._render(result, "json", fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert json.loads(path.read_text())["ok"] is True
+    assert peak < path.stat().st_size
+
+
+def test_a_reader_that_closes_early_ends_the_run_quietly():
+    # the report (about 200 KB) outgrows the pipe, so the run writes to a
+    # closed pipe: no traceback, and the exit code is still the verdict's
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "quatspin.cli", "verify", "--m", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "backe'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 0
