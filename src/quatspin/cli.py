@@ -38,7 +38,8 @@ import numpy as np
 
 from .bounds import build_bound_report
 from .clifford import build_clifford_model, corrupt_gamma
-from .decomposition import build_world, decomposition_report
+from .decomposition import (build_world, decomposition_report, omega_eigenvalue,
+                            weight_eigenvalue)
 from .errors import (
     DimensionError,
     DomainError,
@@ -136,12 +137,13 @@ def build_parser():
                        default="json", help="output format (default %(default)s)")
         p.add_argument("--out", default=None, help="write the report to a file")
 
-    def add_common(p, backend_default="exact"):
+    def add_common(p, backend_default="exact", seed=True):
         p.add_argument("--backend", choices=("exact", "float"),
                        default=backend_default,
                        help="arithmetic backend (default %(default)s)")
-        p.add_argument("--seed", type=_nonnegative_int, default=0,
-                       help="seed for randomized sampling (default %(default)s)")
+        if seed:
+            p.add_argument("--seed", type=_nonnegative_int, default=0,
+                           help="seed for randomized sampling (default %(default)s)")
         add_output(p)
 
     p = sub.add_parser("verify", help="run the full verification matrix")
@@ -158,7 +160,8 @@ def build_parser():
     p = sub.add_parser("constants", help="computed vs closed-form block constants")
     p.add_argument("--m", type=_positive_int, default=2,
                    help="quaternionic dimension (default %(default)s)")
-    add_common(p)
+    # nothing in the constants is sampled
+    add_common(p, seed=False)
     p.set_defaults(handler=cmd_constants)
 
     p = sub.add_parser("bounds", help="eigenvalue-bound coefficient table")
@@ -205,9 +208,9 @@ def _config_from(args):
 # ------------------------------------------------------------------ commands
 
 
-def _tolerance(config):
+def _tolerance(backend):
     """The float tolerance, in float reports only: no exact check applies one."""
-    return {"tolerance": FLOAT_TOL} if config.backend == "float" else {}
+    return {"tolerance": FLOAT_TOL} if backend == "float" else {}
 
 
 def world_report(world):
@@ -244,7 +247,7 @@ def cmd_verify(args):
     payload = {
         "command": "verify",
         "backend": config.backend,
-        **_tolerance(config),
+        **_tolerance(config.backend),
         "seed": config.seed,
         "m_values": list(config.m_values),
         "flip_gamma": args.flip_gamma,
@@ -262,8 +265,7 @@ def cmd_verify(args):
 
 
 def cmd_constants(args):
-    config = _config_from(args)
-    world = build_world(build_clifford_model(args.m, kind=config.backend))
+    world = build_world(build_clifford_model(args.m, kind=args.backend))
     constants = block_constants(ProjectorCalculus(world))
     rows = [{"r": c.r, "k": c.k, "variant": c.variant, "computed": c.computed,
              "closed": str(c.closed), "match": c.ok, "note": c.note}
@@ -271,8 +273,8 @@ def cmd_constants(args):
     mismatches = sum(not c.ok for c in constants)
     payload = {
         "command": "constants",
-        "backend": config.backend,
-        **_tolerance(config),
+        "backend": args.backend,
+        **_tolerance(args.backend),
         "m": args.m,
         "model_hash": world.model.content_hash(),
         "ok": mismatches == 0,
@@ -365,10 +367,11 @@ def cmd_decompose(args):
 def _decompose_grid(m, dec):
     """Render the lattice as a grid: rows r, columns k, cells dim or blank."""
     by_pos = {(b.r, b.k): b for b in dec.nonzero_blocks()}
-    header = ["r\\k"] + [f"k={k} (im {2 * m - 2 * k})" for k in range(2 * m + 1)]
+    header = ["r\\k"] + [f"k={k} (im {weight_eigenvalue(m, k).im})"
+                          for k in range(2 * m + 1)]
     lines = [header]
     for r in range(m + 1):
-        row = [f"r={r} (omega {6 * m - 4 * r * (r + 2)})"]
+        row = [f"r={r} (omega {omega_eigenvalue(m, r)})"]
         for k in range(2 * m + 1):
             blk = by_pos.get((r, k))
             row.append("" if blk is None else str(blk.dim))
@@ -478,12 +481,8 @@ def _silence_stdout():
     os.close(null)
 
 
-def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+def _run(args, sink):
+    """Run the command and write its report to sink; the exit code."""
     try:
         result = args.handler(args)
     except ResourceLimitError as exc:
@@ -495,17 +494,32 @@ def main(argv=None):
     except QuatspinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _render(result, args.format, fh)
-        return result.exit_code
     try:
-        _render(result, args.format, sys.stdout)
-        sys.stdout.flush()
+        _render(result, args.format, sink)
+        sink.flush()
     except BrokenPipeError:
         # the reader stopped early; the verdict stands
         _silence_stdout()
     return result.exit_code
+
+
+def main(argv=None):
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    if args.out is None:
+        return _run(args, sys.stdout)
+    # opened before the command runs, as a shell's > PATH would be, so an
+    # unwritable path costs no run
+    try:
+        sink = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    with sink:
+        return _run(args, sink)
 
 
 if __name__ == "__main__":

@@ -615,20 +615,15 @@ def lagrange_eigenprojectors(a, spectrum):
 
 
 def column_space_basis(matrix):
-    """Canonical basis of the column space.
+    """Canonical basis of the column space of an exact matrix.
 
-    Exact kind: Gaussian elimination over the Gaussian rationals with a
+    Gaussian elimination over the Gaussian rationals with a
     first-nonzero-pivot rule, fully reduced, rows sorted by pivot position —
-    a deterministic reduced basis of SparseMatrix columns.  Float kind:
-    left singular vectors for singular values above FLOAT_TOL * max(rows, cols).
+    a deterministic reduced basis of SparseMatrix columns.  A float matrix
+    raises TypeError.
     """
-    if matrix.kind == "float":
-        if matrix.cols == 0:
-            return []
-        u, s, _ = np.linalg.svd(matrix.to_complex_array())
-        cut = FLOAT_TOL * max(matrix.rows, matrix.cols)
-        rank = int(np.sum(s > cut))
-        return [DenseMatrix.from_rows(u[:, j:j + 1].tolist()) for j in range(rank)]
+    if matrix.kind != "exact":
+        raise TypeError(f"column_space_basis takes an exact matrix, not {matrix.kind}")
     zero = ExactScalar(0)
     basis = []  # list of (pivot_index, coefficients list)
     for j in range(matrix.cols):

@@ -1,5 +1,5 @@
-"""The names the benchmark harness wraps must exist in the package, and be
-reached through them.
+"""The names and calls the benchmark harness relies on must exist in the
+package, and be reached through them.
 
 `perfbench/tracer.py` wraps every function in its LAYER_OF_SPAN table by
 "module.attribute" and the DenseMatrix kernel operations by name, so a
@@ -7,8 +7,10 @@ rename in quatspin breaks traced benchmark runs.  It rebinds the module
 globals that hold each function, so a caller that reached one through a
 reference captured elsewhere would record no span and empty that layer's
 metrics; a traced `verify --m 1` must therefore record a span of every
-stage.  The harness's own tests are not in the default test paths; these
-keep the contract in tier-1.
+stage.  `perfbench/checks.py` confirms each traced rotation search with a
+float eigendecomposition of its own, and perfbench's tests call the so(3)
+constructors with `kind="exact"`.  The harness's own tests are not in the
+default test paths; these keep the contract in tier-1.
 """
 
 import importlib
@@ -19,23 +21,43 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from quatspin.exact import DenseMatrix
+from quatspin.so3 import (build_irrep, highest_weight_component, random_rotation,
+                          rotation_from_quaternion)
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+CHECKS = ROOT / "perfbench" / "checks.py"
 
 
-def _load_tracer(monkeypatch):
+def _load(monkeypatch, path):
     # no bytecode cache next to the harness: the test leaves perfbench/ as is
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    name = f"perfbench_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # registered while it loads: its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
 
+def _traced(tmp_path, *argv):
+    """The trace of one quatspin command run under the tracer."""
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-B", str(TRACER), str(trace), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(trace.read_text())
+
+
 def test_every_traced_name_resolves(monkeypatch):
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load(monkeypatch, TRACER)
     assert tracer.LAYER_OF_SPAN
     for name in tracer.LAYER_OF_SPAN:
         mod_name, attr = name.split(".")
@@ -49,15 +71,42 @@ def test_wrapped_kernel_operations_exist():
 
 
 def test_a_traced_verify_records_every_stage(tmp_path):
-    trace = tmp_path / "trace.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-B", str(TRACER), str(trace), "verify", "--m", "1"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    spans = {span["name"] for span in json.loads(trace.read_text())["spans"]}
+    spans = {span["name"] for span in _traced(tmp_path, "verify", "--m", "1")["spans"]}
     for name in ("quaternionic.structure_report", "quaternionic.build_kaehler_operators",
                  "decomposition.decompose", "decomposition.decomposition_report",
                  "projectors.ProjectorCalculus", "projectors.verify_lemma_identities",
                  "projectors.constants_report"):
         assert name in spans, name
+
+
+def test_traced_searches_pass_the_harness_check(tmp_path, monkeypatch):
+    checks = _load(monkeypatch, CHECKS)
+    trace = _traced(tmp_path, "so3-check", "--backend", "exact", "--max-r", "2",
+                    "--trials", "3")
+    assert checks.check_searches(trace["searches"], 2, 3) == []
+
+
+def test_top_weight_components_match_the_harness_reference(monkeypatch):
+    # the harness's reference is numpy's eigh of the Hermitian form of the
+    # rotated generator; the program's component is exact, for a float irrep
+    # under the float sampler's rotations and for an exact irrep built as
+    # perfbench's tests build it
+    checks = _load(monkeypatch, CHECKS)
+    rng = np.random.default_rng(73)
+    cases = 0
+    for r in range(11):
+        float_irrep, exact_irrep = build_irrep(r, kind="float"), build_irrep(r, kind="exact")
+        for _ in range(4):
+            q = [int(x) for x in rng.integers(-9, 10, size=4)]
+            v = [int(x) for x in rng.integers(-9, 10, size=r + 1)]
+            runs = [(float_irrep, random_rotation(rng, "float"),
+                     [float(x) for x in rng.standard_normal(r + 1)])]
+            if any(q) and any(v):
+                runs.append((exact_irrep, rotation_from_quaternion(*q, kind="exact"), v))
+            for irrep, g, vec in runs:
+                size, top = checks.top_weight_component(r, g.row(0), vec)
+                assert top == pytest.approx(r, abs=1e-9)
+                assert highest_weight_component(irrep, g, vec) == \
+                    pytest.approx(size, rel=1e-9), (irrep.kind, r)
+                cases += 1
+    assert cases > 80

@@ -189,6 +189,13 @@ def test_bounds_rejects_options_it_never_reads(capsys):
         assert out == ""
 
 
+def test_constants_rejects_a_seed(capsys):
+    # nothing in the constants is sampled
+    rc, out, err = run(["constants", "--m", "1", "--seed", "3"], capsys)
+    assert rc == 2
+    assert out == ""
+
+
 def test_bounds_csv_projection(capsys):
     rc, out, err = run(["bounds", "--m", "2", "--format", "csv"], capsys)
     assert rc == 0
@@ -246,6 +253,20 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     assert json.loads(path.read_text())["ok"] is True
     assert path.read_bytes() == run(["constants", "--m", "1"], capsys)[1].encode()
+
+
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the file is opened before the command runs: no handler is called
+    def refuse(args):
+        raise AssertionError("the command ran before its --out file was opened")
+    monkeypatch.setattr(cli, "cmd_bounds", refuse)
+    missing = tmp_path / "no-such-dir" / "x.json"
+    for path in (missing, tmp_path):
+        rc, out, err = run(["bounds", "--m", "1", "--out", str(path)], capsys)
+        assert rc == 2, path
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+    assert not missing.parent.exists()
 
 
 def test_usage_exit_codes(capsys):

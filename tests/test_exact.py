@@ -265,6 +265,11 @@ def test_column_space_basis_of_projector():
     assert basis[0][1, 0] == ExactScalar(1)
 
 
+def test_column_space_basis_takes_exact_matrices_only():
+    with pytest.raises(TypeError, match="exact"):
+        column_space_basis(DenseMatrix.from_rows([[1, 2], [2, 4]]))
+
+
 def test_scaled_representation_invariance():
     rng = random.Random(3)
     m = rand_matrix(rng, 3, 3)

@@ -99,23 +99,36 @@ def test_rotation_from_quaternion_oracles():
 
 def test_rotation_validity_checks():
     check_rotation(identity_rotation())
-    check_rotation(identity_rotation("float"))
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        check_rotation(random_rotation(rng, "float"))
-    g = random_rotation(rng, "exact")
-    assert g.kind == "exact"
-    assert all(isinstance(v, Fraction) for row in g.entries for v in row)
-    check_rotation(g)
+    # both samplers give exact rotations, certified exactly
+    for kind in ("float", "exact"):
+        for _ in range(20):
+            g = random_rotation(rng, kind)
+            assert all(isinstance(v, Fraction) for row in g.entries for v in row)
+            check_rotation(g)
     shear = Rotation(((Fraction(1), Fraction(1), Fraction(0)),
                       (Fraction(0), Fraction(1), Fraction(0)),
-                      (Fraction(0), Fraction(0), Fraction(1))), "exact")
+                      (Fraction(0), Fraction(0), Fraction(1))))
     with pytest.raises(DomainError):
         check_rotation(shear)
-    reflection = Rotation(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)),
-                          "float")
+
+
+def test_rotations_are_exact():
+    # a float component is read exactly, as Fraction(float)
+    g = rotation_from_quaternion(0.5, 0.25, 0, 0)
+    assert g.entries == rotation_from_quaternion(2, 1, 0, 0).entries
+    assert rotation_from_quaternion(1, 0, 0, 0, kind="exact").entries == \
+        identity_rotation().entries
     with pytest.raises(DomainError):
-        check_rotation(reflection)
+        rotation_from_quaternion(1, 0, 0, 0, kind="float")
+    # a numpy integer is read as a Python integer: 2^66 does not wrap
+    big = rotation_from_quaternion(np.int64(2**33), 1, 0, 0)
+    assert big.entries == rotation_from_quaternion(2**33, 1, 0, 0).entries
+    check_rotation(big)
+    # the float sampler keeps its draws: the rotation of the same four normals
+    q = np.random.default_rng(5).standard_normal(4)
+    drawn = random_rotation(np.random.default_rng(5), "float")
+    assert drawn.entries == rotation_from_quaternion(*(Fraction(float(c)) for c in q)).entries
 
 
 def fraction_defect(g):
@@ -132,35 +145,33 @@ def fraction_defect(g):
     return dev, abs(det - 1)
 
 
-def corrupted_rotations(kind):
-    """A shear, a reflection and a rotation with one entry moved, of one kind."""
-    conv = Fraction if kind == "exact" else float
-    g = rotation_from_quaternion(2, 3, 6, 0, kind=kind)
+def corrupted_rotations():
+    """A shear, a reflection and a rotation with one entry moved."""
+    g = rotation_from_quaternion(2, 3, 6, 0)
     moved = [list(row) for row in g.entries]
-    moved[1][2] += conv(1) / 7
+    moved[1][2] += Fraction(1, 7)
     grid = (((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
-    return [Rotation(tuple(tuple(conv(x) for x in row) for row in rows), kind)
-            for rows in grid] + [Rotation(tuple(map(tuple, moved)), kind)]
+    return [Rotation(tuple(tuple(Fraction(x) for x in row) for row in rows))
+            for rows in grid] + [Rotation(tuple(map(tuple, moved)))]
 
 
 def test_rotation_defect_matches_the_entrywise_reference():
     rng = np.random.default_rng(17)
-    for kind in ("exact", "float"):
-        rotations = [rotation_from_quaternion(*(int(x) for x in q), kind=kind)
-                     for q in rng.integers(-9, 10, size=(60, 4)) if q.any()][:50]
-        assert len(rotations) == 50
-        for g in rotations + corrupted_rotations(kind):
-            assert _rotation_defect(g) == fraction_defect(g), (kind, g.entries)
-    for g in corrupted_rotations("exact"):
+    rotations = [rotation_from_quaternion(*(int(x) for x in q))
+                 for q in rng.integers(-9, 10, size=(60, 4)) if q.any()][:50]
+    assert len(rotations) == 50
+    rotations += [random_rotation(rng, "float") for _ in range(10)]
+    for g in rotations + corrupted_rotations():
+        assert _rotation_defect(g) == fraction_defect(g), g.entries
+    for g in corrupted_rotations():
         dev, ddet = _rotation_defect(g)
         assert isinstance(dev, Fraction) and isinstance(ddet, Fraction)
 
 
 def test_check_rotation_rejects_each_corruption():
-    for kind in ("exact", "float"):
-        for g in corrupted_rotations(kind):
-            with pytest.raises(DomainError, match="special orthogonal"):
-                check_rotation(g)
+    for g in corrupted_rotations():
+        with pytest.raises(DomainError, match="special orthogonal"):
+            check_rotation(g)
 
 
 def test_rotated_generator_oracles():
@@ -173,13 +184,14 @@ def test_rotated_generator_oracles():
         assert (rotated_generator(ir, rotation_from_quaternion(1, 0, 1, 0))
                 - ir[3]).is_zero()
     with pytest.raises(DomainError):
-        rotated_generator(build_irrep(1), Rotation(((1.0, 0.5, 0.0),
-                                                    (0.0, 1.0, 0.0),
-                                                    (0.0, 0.0, 1.0)), "float"))
-    with pytest.raises(TypeError, match="backend"):
-        rotated_generator(build_irrep(1), identity_rotation("float"))
-    with pytest.raises(TypeError, match="backend"):
-        rotated_generator(build_irrep(1, kind="float"), identity_rotation())
+        rotated_generator(build_irrep(1), Rotation(((1, Fraction(1, 2), 0),
+                                                    (0, 1, 0), (0, 0, 1))))
+    # an exact rotation combines with the generators of either backend
+    g = rotation_from_quaternion(2, 3, 6, 0)
+    for r in (1, 4):
+        want = rotated_generator(build_irrep(r), g).to_float()
+        got = rotated_generator(build_irrep(r, kind="float"), g)
+        assert (got - want).max_abs() <= 1e-15, r
 
 
 def test_rotated_generator_spectrum_randomized():
@@ -205,8 +217,10 @@ def test_highest_weight_component_oracles():
     assert highest_weight_component(ir, gy, col) == pytest.approx(mag)
     with pytest.raises(TypeError, match="backend"):
         highest_weight_component(ir, gy, col.to_float())
-    with pytest.raises(TypeError, match="backend"):
-        highest_weight_component(ir, identity_rotation("float"), col)
+    # a float irrep reads its coordinates exactly: the same magnitude
+    ir_float = build_irrep(1, kind="float")
+    assert highest_weight_component(ir_float, gy, [0.0, 1.0]) == mag
+    assert highest_weight_component(ir_float, gy, col.to_float()) == mag
     with pytest.raises(DomainError):
         highest_weight_component(ir, e, [0, 0])
     with pytest.raises(DimensionError):
@@ -230,7 +244,7 @@ def test_sample_zero_is_decided_from_the_top_coordinate():
         out = find_rotation_with_top_component(build_irrep(2, kind=kind),
                                                [top, 1, 0], seed=3)
         assert out.found and out.samples_used == 1
-        assert out.rotation.entries == identity_rotation(kind).entries
+        assert out.rotation.entries == identity_rotation().entries
         assert out.magnitude == 5.0
     # v_0 = 0: sample 1 is the first draw of the generator seeded with (3, r)
     pinned = {
@@ -250,7 +264,8 @@ def test_sample_zero_is_decided_from_the_top_coordinate():
         if kind == "exact":
             assert out.rotation.entries == entries
         else:
-            assert np.allclose(out.rotation.entries, entries, rtol=0, atol=1e-15)
+            as_float = [[float(x) for x in row] for row in out.rotation.entries]
+            assert np.allclose(as_float, entries, rtol=0, atol=1e-15)
 
 
 def test_search_escapes_vanishing_identity_component():
@@ -261,8 +276,8 @@ def test_search_escapes_vanishing_identity_component():
     assert out.found and out.samples_used >= 2
     assert out.rotation.entries != identity_rotation().entries
     assert out.magnitude > 0
-    # exact mode accepted on exact nonzero-ness
-    assert out.rotation.kind == "exact"
+    # exact mode accepted on exact nonzero-ness, on an exact rotation
+    assert all(isinstance(x, Fraction) for row in out.rotation.entries for x in row)
 
 
 def test_search_is_deterministic():
@@ -281,7 +296,7 @@ def test_search_float_random_vectors():
         ir = build_irrep(r, kind="float")
         for trial in range(10):
             # v_0 = 0 rules out the identity, so the search samples Haar
-            # rotations and runs the float projector
+            # rotations and reads the continuant of the exact irrep
             v = [0j] + random_vector(rng, ir.dim, "float")[1:]
             out = find_rotation_with_top_component(ir, v, budget=200,
                                                    seed=100 * r + trial)
@@ -340,6 +355,12 @@ def test_search_checks_coordinates_like_a_column():
     # an exact irrep takes no float coordinate, wherever it sits
     with pytest.raises(TypeError):
         find_rotation_with_top_component(build_irrep(2), [1, 0, 0.5])
+    # a float coordinate must be finite, in a list or a column
+    ir = build_irrep(2, kind="float")
+    for bad in ([math.nan, 1, 0], [0, math.inf, 0], [0, 1, complex(0, -math.inf)]):
+        for x in (bad, as_column("float", bad)):
+            with pytest.raises(DomainError, match="finite"):
+                find_rotation_with_top_component(ir, x, budget=5)
 
 
 def test_search_gives_the_same_outcome_for_a_list_and_a_column():
@@ -391,6 +412,8 @@ def test_top_weight_projector_rejects_a_corrupted_generator():
     gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
     p = top_weight_projector(ir, gen)
     assert p @ p == p and p.trace() == ExactScalar(1)
+    with pytest.raises(TypeError, match="exact"):
+        top_weight_projector(ir, gen.to_float())
     bump = SparseMatrix.from_rows([[1 if (s, t) == (0, 1) else 0
                                     for t in range(ir.dim)] for s in range(ir.dim)])
     with pytest.raises(SpectrumError, match="eigen-equation"):
@@ -517,7 +540,7 @@ def test_top_weight_projector_product_count(monkeypatch):
         calls.append(args[-1])
         return expand(*args)
 
-    ir = build_irrep(10)
+    ir, ir_float = build_irrep(10), build_irrep(10, kind="float")
     gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
     monkeypatch.setattr(exact_module, "_product_terms", counted)
     top_weight_projector(ir, gen)
@@ -527,5 +550,9 @@ def test_top_weight_projector_product_count(monkeypatch):
     assert len(calls) <= 70
     calls.clear()
     out = find_rotation_with_top_component(ir, [0] * 10 + [1], seed=4)
+    assert out.found and out.samples_used >= 2
+    assert calls == []
+    # a float search reads the same continuant: no product either
+    out = find_rotation_with_top_component(ir_float, [0.0] * 10 + [1.0], seed=4)
     assert out.found and out.samples_used >= 2
     assert calls == []
