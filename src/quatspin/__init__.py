@@ -35,14 +35,13 @@ from .exact import (
     FLOAT_TOL,
     FLOAT_SCALAR_TOL,
 )
-from .sparse import SparseMatrix, matrix_type
+from .sparse import SparseMatrix
 from .clifford import (
     CliffordModel,
     build_clifford_model,
     corrupt_gamma,
     vector_action,
     basis_vector,
-    complex_vector,
 )
 from .quaternionic import (
     HyperkahlerTriple,

@@ -7,7 +7,9 @@ A = [[0, i], [i, 0]] and B = [[0, 1], [-1, 0]] (each squares to -1) in
 factor j, then identities.  Each is a phase times a permutation, so every
 matrix entry lies in {0, +1, -1, +i, -i}.  Both backends build each one
 by index arithmetic on the bits of the spinor index, as an exact
-SparseMatrix; the float model converts it with `to_float`.
+SparseMatrix; the float model converts it with `to_float`.  The generators
+are the only place the backend enters: a model's kind is read off them, and
+the vectors of R^{4m} are exact columns in both backends.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
 from .exact import fused_sum
-from .sparse import SparseMatrix, matrix_type
+from .sparse import SparseMatrix
 
 DEFAULT_MAX_M = 4
 MAX_M_ENV = "QUATSPIN_MAX_M"
@@ -61,21 +63,25 @@ def _generator_pair(pairs, j):
 
 @dataclass(frozen=True)
 class CliffordModel:
-    """A fixed matrix model: m, the 4m generators, and the backend kind."""
+    """A fixed matrix model: m and the 4m generators, whose backend is the model's."""
 
     m: int
     n: int
     spinor_dim: int
     gamma: tuple
-    kind: str
+
+    @property
+    def kind(self):
+        """The backend of the generators: "exact" or "float"."""
+        return self.gamma[0].kind
 
     def identity(self):
         """The spinor-space identity, in the model's backend."""
-        return matrix_type(self.kind).identity(self.spinor_dim)
+        return type(self.gamma[0]).identity(self.spinor_dim)
 
     def zeros(self):
         """The spinor-space zero, in the model's backend."""
-        return matrix_type(self.kind).zeros(self.spinor_dim, self.spinor_dim)
+        return type(self.gamma[0]).zeros(self.spinor_dim, self.spinor_dim)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -96,13 +102,13 @@ def build_clifford_model(m, kind="exact"):
     cap = resolved_max_m()
     if m > cap:
         raise ResourceLimitError(f"m={m} exceeds the cap {cap}; raise it via {MAX_M_ENV}")
-    matrix_type(kind)  # DomainError for an unknown backend
+    if kind not in ("exact", "float"):
+        raise DomainError(f"unknown backend kind {kind!r}")
     pairs = 2 * m
     gammas = [g for j in range(pairs) for g in _generator_pair(pairs, j)]
     if kind == "float":
         gammas = [g.to_float() for g in gammas]
-    return CliffordModel(m=m, n=4 * m, spinor_dim=2 ** (2 * m),
-                         gamma=tuple(gammas), kind=kind)
+    return CliffordModel(m=m, n=4 * m, spinor_dim=2 ** (2 * m), gamma=tuple(gammas))
 
 
 def corrupt_gamma(model, index):
@@ -115,27 +121,21 @@ def corrupt_gamma(model, index):
 
 
 def basis_vector(model, i):
-    """The i-th (0-based) standard basis vector of R^{4m} as a column."""
+    """The i-th (0-based) standard basis vector of R^{4m} as an exact column."""
     if not 0 <= i < model.n:
         raise DomainError(f"basis index {i} out of range 0..{model.n - 1}")
-    return matrix_type(model.kind).from_rows([[int(t == i)] for t in range(model.n)])
-
-
-def complex_vector(model, coeffs):
-    """Column vector in the complexified R^{4m} from a coefficient sequence."""
-    if len(coeffs) != model.n:
-        raise DimensionError(f"expected {model.n} coefficients, got {len(coeffs)}")
-    return matrix_type(model.kind).from_rows([[v] for v in coeffs])
+    return SparseMatrix.from_rows([[int(t == i)] for t in range(model.n)])
 
 
 def vector_action(model, v):
     """Clifford action of a (complexified) vector on the spinor space.
 
-    v is an n x 1 column; the result is sum_i v_i gamma_i, extended
-    C-linearly in the coefficients.
+    v is an exact n x 1 column (TypeError otherwise) in either backend; the
+    result is sum_i v_i gamma_i, extended C-linearly in the coefficients,
+    in the backend of the model's generators.
     """
-    if not isinstance(v, matrix_type(model.kind)):
-        raise TypeError("vector backend does not match the model backend")
+    if not isinstance(v, SparseMatrix):
+        raise TypeError(f"a vector of R^{{4m}} is an exact column, not {type(v).__name__}")
     if v.cols != 1 or v.rows != model.n:
         raise DimensionError(f"expected an {model.n}x1 coefficient column")
     terms = [(c, model.gamma[i]) for (i, _), c in v.nonzero_entries()]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, SpectrumError
 from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, fused_sum,
-                    lagrange_eigenprojectors, scalar_for)
+                    lagrange_eigenprojectors)
 from .clifford import CliffordModel
 from .quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_operators,
                            build_standard_triple)
@@ -96,7 +96,8 @@ def decompose(model, ops):
     """Split the spinor space into joint eigenblocks of (Kraines, Omega_1).
 
     Both marginal projector families are built by certified Lagrange
-    interpolation from the stated spectra.  The two operators must commute,
+    interpolation from the stated spectra, which are exact in both
+    backends.  The two operators must commute,
     so each block projector P_r P_k is idempotent and its trace is its rank;
     the blocks sum to (sum P_r)(sum P_k) = I, so the ranks sum to 4^m.  A
     failed certificate or commutator raises SpectrumError.  Every grid
@@ -111,8 +112,8 @@ def decompose(model, ops):
     k_values = [weight_eigenvalue(m, k) for k in range(2 * m + 1)]
     p_r = lagrange_eigenprojectors(ops.kraines, r_values)
     p_k = lagrange_eigenprojectors(ops[1], k_values)
-    r_proj = {r: p_r[scalar_for(ops.kraines, v)] for r, v in enumerate(r_values)}
-    k_proj = {k: p_k[scalar_for(ops[1], v)] for k, v in enumerate(k_values)}
+    r_proj = {r: p_r[v] for r, v in enumerate(r_values)}
+    k_proj = {k: p_k[v] for k, v in enumerate(k_values)}
 
     blocks = {}
     for r in range(m + 1):

@@ -9,15 +9,17 @@ expansion, one sort and one canonicalisation; a binary product, sum or
 difference is its smallest case.  Every
 exact matrix is a `quatspin.sparse.SparseMatrix`; `DenseMatrix` here is the
 float backend, one complex128 value per nonzero with tolerance-based zero
-tests.  `quatspin.sparse.matrix_type` maps a backend name to its class.
+tests.  A float matrix is only ever the `to_float` image of an exact
+spinor-space operator, or the result of operations on such images: the
+R^{4m} layer, the stated spectra and the so(3) generators are exact in
+both backends.
 
 Spectral projectors come from one Lagrange product, certified by its
 eigen-equation alone (see `lagrange_eigenprojectors`); the matrix class
-supplies the identity it starts from.
+supplies the identity it starts from, and the stated spectrum is exact.
 
 Callers hand exact scalars (int, Fraction, ExactScalar) to both backends and
-the float one converts them itself; `scalar_for` gives a backend's scalar
-type where a value serves as a key.
+the float one converts them itself.
 
 Float policy.  Exact arithmetic decides every check; the float backend only
 cross-checks it, so its tolerances follow complex128 round-off and no caller
@@ -453,13 +455,6 @@ class DenseMatrix(_Nonzeros):
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def from_rows(cls, entries):
-        rows, cols = _grid_shape(entries)
-        v = np.array([x.to_complex() if isinstance(x, ExactScalar) else complex(x)
-                      for r in entries for x in r], dtype=np.complex128)
-        return cls(rows, cols, np.arange(v.size, dtype=np.int64), v)
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, np.arange(n, dtype=np.int64) * (n + 1),
                    np.ones(n, dtype=np.complex128))
@@ -535,15 +530,6 @@ class DenseMatrix(_Nonzeros):
         return h.hexdigest()
 
 
-def scalar_for(matrix, value):
-    """Coerce a spectrum value to the matrix backend's scalar type."""
-    if matrix.kind == "float":
-        if isinstance(value, ExactScalar):
-            return value.to_complex()
-        return complex(value)
-    return ExactScalar.coerce(value)
-
-
 def lagrange_projector(a, lam, spectrum):
     """Uncertified Lagrange product prod_{mu != lam} (a - mu*I)/(lam - mu).
 
@@ -554,11 +540,12 @@ def lagrange_projector(a, lam, spectrum):
     a^2 formed once, since (a - mu I)(a + mu I) = a^2 - mu^2 I and polynomials
     in a commute.  The result is the same polynomial in a, so an exact result
     is the same canonical matrix; a symmetric spectrum of s values takes about
-    s/2 products instead of s - 2.
+    s/2 products instead of s - 2.  lam and the values are exact scalars
+    (TypeError otherwise), in either backend.
     """
-    lam = scalar_for(a, lam)
+    lam = ExactScalar.coerce(lam)
     ident = type(a).identity(a.rows)
-    others = [mu for mu in (scalar_for(a, v) for v in spectrum) if mu != lam]
+    others = [mu for mu in map(ExactScalar.coerce, spectrum) if mu != lam]
     factors, denominator, square = [], 1, None
     while others:
         mu = others.pop(0)
@@ -595,7 +582,9 @@ def lagrange_eigenprojectors(a, spectrum):
     1, so the P_i sum to I; L_i L_j (i != j) and L_i^2 - L_i vanish at every
     mu, so they are multiples of prod (x - mu): the P_i are idempotent and
     pairwise orthogonal.  Exact in the exact backend, to FLOAT_TOL in the float
-    one; a failure raises SpectrumError with the residual.  The argument
+    one; a failure raises SpectrumError with the residual.  The stated values
+    are exact scalars in both backends (TypeError otherwise) and key the
+    projectors as ExactScalar.  The argument
     reads P_lam only as the polynomial L_lam(a), so the grouping of its
     factors (the pairs +-mu that `lagrange_projector` multiplies as
     a^2 - mu^2 I) and the one scale at the end change the work, not the
@@ -603,7 +592,7 @@ def lagrange_eigenprojectors(a, spectrum):
     """
     if a.rows != a.cols:
         raise DimensionError("eigenprojectors need a square matrix")
-    values = [scalar_for(a, v) for v in spectrum]
+    values = [ExactScalar.coerce(v) for v in spectrum]
     if len(set(values)) != len(values):
         raise DomainError("spectrum values must be pairwise distinct")
     projectors = {}

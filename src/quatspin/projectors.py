@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .clifford import vector_action
 from .errors import DomainError, IdentityFailure
-from .exact import FLOAT_SCALAR_TOL, ExactScalar, fused_sum, scalar_for
+from .exact import FLOAT_SCALAR_TOL, ExactScalar, fused_sum
 from .quaternionic import build_adapted_basis
 from .report import CheckEntry, VerificationReport, residual_entry
 from .symmetry import vector_orbits
@@ -220,7 +220,7 @@ def compute_A(calc, r, k, variant):
     formed here.  Returns that scalar (ExactScalar, or complex in the float
     backend).  For r = 0 with a raising left factor
     the composition passes through the empty degree level; the right factor
-    is certified to annihilate the block and the scalar is 0.  A failed
+    is certified to annihilate the block and the scalar is the int 0.  A failed
     certificate raises IdentityFailure with its residual's largest entry.
     """
     blk = calc.world.dec.block(r, k)
@@ -238,7 +238,7 @@ def compute_A(calc, r, k, variant):
             if not image.is_zero():
                 raise IdentityFailure(
                     f"p_0^- does not annihilate block (r={r}, k={k})", image.max_abs())
-        return scalar_for(blk.projector, 0)
+        return 0
 
     return _restriction_scalar(calc.two_step(r, variant), blk)
 
@@ -289,7 +289,7 @@ def block_constants(calc):
                 computed = f"{got.real:.12g}"
             else:
                 ok = got == expect
-                resid = 0 if ok else float((got - expect).abs2()) ** 0.5
+                resid = 0 if ok else float(ExactScalar.coerce(got - expect).abs2()) ** 0.5
                 computed = str(got)
             rows.append(BlockConstant(blk.r, blk.k, variant, expect, computed, ok,
                                       "0" if ok else f"{float(resid):.3e}", note))

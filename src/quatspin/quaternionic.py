@@ -5,6 +5,8 @@ quaternion units on each R^4 factor, in a basis ordered so that
 e_{2j} = J_1 e_{2j-1} for every pair (adaptedness).  From it we build the
 Kaehler operators on the spinor space, their Kraines-type sum, and the
 isotropic adapted basis vectors f_j, fbar_j of the complexified R^{4m}.
+The triple and the adapted basis are exact in both backends; the operators
+on the spinor space are in the backend of the model's generators.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .clifford import basis_vector
 from .errors import DomainError
 from .exact import DenseMatrix, ExactScalar, fused_sum
-from .sparse import SparseMatrix, matrix_type
+from .sparse import SparseMatrix
 from .report import VerificationReport, residual_entry
 from .symmetry import generator_pair_orbits
 
@@ -54,14 +56,16 @@ class HyperkahlerTriple:
 
 
 def build_standard_triple(model):
-    """Blockwise quaternion left multiplication, adapted to the basis pairing."""
+    """Blockwise quaternion left multiplication, adapted to the basis pairing.
+
+    Exact n x n matrices whatever the model's backend."""
     n = model.n
     js = []
     for block in _J_BLOCKS:
         arr = np.zeros((n, n), dtype=np.int64)
         for t in range(model.m):
             arr[4 * t:4 * t + 4, 4 * t:4 * t + 4] = block
-        js.append(matrix_type(model.kind).from_rows(arr.tolist()))
+        js.append(SparseMatrix.from_rows(arr.tolist()))
     return HyperkahlerTriple(j=tuple(js))
 
 
@@ -145,7 +149,7 @@ def structure_report(world, symmetry=None):
     rep = VerificationReport()
     sub = f"m={model.m}"
     ident_s = model.identity()
-    ident_n = matrix_type(model.kind).identity(model.n)
+    ident_n = SparseMatrix.identity(model.n)
 
     g = model.gamma
     for (i, j), *derived in generator_pair_orbits(symmetry, world):

@@ -20,10 +20,10 @@ common denominator, with no matrix product: the continuant p_{r+1}(mu) is
 det(mu - H) scaled, and its vanishing at each of the r + 1 weights makes
 the characteristic polynomial prod (x - mu).  The top eigenvectors and the
 top-weight component come from the same numbers (see `_certified_bands` and
-`top_weight_projector`) for both kinds of irrep: a float irrep's
-coordinates are read exactly, on the exact irrep of its highest weight.
-The kinds differ only in their samplers, the coordinates they take, and
-what the search accepts.
+`top_weight_projector`).  The generators are exact for both kinds of
+irrep, and a float irrep's coordinates are read exactly: the kinds differ
+only in their samplers, the coordinates they take, and what the search
+accepts.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import DimensionError, DomainError, SpectrumError
 from .exact import ExactScalar, fused_sum
 from .quaternionic import epsilon
 from .report import VerificationReport, residual_entry
-from .sparse import SparseMatrix, _parts, matrix_type
+from .sparse import SparseMatrix, _parts
 
 _FIXED_QUATERNIONS = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 1, 1, 1))
 
@@ -53,8 +53,9 @@ TOP_COMPONENT_THRESHOLD = 1e-8
 class Irrep:
     """Irreducible representation of highest weight r on C^{r+1}.
 
-    `h` holds the three generators; indexing is 1-based to match the
-    subscripts H1, H2, H3.
+    `h` holds the three exact generators; indexing is 1-based to match the
+    subscripts H1, H2, H3.  `kind` names the search's sampler, the
+    coordinates it takes and its acceptance rule: "exact" or "float".
     """
 
     r: int
@@ -72,7 +73,7 @@ class Irrep:
         return [self.r - 2 * s for s in range(self.dim)]
 
 
-def _ladder(r, kind="exact"):
+def _ladder(r):
     """Raising/lowering pair: X v_s = s(r-s+1) v_{s-1}, Y v_s = v_{s+1}."""
     n = r + 1
     x = [[0] * n for _ in range(n)]
@@ -80,19 +81,24 @@ def _ladder(r, kind="exact"):
     for s in range(1, n):
         x[s - 1][s] = s * (r - s + 1)
         y[s][s - 1] = 1
-    cls = matrix_type(kind)
-    return cls.from_rows(x), cls.from_rows(y)
+    return SparseMatrix.from_rows(x), SparseMatrix.from_rows(y)
 
 
 def build_irrep(r, kind="exact"):
-    """Construct the highest-weight-r irreducible so(3) representation."""
+    """Construct the highest-weight-r irreducible so(3) representation.
+
+    The generators are exact for both kinds; `kind` ("exact" or "float",
+    DomainError otherwise) only selects how the rotation search samples
+    and what it accepts.
+    """
     if not isinstance(r, int) or r < 0:
         raise DomainError(f"highest weight must be a nonnegative integer, got {r}")
-    cls = matrix_type(kind)
+    if kind not in ("exact", "float"):
+        raise DomainError(f"unknown irrep kind {kind!r}")
     n = r + 1
-    h1 = cls.from_rows(
+    h1 = SparseMatrix.from_rows(
         [[r - 2 * s if s == t else 0 for t in range(n)] for s in range(n)])
-    x, y = _ladder(r, kind)
+    x, y = _ladder(r)
     h2 = x + y
     h3 = (x - y).scale(ExactScalar(0, -1))
     return Irrep(r=r, dim=n, kind=kind, h=(h1, h2, h3))
@@ -198,7 +204,7 @@ def rotated_generator(irrep, g):
     """Image of H1 under the rotation: sum_b g_{0b} H_{b+1}.
 
     Same spectrum as H1 for any valid rotation.  One fused combination of
-    the three generators, of either backend.
+    the three exact generators.
     """
     check_rotation(g)
     return fused_sum(terms=list(zip(g.row(0), irrep.h)))
@@ -321,10 +327,10 @@ def top_weight_projector(irrep, generator):
 
 
 def _entry_parts(kind, x):
-    """(re, im) of a coordinate in the backend's arithmetic.
+    """(re, im) of a coordinate, read as the irrep kind reads it.
 
-    TypeError for an entry the backend does not take, DomainError for a
-    float entry that is not finite.
+    TypeError for an entry the kind does not take (exact: int, Fraction or
+    ExactScalar only), DomainError for a float entry that is not finite.
     """
     if kind == "exact":
         return _parts(x)
@@ -337,23 +343,17 @@ def _entry_parts(kind, x):
 def _vector(irrep, v):
     """The coordinates, as a list, of a nonzero vector of the irrep's dimension.
 
-    v is a backend column, checked on its shape, or a coordinate sequence,
-    checked on its length; then every coordinate is read.  Raises
-    DimensionError for a wrong shape or length, DomainError for the zero
-    vector or a float coordinate that is not finite, and TypeError for a
-    column or an entry the irrep's backend does not take.
+    v is a coordinate sequence, checked on its length; then every
+    coordinate is read.  Raises DimensionError for a wrong length,
+    DomainError for the zero vector or a float coordinate that is not
+    finite, and TypeError for a matrix or an entry the irrep's kind does
+    not take.
     """
-    if isinstance(v, matrix_type(irrep.kind)):
-        if v.rows != irrep.dim or v.cols != 1:
-            raise DimensionError(
-                f"expected a {irrep.dim}x1 column, got {v.rows}x{v.cols}")
-        v = [v[i, 0] for i in range(irrep.dim)]
-    elif hasattr(v, "kind"):
-        raise TypeError("column backend does not match the irrep backend")
-    else:
-        v = list(v)
-        if len(v) != irrep.dim:
-            raise DimensionError(f"expected {irrep.dim} coordinates, got {len(v)}")
+    if hasattr(v, "kind"):
+        raise TypeError(f"coordinates are a sequence, not a {type(v).__name__}")
+    v = list(v)
+    if len(v) != irrep.dim:
+        raise DimensionError(f"expected {irrep.dim} coordinates, got {len(v)}")
     # a list, not a generator: every entry is read, so a wrong type raises
     if not any([re or im for re, im in (_entry_parts(irrep.kind, x) for x in v)]):
         raise DomainError("zero vector has no weight components")
@@ -377,8 +377,8 @@ def _top_weight_norm2(irrep, g, operand):
     """|P v|^2 for the top-weight projection P of the generator rotated by g.
 
     The Fraction |w|^2 |l . v|^2 / |l . w|^2 from the certified top
-    eigenvectors of an exact irrep, since P v = w (l . v) / (l . w); no
-    projector is built.
+    eigenvectors of the irrep's exact generators, since
+    P v = w (l . v) / (l . w); no projector is built.
     """
     den, coords = operand
     w, left = _top_eigenvectors(irrep, rotated_generator(irrep, g))
@@ -391,14 +391,14 @@ def _top_weight_norm2(irrep, g, operand):
 def highest_weight_component(irrep, g, v):
     """Magnitude |a_g^0| of v's component in the rotated top-weight space.
 
-    A float, the square root of the exact norm square, taken on the exact
-    irrep of the same highest weight.  The top-weight space of a non-normal
-    rotated generator need not be orthogonal to the lower ones, so this is
-    the norm of the (generally oblique) spectral projection of v.  A column
-    v must use the irrep's backend; TypeError otherwise.
+    A float, the square root of the exact norm square.  The top-weight space
+    of a non-normal rotated generator need not be orthogonal to the lower
+    ones, so this is the norm of the (generally oblique) spectral projection
+    of v, a coordinate sequence read as `find_rotation_with_top_component`
+    reads it.
     """
     operand = _operand(irrep, _vector(irrep, v))
-    return math.sqrt(float(_top_weight_norm2(build_irrep(irrep.r), g, operand)))
+    return math.sqrt(float(_top_weight_norm2(irrep, g, operand)))
 
 
 # ------------------------------------------------------------ rotation search
@@ -435,12 +435,11 @@ def random_vector(rng, dim, kind="float"):
 def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
     """First sampled rotation under which v has a nonzero top-weight part.
 
-    v is a coordinate sequence or a backend column.  A sequence is checked on
-    its coordinates (length, entry types, finite, not all zero) and raises
-    what its column would.  Sample 0 is always the identity.  The unrotated
-    H1 = diag(r, r-2, ...) keeps coordinate 0 on top, so that sample is
-    decided from v_0 alone, with no generator seeded; v's exact coordinates
-    and, for a float irrep, the exact irrep are formed only when sample 1 is
+    v is a coordinate sequence, checked on its length, entry types (exact
+    for an exact irrep), finiteness and not being all zero.  Sample 0 is
+    always the identity.  The unrotated H1 = diag(r, r-2, ...) keeps
+    coordinate 0 on top, so that sample is decided from v_0 alone, with no
+    generator seeded; v's exact coordinates are formed only when sample 1 is
     needed.  Later samples are rotations drawn by the kind's sampler from a
     generator seeded with (seed, r), so runs are reproducible, each judged
     by the exact norm from the certified top eigenvectors.  Acceptance is a
@@ -464,13 +463,11 @@ def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
     if accepted:
         return RotationSearch(True, g, mag, 1, seed)
     operand = _operand(irrep, v)
-    # an exact irrep serves itself; a float one reads the exact generators
-    gens = irrep if exact else build_irrep(irrep.r)
     best_mag, best_g = mag, g
     rng = np.random.default_rng([seed, irrep.r])
     for i in range(1, budget):
         g = random_rotation(rng, irrep.kind)
-        mag, accepted = judged(_top_weight_norm2(gens, g, operand))
+        mag, accepted = judged(_top_weight_norm2(irrep, g, operand))
         if accepted:
             return RotationSearch(True, g, mag, i + 1, seed)
         if mag > best_mag:

@@ -2,7 +2,9 @@
 
 `SparseMatrix` is the one exact kernel: the spinor-space operators of the
 Clifford layer, the 4m x 4m hyperkaehler triple, the 4m x 1 vectors and
-so(3)'s (r+1) x (r+1) rationals are all held this way.  A spinor-space
+so(3)'s (r+1) x (r+1) rationals are all held this way.  The last three are
+exact in the float backend too, whose matrices are only `to_float` images
+of spinor-space operators and what is computed from them.  A spinor-space
 operator is a sum of a few monomial matrices: a generator is a phase times
 a permutation, and at m = 4 the Kaehler operators, the Kraines form and
 every block projector keep at most 6 nonzeros in any row of 256.
@@ -21,7 +23,7 @@ denominator, add up to less than 2^63; past that bound it runs on Python
 ints, as it does for an operand that holds them.
 
 Only numpy is used: importing scipy.sparse would cost more than numpy
-itself in every run.  `matrix_type` maps a backend name to its class.
+itself in every run.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
 from .exact import (DenseMatrix, ExactScalar, _accumulate, _diagonal, _grid_shape, _joined,
                     _NO_KEYS, _Nonzeros, _position, _stacked_terms, _transpose_order)
 
@@ -333,14 +334,3 @@ class SparseMatrix(_Nonzeros):
             else:
                 h.update((",".join(map(str, arr.tolist())) + ";").encode())
         return h.hexdigest()
-
-
-_BACKENDS = {"exact": SparseMatrix, "float": DenseMatrix}
-
-
-def matrix_type(kind):
-    """The matrix class of a backend: SparseMatrix (exact) or DenseMatrix (float)."""
-    try:
-        return _BACKENDS[kind]
-    except KeyError:
-        raise DomainError(f"unknown backend kind {kind!r}") from None

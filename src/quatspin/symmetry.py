@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .exact import fused_sum
 from .report import CheckEntry, VerificationReport, residual_entry
-from .sparse import matrix_type
+from .sparse import SparseMatrix
 
 CHECK_ID = "line_symmetry"
 
@@ -119,8 +119,8 @@ def certify_line_symmetry(world):
       exactly in both backends; the residual counts the defects;
     - "unitary": S^H S = I;
     - "generators": S gamma_c = s_c gamma_{sigma(c)} S for every c, and the
-      signed permutation rho commutes with J_1, J_2, J_3 of the world's
-      triple;
+      signed permutation rho, an exact matrix in both backends, commutes
+      with J_1, J_2, J_3 of the world's triple;
     - "operators": S commutes with Omega_1, Omega_2, Omega_3 and the Kraines
       form of the world, and with dec.kraines and dec.omega1 when they are
       other objects (a decomposition stated for another generator list).
@@ -151,7 +151,7 @@ def certify_line_symmetry(world):
             grid[target][c] = sign
             generators.append((f"gamma_{c}", fused_sum(
                 [(1, s, model.gamma[c]), (-sign, model.gamma[target], s)])))
-        rho, j = matrix_type(model.kind).from_rows(grid), world.triple
+        rho, j = SparseMatrix.from_rows(grid), world.triple
         triple = [(f"J_{a}", fused_sum([(1, rho, j[a]), (-1, j[a], rho)])) for a in (1, 2, 3)]
         rep.add(_claims_entry(f"{name} generators", generators + triple))
         rep.add(_claims_entry(f"{name} operators", [

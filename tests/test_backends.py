@@ -1,11 +1,22 @@
-"""The exact and float backends must reach the same verdict on every check."""
+"""The exact and float backends must reach the same verdict on every check.
 
+Float is confined to the spinor-space operators: the R^{4m} layer (triple,
+adapted basis, line-lift signed permutations), the stated spectra and the
+so(3) generators are exact in both backends.
+"""
+
+import dataclasses
 import json
 import math
 
 import pytest
 
-from quatspin import cli
+from quatspin import cli, so3, symmetry
+from quatspin.clifford import build_clifford_model
+from quatspin.decomposition import build_world
+from quatspin.exact import DenseMatrix, _Nonzeros
+from quatspin.quaternionic import build_adapted_basis
+from quatspin.sparse import SparseMatrix
 
 
 def report_rows(argv, capsys):
@@ -42,3 +53,63 @@ def test_backends_give_the_same_failure_residuals(capsys):
         assert (e["residual"] == f["residual"]
                 or math.isclose(float(e["residual"]), float(f["residual"]),
                                 rel_tol=1e-9)), (e, f["residual"])
+
+
+def _matrices(obj):
+    """Every matrix reachable from obj through dataclass fields, tuples and dicts."""
+    if isinstance(obj, _Nonzeros):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        return [x for f in dataclasses.fields(obj) for x in _matrices(getattr(obj, f.name))]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [x for item in obj for x in _matrices(item)]
+    return []
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_float_lives_only_on_the_spinor_operators(m, monkeypatch):
+    world = build_world(build_clifford_model(m, kind="float"))
+    n, size = world.model.n, world.model.spinor_dim
+    assert all(isinstance(j, SparseMatrix) for j in world.triple.j)
+    basis = build_adapted_basis(world.model, world.triple)
+    assert all(isinstance(x, SparseMatrix) for x in basis.f + basis.f_bar)
+    # every matrix of the world is exact or a spinor-space operator
+    held = _matrices(world)
+    assert any(isinstance(x, DenseMatrix) for x in held)
+    for x in held:
+        assert isinstance(x, SparseMatrix) or (x.rows, x.cols) == (size, size)
+    # rho, the signed permutation of each lift, meets the triple in the
+    # "generators" claim of the certificate
+    rhos = []
+    fused_sum = symmetry.fused_sum
+
+    def spy(products=(), terms=()):
+        rhos.extend(a for _, a, b in products if any(b is j for j in world.triple.j))
+        return fused_sum(products, terms)
+
+    monkeypatch.setattr(symmetry, "fused_sum", spy)
+    certificate = symmetry.certify_line_symmetry(world)
+    assert certificate.ok
+    assert len(rhos) == 3 * len(certificate.lifts)
+    assert all(isinstance(rho, SparseMatrix) and (rho.rows, rho.cols) == (n, n)
+               for rho in rhos)
+
+
+def test_float_irreps_hold_exact_generators(monkeypatch):
+    irreps = {r: so3.build_irrep(r, kind="float") for r in range(6)}
+    for r, irrep in irreps.items():
+        assert all(isinstance(h, SparseMatrix) for h in irrep.h)
+        assert irrep.h == so3.build_irrep(r).h
+    # a float search past sample 0 reads the irrep it was given
+    calls = []
+    build = so3.build_irrep
+    monkeypatch.setattr(so3, "build_irrep",
+                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    for r, irrep in irreps.items():
+        if r:
+            out = so3.find_rotation_with_top_component(irrep, [0.0] * r + [1.0], seed=r)
+            assert out.found and out.samples_used >= 2
+            so3.highest_weight_component(irrep, out.rotation, [0.0] * r + [1.0])
+    assert calls == []

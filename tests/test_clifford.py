@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from quatspin.clifford import (
     MAX_M_ENV,
     basis_vector,
     build_clifford_model,
-    complex_vector,
     corrupt_gamma,
     vector_action,
 )
@@ -75,7 +75,7 @@ def test_isotropic_vector_squares_to_zero(model2):
     coeffs = [0] * model2.n
     coeffs[0] = ExactScalar(1)
     coeffs[1] = ExactScalar(0, 1)
-    a = vector_action(model2, complex_vector(model2, coeffs))
+    a = vector_action(model2, SparseMatrix.from_rows([[c] for c in coeffs]))
     assert (a @ a).is_zero()
 
 
@@ -84,7 +84,7 @@ def test_action_squares_to_minus_norm(model2):
     for _ in range(5):
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                   for _ in range(model2.n)]
-        v = complex_vector(model2, coeffs)
+        v = SparseMatrix.from_rows([[c] for c in coeffs])
         a = vector_action(model2, v)
         norm2 = sum(c * c for c in coeffs)
         ident = model2.identity()
@@ -141,3 +141,15 @@ def test_float_backend_model():
     assert isinstance(ident, DenseMatrix)
     for gi in model.gamma:
         assert (gi @ gi + ident).max_abs() <= 1e-12
+    # a vector is an exact column in both backends; its action is float
+    act = vector_action(model, basis_vector(model, 1).scale(ExactScalar(0, 2)))
+    assert isinstance(act, DenseMatrix)
+    assert act == model.gamma[1].scale(2j)
+
+
+def test_model_kind_is_read_off_the_generators():
+    exact = build_clifford_model(1)
+    assert exact.kind == "exact" and isinstance(exact.zeros(), SparseMatrix)
+    flt = replace(exact, gamma=tuple(g.to_float() for g in exact.gamma))
+    assert flt.kind == "float" and isinstance(flt.zeros(), DenseMatrix)
+    assert flt.content_hash() == build_clifford_model(1, kind="float").content_hash()

@@ -12,7 +12,6 @@ from quatspin.exact import (
     column_space_basis,
     lagrange_eigenprojectors,
     lagrange_projector,
-    scalar_for,
 )
 from quatspin.sparse import SparseMatrix
 
@@ -145,10 +144,10 @@ def test_eigenprojectors_reject_a_jordan_block():
 
 def sequential_lagrange(a, lam, spectrum):
     """Reference: one scaled factor (a - mu I)/(lam - mu) at a time, in order."""
-    lam = scalar_for(a, lam)
+    lam = ExactScalar.coerce(lam)
     ident = type(a).identity(a.rows)
     p = ident
-    for mu in (scalar_for(a, v) for v in spectrum):
+    for mu in map(ExactScalar.coerce, spectrum):
         if mu != lam:
             p = p @ (a - ident.scale(mu)).scale(1 / (lam - mu))
     return p
@@ -178,14 +177,19 @@ def test_lagrange_projector_matches_the_sequential_product():
 
 
 def test_lagrange_projector_float_matches_within_tolerance():
-    rng = np.random.default_rng(5)
-    a = DenseMatrix.from_rows((rng.standard_normal((4, 4))
-                               + 1j * rng.standard_normal((4, 4))).tolist())
-    for spectrum in ([3, 1, -1, -3], [2j, -2j, 1 + 1j, -1 - 1j, 0]):
+    # a float operator, its spectrum stated exactly as in the exact backend
+    a = rand_matrix(random.Random(5), 4, 4).to_float()
+    for spectrum in ([3, 1, -1, -3], LAGRANGE_SPECTRA[4]):
         for lam in spectrum:
             diff = (lagrange_projector(a, lam, spectrum)
                     - sequential_lagrange(a, lam, spectrum))
             assert diff.max_abs() <= FLOAT_TOL, (spectrum, lam)
+    # a complex value is no stated spectrum, in either backend
+    for b in (a, rand_matrix(random.Random(5), 4, 4)):
+        with pytest.raises(TypeError):
+            lagrange_projector(b, 2j, [2j, -2j])
+        with pytest.raises(TypeError):
+            lagrange_projector(b, 1, [1, 1j])
 
 
 def test_paired_projectors_still_reject_a_jordan_block_and_a_wrong_spectrum():
@@ -231,10 +235,15 @@ def test_eigenprojectors_nontrivial():
 
 
 def test_eigenprojectors_float_backend():
-    d = DenseMatrix.from_rows([[1, 0], [0, -1]])
+    d = SparseMatrix.from_rows([[1, 0], [0, -1]]).to_float()
     projs = lagrange_eigenprojectors(d, [1, -1])
-    p = projs[complex(1)]
-    assert (p - DenseMatrix.from_rows([[1, 0], [0, 0]])).max_abs() <= 1e-12
+    # keyed by the exact stated values, as in the exact backend
+    assert set(projs) == {ExactScalar(1), ExactScalar(-1)}
+    p = projs[ExactScalar(1)]
+    assert isinstance(p, DenseMatrix)
+    assert (p - SparseMatrix.from_rows([[1, 0], [0, 0]]).to_float()).max_abs() <= 1e-12
+    with pytest.raises(TypeError):
+        lagrange_eigenprojectors(d, [1 + 0j, -1 + 0j])
 
 
 def test_column_space_basis_exact():
@@ -267,7 +276,7 @@ def test_column_space_basis_of_projector():
 
 def test_column_space_basis_takes_exact_matrices_only():
     with pytest.raises(TypeError, match="exact"):
-        column_space_basis(DenseMatrix.from_rows([[1, 2], [2, 4]]))
+        column_space_basis(SparseMatrix.from_rows([[1, 2], [2, 4]]).to_float())
 
 
 def test_scaled_representation_invariance():

@@ -8,7 +8,9 @@ nonzero values, at strictly increasing positions inside the shape.
 Entries are small multiples of 1/4 with both parts nonzero only sometimes,
 so grids hold empty rows and columns, and every sum and product of them is
 exact in float64: results must equal the reference bit for bit, whatever
-the summation order.
+the summation order.  Operands are built as the float backend's matrices
+are, as `to_float` images of exact matrices (`dense`); a float entry is
+read exactly, so the conversion is exact too.
 """
 
 from fractions import Fraction
@@ -28,6 +30,13 @@ entries = st.builds(complex, parts, parts)
 dims = st.integers(1, 4)
 
 settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def dense(rows):
+    """The float matrix of a grid of complex entries, converted from the exact one."""
+    return SparseMatrix.from_rows(
+        [[ExactScalar(Fraction(x.real), Fraction(x.imag)) for x in map(complex, row)]
+         for row in rows]).to_float()
 
 
 def grid(rows, cols):
@@ -67,13 +76,13 @@ CORNERS = [
 def test_matmul_matches_reference(n, k, p, data):
     a = data.draw(grid(n, k))
     b = data.draw(grid(k, p))
-    check(DenseMatrix.from_rows(a) @ DenseMatrix.from_rows(b), np.array(a) @ np.array(b))
+    check(dense(a) @ dense(b), np.array(a) @ np.array(b))
 
 
 @pytest.mark.parametrize("a", CORNERS)
 def test_corner_grids_match_reference(a):
     ref = np.asarray(a, dtype=np.complex128)
-    m = DenseMatrix.from_rows(a)
+    m = dense(a)
     check(m, ref)
     check(m @ m.hermitian(), ref @ ref.conj().T)
     check(m.transpose() @ m, ref.T @ ref)
@@ -88,16 +97,16 @@ def test_terms_that_all_land_on_empty_rows():
     # product forms no term at all
     a = [[1, 0], [2j, 0], [0, 0]]
     b = [[0, 0, 0], [5, 0, -1j]]
-    check(DenseMatrix.from_rows(a) @ DenseMatrix.from_rows(b), np.array(a) @ np.array(b))
+    check(dense(a) @ dense(b), np.array(a) @ np.array(b))
     # and the same with the operands' roles reversed
-    check(DenseMatrix.from_rows([[0, 4]]) @ DenseMatrix.from_rows([[1j], [0]]), [[0]])
+    check(dense([[0, 4]]) @ dense([[1j], [0]]), [[0]])
 
 
 @settings
 @hypothesis.given(dims, dims, dims, st.data())
 def test_all_zero_operands(n, k, p, data):
-    a = DenseMatrix.from_rows(data.draw(grid(n, k)))
-    b = DenseMatrix.from_rows(data.draw(grid(k, p)))
+    a = dense(data.draw(grid(n, k)))
+    b = dense(data.draw(grid(k, p)))
     za, zb = DenseMatrix.zeros(n, k), DenseMatrix.zeros(k, p)
     zero = np.zeros((n, p))
     check(za @ b, zero)
@@ -113,7 +122,7 @@ def test_all_zero_operands(n, k, p, data):
 def test_add_sub_and_negation_match_reference(pair):
     a, b = pair
     ra, rb = np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128)
-    da, db = DenseMatrix.from_rows(a), DenseMatrix.from_rows(b)
+    da, db = dense(a), dense(b)
     check(da + db, ra + rb)
     check(da - db, ra - rb)
     check(-da, -ra)
@@ -124,7 +133,7 @@ def test_add_sub_and_negation_match_reference(pair):
 @hypothesis.given(grids(), parts, parts)
 def test_scale_matches_reference(single, re, im):
     (a,) = single
-    ref, m = np.array(a, dtype=np.complex128), DenseMatrix.from_rows(a)
+    ref, m = np.array(a, dtype=np.complex128), dense(a)
     s = complex(re, im)
     check(m.scale(s), ref * s)
     exact = ExactScalar(Fraction(re), Fraction(im))
@@ -136,7 +145,7 @@ def test_scale_matches_reference(single, re, im):
 @hypothesis.given(grids())
 def test_entries_trace_and_norms_match_reference(single):
     (a,) = single
-    ref, m = np.array(a, dtype=np.complex128), DenseMatrix.from_rows(a)
+    ref, m = np.array(a, dtype=np.complex128), dense(a)
     assert all(m[i, j] == ref[i, j] for i in range(m.rows) for j in range(m.cols))
     with pytest.raises(IndexError):
         m[m.rows, 0]
@@ -155,24 +164,10 @@ def test_entries_trace_and_norms_match_reference(single):
 @hypothesis.given(grids())
 def test_transpose_and_hermitian_match_reference(single):
     (a,) = single
-    ref, m = np.array(a, dtype=np.complex128), DenseMatrix.from_rows(a)
+    ref, m = np.array(a, dtype=np.complex128), dense(a)
     check(m.transpose(), ref.T)
     check(m.hermitian(), ref.conj().T)
     assert m.transpose().transpose() == m
-
-
-@settings
-@hypothesis.given(grids())
-def test_from_rows_matches_reference(single):
-    (a,) = single
-    ref = np.array(a, dtype=np.complex128)
-    # the same entries as exact scalars, and the exact matrix converted
-    exact = [[ExactScalar(Fraction(x.real), Fraction(x.imag)) for x in row] for row in a]
-    check(DenseMatrix.from_rows(exact), ref)
-    check(SparseMatrix.from_rows(exact).to_float(), ref)
-    assert DenseMatrix.from_rows(exact) == DenseMatrix.from_rows(a)
-    assert (DenseMatrix.from_rows(exact).fingerprint()
-            == DenseMatrix.from_rows(a).fingerprint())
 
 
 @pytest.mark.parametrize("tol", [FLOAT_TOL, 1e-12, 0.25])
@@ -181,7 +176,7 @@ def test_is_zero_reads_the_stored_values_against_tol(tol):
     below, above = np.nextafter(tol, 0), np.nextafter(tol, 1)
     for entry, within in ((below, True), (tol, True), (above, False)):
         for sign in (1, -1, 1j, -1j):
-            m = DenseMatrix.from_rows([[0, 0], [0, sign * entry]])
+            m = dense([[0, 0], [0, sign * entry]])
             assert (m.max_abs() <= tol) == within
             assert m.max_abs() == entry
             assert m.is_zero() == (entry <= FLOAT_TOL)
@@ -191,22 +186,24 @@ def test_is_zero_reads_the_stored_values_against_tol(tol):
 @pytest.mark.parametrize("cols, norm2", [(1, 0.8125), (64, 52.0)])
 def test_frobenius_norm2_does_not_round_through_the_modulus(cols, norm2):
     # squaring the rounded modulus |0.75 - 0.5j| gives 0.8125000000000001
-    assert DenseMatrix.from_rows([[0.75 - 0.5j] * cols]).frobenius_norm2() == norm2
+    assert dense([[0.75 - 0.5j] * cols]).frobenius_norm2() == norm2
 
 
 def test_signed_zeros_hash_equal():
-    plus = DenseMatrix.from_rows([[complex(1, 0.0), 0]])
-    minus = DenseMatrix.from_rows([[complex(1, -0.0), -0.0]])
+    key = np.arange(2, dtype=np.int64)
+    plus = DenseMatrix(1, 2, key, np.array([complex(1, 0.0), 0]))
+    minus = DenseMatrix(1, 2, key, np.array([complex(1, -0.0), -0.0]))
     assert plus == minus and plus.fingerprint() == minus.fingerprint()
     assert plus.fingerprint() != plus.scale(-1).fingerprint()
 
 
 def test_ragged_rows_and_mixed_backends_are_refused():
+    # a float matrix is built from the exact one, which refuses ragged rows
     with pytest.raises(DimensionError):
-        DenseMatrix.from_rows([[1, 2], [3]])
+        dense([[1, 2], [3]])
     with pytest.raises(DimensionError):
-        DenseMatrix.from_rows([[1], [2, 3]])
-    d, s = DenseMatrix.from_rows([[1, 2j], [0, 3]]), SparseMatrix.from_rows([[1, 2], [0, 3]])
+        dense([[1], [2, 3]])
+    d, s = dense([[1, 2j], [0, 3]]), SparseMatrix.from_rows([[1, 2], [0, 3]])
     for op in (lambda: d @ s, lambda: s @ d, lambda: d + s, lambda: s + d,
                lambda: d - s, lambda: s - d):
         with pytest.raises(TypeError):

@@ -26,6 +26,14 @@ residuals, never through an error:
   even element in an odd slot: it must fail those commutators, the
   neighbour rows, Clifford anticommutation and the rotated anticommutation
   of the adapted basis.
+
+A third control corrupts the triple instead: J_2 -> -J_2, with the Kaehler
+operators rebuilt from the corrupted triple, over the standard model and
+decomposition, at m = 1 and 2 in both backends.  J_1 J_2 = J_3 no longer
+holds, so the quaternion relations, the commutator table of the Omega_a,
+the sl2 relations and the mixed product sums, which reproduce Omega_2 and
+Omega_3 from the adapted basis, must fail, with the same verdict on every
+row in both backends.
 """
 
 import json
@@ -37,7 +45,8 @@ import pytest
 
 from quatspin import cli
 from quatspin.clifford import build_clifford_model
-from quatspin.decomposition import build_world
+from quatspin.decomposition import World, build_world
+from quatspin.quaternionic import HyperkahlerTriple, build_kaehler_operators
 
 WITNESS_FAMILIES = {"clifford_four_fold_split", "block_projector_eigen",
                     "k_shift_projection", "block_constant_match",
@@ -94,6 +103,33 @@ def test_product_substitution_fails_with_witnesses(m, index, backend):
     for e in failures:
         assert float(e.residual) > 0, e
     assert SUBSTITUTION_FAMILIES <= {e.check_id for e in failures}
+
+
+TRIPLE_FAMILIES = {"quaternion_relations", "kaehler_commutators", "sl2_relations",
+                   "mixed_product_kaehler_form"}
+
+
+def _flipped_j2_report(m, backend):
+    """The world report with J_2 sign-flipped and its operators rebuilt."""
+    standard = build_world(build_clifford_model(m, kind=backend))
+    j1, j2, j3 = standard.triple.j
+    triple = HyperkahlerTriple(j=(j1, -j2, j3))
+    world = World(standard.model, triple,
+                  build_kaehler_operators(standard.model, triple), standard.dec)
+    return cli.world_report(world)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_flipped_j2_fails_in_both_backends_alike(m):
+    reports = {backend: _flipped_j2_report(m, backend) for backend in ("exact", "float")}
+    for report in reports.values():
+        failures = report.failures()
+        for e in failures:
+            assert float(e.residual) > 0, e
+        assert TRIPLE_FAMILIES <= {e.check_id for e in failures}
+    verdicts = [[(e.check_id, e.subject, e.status) for e in report.sorted_entries()]
+                for report in reports.values()]
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
