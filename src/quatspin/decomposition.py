@@ -3,9 +3,10 @@
 The Kraines-type operator and the first Kaehler operator commute, so the
 spinor space splits into joint eigenblocks S_r^k indexed by r in 0..m
 (eigenvalue 6m - 4r(r+2)) and k in 0..2m (eigenvalue i(2m - 2k)).  A block
-can be nonzero only when (k + r - m)/2 is an integer in 0..r.  Each block
-projector is the product of two certified Lagrange projectors, one per
-operator; their dimension is the projector's trace.
+can be nonzero only when (k + r - m)/2 is an integer in 0..r.  The weight
+projectors are a certified Lagrange family of Omega_1; on each weight space
+the block projectors are one of Kraines over the allowed levels alone.  A
+block's dimension is its projector's trace.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class Block:
 class JointDecomposition:
     """The blocks S_r^k, and the level (r) and weight (k) projector families.
 
-    r_projectors and k_projectors are the certified Lagrange polynomials of
-    `kraines` and `omega1`, the operators they were built from.
+    k_projectors is the certified Lagrange family of `omega1`, the blocks of
+    weight k that of `kraines` within P_k, and r_projectors[r] the sum of
+    the blocks of level r; `kraines` and `omega1` built them.
     """
 
     m: int
@@ -95,34 +97,39 @@ def _integer_trace(p):
 def decompose(model, ops):
     """Split the spinor space into joint eigenblocks of (Kraines, Omega_1).
 
-    Both marginal projector families are built by certified Lagrange
-    interpolation from the stated spectra, which are exact in both
-    backends.  The two operators must commute,
-    so each block projector P_r P_k is idempotent and its trace is its rank;
-    the blocks sum to (sum P_r)(sum P_k) = I, so the ranks sum to 4^m.  A
-    failed certificate or commutator raises SpectrumError.  Every grid
-    position is stored, absent blocks with dim 0.
+    The weight projectors P_k are the certified Lagrange family of Omega_1;
+    the blocks P_{r,k} of weight k are that of Kraines K within P_k, over
+    the levels lattice_allows admits, and P_r = sum_k P_{r,k}.  Both
+    spectra are exact in both backends.
+
+    K and Omega_1 must commute, so P_k, a polynomial in Omega_1, commutes
+    with K.  One eigen-equation (K - omega_r) P_{r,k} = 0 per lattice block
+    gives prod_allowed (K - omega) P_k = 0: K restricted to S^k is
+    diagonalizable with spectrum inside the lattice set, and the P_{r,k}
+    are its spectral projectors, idempotent, pairwise orthogonal and
+    summing to P_k.  So the lattice rule is certified, a block's trace is
+    its rank, and as the P_k sum to I the ranks sum to 4^m.  A failed
+    certificate or commutator raises SpectrumError.  Every grid position is stored, an off-lattice
+    block as the zero matrix.
     """
     m = model.m
     commutator = fused_sum([(1, ops.kraines, ops[1]), (-1, ops[1], ops.kraines)])
     if not commutator.is_zero():
         raise SpectrumError("Kraines form and Omega_1 do not commute "
                             f"(residual {commutator.max_abs():.3e})")
-    r_values = [omega_eigenvalue(m, r) for r in range(m + 1)]
-    k_values = [weight_eigenvalue(m, k) for k in range(2 * m + 1)]
-    p_r = lagrange_eigenprojectors(ops.kraines, r_values)
-    p_k = lagrange_eigenprojectors(ops[1], k_values)
-    r_proj = {r: p_r[v] for r, v in enumerate(r_values)}
-    k_proj = {k: p_k[v] for k, v in enumerate(k_values)}
-
-    blocks = {}
-    for r in range(m + 1):
-        for k in range(2 * m + 1):
-            proj = r_proj[r] @ k_proj[k]
-            dim = _integer_trace(proj)
-            blocks[(r, k)] = Block(r=r, k=k, dim=dim, projector=proj,
+    weights = [weight_eigenvalue(m, k) for k in range(2 * m + 1)]
+    k_proj = dict(enumerate(lagrange_eigenprojectors(ops[1], weights).values()))
+    zero, blocks = model.zeros(), {}
+    for k, weight in k_proj.items():
+        allowed = [omega_eigenvalue(m, r) for r in range(m + 1) if lattice_allows(m, r, k)]
+        levels = lagrange_eigenprojectors(ops.kraines, allowed, within=weight)
+        for r in range(m + 1):
+            proj = levels.get(omega_eigenvalue(m, r), zero)
+            blocks[(r, k)] = Block(r=r, k=k, dim=_integer_trace(proj), projector=proj,
                                    omega_eig=omega_eigenvalue(m, r),
                                    weight_im=2 * m - 2 * k)
+    r_proj = {r: fused_sum(terms=[(1, blocks[(r, k)].projector) for k in k_proj])
+              for r in range(m + 1)}
     return JointDecomposition(m=m, spinor_dim=model.spinor_dim, blocks=blocks,
                               kraines=ops.kraines, omega1=ops[1],
                               r_projectors=r_proj, k_projectors=k_proj)
@@ -180,8 +187,8 @@ def decomposition_report(world, symmetry=None):
 
     Together the two claims are exactly the joint one, g P_{r,k} =
     sum_{nonzero d = (r+-1, k+-1)} P_d g P_{r,k} on every nonzero block.
-    The families commute (decompose certifies that the operators do), so
-    P_{r,k} = P_r P_k = P_k P_r, and a block of dimension 0 is exactly
+    The families are polynomials in two operators that decompose certifies
+    to commute, so P_{r,k} = P_r P_k = P_k P_r, and a block of dimension 0 is exactly
     zero (an idempotent of trace 0), so N_r N_k is the sum of the nonzero
     joint neighbor projectors.  Marginal to joint: g P_{r,k} = N_r g P_r P_k
     = N_r g P_k P_r = N_r N_k g P_{r,k}.  Joint to marginal: by the joint

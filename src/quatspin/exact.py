@@ -15,8 +15,9 @@ R^{4m} layer, the stated spectra and the so(3) generators are exact in
 both backends.
 
 Spectral projectors come from one Lagrange product, certified by its
-eigen-equation alone (see `lagrange_eigenprojectors`); the matrix class
-supplies the identity it starts from, and the stated spectrum is exact.
+eigen-equation alone (see `lagrange_eigenprojectors`); it starts from a
+projector commuting with the operator (by default the identity of the
+matrix class), and the stated spectrum is exact.
 
 Callers hand exact scalars (int, Fraction, ExactScalar) to both backends and
 the float one converts them itself.
@@ -530,38 +531,24 @@ class DenseMatrix(_Nonzeros):
         return h.hexdigest()
 
 
-def lagrange_projector(a, lam, spectrum):
-    """Uncertified Lagrange product prod_{mu != lam} (a - mu*I)/(lam - mu).
+def lagrange_projector(a, lam, spectrum, within=None):
+    """Uncertified Lagrange product W prod_{mu != lam} (a - mu*I)/(lam - mu).
 
-    The projector for lam (I if lam is the only value) if the distinct values
-    `spectrum` hold the whole spectrum of `a`; certify_eigenprojector checks that.
-    The product is formed unscaled and divided once by prod (lam - mu).  A
-    pair +-mu of the other values enters as the one factor a^2 - mu^2 I, with
-    a^2 formed once, since (a - mu I)(a + mu I) = a^2 - mu^2 I and polynomials
-    in a commute.  The result is the same polynomial in a, so an exact result
-    is the same canonical matrix; a symmetric spectrum of s values takes about
-    s/2 products instead of s - 2.  lam and the values are exact scalars
-    (TypeError otherwise), in either backend.
+    W = `within` is a projector commuting with `a` (I by default).  The
+    result is the projector for lam on the range of W (W itself if lam is
+    the only value) if the distinct values `spectrum` hold the whole
+    spectrum of `a` there; certify_eigenprojector checks that.  The product
+    starts from W, takes one factor at a time, p (a - mu I) as one fused
+    sum, and is divided once by prod (lam - mu).  lam and the values are
+    exact scalars (TypeError otherwise), in either backend.
     """
     lam = ExactScalar.coerce(lam)
-    ident = type(a).identity(a.rows)
-    others = [mu for mu in map(ExactScalar.coerce, spectrum) if mu != lam]
-    factors, denominator, square = [], 1, None
-    while others:
-        mu = others.pop(0)
-        if -mu in others:
-            others.remove(-mu)
-            square = a @ a if square is None else square
-            factors.append(square - ident.scale(mu * mu))
-            denominator *= lam * lam - mu * mu
-        else:
-            factors.append(a - ident.scale(mu))
+    p = type(a).identity(a.rows) if within is None else within
+    denominator = ExactScalar(1)
+    for mu in map(ExactScalar.coerce, spectrum):
+        if mu != lam:
+            p = fused_sum([(1, p, a)], [(-mu, p)])
             denominator *= lam - mu
-    if not factors:
-        return ident
-    p = factors[0]
-    for f in factors[1:]:
-        p = p @ f
     return p.scale(1 / denominator)
 
 
@@ -573,31 +560,31 @@ def certify_eigenprojector(a, lam, p):
             f"eigen-equation fails for {lam} (residual {residual.max_abs():.3e})")
 
 
-def lagrange_eigenprojectors(a, spectrum):
+def lagrange_eigenprojectors(a, spectrum, within=None):
     """Certified spectral projectors {lam: P_lam} for a stated spectrum.
 
-    Each Lagrange product P_lam is certified by its eigen-equation
-    (a - lam*I) P_lam = 0, i.e. prod_mu (a - mu*I) = 0: the true spectrum lies
-    in the stated one.  The rest follows.  The Lagrange polynomials L_i sum to
-    1, so the P_i sum to I; L_i L_j (i != j) and L_i^2 - L_i vanish at every
-    mu, so they are multiples of prod (x - mu): the P_i are idempotent and
-    pairwise orthogonal.  Exact in the exact backend, to FLOAT_TOL in the float
-    one; a failure raises SpectrumError with the residual.  The stated values
-    are exact scalars in both backends (TypeError otherwise) and key the
-    projectors as ExactScalar.  The argument
-    reads P_lam only as the polynomial L_lam(a), so the grouping of its
-    factors (the pairs +-mu that `lagrange_projector` multiplies as
-    a^2 - mu^2 I) and the one scale at the end change the work, not the
-    matrix that is certified.
+    P_lam = W L_lam(a): L_lam is the Lagrange polynomial of lam over the
+    stated values and W = `within` a projector commuting with `a` (I by
+    default).  Each P_lam is certified by its eigen-equation
+    (a - lam*I) P_lam = 0, i.e. W prod_mu (a - mu*I) = 0: on the range of
+    W the spectrum of a lies in the stated one.  The rest follows.  The L_i
+    sum to 1, so the P_i sum to W; L_i L_j (i != j) and L_i^2 - L_i are
+    multiples of prod (x - mu), so the P_i are idempotent and pairwise
+    orthogonal.  With two or more values the certificates give
+    a W = sum lam P_lam = W a, so they fail for a W that does not commute
+    with a.  Exact in the exact backend, to FLOAT_TOL in the float one; a
+    failure raises SpectrumError with the residual.  The values are exact
+    scalars (TypeError otherwise), one or more and pairwise distinct
+    (DomainError otherwise), and key the projectors as ExactScalar.
     """
     if a.rows != a.cols:
         raise DimensionError("eigenprojectors need a square matrix")
     values = [ExactScalar.coerce(v) for v in spectrum]
-    if len(set(values)) != len(values):
-        raise DomainError("spectrum values must be pairwise distinct")
+    if not values or len(set(values)) != len(values):
+        raise DomainError("a stated spectrum needs one or more pairwise distinct values")
     projectors = {}
     for lam in values:
-        p = lagrange_projector(a, lam, values)
+        p = lagrange_projector(a, lam, values, within)
         certify_eigenprojector(a, lam, p)
         projectors[lam] = p
     return projectors

@@ -331,10 +331,10 @@ def verify_lemma_identities(calc, symmetry=None):
     lie in S_{r+s}^{k-1} and p_r^s(fbar_j) P_{r,k} in S_{r+s}^{k+1}.  The
     pieces add up to the action because p_r^+ + p_r^- = a by construction.
 
-    The degree- and weight-shift rows add up the same pieces.  Each
-    Lagrange projector family sums to I exactly (the interpolation
-    polynomials sum to 1), so P_r = sum_k P_r P_k and P_k = sum_r P_r P_k,
-    and a block of dimension 0 is exactly zero (an idempotent of trace 0),
+    The degree- and weight-shift rows add up the same pieces.  The blocks
+    sum to P_k = sum_r P_{r,k} (a Lagrange family within P_k) and to P_r =
+    sum_k P_{r,k} (decompose's sum), so sum_r P_r = sum_k P_k = I; a block
+    of dimension 0 is exactly zero (an idempotent of trace 0),
     so only the nonzero blocks are read, as pieces and as targets.  Thus
     p_r^s(u_j) P_r is the sum of the pieces at level r, and a(u_j) P_k
     the sum over r and s of the pieces at weight k: exactly in the exact

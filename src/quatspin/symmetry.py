@@ -21,8 +21,8 @@ parity of c, so rho f_j = s f_{pi(j)} and rho fbar_j = s fbar_{pi(j)} with
 pi(j) = sigma(2j)/2 and s = s_{2j}; S therefore conjugates a(u_j),
 a(J_a u_j) and J(u_j) to s times the same operators of u_{pi(j)}.  S also
 commutes with the Kaehler operators the rows read and with the two
-operators whose Lagrange polynomials are the projectors of the
-decomposition, so it fixes every other factor of a row.  A per-vector
+operators of whose polynomials the decomposition's projectors are built,
+so it fixes every other factor of a row.  A per-vector
 residual of the lemma suite is then R_{pi(j)} = +-S R_j S^H, a
 per-generator residual of decomposition_report R_{sigma(c)} = +-S R_c S^H,
 and a generator-pair residual of structure_report, gamma_i gamma_j +

@@ -376,6 +376,14 @@ def test_each_command_builds_one_world_per_m(argv, expect, world_work, capsys):
      "973757c06a10f2543a4b7d3c5d7de6b5c413de96778286676de15d01d1c99ae8"),
     (["so3-check", "--backend", "exact", "--max-r", "10", "--trials", "120", "--seed", "1"],
      "0227fe4a7c1c653cfe1f8a55a93bbf25f090831f733fb0814a3cdfb98fb546f5"),
+    # the benchmark's commands that read the decomposition
+    (["decompose", "--m", "4"],
+     "fe9b63463608781cadcb2f8607427b14b00974520be2b44d996807dc5735dd3e"),
+    (["verify", "--m", "3"],
+     "bb5a7fcf9380c05341fa1ba7f6ff1c83d1934bfd907be6d9f2611ac129aef931"),
+    # failing float residuals: the digits a reordered float product could move
+    (["verify", "--m", "3", "--flip-gamma", "7", "--backend", "float"],
+     "1464281e19a3432919a5512d7bb4ed4f8c1ffd3a4f8aa687941cf1f9e59ea37b"),
 ])
 def test_canonical_json_is_pinned(argv, digest, capsys):
     # the SHA-256 of the default-option canonical JSON, fixed so that a

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from quatspin import cli, decomposition
+from quatspin import exact as exact_module
 from quatspin.clifford import build_clifford_model, corrupt_gamma
 from quatspin.decomposition import (
     build_world,
@@ -15,10 +17,12 @@ from quatspin.decomposition import (
 )
 from quatspin.errors import DomainError, SpectrumError
 from quatspin.exact import (
+    FLOAT_TOL,
     ExactScalar,
     column_space_basis,
     lagrange_eigenprojectors,
 )
+from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
 
 
 def _world(m, kind="exact"):
@@ -129,10 +133,10 @@ def test_marginal_families_are_complete_and_orthogonal(m, kind):
 
 
 class _SwappedOps:
-    """Kaehler operators with Omega_1 replaced by another operator."""
+    """Kaehler operators with Omega_1 or Kraines replaced by another operator."""
 
-    def __init__(self, real, omega1):
-        self.kraines = real.kraines
+    def __init__(self, real, omega1, kraines=None):
+        self.kraines = real.kraines if kraines is None else kraines
         self._omegas = (omega1, real[2], real[3])
 
     def __getitem__(self, a):
@@ -157,6 +161,88 @@ def test_decompose_rejects_a_noncommuting_omega1(world1, world2):
     model, ops = world1.model, world1.ops
     conj = _conjugated_omega1(model, ops)
     assert (ops.kraines @ conj - conj @ ops.kraines).is_zero()
+
+
+def test_decompose_rejects_a_kraines_coupling_two_weights(world2):
+    # the single-level weights S^0 and S^2m would certify on their own, so
+    # only the commutator sees a Kraines form that moves weight
+    model, ops, dec = world2.model, world2.ops, world2.dec
+    coupled = ops.kraines + model.gamma[0].scale(ExactScalar(0, 1))
+    assert coupled == coupled.hermitian()
+    k_proj = dec.k_projectors
+    assert any(not (k_proj[j] @ coupled @ k_proj[k]).is_zero()
+               for j in k_proj for k in k_proj if j != k)
+    with pytest.raises(SpectrumError, match="do not commute"):
+        decompose(model, _SwappedOps(ops, ops[1], kraines=coupled))
+
+
+def _operators(m, kind="exact"):
+    model = build_clifford_model(m, kind=kind)
+    return model, build_kaehler_operators(model, build_standard_triple(model))
+
+
+def _full_space_reference(model, ops):
+    """The full-space construction, kept as the reference: Kraines' Lagrange
+    family over every level and Omega_1's, and the blocks P_r P_k."""
+    m = model.m
+    levels = lagrange_eigenprojectors(ops.kraines, [omega_eigenvalue(m, r) for r in range(m + 1)])
+    weights = lagrange_eigenprojectors(ops[1], [weight_eigenvalue(m, k)
+                                                for k in range(2 * m + 1)])
+    r_proj, k_proj = dict(enumerate(levels.values())), dict(enumerate(weights.values()))
+    blocks = {(r, k): r_proj[r] @ k_proj[k] for r in r_proj for k in k_proj}
+    return blocks, r_proj, k_proj
+
+
+@pytest.mark.parametrize("m, kind", [*((m, "exact") for m in range(1, 6)),
+                                     *((m, "float") for m in range(1, 4))])
+def test_weight_space_blocks_equal_the_full_space_products(m, kind, monkeypatch):
+    # every block, level and weight projector is the full-space product's:
+    # the same canonical matrix exactly, within FLOAT_TOL in float
+    monkeypatch.setenv("QUATSPIN_MAX_M", "5")
+    model, ops = _operators(m, kind)
+    dec = decompose(model, ops)
+    blocks, r_proj, k_proj = _full_space_reference(model, ops)
+    pairs = [*((dec.blocks[key].projector, p) for key, p in blocks.items()),
+             *((dec.r_projectors[r], p) for r, p in r_proj.items()),
+             *((dec.k_projectors[k], p) for k, p in k_proj.items())]
+    assert len(pairs) == (m + 1) * (2 * m + 1) + 3 * m + 2
+    for got, want in pairs:
+        if kind == "exact":
+            assert got == want
+        else:
+            assert (got - want).max_abs() <= FLOAT_TOL
+
+
+def test_a_dropped_lattice_level_fails_its_weight(world2, monkeypatch, capsys):
+    # S^2 at m = 2 holds the levels r = 0 and 2 (Kraines 12 and -20).
+    # Stated without r = 0, the one projector left on S^2 is P_2 itself,
+    # and its eigen-equation for -20 fails on the missing level
+    allows = decomposition.lattice_allows
+    monkeypatch.setattr(decomposition, "lattice_allows",
+                        lambda m, r, k: (r, k) != (0, 2) and allows(m, r, k))
+    with pytest.raises(SpectrumError, match=r"^eigen-equation fails for -20 \("):
+        decompose(world2.model, world2.ops)
+    assert cli.main(["decompose", "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: eigen-equation fails for -20 \(residual [^)]*\)\n", err)
+
+
+def test_decompose_work_at_m4(monkeypatch):
+    # the term expansions (exact._product_terms) and duplicate sums
+    # (exact._sum_duplicates) of one decompose at m = 4, a guard free of
+    # timing: the full-space Kraines family and the (m+1)(2m+1) products
+    # P_r P_k made 119 and 122
+    calls = {"_product_terms": 0, "_sum_duplicates": 0}
+    model, ops = _operators(4)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(exact_module, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(exact_module, name, counted)
+    decompose(model, ops)
+    assert calls["_product_terms"] <= 111
+    assert calls["_sum_duplicates"] <= 70
 
 
 def test_eigenvalue_formulas():

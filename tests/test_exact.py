@@ -10,6 +10,7 @@ from quatspin.exact import (
     DenseMatrix,
     ExactScalar,
     column_space_basis,
+    fused_sum,
     lagrange_eigenprojectors,
     lagrange_projector,
 )
@@ -154,12 +155,12 @@ def sequential_lagrange(a, lam, spectrum):
 
 
 LAGRANGE_SPECTRA = [
-    [3, 1, -1, -3],               # pairs +-1; lam = 3 leaves -3 = -lam alone
-    [2, 0, -2],                   # 0 is never paired
+    [3, 1, -1, -3],               # symmetric about 0, which it leaves out
+    [2, 0, -2],                   # symmetric, with 0
     [4, 2, 0, -2, -4, 1],         # so(3)-like weights plus an unpaired value
     [Fraction(1, 2), Fraction(-1, 2), Fraction(5, 3)],
     [ExactScalar(0, 2), ExactScalar(0, -2), ExactScalar(1, 1),
-     ExactScalar(-1, -1), 0],     # Gaussian pairs, as i(2m - 2k)
+     ExactScalar(-1, -1), 0],     # Gaussian values, as i(2m - 2k)
     [7],                          # lam alone: the identity
 ]
 
@@ -193,7 +194,7 @@ def test_lagrange_projector_float_matches_within_tolerance():
 
 
 def test_paired_projectors_still_reject_a_jordan_block_and_a_wrong_spectrum():
-    # lam = 2 pairs +-1 into a^2 - I; the Jordan block on 1 breaks a P = 2 P
+    # the Jordan block on 1 breaks a P = 2 P
     jordan = SparseMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
     with pytest.raises(SpectrumError, match="eigen-equation"):
         lagrange_eigenprojectors(jordan, [2, 1, -1])
@@ -201,7 +202,7 @@ def test_paired_projectors_still_reject_a_jordan_block_and_a_wrong_spectrum():
     with pytest.raises(SpectrumError, match="eigen-equation"):
         lagrange_eigenprojectors(SparseMatrix.from_rows(
             [[1, 0, 0], [0, 3, 0], [0, 0, -3]]), [1, 2, -2])
-    # a right spectrum with pairs certifies, and the projectors sum to I
+    # a stated set that holds the spectrum certifies, and the projectors sum to I
     d = SparseMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 3]])
     projs = lagrange_eigenprojectors(d, [1, -1, 3, -3])
     total = SparseMatrix.zeros(3, 3)
@@ -209,6 +210,85 @@ def test_paired_projectors_still_reject_a_jordan_block_and_a_wrong_spectrum():
         total = total + p
     assert total == SparseMatrix.identity(3)
     assert projs[ExactScalar(-3)].is_zero()
+
+
+def _diagonalizable(rng, eigenvalues):
+    """S D S^-1 for D = diag(eigenvalues) and S = I + N, N strictly upper
+    triangular with small integers, so S^-1 = sum_j (-N)^j exactly."""
+    n = len(eigenvalues)
+    nil = SparseMatrix.from_rows(
+        [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)])
+    ident = SparseMatrix.identity(n)
+    inverse = power = ident
+    for _ in range(n - 1):
+        power = power @ -nil
+        inverse = inverse + power
+    d = SparseMatrix.from_rows(
+        [[lam if j == i else 0 for j in range(n)] for i, lam in enumerate(eigenvalues)])
+    return (ident + nil) @ d @ inverse
+
+
+def _block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                rows[at + i][at + j] = b[i, j]
+        at += b.rows
+    return SparseMatrix.from_rows(rows)
+
+
+def _diagonal_01(bits):
+    return SparseMatrix.from_rows(
+        [[bit if j == i else 0 for j in range(len(bits))] for i, bit in enumerate(bits)])
+
+
+# the eigenvalues of the diagonal blocks of a block-diagonal operator
+WITHIN_BLOCKS = [[3, 1, -1], [0, 1], [-2, 3, 0]]
+WITHIN_SPECTRUM = [3, 1, -1, 0, -2]
+
+
+def _sum(family):
+    return fused_sum(terms=[(1, p) for p in family.values()])
+
+
+def test_within_restricts_the_full_space_family():
+    # W L_lam(a) is W times the full-space projector, for a 0/1 diagonal W
+    # that is constant on each block and so commutes with a
+    rng = random.Random(28)
+    a = _block_diagonal([_diagonalizable(rng, ev) for ev in WITHIN_BLOCKS])
+    full = lagrange_eigenprojectors(a, WITHIN_SPECTRUM)
+    for keep in ((1, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 0, 0)):
+        w = _diagonal_01([bit for bit, ev in zip(keep, WITHIN_BLOCKS) for _ in ev])
+        assert w @ a == a @ w
+        within = lagrange_eigenprojectors(a, WITHIN_SPECTRUM, within=w)
+        assert within == {lam: w @ p for lam, p in full.items()}, keep
+        assert _sum(within) == w
+        # the stated set need only hold the spectrum on the range of W
+        inside = sorted({lam for bit, ev in zip(keep, WITHIN_BLOCKS) if bit for lam in ev})
+        if inside:
+            own = lagrange_eigenprojectors(a, inside, within=w)
+            assert own == {lam: within[ExactScalar(lam)] for lam in inside}, keep
+            assert _sum(own) == w
+
+
+def test_within_rejects_a_noncommuting_projector_and_a_short_spectrum():
+    rng = random.Random(28)
+    a = _block_diagonal([_diagonalizable(rng, ev) for ev in WITHIN_BLOCKS])
+    # a W that cuts the first block does not commute with a: with two or
+    # more stated values the eigen-equations would give a W = W a
+    cut = _diagonal_01([1, 0, 0, 0, 0, 0, 0, 0])
+    assert cut @ a != a @ cut
+    with pytest.raises(SpectrumError, match="eigen-equation"):
+        lagrange_eigenprojectors(a, WITHIN_SPECTRUM, within=cut)
+    # the second block holds 0 and 1, and 1 is not stated
+    w = _diagonal_01([0, 0, 0, 1, 1, 0, 0, 0])
+    with pytest.raises(SpectrumError, match="eigen-equation"):
+        lagrange_eigenprojectors(a, [3, 0, -2], within=w)
+    # an empty stated set certifies nothing
+    with pytest.raises(DomainError):
+        lagrange_eigenprojectors(a, [], within=w)
 
 
 def test_max_abs_is_the_largest_entry_modulus():
