@@ -9,7 +9,7 @@ constants   table of computed vs closed-form block constants for one m
 bounds      eigenvalue-bound coefficient table (universal, per-configuration,
             and comparison rows) for one m
 decompose   the (r, k) block lattice with dimensions and eigenvalues
-so3-check   randomized search statistics for top-weight-exposing rotations
+so3-check   statistics of the exact search for top-weight-exposing rotations
 
 JSON is the canonical format (sorted keys, stable byte output); csv and
 table are projections of the same rows.  Rationals are serialized as "p/q"
@@ -56,8 +56,7 @@ from .projectors import (
 from .quaternionic import structure_report
 from .report import VerificationReport
 from .symmetry import certify_line_symmetry
-from .so3 import (TOP_COMPONENT_THRESHOLD, build_irrep, find_rotation_with_top_component,
-                  irrep_report, random_vector)
+from .so3 import build_irrep, find_rotation_with_top_component, irrep_report, random_vector
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,8 @@ def build_parser():
                        default="json", help="output format (default %(default)s)")
         p.add_argument("--out", default=None, help="write the report to a file")
 
-    def add_common(p, backend_default="exact", seed=True):
-        p.add_argument("--backend", choices=("exact", "float"),
-                       default=backend_default,
+    def add_common(p, backends=("exact", "float"), seed=True):
+        p.add_argument("--backend", choices=backends, default="exact",
                        help="arithmetic backend (default %(default)s)")
         if seed:
             p.add_argument("--seed", type=_nonnegative_int, default=0,
@@ -188,7 +186,8 @@ def build_parser():
                    help="random vectors per weight (default %(default)s)")
     p.add_argument("--budget", type=_positive_int, default=1000,
                    help="rotation samples per search (default %(default)s)")
-    add_common(p, backend_default="float")
+    # the search is exact; the option stays for the so3-exact-search workload
+    add_common(p, backends=("exact",))
     p.set_defaults(handler=cmd_so3_check)
 
     return parser
@@ -390,12 +389,12 @@ def cmd_so3_check(args):
     rows = []
     total_exhaustions = 0
     for r in range(args.max_r + 1):
-        irrep = build_irrep(r, kind=config.backend)
+        irrep = build_irrep(r)
         successes = 0
         max_used = 0
         for trial in range(args.trials):
             rng = np.random.default_rng([config.seed, r, trial])
-            v = random_vector(rng, irrep.dim, config.backend)
+            v = random_vector(rng, irrep.dim)
             outcome = find_rotation_with_top_component(
                 irrep, v, budget=args.budget, seed=config.seed + trial)
             successes += 1 if outcome.found else 0
@@ -410,7 +409,6 @@ def cmd_so3_check(args):
         "max_r": args.max_r,
         "trials": args.trials,
         "budget": args.budget,
-        "threshold": TOP_COMPONENT_THRESHOLD,
         "seed": config.seed,
         "total_exhaustions": total_exhaustions,
         "ok": total_exhaustions == 0,

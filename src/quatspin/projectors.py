@@ -111,8 +111,9 @@ class ProjectorCalculus:
 
     For u in {"f", "fbar"} it holds act[u][j] = a(u_j), jop[u][j] = J(u_j)
     and the rotated actions act_j[u][a][j] = a(J_a u_j) for a in {2, 3}.
-    a(J_1 u_j) is not kept: J_1 f_j = i f_j and J_1 fbar_j = -i fbar_j, so
-    it is a phase multiple of a(u_j).  Over the patterns (u, v) in
+    a(J_1 u_j) is not formed: J_1 f_j = i f_j and J_1 fbar_j = -i fbar_j, so
+    it is the phase multiple -t i a(u_j) for the weight shift t of u, and
+    J(u_j) reads it so.  Over the patterns (u, v) in
     {(f, fbar), (fbar, f)} it forms sums[u, v, XY] = sum_j X(u_j) Y(v_j) for
     X, Y in {a, J}: the four sums aa, aJ, Ja and JJ of each pattern.  Since
     p_r^s(x) = c (alpha a(x) + beta J(x)), every two-step composition
@@ -131,11 +132,11 @@ class ProjectorCalculus:
         self.act_j = {u: {a: [vector_action(model, triple[a] @ x) for x in xs]
                           for a in (2, 3)} for u, xs in vectors.items()}
         self.jop = {u: [] for u in vectors}
-        for u, xs in vectors.items():
-            for j, x in enumerate(xs):
-                rotated = {1: vector_action(model, triple[1] @ x),
+        for u, t in _WEIGHT_SHIFT.items():
+            for j, act in enumerate(self.act[u]):
+                rotated = {1: act.scale(ExactScalar(0, -t)),
                            2: self.act_j[u][2][j], 3: self.act_j[u][3][j]}
-                self.jop[u].append(_j_combination(ops, self.act[u][j], rotated))
+                self.jop[u].append(_j_combination(ops, act, rotated))
 
         factors = {"a": self.act, "J": self.jop}
         self.sums = {(u, v, x + y): _product_sum(factors[x][u], factors[y][v])

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .clifford import basis_vector
 from .errors import DomainError
 from .exact import DenseMatrix, ExactScalar, fused_sum
@@ -58,14 +56,13 @@ class HyperkahlerTriple:
 def build_standard_triple(model):
     """Blockwise quaternion left multiplication, adapted to the basis pairing.
 
-    Exact n x n matrices whatever the model's backend."""
-    n = model.n
+    Exact n x n signed permutations whatever the model's backend."""
     js = []
     for block in _J_BLOCKS:
-        arr = np.zeros((n, n), dtype=np.int64)
-        for t in range(model.m):
-            arr[4 * t:4 * t + 4, 4 * t:4 * t + 4] = block
-        js.append(SparseMatrix.from_rows(arr.tolist()))
+        # the column and sign of the one nonzero in each row of the block
+        cols, signs = zip(*(next((c, v) for c, v in enumerate(row) if v) for row in block))
+        js.append(SparseMatrix.monomial([4 * t + c for t in range(model.m) for c in cols],
+                                        signs * model.m, [0] * model.n))
     return HyperkahlerTriple(j=tuple(js))
 
 

@@ -10,9 +10,10 @@ A rotation g acts on the generator span through its first row:
 g^{-1}H1 = sum_b g_{0b} H_{b+1}.  The module extracts the component of a
 vector in the top-eigenvalue eigenspace of such a rotated generator and
 searches, by seeded rotation sampling, for a rotation under which that
-component is nonzero.  Rotations are exact: the rational matrix of a
-quaternion read exactly, whether its components are small integers or the
-floats of four standard normals.
+component is nonzero.  Everything is exact: the coordinates are Gaussian
+rationals, and a rotation is the rational matrix of a quaternion read
+exactly, whether its components are small integers or the floats of four
+standard normals.
 
 A rotated generator is tridiagonal in the weight basis, and its spectrum is
 certified by the continuant of its three bands, in Python integers over its
@@ -20,10 +21,7 @@ common denominator, with no matrix product: the continuant p_{r+1}(mu) is
 det(mu - H) scaled, and its vanishing at each of the r + 1 weights makes
 the characteristic polynomial prod (x - mu).  The top eigenvectors and the
 top-weight component come from the same numbers (see `_certified_bands` and
-`top_weight_projector`).  The generators are exact for both kinds of
-irrep, and a float irrep's coordinates are read exactly: the kinds differ
-only in their samplers, the coordinates they take, and what the search
-accepts.
+`top_weight_projector`).
 """
 
 from __future__ import annotations
@@ -42,9 +40,6 @@ from .sparse import SparseMatrix, _parts
 
 _FIXED_QUATERNIONS = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 1, 1, 1))
 
-# A float search accepts a top-weight component of magnitude above this.
-TOP_COMPONENT_THRESHOLD = 1e-8
-
 
 # --------------------------------------------------------------------- irreps
 
@@ -54,13 +49,11 @@ class Irrep:
     """Irreducible representation of highest weight r on C^{r+1}.
 
     `h` holds the three exact generators; indexing is 1-based to match the
-    subscripts H1, H2, H3.  `kind` names the search's sampler, the
-    coordinates it takes and its acceptance rule: "exact" or "float".
+    subscripts H1, H2, H3.
     """
 
     r: int
     dim: int
-    kind: str
     h: tuple
 
     def __getitem__(self, a):
@@ -87,21 +80,20 @@ def _ladder(r):
 def build_irrep(r, kind="exact"):
     """Construct the highest-weight-r irreducible so(3) representation.
 
-    The generators are exact for both kinds; `kind` ("exact" or "float",
-    DomainError otherwise) only selects how the rotation search samples
-    and what it accepts.
+    The generators are exact; `kind` accepts "exact" only (DomainError
+    otherwise), as `rotation_from_quaternion` does.
     """
     if not isinstance(r, int) or r < 0:
         raise DomainError(f"highest weight must be a nonnegative integer, got {r}")
-    if kind not in ("exact", "float"):
-        raise DomainError(f"unknown irrep kind {kind!r}")
+    if kind != "exact":
+        raise DomainError(f"irreps are exact, not {kind!r}")
     n = r + 1
     h1 = SparseMatrix.from_rows(
         [[r - 2 * s if s == t else 0 for t in range(n)] for s in range(n)])
     x, y = _ladder(r)
     h2 = x + y
     h3 = (x - y).scale(ExactScalar(0, -1))
-    return Irrep(r=r, dim=n, kind=kind, h=(h1, h2, h3))
+    return Irrep(r=r, dim=n, h=(h1, h2, h3))
 
 
 # ------------------------------------------------------------------ rotations
@@ -179,22 +171,16 @@ def check_rotation(g):
             f"(orthogonality defect {float(dev):.3e}, det defect {float(ddet):.3e})")
 
 
-def random_rotation(rng, kind="float"):
-    """Random rotation, as the exact rotation of a random quaternion.
+def random_rotation(rng):
+    """The rotation of a random small nonzero integer quaternion.
 
-    Float: four standard normals, read exactly; their direction is uniform
-    on the 3-sphere, so the rotation is Haar.  Exact: a small nonzero
-    integer quaternion, a dense finite grid rather than Haar.
+    A dense finite grid rather than Haar; a Haar rotation is
+    `rotation_from_quaternion(*rng.standard_normal(4))`.
     """
     while True:
-        if kind == "float":
-            q = rng.standard_normal(4)
-            if float(np.abs(q).max()) > 1e-12:
-                return rotation_from_quaternion(*q)
-        else:
-            q = rng.integers(-9, 10, size=4)
-            if any(int(v) != 0 for v in q):
-                return rotation_from_quaternion(*q)
+        q = rng.integers(-9, 10, size=4)
+        if q.any():
+            return rotation_from_quaternion(*q)
 
 
 # -------------------------------------------------- rotated generator algebra
@@ -326,28 +312,13 @@ def top_weight_projector(irrep, generator):
     return fused_sum([(ExactScalar(Fraction(re, norm), Fraction(-im, norm)), col, row)])
 
 
-def _entry_parts(kind, x):
-    """(re, im) of a coordinate, read as the irrep kind reads it.
-
-    TypeError for an entry the kind does not take (exact: int, Fraction or
-    ExactScalar only), DomainError for a float entry that is not finite.
-    """
-    if kind == "exact":
-        return _parts(x)
-    z = x.to_complex() if isinstance(x, ExactScalar) else complex(x)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"coordinates must be finite, got {z}")
-    return z.real, z.imag
-
-
 def _vector(irrep, v):
     """The coordinates, as a list, of a nonzero vector of the irrep's dimension.
 
     v is a coordinate sequence, checked on its length; then every
     coordinate is read.  Raises DimensionError for a wrong length,
-    DomainError for the zero vector or a float coordinate that is not
-    finite, and TypeError for a matrix or an entry the irrep's kind does
-    not take.
+    DomainError for the zero vector, and TypeError for a matrix or an
+    entry that is not int, Fraction or ExactScalar.
     """
     if hasattr(v, "kind"):
         raise TypeError(f"coordinates are a sequence, not a {type(v).__name__}")
@@ -355,19 +326,18 @@ def _vector(irrep, v):
     if len(v) != irrep.dim:
         raise DimensionError(f"expected {irrep.dim} coordinates, got {len(v)}")
     # a list, not a generator: every entry is read, so a wrong type raises
-    if not any([re or im for re, im in (_entry_parts(irrep.kind, x) for x in v)]):
+    if not any([re or im for re, im in map(_parts, v)]):
         raise DomainError("zero vector has no weight components")
     return v
 
 
-def _operand(irrep, v):
+def _operand(v):
     """What `_top_weight_norm2` reads of checked coordinates: (den, numerators).
 
-    The coordinates are read exactly as Gaussian rationals, a float through
-    Fraction(float), and given as Gaussian-integer numerators over their
-    common denominator den.
+    The coordinates, Gaussian rationals, are given as Gaussian-integer
+    numerators over their common denominator den.
     """
-    parts = [[Fraction(c) for c in _entry_parts(irrep.kind, x)] for x in v]
+    parts = [[Fraction(c) for c in _parts(x)] for x in v]
     den = math.lcm(*(c.denominator for pair in parts for c in pair))
     return den, [tuple(c.numerator * (den // c.denominator) for c in pair)
                  for pair in parts]
@@ -397,7 +367,7 @@ def highest_weight_component(irrep, g, v):
     of v, a coordinate sequence read as `find_rotation_with_top_component`
     reads it.
     """
-    operand = _operand(irrep, _vector(irrep, v))
+    operand = _operand(_vector(irrep, v))
     return math.sqrt(float(_top_weight_norm2(irrep, g, operand)))
 
 
@@ -408,8 +378,8 @@ def highest_weight_component(irrep, g, v):
 class RotationSearch:
     """Outcome of the sampling search for a top-weight-exposing rotation.
 
-    On exhaustion `found` is False and `rotation`/`magnitude` describe the
-    best candidate seen.
+    On exhaustion `found` is False, and `rotation` and `magnitude` are those
+    of sample 0: the identity and 0.
     """
 
     found: bool
@@ -419,60 +389,45 @@ class RotationSearch:
     seed: int
 
 
-def random_vector(rng, dim, kind="float"):
-    """Random nonzero coordinate vector: complex normals or small integers."""
+def random_vector(rng, dim):
+    """Random nonzero coordinate vector of small integers."""
     while True:
-        if kind == "float":
-            vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            if float(np.abs(vec).max()) > 1e-12:
-                return [complex(v) for v in vec]
-        else:
-            vec = rng.integers(-9, 10, size=dim)
-            if any(int(v) != 0 for v in vec):
-                return [int(v) for v in vec]
+        vec = rng.integers(-9, 10, size=dim)
+        if vec.any():
+            return [int(v) for v in vec]
 
 
 def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
     """First sampled rotation under which v has a nonzero top-weight part.
 
-    v is a coordinate sequence, checked on its length, entry types (exact
-    for an exact irrep), finiteness and not being all zero.  Sample 0 is
-    always the identity.  The unrotated H1 = diag(r, r-2, ...) keeps
+    v is a coordinate sequence of int, Fraction or ExactScalar entries,
+    checked on its length, its entry types and not being all zero.  Sample
+    0 is always the identity.  The unrotated H1 = diag(r, r-2, ...) keeps
     coordinate 0 on top, so that sample is decided from v_0 alone, with no
-    generator seeded; v's exact coordinates are formed only when sample 1 is
-    needed.  Later samples are rotations drawn by the kind's sampler from a
-    generator seeded with (seed, r), so runs are reproducible, each judged
-    by the exact norm from the certified top eigenvectors.  Acceptance is a
-    nonzero norm in exact mode and magnitude above TOP_COMPONENT_THRESHOLD
-    in float mode.  Every vector admits such a rotation, so exhaustion at a
-    reasonable budget indicates a real problem and is reported with the
-    best candidate found.
+    generator seeded; v's numerators are formed only when sample 1 is
+    needed.  Later samples are `random_rotation`s drawn from a generator
+    seeded with (seed, r), so runs are reproducible, each judged by the
+    exact norm from the certified top eigenvectors and accepted when it is
+    nonzero; `magnitude` is its square root as a float.  Every vector
+    admits such a rotation, so exhaustion at a reasonable budget indicates
+    a real problem.  Every rejected sample has norm 0, so exhaustion
+    reports the first, the identity, with magnitude 0.
     """
     if budget < 1:
         raise DomainError(f"sample budget must be at least 1, got {budget}")
     v = _vector(irrep, v)
-    exact = irrep.kind == "exact"
-
-    def judged(norm2):
-        mag = math.sqrt(float(norm2))
-        return mag, (norm2 != 0) if exact else mag > TOP_COMPONENT_THRESHOLD
-
-    g = identity_rotation()
-    re, im = _entry_parts(irrep.kind, v[0])
-    mag, accepted = judged(re * re + im * im)
-    if accepted:
-        return RotationSearch(True, g, mag, 1, seed)
-    operand = _operand(irrep, v)
-    best_mag, best_g = mag, g
+    re, im = _parts(v[0])
+    if re or im:
+        return RotationSearch(True, identity_rotation(),
+                              math.sqrt(re * re + im * im), 1, seed)
+    operand = _operand(v)
     rng = np.random.default_rng([seed, irrep.r])
     for i in range(1, budget):
-        g = random_rotation(rng, irrep.kind)
-        mag, accepted = judged(_top_weight_norm2(irrep, g, operand))
-        if accepted:
-            return RotationSearch(True, g, mag, i + 1, seed)
-        if mag > best_mag:
-            best_mag, best_g = mag, g
-    return RotationSearch(False, best_g, best_mag, budget, seed)
+        g = random_rotation(rng)
+        norm2 = _top_weight_norm2(irrep, g, operand)
+        if norm2:
+            return RotationSearch(True, g, math.sqrt(norm2), i + 1, seed)
+    return RotationSearch(False, identity_rotation(), 0.0, budget, seed)
 
 
 # -------------------------------------------------------------- verification

@@ -145,13 +145,14 @@ def certify_line_symmetry(world):
                            str(defect)))
         rep.add(residual_entry(CHECK_ID, f"{name} unitary",
                                fused_sum([(1, s.hermitian(), s)], [(-1, one)])))
-        grid = [[0] * model.n for _ in range(model.n)]
+        # rho e_c = sign e_target: row target holds sign at column c
+        perm, signs = [0] * model.n, [0] * model.n
         generators = []
         for c, (target, sign) in enumerate(lift.signed_permutation):
-            grid[target][c] = sign
+            perm[target], signs[target] = c, sign
             generators.append((f"gamma_{c}", fused_sum(
                 [(1, s, model.gamma[c]), (-sign, model.gamma[target], s)])))
-        rho, j = SparseMatrix.from_rows(grid), world.triple
+        rho, j = SparseMatrix.monomial(perm, signs, [0] * model.n), world.triple
         triple = [(f"J_{a}", fused_sum([(1, rho, j[a]), (-1, j[a], rho)])) for a in (1, 2, 3)]
         rep.add(_claims_entry(f"{name} generators", generators + triple))
         rep.add(_claims_entry(f"{name} operators", [

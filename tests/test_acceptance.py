@@ -159,19 +159,23 @@ def test_criterion_5_bound_coefficients():
 
 
 def test_criterion_6_rotation_search():
-    # every vector is searched as drawn, and for r >= 1 also with coordinate 0
-    # set to 0: that one has no top component at the identity, so its search
-    # must find a sampled rotation
+    # every integer vector is searched as drawn, and for r >= 1 also with
+    # coordinate 0 set to 0 (redrawn while the rest is zero): that one has no
+    # top component at the identity, so its search must find a sampled
+    # rotation
     budget, trials = 1000, 100
     exhaustions = 0
     searches = 0
     sampled = 0
     for r in range(11):
-        irrep = build_irrep(r, kind="float")
+        irrep = build_irrep(r)
         for trial in range(trials):
             rng = np.random.default_rng([2026, r, trial])
-            v = random_vector(rng, irrep.dim, "float")
-            for vector in (v, [0j] + v[1:]) if r else (v,):
+            v = random_vector(rng, irrep.dim)
+            vectors = [v]
+            if r:
+                vectors.append([0] + (v[1:] if any(v[1:]) else random_vector(rng, r)))
+            for vector in vectors:
                 outcome = find_rotation_with_top_component(
                     irrep, vector, budget=budget, seed=trial)
                 searches += 1

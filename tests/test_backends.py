@@ -1,8 +1,8 @@
 """The exact and float backends must reach the same verdict on every check.
 
 Float is confined to the spinor-space operators: the R^{4m} layer (triple,
-adapted basis, line-lift signed permutations), the stated spectra and the
-so(3) generators are exact in both backends.
+adapted basis, line-lift signed permutations) and the stated spectra are
+exact in both backends, and the so(3) layer has no float backend.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from quatspin import cli, so3, symmetry
+from quatspin import cli, symmetry
 from quatspin.clifford import build_clifford_model
 from quatspin.decomposition import build_world
 from quatspin.exact import DenseMatrix, _Nonzeros
@@ -95,21 +95,3 @@ def test_float_lives_only_on_the_spinor_operators(m, monkeypatch):
     assert len(rhos) == 3 * len(certificate.lifts)
     assert all(isinstance(rho, SparseMatrix) and (rho.rows, rho.cols) == (n, n)
                for rho in rhos)
-
-
-def test_float_irreps_hold_exact_generators(monkeypatch):
-    irreps = {r: so3.build_irrep(r, kind="float") for r in range(6)}
-    for r, irrep in irreps.items():
-        assert all(isinstance(h, SparseMatrix) for h in irrep.h)
-        assert irrep.h == so3.build_irrep(r).h
-    # a float search past sample 0 reads the irrep it was given
-    calls = []
-    build = so3.build_irrep
-    monkeypatch.setattr(so3, "build_irrep",
-                        lambda *a, **k: calls.append(a) or build(*a, **k))
-    for r, irrep in irreps.items():
-        if r:
-            out = so3.find_rotation_with_top_component(irrep, [0.0] * r + [1.0], seed=r)
-            assert out.found and out.samples_used >= 2
-            so3.highest_weight_component(irrep, out.rotation, [0.0] * r + [1.0])
-    assert calls == []

@@ -9,8 +9,10 @@ reference captured elsewhere would record no span and empty that layer's
 metrics; a traced `verify --m 1` must therefore record a span of every
 stage.  `perfbench/checks.py` confirms each traced rotation search with a
 float eigendecomposition of its own, and perfbench's tests call the so(3)
-constructors with `kind="exact"`.  The harness's own tests are not in the
-default test paths; these keep the contract in tier-1.
+constructors with `kind="exact"`.  `perfbench/run.py` passes each
+workload's command line to the CLI, so every one must still parse.  The
+harness's own tests are not in the default test paths; these keep the
+contract in tier-1.
 """
 
 import importlib
@@ -19,18 +21,20 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quatspin import cli
 from quatspin.exact import DenseMatrix
-from quatspin.so3 import (build_irrep, highest_weight_component, random_rotation,
-                          rotation_from_quaternion)
+from quatspin.so3 import build_irrep, highest_weight_component, rotation_from_quaternion
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 CHECKS = ROOT / "perfbench" / "checks.py"
+RUN = ROOT / "perfbench" / "run.py"
 
 
 def _load(monkeypatch, path):
@@ -88,25 +92,41 @@ def test_traced_searches_pass_the_harness_check(tmp_path, monkeypatch):
 
 def test_top_weight_components_match_the_harness_reference(monkeypatch):
     # the harness's reference is numpy's eigh of the Hermitian form of the
-    # rotated generator; the program's component is exact, for a float irrep
-    # under the float sampler's rotations and for an exact irrep built as
-    # perfbench's tests build it
+    # rotated generator; the program's component is exact, on integer
+    # rotations and vectors as perfbench's tests build them, and on Haar
+    # rotations and normal vectors read exactly as large rationals
     checks = _load(monkeypatch, CHECKS)
     rng = np.random.default_rng(73)
     cases = 0
     for r in range(11):
-        float_irrep, exact_irrep = build_irrep(r, kind="float"), build_irrep(r, kind="exact")
+        irrep = build_irrep(r, kind="exact")
         for _ in range(4):
             q = [int(x) for x in rng.integers(-9, 10, size=4)]
             v = [int(x) for x in rng.integers(-9, 10, size=r + 1)]
-            runs = [(float_irrep, random_rotation(rng, "float"),
-                     [float(x) for x in rng.standard_normal(r + 1)])]
+            runs = [(rotation_from_quaternion(*rng.standard_normal(4)),
+                     [Fraction(float(x)) for x in rng.standard_normal(r + 1)])]
             if any(q) and any(v):
-                runs.append((exact_irrep, rotation_from_quaternion(*q, kind="exact"), v))
-            for irrep, g, vec in runs:
+                runs.append((rotation_from_quaternion(*q, kind="exact"), v))
+            for g, vec in runs:
                 size, top = checks.top_weight_component(r, g.row(0), vec)
                 assert top == pytest.approx(r, abs=1e-9)
                 assert highest_weight_component(irrep, g, vec) == \
-                    pytest.approx(size, rel=1e-9), (irrep.kind, r)
+                    pytest.approx(size, rel=1e-9), (r, vec)
                 cases += 1
     assert cases > 80
+
+
+def test_every_workload_parses(monkeypatch):
+    # run.py imports checks and tracer from its own directory
+    monkeypatch.syspath_prepend(str(RUN.parent))
+    added = [name for name in ("checks", "tracer") if name not in sys.modules]
+    try:
+        run = _load(monkeypatch, RUN)
+    finally:
+        for name in added:
+            sys.modules.pop(name, None)
+    parser = cli.build_parser()
+    assert run.WORKLOADS
+    for name, workload in run.WORKLOADS.items():
+        args = parser.parse_args(workload.argv(1))
+        assert callable(args.handler), name

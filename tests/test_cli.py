@@ -233,6 +233,18 @@ def test_so3_check(capsys):
     assert data["ok"] is True
     assert [row["r"] for row in data["rows"]] == [0, 1, 2, 3]
     assert all(row["successes"] == 5 for row in data["rows"])
+    # the default command samples rotations: some vector has v_0 = 0
+    assert data["backend"] == "exact"
+    assert max(row["max_samples_used"] for row in data["rows"]) >= 2
+
+
+def test_so3_check_is_exact_only(capsys):
+    rc, out, err = run(["so3-check", "--backend", "float", "--max-r", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "invalid choice" in err and "Traceback" not in err
+    argv = ["so3-check", "--max-r", "3", "--trials", "5"]
+    assert run(argv, capsys) == run(argv + ["--backend", "exact"], capsys)
 
 
 def test_byte_stable_output(capsys):
@@ -370,12 +382,12 @@ def test_each_command_builds_one_world_per_m(argv, expect, world_work, capsys):
     (["decompose", "--m", "2", "--backend", "float"],
      "2e8322995d3805eab21da9b783cd13c8223d552d7aed7f4dd4a97fa95171616f"),
     (["so3-check", "--max-r", "3", "--trials", "5"],
-     "9c14d991e610343fc2b650fd4dcf5ba5839bbeec85300092fefac70718d983be"),
+     "e7c08ccb693c359fc8a469b17e6d2bbe1dd8a6b5ba632401dea1f1234c7677a1"),
     # failing float residuals: the digits an exactly stated spectrum could move
     (["verify", "--m", "2", "--flip-gamma", "5", "--backend", "float"],
      "973757c06a10f2543a4b7d3c5d7de6b5c413de96778286676de15d01d1c99ae8"),
     (["so3-check", "--backend", "exact", "--max-r", "10", "--trials", "120", "--seed", "1"],
-     "0227fe4a7c1c653cfe1f8a55a93bbf25f090831f733fb0814a3cdfb98fb546f5"),
+     "3f3f6b0379843d7ab4e3b44095db3f37d282ca234f9c5b3abc74ed44ac10c79b"),
     # the benchmark's commands that read the decomposition
     (["decompose", "--m", "4"],
      "fe9b63463608781cadcb2f8607427b14b00974520be2b44d996807dc5735dd3e"),

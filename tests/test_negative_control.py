@@ -34,6 +34,11 @@ holds, so the quaternion relations, the commutator table of the Omega_a,
 the sl2 relations and the mixed product sums, which reproduce Omega_2 and
 Omega_3 from the adapted basis, must fail, with the same verdict on every
 row in both backends.
+
+Two more controls reach the lemma families that none of the above fails,
+at m = 1 and 2 in both backends: J(x) formed without its 3 a(x) term must
+fail the expansion of J on the adapted basis and the sums of J(u_j) a(v_j),
+and J_2 = I, with its operators rebuilt, must fail the rotated product sums.
 """
 
 import json
@@ -43,10 +48,12 @@ from dataclasses import replace
 
 import pytest
 
-from quatspin import cli
+from quatspin import cli, projectors
 from quatspin.clifford import build_clifford_model
 from quatspin.decomposition import World, build_world
+from quatspin.exact import fused_sum
 from quatspin.quaternionic import HyperkahlerTriple, build_kaehler_operators
+from quatspin.sparse import SparseMatrix
 
 WITNESS_FAMILIES = {"clifford_four_fold_split", "block_projector_eigen",
                     "k_shift_projection", "block_constant_match",
@@ -109,11 +116,12 @@ TRIPLE_FAMILIES = {"quaternion_relations", "kaehler_commutators", "sl2_relations
                    "mixed_product_kaehler_form"}
 
 
-def _flipped_j2_report(m, backend):
-    """The world report with J_2 sign-flipped and its operators rebuilt."""
+def _corrupted_triple_report(m, backend, corrupt):
+    """The world report with the triple (J_1, J_2, J_3) replaced by
+    corrupt(J_1, J_2, J_3) and its operators rebuilt, over the standard model
+    and decomposition."""
     standard = build_world(build_clifford_model(m, kind=backend))
-    j1, j2, j3 = standard.triple.j
-    triple = HyperkahlerTriple(j=(j1, -j2, j3))
+    triple = HyperkahlerTriple(j=corrupt(*standard.triple.j))
     world = World(standard.model, triple,
                   build_kaehler_operators(standard.model, triple), standard.dec)
     return cli.world_report(world)
@@ -121,7 +129,8 @@ def _flipped_j2_report(m, backend):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_flipped_j2_fails_in_both_backends_alike(m):
-    reports = {backend: _flipped_j2_report(m, backend) for backend in ("exact", "float")}
+    reports = {backend: _corrupted_triple_report(m, backend, lambda j1, j2, j3: (j1, -j2, j3))
+               for backend in ("exact", "float")}
     for report in reports.values():
         failures = report.failures()
         for e in failures:
@@ -130,6 +139,39 @@ def test_flipped_j2_fails_in_both_backends_alike(m):
     verdicts = [[(e.check_id, e.subject, e.status) for e in report.sorted_entries()]
                 for report in reports.values()]
     assert verdicts[0] == verdicts[1]
+
+
+def _failing_families(report):
+    """The check_ids of the failed rows, each failure with a positive residual."""
+    failures = report.failures()
+    for e in failures:
+        assert float(e.residual) > 0, e
+    return {e.check_id for e in failures}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_j_without_its_action_term_fails_the_expansion(m, backend, monkeypatch):
+    # J(x) formed without its 3 a(x) term, on the standard world: the
+    # expansion of J on the adapted basis and the products J(u_j) a(v_j)
+    # must fail
+    def without_action(ops, act, rotated):
+        return fused_sum([(1, ops[a], rotated[a]) for a in (1, 2, 3)])
+
+    monkeypatch.setattr(projectors, "_j_combination", without_action)
+    report = cli.world_report(build_world(build_clifford_model(m, kind=backend)))
+    assert {"jop_adapted_expansion", "jop_product_jf_fbar",
+            "jop_product_jfbar_f"} <= _failing_families(report)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_identity_j2_fails_the_rotated_product_sums(m, backend):
+    # a(J_2 f_j) a(J_2 fbar_j) then sums to sum_j a(f_j) a(fbar_j), not to
+    # sum_j a(fbar_j) a(f_j)
+    report = _corrupted_triple_report(
+        m, backend, lambda j1, j2, j3: (j1, SparseMatrix.identity(j1.rows), j3))
+    assert "rotated_basis_product_sum" in _failing_families(report)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quatspin import exact
 from quatspin.clifford import basis_vector, build_clifford_model, corrupt_gamma, \
     vector_action
 from quatspin.decomposition import build_world
@@ -94,6 +95,28 @@ def test_calculus_matches_direct_operators(world1):
         assert calc.jop["fbar"][j] == j_operator(model, triple, ops, basis.f_bar[j])
         assert calc.p("f", 0, +1, j) == p_plus(model, triple, ops, 0, basis.f[j])
         assert calc.p("fbar", 1, -1, j) == p_minus(model, triple, ops, 1, basis.f_bar[j])
+
+
+def test_calculus_product_count(world2, monkeypatch):
+    # counts the term expansions (exact._product_terms) of one calculus at
+    # m = 3 exact: a guard, free of timing.  J(u_j) reads a(J_1 u_j) as the
+    # phase -t i a(u_j), so no J_1 u_j and no a(J_1 u_j) is formed; forming
+    # them made 62.  The phase gives the J(u_j) of the direct operators.
+    model, triple, ops, basis, _, calc = world2
+    for u, xs in (("f", basis.f), ("fbar", basis.f_bar)):
+        for j, x in enumerate(xs):
+            assert calc.jop[u][j] == j_operator(model, triple, ops, x), (u, j)
+    world = build_world(build_clifford_model(3))
+    calls = []
+    expand = exact._product_terms
+
+    def counted(*args):
+        calls.append(args[-1])
+        return expand(*args)
+
+    monkeypatch.setattr(exact, "_product_terms", counted)
+    ProjectorCalculus(world)
+    assert len(calls) <= 50
 
 
 def test_closed_form_values_by_hand():

@@ -49,6 +49,22 @@ def test_adaptedness(setup2):
         assert triple[1] @ basis_vector(model, 2 * j) == basis_vector(model, 2 * j + 1)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_triple_is_the_block_diagonal_reference(m):
+    # J_a built as signed-permutation monomials is the block-diagonal matrix
+    # of left multiplication by i, j, k on every line, entry for entry
+    blocks = {1: [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+              2: [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+              3: [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]}
+    triple = build_standard_triple(build_clifford_model(m))
+    for a, block in blocks.items():
+        reference = SparseMatrix.from_rows(
+            [[block[s % 4][t % 4] if s // 4 == t // 4 else 0 for t in range(4 * m)]
+             for s in range(4 * m)])
+        assert triple[a] == reference, (m, a)
+        assert triple[a].fingerprint() == reference.fingerprint(), (m, a)
+
+
 def test_triple_index_domain(setup1):
     _, triple, ops = setup1
     with pytest.raises(DomainError):

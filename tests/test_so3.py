@@ -32,6 +32,18 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
+def haar_rotation(rng):
+    """A Haar rotation: the exact rotation of four standard normals, whose
+    Fractions have large numerators and denominators."""
+    return rotation_from_quaternion(*rng.standard_normal(4))
+
+
+def normal_vector(rng, dim):
+    """dim complex normals, read exactly as Gaussian rationals."""
+    return [ExactScalar(Fraction(float(a)), Fraction(float(b)))
+            for a, b in rng.standard_normal((dim, 2))]
+
+
 def test_generator_matrices_r1():
     ir = build_irrep(1)
     assert ir.dim == 2 and ir.weights() == [1, -1]
@@ -79,8 +91,11 @@ def test_weight_diagonal_and_trivial_irrep():
 def test_build_irrep_domain_errors():
     with pytest.raises(DomainError):
         build_irrep(-1)
-    with pytest.raises(DomainError):
-        build_irrep(2, kind="symbolic")
+    # irreps have one kind: the exact one
+    assert build_irrep(2, kind="exact").h == build_irrep(2).h
+    for kind in ("symbolic", "float"):
+        with pytest.raises(DomainError):
+            build_irrep(2, kind=kind)
     with pytest.raises(DomainError):
         build_irrep(2)[4]
 
@@ -100,10 +115,10 @@ def test_rotation_from_quaternion_oracles():
 def test_rotation_validity_checks():
     check_rotation(identity_rotation())
     rng = np.random.default_rng(11)
-    # both samplers give exact rotations, certified exactly
-    for kind in ("float", "exact"):
+    # integer and Haar quaternions give exact rotations, certified exactly
+    for draw in (random_rotation, haar_rotation):
         for _ in range(20):
-            g = random_rotation(rng, kind)
+            g = draw(rng)
             assert all(isinstance(v, Fraction) for row in g.entries for v in row)
             check_rotation(g)
     shear = Rotation(((Fraction(1), Fraction(1), Fraction(0)),
@@ -125,10 +140,13 @@ def test_rotations_are_exact():
     big = rotation_from_quaternion(np.int64(2**33), 1, 0, 0)
     assert big.entries == rotation_from_quaternion(2**33, 1, 0, 0).entries
     check_rotation(big)
-    # the float sampler keeps its draws: the rotation of the same four normals
+    # a Haar rotation keeps its draws: the rotation of the same four normals
     q = np.random.default_rng(5).standard_normal(4)
-    drawn = random_rotation(np.random.default_rng(5), "float")
+    drawn = haar_rotation(np.random.default_rng(5))
     assert drawn.entries == rotation_from_quaternion(*(Fraction(float(c)) for c in q)).entries
+    # the sampler has one kind
+    with pytest.raises(TypeError):
+        random_rotation(np.random.default_rng(5), "float")
 
 
 def fraction_defect(g):
@@ -160,7 +178,7 @@ def test_rotation_defect_matches_the_entrywise_reference():
     rotations = [rotation_from_quaternion(*(int(x) for x in q))
                  for q in rng.integers(-9, 10, size=(60, 4)) if q.any()][:50]
     assert len(rotations) == 50
-    rotations += [random_rotation(rng, "float") for _ in range(10)]
+    rotations += [haar_rotation(rng) for _ in range(10)]
     for g in rotations + corrupted_rotations():
         assert _rotation_defect(g) == fraction_defect(g), g.entries
     for g in corrupted_rotations():
@@ -186,20 +204,17 @@ def test_rotated_generator_oracles():
     with pytest.raises(DomainError):
         rotated_generator(build_irrep(1), Rotation(((1, Fraction(1, 2), 0),
                                                     (0, 1, 0), (0, 0, 1))))
-    # a float irrep holds the same exact generators: its kind names the
-    # search's sampler, not the arithmetic
-    g = rotation_from_quaternion(2, 3, 6, 0)
-    for r in (1, 4):
-        flt = build_irrep(r, kind="float")
-        assert flt.h == build_irrep(r).h
-        assert rotated_generator(flt, g) == rotated_generator(build_irrep(r), g), r
+    # an irrep is its highest weight, dimension and exact generators
+    ir = build_irrep(4)
+    assert not hasattr(ir, "kind")
+    assert all(isinstance(h, SparseMatrix) for h in ir.h)
 
 
 def test_rotated_generator_spectrum_randomized():
     rng = np.random.default_rng(23)
-    ir = build_irrep(5, kind="float")
+    ir = build_irrep(5)
     for _ in range(10):
-        gen = rotated_generator(ir, random_rotation(rng, "float")).to_float()
+        gen = rotated_generator(ir, haar_rotation(rng)).to_float()
         vals = np.linalg.eigvals(gen.to_complex_array())
         assert np.max(np.abs(vals.imag)) < 1e-9
         assert np.allclose(sorted(vals.real), sorted(ir.weights()), atol=1e-9)
@@ -219,10 +234,11 @@ def test_highest_weight_component_oracles():
     for x in (col, col.to_float()):
         with pytest.raises(TypeError, match="sequence"):
             highest_weight_component(ir, gy, x)
-    # a float irrep reads its coordinates exactly: the same magnitude
-    ir_float = build_irrep(1, kind="float")
-    assert highest_weight_component(ir_float, gy, [0.0, 1.0]) == mag
-    assert highest_weight_component(ir_float, gy, (0, 1)) == mag
+    # any exact coordinate sequence gives the same magnitude; a float
+    # coordinate is no exact entry
+    assert highest_weight_component(ir, gy, (Fraction(0), ExactScalar(1))) == mag
+    with pytest.raises(TypeError):
+        highest_weight_component(ir, gy, [0.0, 1.0])
     with pytest.raises(DomainError):
         highest_weight_component(ir, e, [0, 0])
     with pytest.raises(DimensionError):
@@ -241,33 +257,20 @@ def test_search_accepts_identity_for_highest_weight_vector():
 
 def test_sample_zero_is_decided_from_the_top_coordinate():
     # v_0 = 3 + 4i: the identity is accepted with magnitude |v_0| = 5
-    # whatever the other coordinates, in both backends
-    for kind, top in (("exact", ExactScalar(3, 4)), ("float", 3 + 4j)):
-        out = find_rotation_with_top_component(build_irrep(2, kind=kind),
-                                               [top, 1, 0], seed=3)
+    # whatever the other coordinates
+    for top in (ExactScalar(3, 4), Fraction(-5), 5):
+        out = find_rotation_with_top_component(build_irrep(2), [top, 1, 0], seed=3)
         assert out.found and out.samples_used == 1
         assert out.rotation.entries == identity_rotation().entries
         assert out.magnitude == 5.0
     # v_0 = 0: sample 1 is the first draw of the generator seeded with (3, r)
-    pinned = {
-        "exact": ((Fraction(2, 3), Fraction(-22, 39), Fraction(-19, 39)),
-                  (Fraction(1, 3), Fraction(-14, 39), Fraction(34, 39)),
-                  (Fraction(-2, 3), Fraction(-29, 39), Fraction(-2, 39))),
-        "float": ((0.4618987114454629, 0.8808308125390333, -0.10385884674329711),
-                  (0.8772969341507311, -0.436523341103929, 0.19949301241194112),
-                  (0.13038278143508455, -0.1832606132077745, -0.9743797401177641)),
-    }
-    for kind, entries in pinned.items():
-        out = find_rotation_with_top_component(build_irrep(2, kind=kind),
-                                               [0, 1, 2], seed=3)
-        first_draw = random_rotation(np.random.default_rng([3, 2]), kind)
-        assert out.found and out.samples_used == 2
-        assert out.rotation.entries == first_draw.entries
-        if kind == "exact":
-            assert out.rotation.entries == entries
-        else:
-            as_float = [[float(x) for x in row] for row in out.rotation.entries]
-            assert np.allclose(as_float, entries, rtol=0, atol=1e-15)
+    out = find_rotation_with_top_component(build_irrep(2), [0, 1, 2], seed=3)
+    assert out.found and out.samples_used == 2
+    assert out.rotation.entries == random_rotation(np.random.default_rng([3, 2])).entries
+    assert out.rotation.entries == (
+        (Fraction(2, 3), Fraction(-22, 39), Fraction(-19, 39)),
+        (Fraction(1, 3), Fraction(-14, 39), Fraction(34, 39)),
+        (Fraction(-2, 3), Fraction(-29, 39), Fraction(-2, 39)))
 
 
 def test_search_escapes_vanishing_identity_component():
@@ -293,25 +296,25 @@ def test_search_is_deterministic():
 
 
 def test_search_float_random_vectors():
+    # complex normals read exactly: large Gaussian rationals
     rng = np.random.default_rng(31)
     for r in range(1, 7):
-        ir = build_irrep(r, kind="float")
+        ir = build_irrep(r)
         for trial in range(10):
-            # v_0 = 0 rules out the identity, so the search samples Haar
-            # rotations and reads the continuant of the exact irrep
-            v = [0j] + random_vector(rng, ir.dim, "float")[1:]
+            # v_0 = 0 rules out the identity, so the search samples rotations
+            v = [0] + normal_vector(rng, r)
             out = find_rotation_with_top_component(ir, v, budget=200,
                                                    seed=100 * r + trial)
             assert out.found, (r, trial)
             assert out.samples_used >= 2
-            assert out.magnitude > 1e-8
+            assert out.magnitude > 0
 
 
 def test_search_exact_integer_vectors():
     rng = np.random.default_rng(41)
     for r in range(1, 5):
         ir = build_irrep(r)
-        v = random_vector(rng, ir.dim, "exact")
+        v = random_vector(rng, ir.dim)
         out = find_rotation_with_top_component(ir, v, budget=50, seed=r)
         assert out.found
         assert out.magnitude > 0
@@ -319,22 +322,12 @@ def test_search_exact_integer_vectors():
 
 def test_search_exhaustion_reports_best_candidate():
     # coordinate 0 of [0, 1] is zero, so the only sample, the identity, fails
-    for kind in ("float", "exact"):
-        ir = build_irrep(1, kind=kind)
-        out = find_rotation_with_top_component(ir, [0, 1], budget=1, seed=2)
-        assert not out.found
-        assert out.samples_used == 1
-        assert out.rotation is not None
-        assert out.magnitude == 0
-
-
-def test_search_refuses_only_an_exactly_zero_float_column():
-    ir = build_irrep(1, kind="float")
-    # far below FLOAT_TOL, yet not zero: the search runs on it
-    out = find_rotation_with_top_component(ir, [1e-12, 0], budget=2)
-    assert out.magnitude > 0
-    with pytest.raises(DomainError):
-        find_rotation_with_top_component(ir, [0, 0])
+    ir = build_irrep(1)
+    out = find_rotation_with_top_component(ir, [0, 1], budget=1, seed=2)
+    assert not out.found
+    assert out.samples_used == 1
+    assert out.rotation.entries == identity_rotation().entries
+    assert out.magnitude == 0
 
 
 def as_column(v):
@@ -342,37 +335,37 @@ def as_column(v):
 
 
 def test_search_checks_its_coordinates():
-    for kind in ("exact", "float"):
-        ir = build_irrep(2, kind=kind)
-        with pytest.raises(DimensionError):
-            find_rotation_with_top_component(ir, [1, 0])
-        with pytest.raises(DomainError):
-            find_rotation_with_top_component(ir, [0, 0, 0])
-        with pytest.raises(DomainError):
-            find_rotation_with_top_component(ir, iter([0, 0, 0]))
-        # a column of either backend is no coordinate sequence
-        for col in (as_column([1, 0, 0]), as_column([1, 0, 0]).to_float()):
-            with pytest.raises(TypeError, match="sequence"):
-                find_rotation_with_top_component(ir, col)
-    # an exact irrep takes no float coordinate, wherever it sits
-    with pytest.raises(TypeError):
-        find_rotation_with_top_component(build_irrep(2), [1, 0, 0.5])
-    # a float coordinate must be finite
-    ir = build_irrep(2, kind="float")
-    for bad in ([math.nan, 1, 0], [0, math.inf, 0], [0, 1, complex(0, -math.inf)]):
-        with pytest.raises(DomainError, match="finite"):
+    ir = build_irrep(2)
+    with pytest.raises(DimensionError):
+        find_rotation_with_top_component(ir, [1, 0])
+    with pytest.raises(DomainError):
+        find_rotation_with_top_component(ir, [0, 0, 0])
+    with pytest.raises(DomainError):
+        find_rotation_with_top_component(ir, iter([0, 0, 0]))
+    # a column of either backend is no coordinate sequence
+    for col in (as_column([1, 0, 0]), as_column([1, 0, 0]).to_float()):
+        with pytest.raises(TypeError, match="sequence"):
+            find_rotation_with_top_component(ir, col)
+    # a float coordinate, finite or not, is no exact entry, wherever it sits
+    for bad in ([1, 0, 0.5], [0.0, 1, 0], [0, 1, 2j], [math.nan, 1, 0],
+                [0, math.inf, 0], [0, 1, complex(0, -math.inf)], [np.int64(1), 0, 0]):
+        with pytest.raises(TypeError, match="exact entries"):
             find_rotation_with_top_component(ir, bad, budget=5)
+    # a coordinate far below any float tolerance is not zero
+    out = find_rotation_with_top_component(ir, [Fraction(1, 10**40), 0, 0], budget=2)
+    assert out.found and out.magnitude == 1e-40
 
 
 def test_search_gives_the_same_outcome_for_any_coordinate_sequence():
     rng = np.random.default_rng(43)
     cases = 0
-    for kind in ("exact", "float"):
+    # small integers and complex normals read exactly
+    for draw in (random_vector, normal_vector):
         for r in range(6):
-            ir = build_irrep(r, kind=kind)
+            ir = build_irrep(r)
             for budget in (1, 2, 50):
                 for trial in range(4):
-                    v = random_vector(rng, ir.dim, kind)
+                    v = draw(rng, ir.dim)
                     if trial % 2 and r:
                         v[0] = 0
                         v[-1] = v[-1] or 1
@@ -383,7 +376,7 @@ def test_search_gives_the_same_outcome_for_any_coordinate_sequence():
                     fields = [(o.found, o.rotation.entries, repr(o.magnitude),
                                o.samples_used, o.seed) for o in outs]
                     assert all(isinstance(o, RotationSearch) for o in outs)
-                    assert fields[0] == fields[1] == fields[2], (kind, r, budget, v)
+                    assert fields[0] == fields[1] == fields[2], (draw, r, budget, v)
                     cases += 1
     assert cases == 2 * 6 * 3 * 4
 
@@ -492,7 +485,7 @@ def reference_search(ir, v, budget, seed):
     rng = np.random.default_rng([seed, ir.r])
     best_mag, best_g = None, None
     for i in range(budget):
-        g = identity_rotation() if i == 0 else random_rotation(rng, "exact")
+        g = identity_rotation() if i == 0 else random_rotation(rng)
         norm2 = (lagrange_reference(ir, rotated_generator(ir, g)) @ col).frobenius_norm2()
         mag = math.sqrt(float(norm2))
         if norm2 != 0:
@@ -507,7 +500,7 @@ def search_vectors(r):
     rng = np.random.default_rng([61, r])
     out = []
     for trial in range(40):
-        v = random_vector(rng, r + 1, "exact")
+        v = random_vector(rng, r + 1)
         if r:
             v[0] = 0
             v[-1] = v[-1] or 1
@@ -541,7 +534,7 @@ def test_top_weight_projector_product_count(monkeypatch):
         calls.append(args[-1])
         return expand(*args)
 
-    ir, ir_float = build_irrep(10), build_irrep(10, kind="float")
+    ir = build_irrep(10)
     gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
     monkeypatch.setattr(exact_module, "_product_terms", counted)
     top_weight_projector(ir, gen)
@@ -553,7 +546,8 @@ def test_top_weight_projector_product_count(monkeypatch):
     out = find_rotation_with_top_component(ir, [0] * 10 + [1], seed=4)
     assert out.found and out.samples_used >= 2
     assert calls == []
-    # a float search reads the same continuant: no product either
-    out = find_rotation_with_top_component(ir_float, [0.0] * 10 + [1.0], seed=4)
+    # nor on large rationals
+    out = find_rotation_with_top_component(ir, [0] + normal_vector(np.random.default_rng(4), 10),
+                                           seed=4)
     assert out.found and out.samples_used >= 2
     assert calls == []

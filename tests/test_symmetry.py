@@ -20,6 +20,7 @@ from quatspin.clifford import build_clifford_model, corrupt_gamma
 from quatspin.decomposition import build_world, decomposition_report
 from quatspin.projectors import ProjectorCalculus, verify_lemma_identities
 from quatspin.quaternionic import KaehlerOperators, kraines_form, structure_report
+from quatspin.sparse import SparseMatrix
 from quatspin.symmetry import (certify_line_symmetry, generator_orbits,
                                generator_pair_orbits, line_symmetries, vector_orbits)
 
@@ -214,3 +215,28 @@ def test_line_symmetry_product_count(monkeypatch):
     calls.clear()
     assert decomposition_report(world, cert).ok
     assert len(calls) <= 64
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rho_is_the_signed_permutation_reference(m, monkeypatch):
+    # each lift's rho, built as a monomial, is the matrix with sign s_c at
+    # (sigma(c), c), entry for entry
+    world = build_world(build_clifford_model(m))
+    rhos = []
+    fused_sum = symmetry_module.fused_sum
+
+    def spy(products=(), terms=()):
+        rhos.extend(a for _, a, b in products if b is world.triple[1])
+        return fused_sum(products, terms)
+
+    monkeypatch.setattr(symmetry_module, "fused_sum", spy)
+    certificate = certify_line_symmetry(world)
+    assert certificate.ok and len(rhos) == len(certificate.lifts)
+    n = world.model.n
+    for rho, lift in zip(rhos, certificate.lifts):
+        grid = [[0] * n for _ in range(n)]
+        for c, (target, sign) in enumerate(lift.signed_permutation):
+            grid[target][c] = sign
+        reference = SparseMatrix.from_rows(grid)
+        assert rho == reference, lift.name
+        assert rho.fingerprint() == reference.fingerprint(), lift.name
