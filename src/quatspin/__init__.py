@@ -93,7 +93,6 @@ from .bounds import (
     bound_case_A,
     bound_case_B,
     bound_property_report,
-    universal_bound,
     universal_coefficient,
     comparison_bounds,
     build_bound_report,
@@ -105,7 +104,6 @@ from .so3 import (
     build_irrep,
     rotation_from_quaternion,
     identity_rotation,
-    random_rotation,
     random_vector,
     check_rotation,
     rotated_generator,

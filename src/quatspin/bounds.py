@@ -103,6 +103,7 @@ class BoundReport:
 
     @property
     def universal_value(self):
+        """The universal lower bound on lambda^2, as an exact rational."""
         return self.universal * self.kappa / 4
 
 
@@ -180,14 +181,6 @@ def universal_coefficient(m):
     if m < 1:
         raise DomainError(f"quaternionic dimension must be >= 1, got {m}")
     return Fraction(m + 3, m + 2)
-
-
-def universal_bound(m, kappa):
-    """The universal lower bound on lambda^2, as an exact rational."""
-    kappa = Fraction(kappa)
-    if kappa <= 0:
-        raise DomainError(f"scalar curvature must be positive, got {kappa}")
-    return universal_coefficient(m) * kappa / 4
 
 
 def comparison_bounds(m, complex_dimension=None):

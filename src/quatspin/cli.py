@@ -179,13 +179,14 @@ def build_parser():
     add_common(p)
     p.set_defaults(handler=cmd_decompose)
 
-    p = sub.add_parser("so3-check", help="randomized top-weight rotation search")
+    p = sub.add_parser("so3-check", help="top-weight rotation search on random vectors")
     p.add_argument("--max-r", type=_nonnegative_int, default=10,
                    help="largest highest weight (default %(default)s)")
     p.add_argument("--trials", type=_positive_int, default=100,
                    help="random vectors per weight (default %(default)s)")
     p.add_argument("--budget", type=_positive_int, default=1000,
-                   help="rotation samples per search (default %(default)s)")
+                   help="rotations g_0, g_1, ... tried per search; r + 1 "
+                        "always suffice (default %(default)s)")
     # the search is exact; the option stays for the so3-exact-search workload
     add_common(p, backends=("exact",))
     p.set_defaults(handler=cmd_so3_check)
@@ -388,15 +389,14 @@ def cmd_so3_check(args):
     config = _config_from(args)
     rows = []
     total_exhaustions = 0
+    rng = np.random.default_rng(config.seed)
     for r in range(args.max_r + 1):
         irrep = build_irrep(r)
         successes = 0
         max_used = 0
-        for trial in range(args.trials):
-            rng = np.random.default_rng([config.seed, r, trial])
-            v = random_vector(rng, irrep.dim)
+        for _ in range(args.trials):
             outcome = find_rotation_with_top_component(
-                irrep, v, budget=args.budget, seed=config.seed + trial)
+                irrep, random_vector(rng, irrep.dim), budget=args.budget)
             successes += 1 if outcome.found else 0
             max_used = max(max_used, outcome.samples_used)
         exhaustions = args.trials - successes

@@ -109,8 +109,9 @@ def _outside(image, target):
 class ProjectorCalculus:
     """Cached endomorphisms for the adapted basis of one world's model.
 
-    For u in {"f", "fbar"} it holds act[u][j] = a(u_j), jop[u][j] = J(u_j)
-    and the rotated actions act_j[u][a][j] = a(J_a u_j) for a in {2, 3}.
+    For u in {"f", "fbar"} it holds the adapted vectors vectors[u][j] = u_j,
+    act[u][j] = a(u_j), jop[u][j] = J(u_j) and the rotated actions
+    act_j[u][a][j] = a(J_a u_j) for a in {2, 3}.
     a(J_1 u_j) is not formed: J_1 f_j = i f_j and J_1 fbar_j = -i fbar_j, so
     it is the phase multiple -t i a(u_j) for the weight shift t of u, and
     J(u_j) reads it so.  Over the patterns (u, v) in
@@ -126,12 +127,12 @@ class ProjectorCalculus:
         model, triple, ops = world.model, world.triple, world.ops
         self.pairs = 2 * model.m
         basis = build_adapted_basis(model, triple)
-        vectors = {"f": basis.f, "fbar": basis.f_bar}
+        self.vectors = {"f": basis.f, "fbar": basis.f_bar}
         self.act = {u: [vector_action(model, x) for x in xs]
-                    for u, xs in vectors.items()}
+                    for u, xs in self.vectors.items()}
         self.act_j = {u: {a: [vector_action(model, triple[a] @ x) for x in xs]
-                          for a in (2, 3)} for u, xs in vectors.items()}
-        self.jop = {u: [] for u in vectors}
+                          for a in (2, 3)} for u, xs in self.vectors.items()}
+        self.jop = {u: [] for u in self.vectors}
         for u, t in _WEIGHT_SHIFT.items():
             for j, act in enumerate(self.act[u]):
                 rotated = {1: act.scale(ExactScalar(0, -t)),
@@ -420,13 +421,16 @@ def verify_lemma_identities(calc, symmetry=None):
                                    f"{sub} a={a} {u}*J{v}",
                                    mixed[u, v, a] - expectations[a, u]))
 
-    # --- expansion of J on the adapted basis (weight term becomes +-i Omega_1)
-    for u, t in _WEIGHT_SHIFT.items():
+    # --- expansion of J on the adapted basis.  J(u_j) reads a(J_1 u_j) as
+    # the phase multiple -t i a(u_j); here it is formed from the triple, so a
+    # J_1 without the weight property of the adapted basis fails the row
+    for u in _WEIGHT_SHIFT:
         for orbit in orbits:
             j = orbit[0]
             act = calc.act[u][j]
-            # J(u_j) - (3 a(u_j) + Omega_1 (-t i) a(u_j) + sum_{a=2,3} Omega_a a(J_a u_j))
-            rhs = [(ExactScalar(0, t), ops[1], act),
+            # J(u_j) - (3 a(u_j) + sum_a Omega_a a(J_a u_j))
+            rotated = vector_action(model, calc.world.triple[1] @ calc.vectors[u][j])
+            rhs = [(-1, ops[1], rotated),
                    *((-1, ops[a], calc.act_j[u][a][j]) for a in (2, 3))]
             add(orbit, "jop_adapted_expansion", lambda j: f"{sub} {u} j={j}",
                 fused_sum(rhs, [(1, calc.jop[u][j]), (-3, act)]))

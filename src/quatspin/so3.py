@@ -9,11 +9,11 @@ satisfies [H_a, H_b] = 2i eps_abc H_c exactly.
 A rotation g acts on the generator span through its first row:
 g^{-1}H1 = sum_b g_{0b} H_{b+1}.  The module extracts the component of a
 vector in the top-eigenvalue eigenspace of such a rotated generator and
-searches, by seeded rotation sampling, for a rotation under which that
-component is nonzero.  Everything is exact: the coordinates are Gaussian
-rationals, and a rotation is the rational matrix of a quaternion read
-exactly, whether its components are small integers or the floats of four
-standard normals.
+walks the fixed rotations of 1 + tj, t = 0, 1, ..., for one under which
+that component is nonzero; the first r + 1 of them always find one.
+Everything is exact: the coordinates are Gaussian rationals, and a rotation
+is the rational matrix of a quaternion read exactly, whether its components
+are small integers or the floats of four standard normals.
 
 A rotated generator is tridiagonal in the weight basis, and its spectrum is
 certified by the continuant of its three bands, in Python integers over its
@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DimensionError, DomainError, SpectrumError
 from .exact import ExactScalar, fused_sum
@@ -169,18 +167,6 @@ def check_rotation(g):
         raise DomainError(
             "not a special orthogonal matrix "
             f"(orthogonality defect {float(dev):.3e}, det defect {float(ddet):.3e})")
-
-
-def random_rotation(rng):
-    """The rotation of a random small nonzero integer quaternion.
-
-    A dense finite grid rather than Haar; a Haar rotation is
-    `rotation_from_quaternion(*rng.standard_normal(4))`.
-    """
-    while True:
-        q = rng.integers(-9, 10, size=4)
-        if q.any():
-            return rotation_from_quaternion(*q)
 
 
 # -------------------------------------------------- rotated generator algebra
@@ -376,7 +362,7 @@ def highest_weight_component(irrep, g, v):
 
 @dataclass(frozen=True)
 class RotationSearch:
-    """Outcome of the sampling search for a top-weight-exposing rotation.
+    """Outcome of the search for a top-weight-exposing rotation.
 
     On exhaustion `found` is False, and `rotation` and `magnitude` are those
     of sample 0: the identity and 0.
@@ -386,7 +372,6 @@ class RotationSearch:
     rotation: Rotation
     magnitude: float
     samples_used: int
-    seed: int
 
 
 def random_vector(rng, dim):
@@ -397,37 +382,41 @@ def random_vector(rng, dim):
             return [int(v) for v in vec]
 
 
-def find_rotation_with_top_component(irrep, v, budget=1000, seed=0):
-    """First sampled rotation under which v has a nonzero top-weight part.
+def find_rotation_with_top_component(irrep, v, budget=1000):
+    """First rotation g_t under which v has a nonzero top-weight part.
 
     v is a coordinate sequence of int, Fraction or ExactScalar entries,
-    checked on its length, its entry types and not being all zero.  Sample
-    0 is always the identity.  The unrotated H1 = diag(r, r-2, ...) keeps
-    coordinate 0 on top, so that sample is decided from v_0 alone, with no
-    generator seeded; v's numerators are formed only when sample 1 is
-    needed.  Later samples are `random_rotation`s drawn from a generator
-    seeded with (seed, r), so runs are reproducible, each judged by the
-    exact norm from the certified top eigenvectors and accepted when it is
-    nonzero; `magnitude` is its square root as a float.  Every vector
-    admits such a rotation, so exhaustion at a reasonable budget indicates
-    a real problem.  Every rejected sample has norm 0, so exhaustion
-    reports the first, the identity, with magnitude 0.
+    checked on its length, its entry types and not being all zero.  Sample t
+    is g_t = `rotation_from_quaternion(1, 0, t, 0)`, the rotation of 1 + tj,
+    for t = 0, 1, ..., budget - 1.  Sample 0 is the identity, whose
+    H1 = diag(r, r-2, ...) keeps coordinate 0 on top, so it is decided from
+    v_0 alone; v's numerators are formed only when sample 1 is needed.  Each
+    later sample is judged by the exact norm from the certified top
+    eigenvectors and accepted when it is nonzero; `magnitude` is its square
+    root as a float.
+
+    The walk always ends by sample r.  P v = 0 exactly when l_t . v = 0 for
+    the top left eigenvector l_t of g_t's rotated generator, and
+    l_t[s] = lambda_t c_s t^s with lambda_t != 0 and c_s = (-i)^s r!/(r-s)!
+    independent of t (g_t turns about the second axis by 2 arctan t).  So
+    [l_0 ... l_r] is a Vandermonde matrix in t = 0..r between two invertible
+    diagonals, of rank r + 1, and no nonzero v is orthogonal to all of them:
+    every v is found with samples_used <= r + 1, and only a budget <= r can
+    exhaust.  Exhaustion reports sample 0, the identity, with magnitude 0.
     """
     if budget < 1:
         raise DomainError(f"sample budget must be at least 1, got {budget}")
     v = _vector(irrep, v)
     re, im = _parts(v[0])
     if re or im:
-        return RotationSearch(True, identity_rotation(),
-                              math.sqrt(re * re + im * im), 1, seed)
+        return RotationSearch(True, identity_rotation(), math.sqrt(re * re + im * im), 1)
     operand = _operand(v)
-    rng = np.random.default_rng([seed, irrep.r])
-    for i in range(1, budget):
-        g = random_rotation(rng)
+    for t in range(1, budget):
+        g = rotation_from_quaternion(1, 0, t, 0)
         norm2 = _top_weight_norm2(irrep, g, operand)
         if norm2:
-            return RotationSearch(True, g, math.sqrt(norm2), i + 1, seed)
-    return RotationSearch(False, identity_rotation(), 0.0, budget, seed)
+            return RotationSearch(True, g, math.sqrt(norm2), t + 1)
+    return RotationSearch(False, identity_rotation(), 0.0, budget)
 
 
 # -------------------------------------------------------------- verification

@@ -12,7 +12,6 @@ from quatspin.bounds import (
     dominance_threshold,
     extremal_first_coefficient,
     extremal_second_coefficient,
-    universal_bound,
     universal_coefficient,
 )
 from quatspin.errors import DomainError
@@ -24,17 +23,17 @@ def test_universal_coefficient_values():
     assert universal_coefficient(2) == Fraction(5, 4)
     assert universal_coefficient(3) == Fraction(6, 5)
     # kappa multiplied in only at the value level
-    assert universal_bound(2, 4) == Fraction(5, 4)
-    assert universal_bound(2, Fraction(1, 3)) == Fraction(5, 48)
+    assert build_bound_report(2, 4).universal_value == Fraction(5, 4)
+    assert build_bound_report(2, Fraction(1, 3)).universal_value == Fraction(5, 48)
 
 
 def test_universal_domain_errors():
     with pytest.raises(DomainError):
         universal_coefficient(0)
     with pytest.raises(DomainError):
-        universal_bound(2, 0)
+        build_bound_report(2, 0)
     with pytest.raises(DomainError):
-        universal_bound(2, Fraction(-1, 2))
+        build_bound_report(2, Fraction(-1, 2))
 
 
 def test_universal_limit_is_one():

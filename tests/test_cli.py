@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quatspin import cli, decomposition, projectors, quaternionic
@@ -233,9 +234,36 @@ def test_so3_check(capsys):
     assert data["ok"] is True
     assert [row["r"] for row in data["rows"]] == [0, 1, 2, 3]
     assert all(row["successes"] == 5 for row in data["rows"])
-    # the default command samples rotations: some vector has v_0 = 0
+    # the default command walks past the identity: some vector has v_0 = 0
     assert data["backend"] == "exact"
     assert max(row["max_samples_used"] for row in data["rows"]) >= 2
+    assert all(row["max_samples_used"] <= row["r"] + 1 for row in data["rows"])
+
+
+def test_so3_check_draws_from_one_generator_per_run(monkeypatch, capsys):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counted(*args):
+        made.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    assert run(["so3-check", "--max-r", "3", "--trials", "5", "--seed", "7"], capsys)[0] == 0
+    assert made == [(7,)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_benchmark_searches_stop_by_sample_r_plus_1(seed, capsys):
+    # the so3-exact-search workload's command: every one of its 1,320
+    # searches ends within the r + 1 rotations whose top eigenvectors span
+    argv = ["so3-check", "--backend", "exact", "--max-r", "10", "--trials", "120",
+            "--budget", "1000", "--seed", str(seed)]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert [row["successes"] for row in rows] == [120] * 11
+    assert all(row["max_samples_used"] <= row["r"] + 1 for row in rows)
 
 
 def test_so3_check_is_exact_only(capsys):
@@ -382,7 +410,7 @@ def test_each_command_builds_one_world_per_m(argv, expect, world_work, capsys):
     (["decompose", "--m", "2", "--backend", "float"],
      "2e8322995d3805eab21da9b783cd13c8223d552d7aed7f4dd4a97fa95171616f"),
     (["so3-check", "--max-r", "3", "--trials", "5"],
-     "e7c08ccb693c359fc8a469b17e6d2bbe1dd8a6b5ba632401dea1f1234c7677a1"),
+     "a80aec43b80ee0caf4e9c66de5091742b7821cd15f95f2962709118ed4425636"),
     # failing float residuals: the digits an exactly stated spectrum could move
     (["verify", "--m", "2", "--flip-gamma", "5", "--backend", "float"],
      "973757c06a10f2543a4b7d3c5d7de6b5c413de96778286676de15d01d1c99ae8"),
@@ -436,16 +464,35 @@ def test_json_render_memory_does_not_grow_with_the_report(tmp_path):
     assert peak < path.stat().st_size
 
 
+def _child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_a_reader_that_closes_early_ends_the_run_quietly():
     # the report (about 200 KB) outgrows the pipe, so the run writes to a
     # closed pipe: no traceback, and the exit code is still the verdict's
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "quatspin.cli", "verify", "--m", "3"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     assert proc.stdout.read(10) == b'{\n  "backe'
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 0
+
+
+def _top_level_modules(statement):
+    """The top-level names in sys.modules of a fresh interpreter after statement."""
+    code = f"{statement}\nimport sys\nprint(*{{n.split('.')[0] for n in sys.modules}})"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_child_env(), check=True, timeout=60).stdout
+    return set(out.split())
+
+
+def test_the_cli_loads_no_third_party_module_but_numpy():
+    # every command's start-up pays for what `import quatspin.cli` loads;
+    # site hooks (.pth files) load the same modules with or without it
+    added = _top_level_modules("import quatspin.cli") - _top_level_modules("pass")
+    assert added - set(sys.stdlib_module_names) <= {"numpy", "quatspin"}

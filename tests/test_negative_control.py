@@ -35,10 +35,13 @@ the sl2 relations and the mixed product sums, which reproduce Omega_2 and
 Omega_3 from the adapted basis, must fail, with the same verdict on every
 row in both backends.
 
-Two more controls reach the lemma families that none of the above fails,
+Three more controls reach the lemma families that none of the above fails,
 at m = 1 and 2 in both backends: J(x) formed without its 3 a(x) term must
-fail the expansion of J on the adapted basis and the sums of J(u_j) a(v_j),
-and J_2 = I, with its operators rebuilt, must fail the rotated product sums.
+fail the expansion of J on the adapted basis and the sums of J(u_j) a(v_j);
+J_1 -> 2 J_1, with its operators rebuilt, must fail that expansion, whose
+a(J_1 u_j) comes from the triple while J(u_j) reads it as a phase multiple
+of a(u_j); and J_2 = I, with its operators rebuilt, must fail the rotated
+product sums.
 """
 
 import json
@@ -162,6 +165,15 @@ def test_j_without_its_action_term_fails_the_expansion(m, backend, monkeypatch):
     report = cli.world_report(build_world(build_clifford_model(m, kind=backend)))
     assert {"jop_adapted_expansion", "jop_product_jf_fbar",
             "jop_product_jfbar_f"} <= _failing_families(report)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_doubled_j1_fails_the_expansion(m, backend):
+    # the adapted basis of 2 J_1 is no longer i and -i eigenvectors of J_1,
+    # so a(J_1 u_j) formed from the triple differs from -t i a(u_j)
+    report = _corrupted_triple_report(m, backend, lambda j1, j2, j3: (j1.scale(2), j2, j3))
+    assert "jop_adapted_expansion" in _failing_families(report)
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -6,20 +6,21 @@ import pytest
 
 from quatspin import exact as exact_module
 from quatspin.errors import DimensionError, DomainError, SpectrumError
-from quatspin.exact import ExactScalar, certify_eigenprojector, lagrange_projector
+from quatspin.exact import (ExactScalar, certify_eigenprojector, column_space_basis,
+                            lagrange_projector)
 from quatspin.quaternionic import epsilon
 from quatspin.so3 import (
     _FIXED_QUATERNIONS,
     Rotation,
     RotationSearch,
     _rotation_defect,
+    _top_eigenvectors,
     build_irrep,
     check_rotation,
     find_rotation_with_top_component,
     highest_weight_component,
     identity_rotation,
     irrep_report,
-    random_rotation,
     random_vector,
     rotated_generator,
     rotation_from_quaternion,
@@ -30,6 +31,14 @@ from quatspin.sparse import SparseMatrix
 
 def _comm(a, b):
     return a @ b - b @ a
+
+
+def integer_rotation(rng):
+    """The rotation of a random small nonzero integer quaternion."""
+    while True:
+        q = rng.integers(-9, 10, size=4)
+        if q.any():
+            return rotation_from_quaternion(*q)
 
 
 def haar_rotation(rng):
@@ -116,7 +125,7 @@ def test_rotation_validity_checks():
     check_rotation(identity_rotation())
     rng = np.random.default_rng(11)
     # integer and Haar quaternions give exact rotations, certified exactly
-    for draw in (random_rotation, haar_rotation):
+    for draw in (integer_rotation, haar_rotation):
         for _ in range(20):
             g = draw(rng)
             assert all(isinstance(v, Fraction) for row in g.entries for v in row)
@@ -144,9 +153,6 @@ def test_rotations_are_exact():
     q = np.random.default_rng(5).standard_normal(4)
     drawn = haar_rotation(np.random.default_rng(5))
     assert drawn.entries == rotation_from_quaternion(*(Fraction(float(c)) for c in q)).entries
-    # the sampler has one kind
-    with pytest.raises(TypeError):
-        random_rotation(np.random.default_rng(5), "float")
 
 
 def fraction_defect(g):
@@ -259,25 +265,22 @@ def test_sample_zero_is_decided_from_the_top_coordinate():
     # v_0 = 3 + 4i: the identity is accepted with magnitude |v_0| = 5
     # whatever the other coordinates
     for top in (ExactScalar(3, 4), Fraction(-5), 5):
-        out = find_rotation_with_top_component(build_irrep(2), [top, 1, 0], seed=3)
+        out = find_rotation_with_top_component(build_irrep(2), [top, 1, 0])
         assert out.found and out.samples_used == 1
         assert out.rotation.entries == identity_rotation().entries
         assert out.magnitude == 5.0
-    # v_0 = 0: sample 1 is the first draw of the generator seeded with (3, r)
-    out = find_rotation_with_top_component(build_irrep(2), [0, 1, 2], seed=3)
+    # v_0 = 0: sample 1 is g_1, the rotation of 1 + j, pi/2 about axis 2
+    out = find_rotation_with_top_component(build_irrep(2), [0, 1, 2])
     assert out.found and out.samples_used == 2
-    assert out.rotation.entries == random_rotation(np.random.default_rng([3, 2])).entries
-    assert out.rotation.entries == (
-        (Fraction(2, 3), Fraction(-22, 39), Fraction(-19, 39)),
-        (Fraction(1, 3), Fraction(-14, 39), Fraction(34, 39)),
-        (Fraction(-2, 3), Fraction(-29, 39), Fraction(-2, 39)))
+    assert out.rotation.entries == rotation_from_quaternion(1, 0, 1, 0).entries
+    assert out.rotation.entries == ((0, 0, 1), (0, 1, 0), (-1, 0, 0))
 
 
 def test_search_escapes_vanishing_identity_component():
     # the lowest-weight vector has exactly zero top component at the identity,
     # so the search must move to a non-identity rotation
     ir = build_irrep(1)
-    out = find_rotation_with_top_component(ir, [0, 1], seed=5)
+    out = find_rotation_with_top_component(ir, [0, 1])
     assert out.found and out.samples_used >= 2
     assert out.rotation.entries != identity_rotation().entries
     assert out.magnitude > 0
@@ -287,12 +290,11 @@ def test_search_escapes_vanishing_identity_component():
 
 def test_search_is_deterministic():
     ir = build_irrep(2)
-    a = find_rotation_with_top_component(ir, [0, 0, 1], seed=9)
-    b = find_rotation_with_top_component(ir, [0, 0, 1], seed=9)
+    a = find_rotation_with_top_component(ir, [0, 0, 1])
+    b = find_rotation_with_top_component(ir, [0, 0, 1])
     assert a.samples_used == b.samples_used
     assert a.magnitude == b.magnitude
     assert a.rotation.entries == b.rotation.entries
-    assert a.seed == b.seed == 9
 
 
 def test_search_float_random_vectors():
@@ -301,12 +303,11 @@ def test_search_float_random_vectors():
     for r in range(1, 7):
         ir = build_irrep(r)
         for trial in range(10):
-            # v_0 = 0 rules out the identity, so the search samples rotations
+            # v_0 = 0 rules out the identity, so the search walks past it
             v = [0] + normal_vector(rng, r)
-            out = find_rotation_with_top_component(ir, v, budget=200,
-                                                   seed=100 * r + trial)
+            out = find_rotation_with_top_component(ir, v, budget=200)
             assert out.found, (r, trial)
-            assert out.samples_used >= 2
+            assert 2 <= out.samples_used <= r + 1
             assert out.magnitude > 0
 
 
@@ -315,7 +316,7 @@ def test_search_exact_integer_vectors():
     for r in range(1, 5):
         ir = build_irrep(r)
         v = random_vector(rng, ir.dim)
-        out = find_rotation_with_top_component(ir, v, budget=50, seed=r)
+        out = find_rotation_with_top_component(ir, v, budget=50)
         assert out.found
         assert out.magnitude > 0
 
@@ -323,7 +324,7 @@ def test_search_exact_integer_vectors():
 def test_search_exhaustion_reports_best_candidate():
     # coordinate 0 of [0, 1] is zero, so the only sample, the identity, fails
     ir = build_irrep(1)
-    out = find_rotation_with_top_component(ir, [0, 1], budget=1, seed=2)
+    out = find_rotation_with_top_component(ir, [0, 1], budget=1)
     assert not out.found
     assert out.samples_used == 1
     assert out.rotation.entries == identity_rotation().entries
@@ -369,12 +370,10 @@ def test_search_gives_the_same_outcome_for_any_coordinate_sequence():
                     if trial % 2 and r:
                         v[0] = 0
                         v[-1] = v[-1] or 1
-                    seed = 10 * r + trial
-                    outs = [find_rotation_with_top_component(ir, x, budget=budget,
-                                                             seed=seed)
+                    outs = [find_rotation_with_top_component(ir, x, budget=budget)
                             for x in (v, iter(v), tuple(v))]
                     fields = [(o.found, o.rotation.entries, repr(o.magnitude),
-                               o.samples_used, o.seed) for o in outs]
+                               o.samples_used) for o in outs]
                     assert all(isinstance(o, RotationSearch) for o in outs)
                     assert fields[0] == fields[1] == fields[2], (draw, r, budget, v)
                     cases += 1
@@ -387,6 +386,76 @@ def test_search_domain_errors():
         find_rotation_with_top_component(ir, [1, 0], budget=0)
     with pytest.raises(DomainError):
         find_rotation_with_top_component(ir, [0, 0])
+
+
+def walk_left_eigenvectors(ir, count):
+    """Top left eigenvectors l_0..l_{count-1} of the walk's rotations g_t of 1 + tj."""
+    return [[ExactScalar(*x) for x in _top_eigenvectors(
+                ir, rotated_generator(ir, rotation_from_quaternion(1, 0, t, 0)))[1]]
+            for t in range(count)]
+
+
+@pytest.mark.parametrize("r", range(11))
+def test_the_walk_spans_every_top_weight_functional(r):
+    # l_t[s] = lambda_t c_s t^s with c_s = (-i)^s r!/(r-s)!, so the first
+    # r + 1 left eigenvectors form a Vandermonde matrix between two
+    # diagonals: exact rank r + 1, and no nonzero v is orthogonal to all
+    ir = build_irrep(r)
+    lefts = walk_left_eigenvectors(ir, r + 1)
+    powers = ((1, 0), (0, -1), (-1, 0), (0, 1))
+    for t, left in enumerate(lefts):
+        want = [ExactScalar(*powers[s % 4]) * (math.perm(r, s) * t ** s)
+                for s in range(ir.dim)]
+        assert left[0] and all(x * want[0] == left[0] * y for x, y in zip(left, want)), t
+    span = SparseMatrix.from_rows([[left[s] for left in lefts] for s in range(ir.dim)])
+    assert len(column_space_basis(span)) == r + 1
+
+
+@pytest.mark.parametrize("r", range(11))
+def test_the_walk_finds_every_vector_within_r_plus_1_samples(r):
+    ir = build_irrep(r)
+    rng = np.random.default_rng([67, r])
+    vectors = [[int(s == j) for j in range(ir.dim)] for s in range(ir.dim)]
+    for trial in range(200):
+        v = random_vector(rng, ir.dim)
+        if trial % 2 and r:
+            v[0] = 0
+            v[-1] = v[-1] or 1
+        vectors.append(v)
+    for v in vectors:
+        out = find_rotation_with_top_component(ir, v, budget=r + 1)
+        assert out.found and out.samples_used <= r + 1, (r, v)
+
+
+def common_kernel_vector(ir, count):
+    """A nonzero v with l_t . v = 0 for every t < count = r.
+
+    The reduced basis of span{l_t} has r vectors, each 1 at its pivot and 0
+    at the other pivots, so v is 1 at the one free index f and -b[f] at the
+    pivot of each basis vector b.
+    """
+    lefts = walk_left_eigenvectors(ir, count)
+    span = SparseMatrix.from_rows([[left[s] for left in lefts] for s in range(ir.dim)])
+    basis = [[b[s, 0] for s in range(ir.dim)] for b in column_space_basis(span)]
+    pivots = [next(s for s, x in enumerate(b) if x) for b in basis]
+    (free,) = set(range(ir.dim)) - set(pivots)
+    v = [ExactScalar(int(s == free)) for s in range(ir.dim)]
+    for pivot, b in zip(pivots, basis):
+        v[pivot] = -b[free]
+    return v
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_a_common_kernel_vector_needs_every_sample(r):
+    ir = build_irrep(r)
+    v = common_kernel_vector(ir, r)
+    out = find_rotation_with_top_component(ir, v, budget=r + 1)
+    assert out.found and out.samples_used == r + 1 and out.magnitude > 0
+    assert out.rotation.entries == rotation_from_quaternion(1, 0, r, 0).entries
+    # a budget of r is the only kind that can exhaust
+    out = find_rotation_with_top_component(ir, v, budget=r)
+    assert not out.found and out.samples_used == r
+    assert out.rotation.entries == identity_rotation().entries and out.magnitude == 0
 
 
 def test_irrep_report_structure():
@@ -479,13 +548,12 @@ def test_a_repeated_eigenvalue_is_refused():
         top_weight_projector(ir, SparseMatrix.identity(2))
 
 
-def reference_search(ir, v, budget, seed):
+def reference_search(ir, v, budget):
     """The search with every sample judged by the Lagrange projector's norm."""
     col = SparseMatrix.from_rows([[x] for x in v])
-    rng = np.random.default_rng([seed, ir.r])
     best_mag, best_g = None, None
     for i in range(budget):
-        g = identity_rotation() if i == 0 else random_rotation(rng)
+        g = rotation_from_quaternion(1, 0, i, 0)
         norm2 = (lagrange_reference(ir, rotated_generator(ir, g)) @ col).frobenius_norm2()
         mag = math.sqrt(float(norm2))
         if norm2 != 0:
@@ -514,10 +582,9 @@ def search_vectors(r):
 def test_search_matches_the_lagrange_reference(r):
     ir = build_irrep(r)
     for trial, v in enumerate(search_vectors(r)):
-        seed = 1000 + trial
-        want = reference_search(ir, v, 50, seed)
+        want = reference_search(ir, v, 50)
         for x in (v, tuple(v)):
-            out = find_rotation_with_top_component(ir, x, budget=50, seed=seed)
+            out = find_rotation_with_top_component(ir, x, budget=50)
             assert (out.found, out.rotation.entries, repr(out.magnitude),
                     out.samples_used) == want, (r, trial)
             assert repr(highest_weight_component(ir, out.rotation, x)) == want[2]
@@ -543,11 +610,10 @@ def test_top_weight_projector_product_count(monkeypatch):
     assert irrep_report(10).ok
     assert len(calls) <= 70
     calls.clear()
-    out = find_rotation_with_top_component(ir, [0] * 10 + [1], seed=4)
+    out = find_rotation_with_top_component(ir, [0] * 10 + [1])
     assert out.found and out.samples_used >= 2
     assert calls == []
     # nor on large rationals
-    out = find_rotation_with_top_component(ir, [0] + normal_vector(np.random.default_rng(4), 10),
-                                           seed=4)
+    out = find_rotation_with_top_component(ir, [0] + normal_vector(np.random.default_rng(4), 10))
     assert out.found and out.samples_used >= 2
     assert calls == []
