@@ -52,6 +52,8 @@ from .quaternionic import (
     kraines_form,
     build_kaehler_operators,
     build_adapted_basis,
+    q_plus,
+    q_minus,
     structure_report,
 )
 from .symmetry import (
@@ -74,8 +76,6 @@ from .decomposition import (
 from .projectors import (
     ProjectorCalculus,
     j_operator,
-    q_plus,
-    q_minus,
     p_plus,
     p_minus,
     BlockConstant,

@@ -107,9 +107,13 @@ class BoundReport:
         return self.universal * self.kappa / 4
 
 
-def _require_configuration(m, r, k):
+def _require_dimension(m):
     if m < 1:
         raise DomainError(f"quaternionic dimension must be >= 1, got {m}")
+
+
+def _require_configuration(m, r, k):
+    _require_dimension(m)
     if not lattice_allows(m, r, k):
         raise DomainError(f"(r={r}, k={k}) is not on the weight lattice for m={m}")
     if r >= m:
@@ -141,14 +145,9 @@ def bound_case_B(m, r, k):
 
 
 def configuration_rows(m):
-    """Every case-A and case-B row on the lattice, sorted by (r, k, case)."""
-    rows = []
-    for r in range(m):
-        for k in range(m - r, m + r + 1, 2):
-            rows.append(bound_case_A(m, r, k))
-            rows.append(bound_case_B(m, r, k))
-    rows.sort(key=lambda row: (row.r, row.k, row.case))
-    return rows
+    """Every case-A and case-B row on the lattice, in (r, k, case) order."""
+    return [row for r in range(m) for k in range(m - r, m + r + 1, 2)
+            for row in (bound_case_A(m, r, k), bound_case_B(m, r, k))]
 
 
 def extremal_first_coefficient(m, r):
@@ -178,16 +177,14 @@ def dominance_threshold(r):
 
 def universal_coefficient(m):
     """The universal coefficient (m+3)/(m+2) of kappa/4."""
-    if m < 1:
-        raise DomainError(f"quaternionic dimension must be >= 1, got {m}")
+    _require_dimension(m)
     return Fraction(m + 3, m + 2)
 
 
 def comparison_bounds(m, complex_dimension=None):
     """Reference coefficients: the general estimate n/(n-1) for n = 4m and
     the Kaehler estimates (m_c+1)/m_c (odd m_c) and m_c/(m_c-1) (even m_c)."""
-    if m < 1:
-        raise DomainError(f"quaternionic dimension must be >= 1, got {m}")
+    _require_dimension(m)
     m_c = 2 * m if complex_dimension is None else complex_dimension
     if m_c < 2:
         raise DomainError(f"complex dimension must be >= 2, got {m_c}")

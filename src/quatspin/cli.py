@@ -59,15 +59,6 @@ from .symmetry import certify_line_symmetry
 from .so3 import build_irrep, find_rotation_with_top_component, irrep_report, random_vector
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run parameters embedded in every report."""
-
-    m_values: tuple
-    backend: str
-    seed: int
-
-
 @dataclass
 class CommandResult:
     exit_code: int
@@ -81,24 +72,17 @@ class CommandResult:
 # ------------------------------------------------------------ argument types
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low):
+    """The argument type of an integer >= low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _rational(text):
@@ -115,7 +99,7 @@ def _m_range(text):
     parts = text.split("..")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
-    lo, hi = (_positive_int(p) for p in parts)
+    lo, hi = map(_int_at_least(1), parts)
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
@@ -136,73 +120,64 @@ def build_parser():
                        default="json", help="output format (default %(default)s)")
         p.add_argument("--out", default=None, help="write the report to a file")
 
-    def add_common(p, backends=("exact", "float"), seed=True):
+    def add_m(p):
+        p.add_argument("--m", type=_int_at_least(1), default=2,
+                       help="quaternionic dimension (default %(default)s)")
+
+    def add_common(p, backends=("exact", "float"), seed_help=None):
         p.add_argument("--backend", choices=backends, default="exact",
                        help="arithmetic backend (default %(default)s)")
-        if seed:
-            p.add_argument("--seed", type=_nonnegative_int, default=0,
-                           help="seed for randomized sampling (default %(default)s)")
+        if seed_help is not None:
+            p.add_argument("--seed", type=_int_at_least(0), default=0,
+                           help=f"{seed_help} (default %(default)s)")
         add_output(p)
 
     p = sub.add_parser("verify", help="run the full verification matrix")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--m", type=_positive_int, default=None,
+    group.add_argument("--m", type=_int_at_least(1), default=None,
                        help="single quaternionic dimension")
-    group.add_argument("--m-range", type=_m_range, default=None, metavar="A..B",
+    group.add_argument("--m-range", type=_m_range, default=(1, 2), metavar="A..B",
                        help="inclusive dimension range (default 1..2)")
-    p.add_argument("--flip-gamma", type=_nonnegative_int, default=None,
+    p.add_argument("--flip-gamma", type=_int_at_least(0), default=None,
                    help=argparse.SUPPRESS)
-    add_common(p)
+    add_common(p, seed_help="copied into the report; nothing is sampled")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("constants", help="computed vs closed-form block constants")
-    p.add_argument("--m", type=_positive_int, default=2,
-                   help="quaternionic dimension (default %(default)s)")
+    add_m(p)
     # nothing in the constants is sampled
-    add_common(p, seed=False)
+    add_common(p)
     p.set_defaults(handler=cmd_constants)
 
     p = sub.add_parser("bounds", help="eigenvalue-bound coefficient table")
-    p.add_argument("--m", type=_positive_int, default=2,
-                   help="quaternionic dimension (default %(default)s)")
+    add_m(p)
     p.add_argument("--kappa", type=_rational, default=Fraction(4),
                    help="scalar curvature as a positive rational (default 4)")
-    p.add_argument("--complex-dimension", type=_positive_int, default=None,
+    p.add_argument("--complex-dimension", type=_int_at_least(1), default=None,
                    help="complex dimension for the Kaehler comparison "
                         "(default 2m)")
     add_output(p)
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("decompose", help="joint (r, k) block lattice")
-    p.add_argument("--m", type=_positive_int, default=2,
-                   help="quaternionic dimension (default %(default)s)")
-    add_common(p)
+    add_m(p)
+    # the option stays for the decompose-exact-m4 workload, which passes it
+    add_common(p, seed_help="ignored; nothing is sampled")
     p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("so3-check", help="top-weight rotation search on random vectors")
-    p.add_argument("--max-r", type=_nonnegative_int, default=10,
+    p.add_argument("--max-r", type=_int_at_least(0), default=10,
                    help="largest highest weight (default %(default)s)")
-    p.add_argument("--trials", type=_positive_int, default=100,
+    p.add_argument("--trials", type=_int_at_least(1), default=100,
                    help="random vectors per weight (default %(default)s)")
-    p.add_argument("--budget", type=_positive_int, default=1000,
+    p.add_argument("--budget", type=_int_at_least(1), default=1000,
                    help="rotations g_0, g_1, ... tried per search; r + 1 "
                         "always suffice (default %(default)s)")
     # the search is exact; the option stays for the so3-exact-search workload
-    add_common(p, backends=("exact",))
+    add_common(p, backends=("exact",), seed_help="seed of the random vectors")
     p.set_defaults(handler=cmd_so3_check)
 
     return parser
-
-
-def _config_from(args):
-    if getattr(args, "m_range", None) is not None:
-        lo, hi = args.m_range
-        m_values = tuple(range(lo, hi + 1))
-    elif getattr(args, "m", None) is not None:
-        m_values = (args.m,)
-    else:
-        m_values = (1, 2)
-    return RunConfig(m_values=m_values, backend=args.backend, seed=args.seed)
 
 
 # ------------------------------------------------------------------ commands
@@ -224,8 +199,9 @@ def world_report(world):
 
 
 def cmd_verify(args):
-    config = _config_from(args)
-    models = [build_clifford_model(m, kind=config.backend) for m in config.m_values]
+    lo, hi = args.m_range
+    m_values = (args.m,) if args.m is not None else tuple(range(lo, hi + 1))
+    models = [build_clifford_model(m, kind=args.backend) for m in m_values]
     if args.flip_gamma is not None:
         # every index is checked before the first world is built
         flipped = [corrupt_gamma(model, args.flip_gamma) for model in models]
@@ -246,10 +222,10 @@ def cmd_verify(args):
     counts = combined.counts()
     payload = {
         "command": "verify",
-        "backend": config.backend,
-        **_tolerance(config.backend),
-        "seed": config.seed,
-        "m_values": list(config.m_values),
+        "backend": args.backend,
+        **_tolerance(args.backend),
+        "seed": args.seed,
+        "m_values": list(m_values),
         "flip_gamma": args.flip_gamma,
         "model_hashes": model_hashes,
         "counts": counts,
@@ -258,7 +234,7 @@ def cmd_verify(args):
         "failures": [row for row in rows if row["status"] == "fail"],
     }
     fieldnames = ["segment", "check_id", "subject", "status", "residual", "note"]
-    preamble = [f"backend={config.backend} m_values={list(config.m_values)} "
+    preamble = [f"backend={args.backend} m_values={list(m_values)} "
                 f"pass={counts['pass']} fail={counts['fail']} info={counts['info']}"]
     return CommandResult(0 if combined.ok else 1, payload, fieldnames, rows,
                          preamble)
@@ -343,16 +319,15 @@ def cmd_bounds(args):
 
 
 def cmd_decompose(args):
-    config = _config_from(args)
     m = args.m
-    world = build_world(build_clifford_model(m, kind=config.backend))
+    world = build_world(build_clifford_model(m, kind=args.backend))
     model, dec = world.model, world.dec
     blocks = [{"r": b.r, "k": b.k, "dim": b.dim,
                "omega_eig": b.omega_eig, "omega1_eig_im": b.weight_im}
               for b in dec.nonzero_blocks()]
     payload = {
         "command": "decompose",
-        "backend": config.backend,
+        "backend": args.backend,
         "m": m,
         "model_hash": model.content_hash(),
         "spinor_dim": model.spinor_dim,
@@ -386,10 +361,9 @@ def _decompose_grid(m, dec):
 
 
 def cmd_so3_check(args):
-    config = _config_from(args)
     rows = []
     total_exhaustions = 0
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     for r in range(args.max_r + 1):
         irrep = build_irrep(r)
         successes = 0
@@ -405,11 +379,11 @@ def cmd_so3_check(args):
                      "exhaustions": exhaustions, "max_samples_used": max_used})
     payload = {
         "command": "so3-check",
-        "backend": config.backend,
+        "backend": args.backend,
         "max_r": args.max_r,
         "trials": args.trials,
         "budget": args.budget,
-        "seed": config.seed,
+        "seed": args.seed,
         "total_exhaustions": total_exhaustions,
         "ok": total_exhaustions == 0,
         "rows": rows,

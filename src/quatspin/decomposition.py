@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SpectrumError
-from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, fused_sum,
-                    lagrange_eigenprojectors)
+from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, commutator,
+                    fused_sum, lagrange_eigenprojectors)
 from .clifford import CliffordModel
 from .quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_operators,
                            build_standard_triple)
@@ -113,10 +113,10 @@ def decompose(model, ops):
     block as the zero matrix.
     """
     m = model.m
-    commutator = fused_sum([(1, ops.kraines, ops[1]), (-1, ops[1], ops.kraines)])
-    if not commutator.is_zero():
+    residual = commutator(ops.kraines, ops[1])
+    if not residual.is_zero():
         raise SpectrumError("Kraines form and Omega_1 do not commute "
-                            f"(residual {commutator.max_abs():.3e})")
+                            f"(residual {residual.max_abs():.3e})")
     weights = [weight_eigenvalue(m, k) for k in range(2 * m + 1)]
     k_proj = dict(enumerate(lagrange_eigenprojectors(ops[1], weights).values()))
     zero, blocks = model.zeros(), {}

@@ -331,15 +331,21 @@ def fused_sum(products=(), terms=()):
     return cls._linear(rows, cols, products, terms)
 
 
+def commutator(a, b, terms=()):
+    """a b - b a + sum_s d_s M_s over terms (d_s, M_s), as one fused sum."""
+    return fused_sum([(1, a, b), (-1, b, a)], terms)
+
+
 class _Nonzeros:
-    """Shape checks and operator dispatch, common to both backends.
+    """Operator dispatch and the index arithmetic, common to both backends.
 
     A subclass holds rows, cols and `_key`, and supplies `zeros`, `scale`
     and the value arithmetic: `_fused` (a fused sum of operands that each
     hold a nonzero, with nonzero coefficients), `_transposed`, `_scalars`
     (the stored values as scalars) and `_unit_phases` (which stored values
     are 1, -1, i or -i).  A product and a sum or difference are fused sums
-    of one product or two terms.  Mixing the backends raises TypeError.
+    of one product or two terms, whose shapes `fused_sum` checks.  Mixing
+    the backends raises TypeError.
     """
 
     __slots__ = ()
@@ -368,20 +374,12 @@ class _Nonzeros:
     def __matmul__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if not (self._key.size and other._key.size):
-            return self.zeros(self.rows, other.cols)
-        return self._fused(self.rows, other.cols, ((1, self, other),), ())
+        return fused_sum([(1, self, other)])
 
     def _sum(self, other, sign):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError(
-                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        return self._linear(self.rows, self.cols, (), ((1, self), (sign, other)))
+        return fused_sum(terms=[(1, self), (sign, other)])
 
     def __add__(self, other):
         return self._sum(other, 1)

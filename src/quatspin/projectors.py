@@ -2,8 +2,7 @@
 
 Implements the first-order operators built from a complexified vector x:
 its Clifford action a(x), the combination J(x) = sum_a Omega_a a(J_a x)
-+ 3 a(x), the weight-shift components q^(+-)(x) = (x +- i J_1 x)/2, and the
-degree-shift components
++ 3 a(x), and the degree-shift components
 
     p_r^+(x) = ((2r+1) a(x) - J(x)) / (4(r+1))   (S_r -> S_{r+1})
     p_r^-(x) = ((2r+3) a(x) + J(x)) / (4(r+1))   (S_r -> S_{r-1})
@@ -20,7 +19,7 @@ from fractions import Fraction
 
 from .clifford import vector_action
 from .errors import DomainError, IdentityFailure
-from .exact import FLOAT_SCALAR_TOL, ExactScalar, fused_sum
+from .exact import FLOAT_SCALAR_TOL, ExactScalar, commutator, fused_sum
 from .quaternionic import build_adapted_basis
 from .report import CheckEntry, VerificationReport, residual_entry
 from .symmetry import vector_orbits
@@ -44,18 +43,14 @@ _PATTERNS = (("f", "fbar"), ("fbar", "f"))
 _WEIGHT_SHIFT = {"f": -1, "fbar": +1}
 
 
-def q_plus(triple, x):
-    """Weight-raising component (x + i J_1 x)/2 of a complexified vector."""
-    return (x + (triple[1] @ x).scale(_I)).scale(_HALF)
-
-
-def q_minus(triple, x):
-    """Weight-lowering component (x - i J_1 x)/2."""
-    return (x - (triple[1] @ x).scale(_I)).scale(_HALF)
-
-
 def j_operator(model, triple, ops, x):
-    """J(x) = sum_a Omega_a a(J_a x) + 3 a(x) as a spinor endomorphism."""
+    """J(x) = sum_a Omega_a a(J_a x) + 3 a(x) as a spinor endomorphism.
+
+    The paper's definition for an arbitrary x, with a(J_1 x) formed from the
+    triple: the reference that tests/test_projectors.py checks
+    `ProjectorCalculus.jop` against.  The verifier itself reads the cached
+    operators of the calculus.
+    """
     return _j_combination(ops, vector_action(model, x),
                           {a: vector_action(model, triple[a] @ x) for a in (1, 2, 3)})
 
@@ -80,13 +75,21 @@ def _p_combination(r, sign, act, jop):
 
 
 def p_plus(model, triple, ops, r, x):
-    """Degree-raising component of the Clifford action of x at level r."""
+    """Degree-raising component of the Clifford action of x at level r.
+
+    The paper's definition for an arbitrary x: the reference that
+    tests/test_projectors.py checks `ProjectorCalculus.p` against.
+    """
     return _p_combination(r, +1, vector_action(model, x),
                           j_operator(model, triple, ops, x))
 
 
 def p_minus(model, triple, ops, r, x):
-    """Degree-lowering component of the Clifford action of x at level r."""
+    """Degree-lowering component of the Clifford action of x at level r.
+
+    The paper's definition for an arbitrary x: the reference that
+    tests/test_projectors.py checks `ProjectorCalculus.p` against.
+    """
     return _p_combination(r, -1, vector_action(model, x),
                           j_operator(model, triple, ops, x))
 
@@ -359,6 +362,14 @@ def verify_lemma_identities(calc, symmetry=None):
     pairing) are computed for j = 0 only: the certified lifts act
     transitively on j, and the row of j' copies the row of j = 0 (see
     quatspin.symmetry).  Otherwise every row is computed directly.
+
+    Two rows cannot see J_1.  jop_product_jf_fbar and jop_product_jfbar_f
+    read J(u_j) through `ProjectorCalculus.jop`, whose a = 1 term is the
+    phase multiple -t i a(u_j), so a triple with 2 J_1 in place of J_1
+    passes both.  Forming that term from the triple would cost 4m products
+    per world, more than the lemma suite's work guard allows (at most 148
+    term expansions at m = 3).  The row that catches a wrong J_1 is
+    jop_adapted_expansion, which forms a(J_1 u_j) from the triple.
     """
     model, ops, dec = calc.world.model, calc.world.ops, calc.world.dec
     rep = VerificationReport()
@@ -487,7 +498,7 @@ def verify_lemma_identities(calc, symmetry=None):
             j = orbit[0]
             act, jop = calc.act[u][j], calc.jop[u][j]
             add(orbit, "kraines_commutator_jop", lambda j: f"{sub} {u} j={j}",
-                fused_sum([(1, kraines, act), (-1, act, kraines)], [(-4, jop)]))
+                commutator(kraines, act, [(-4, jop)]))
             # [K, J(x)] = -8 J(x) + 12 a(x) - 4 a(x) (K - 6m)
             add(orbit, "kraines_commutator_jop_second", lambda j: f"{sub} {u} j={j}",
                 fused_sum([(1, kraines, jop), (-1, jop, kraines), (4, act, kraines)],
@@ -499,7 +510,7 @@ def verify_lemma_identities(calc, symmetry=None):
                 c, rot = rotated[a]
                 add(orbit, "kaehler_vector_commutator",
                     lambda j: f"{sub} a={a} {u} j={j}",
-                    fused_sum([(1, ops[a], act), (-1, act, ops[a])], [(-2 * c, rot)]))
+                    commutator(ops[a], act, [(-2 * c, rot)]))
 
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the

@@ -3,8 +3,10 @@
 The triple J_1, J_2, J_3 acts blockwise as left multiplication by the
 quaternion units on each R^4 factor, in a basis ordered so that
 e_{2j} = J_1 e_{2j-1} for every pair (adaptedness).  From it we build the
-Kaehler operators on the spinor space, their Kraines-type sum, and the
-isotropic adapted basis vectors f_j, fbar_j of the complexified R^{4m}.
+Kaehler operators on the spinor space, their Kraines-type sum, the
+weight-shift components q^(+-)(x) = (x +- i J_1 x)/2 of a complexified
+vector, and the isotropic adapted basis vectors f_j = q^-(e_{2j}), fbar_j =
+q^+(e_{2j}) of the complexified R^{4m}.
 The triple and the adapted basis are exact in both backends; the operators
 on the spinor space are in the backend of the model's generators.
 """
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .clifford import basis_vector
 from .errors import DomainError
-from .exact import DenseMatrix, ExactScalar, fused_sum
+from .exact import DenseMatrix, ExactScalar, commutator, fused_sum
 from .sparse import SparseMatrix
 from .report import VerificationReport, residual_entry
 from .symmetry import generator_pair_orbits
@@ -99,6 +101,16 @@ def build_kaehler_operators(model, triple):
     return KaehlerOperators(omega=omegas, kraines=kraines_form(model, omegas))
 
 
+def q_plus(triple, x):
+    """Weight-raising component (x + i J_1 x)/2 of a complexified vector."""
+    return (x + (triple[1] @ x).scale(_I)).scale(_HALF)
+
+
+def q_minus(triple, x):
+    """Weight-lowering component (x - i J_1 x)/2."""
+    return (x - (triple[1] @ x).scale(_I)).scale(_HALF)
+
+
 @dataclass(frozen=True)
 class AdaptedBasis:
     """Isotropic vectors f_j = (e_{2j-1} - i J_1 e_{2j-1})/2 and conjugates."""
@@ -108,14 +120,10 @@ class AdaptedBasis:
 
 
 def build_adapted_basis(model, triple):
-    j1 = triple[1]
-    fs, fbars = [], []
-    for j in range(2 * model.m):
-        x = basis_vector(model, 2 * j)
-        iy = (j1 @ x).scale(_I)
-        fs.append((x - iy).scale(_HALF))
-        fbars.append((x + iy).scale(_HALF))
-    return AdaptedBasis(f=tuple(fs), f_bar=tuple(fbars))
+    """f_j = q^-(e_{2j}) and fbar_j = q^+(e_{2j}) = e_{2j} - f_j."""
+    xs = [basis_vector(model, 2 * j) for j in range(2 * model.m)]
+    fs = tuple(q_minus(triple, x) for x in xs)
+    return AdaptedBasis(f=fs, f_bar=tuple(x - f for x, f in zip(xs, fs)))
 
 
 def sl2_generators(ops):
@@ -169,14 +177,14 @@ def structure_report(world, symmetry=None):
 
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            res = fused_sum([(1, ops[a], ops[b]), (-1, ops[b], ops[a])],
-                            [(-4 * epsilon(a, b, c), ops[c]) for c in (1, 2, 3)])
+            res = commutator(ops[a], ops[b],
+                             [(-4 * epsilon(a, b, c), ops[c]) for c in (1, 2, 3)])
             rep.add(residual_entry("kaehler_commutators", f"{sub} a={a} b={b}",
                                    res))
 
     for a in (1, 2, 3):
-        res = fused_sum([(1, ops.kraines, ops[a]), (-1, ops[a], ops.kraines)])
-        rep.add(residual_entry("kraines_commutes_weight", f"{sub} a={a}", res))
+        rep.add(residual_entry("kraines_commutes_weight", f"{sub} a={a}",
+                               commutator(ops.kraines, ops[a])))
 
     # consistency of the operators with the model they claim to come from;
     # build_world derives them from it, so only a hand-assembled world fails
@@ -192,7 +200,7 @@ def structure_report(world, symmetry=None):
                             ("[O1,O-]=-2O-", o1, minus, [(2, minus)]),
                             ("[O+,O-]=O1", plus, minus, [(-1, o1)])):
         rep.add(residual_entry("sl2_relations", f"{sub} {name}",
-                               fused_sum([(1, x, y), (-1, y, x)], rhs)))
+                               commutator(x, y, rhs)))
 
     # (1/8) sum_a o_a^2 - rhs with o_a = (i/2) Omega_a, rhs = -(Kraines - 6m)/32
     rep.add(residual_entry("casimir_identity", sub, fused_sum(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, SpectrumError
-from .exact import ExactScalar, fused_sum
+from .exact import ExactScalar, commutator, fused_sum
 from .quaternionic import epsilon
 from .report import VerificationReport, residual_entry
 from .sparse import SparseMatrix, _parts
@@ -422,11 +422,6 @@ def find_rotation_with_top_component(irrep, v, budget=1000):
 # -------------------------------------------------------------- verification
 
 
-def _comm(a, b, terms=()):
-    """a b - b a + sum_s d_s M_s over terms (d_s, M_s), as one fused sum."""
-    return fused_sum([(1, a, b), (-1, b, a)], terms)
-
-
 def irrep_report(max_r):
     """Exact structural checks for all irreps with highest weight <= max_r.
 
@@ -450,18 +445,18 @@ def irrep_report(max_r):
         sub = f"r={r}"
 
         rep.add(residual_entry("ladder_relations", f"{sub} raise",
-                               _comm(h1, x, [(-2, x)])))
+                               commutator(h1, x, [(-2, x)])))
         rep.add(residual_entry("ladder_relations", f"{sub} lower",
-                               _comm(h1, y, [(2, y)])))
+                               commutator(h1, y, [(2, y)])))
         rep.add(residual_entry("ladder_relations", f"{sub} bracket",
-                               _comm(x, y, [(-1, h1)])))
+                               commutator(x, y, [(-1, h1)])))
 
         for a, b in ((1, 2), (2, 3), (3, 1)):
             # [H_a, H_b] = 2i eps_abc H_c
             rep.add(residual_entry(
                 "generator_commutators", f"{sub} [H{a},H{b}]",
-                _comm(irrep[a], irrep[b],
-                      [(ExactScalar(0, -2 * epsilon(a, b, c)), irrep[c]) for c in (1, 2, 3)]),
+                commutator(irrep[a], irrep[b],
+                           [(ExactScalar(0, -2 * epsilon(a, b, c)), irrep[c]) for c in (1, 2, 3)]),
                 note="structure constants carry the explicit i"))
 
         scalar = Fraction(r * (r + 2), 8)

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import fused_sum
+from .exact import commutator, fused_sum
 from .report import CheckEntry, VerificationReport, residual_entry
 from .sparse import SparseMatrix
 
@@ -153,10 +153,10 @@ def certify_line_symmetry(world):
             generators.append((f"gamma_{c}", fused_sum(
                 [(1, s, model.gamma[c]), (-sign, model.gamma[target], s)])))
         rho, j = SparseMatrix.monomial(perm, signs, [0] * model.n), world.triple
-        triple = [(f"J_{a}", fused_sum([(1, rho, j[a]), (-1, j[a], rho)])) for a in (1, 2, 3)]
+        triple = [(f"J_{a}", commutator(rho, j[a])) for a in (1, 2, 3)]
         rep.add(_claims_entry(f"{name} generators", generators + triple))
         rep.add(_claims_entry(f"{name} operators", [
-            (label, fused_sum([(1, s, op), (-1, op, s)])) for label, op in operators]))
+            (label, commutator(s, op)) for label, op in operators]))
     return LineSymmetryCertificate(rep, lifts, world)
 
 

@@ -147,8 +147,9 @@ def test_build_bound_report():
     assert rep.universal == Fraction(5, 4)
     assert rep.universal_value == Fraction(5, 4)
     assert len(rep.rows) == 6  # 3 lattice points (r=0: k=2; r=1: k=1,3) x 2 cases
-    keys = [(row.r, row.k, row.case) for row in rep.rows]
-    assert keys == sorted(keys)
+    for m in range(1, 9):
+        keys = [(row.r, row.k, row.case) for row in build_bound_report(m).rows]
+        assert keys == sorted(keys), m
     with pytest.raises(DomainError):
         build_bound_report(2, 0)
 

@@ -197,6 +197,19 @@ def test_constants_rejects_a_seed(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command, text", [
+    ("verify", "--seed SEED copied into the report; nothing is sampled (default 0)"),
+    ("decompose", "--seed SEED ignored; nothing is sampled (default 0)"),
+    ("so3-check", "--seed SEED seed of the random vectors (default 0)"),
+])
+def test_help_says_what_the_seed_does(command, text, capsys):
+    rc, out, err = run([command, "--help"], capsys)
+    assert rc == 0
+    # argparse wraps the help text at the terminal width
+    assert text in " ".join(out.split())
+    assert "randomized sampling" not in out
+
+
 def test_bounds_csv_projection(capsys):
     rc, out, err = run(["bounds", "--m", "2", "--format", "csv"], capsys)
     assert rc == 0

@@ -16,11 +16,9 @@ from quatspin.projectors import (
     j_operator,
     p_minus,
     p_plus,
-    q_minus,
-    q_plus,
     verify_lemma_identities,
 )
-from quatspin.quaternionic import build_adapted_basis
+from quatspin.quaternionic import build_adapted_basis, q_minus, q_plus
 from quatspin.report import residual_entry
 
 
