@@ -85,7 +85,7 @@ from .projectors import (
     verify_lemma_identities,
     constants_report,
 )
-from .report import CheckEntry, VerificationReport, residual_entry, info_entry
+from .report import CheckEntry, VerificationReport, bool_entry, residual_entry, info_entry
 from .bounds import (
     BoundCoefficient,
     BoundRow,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .decomposition import lattice_allows
 from .errors import DomainError
 from .projectors import closed_form_A
-from .report import CheckEntry, VerificationReport, info_entry
+from .report import VerificationReport, bool_entry, info_entry
 
 FLAG_OK = "ok"
 FLAG_TRIVIAL = "trivial"
@@ -259,10 +259,8 @@ def bound_property_report(max_m):
         uni = universal_coefficient(m)
         row0 = bound_case_A(m, 0, m)
         ok = uni == extremal_first_coefficient(m, 0) == row0.first.value
-        rep.add(CheckEntry("universal_is_extremal_case_A", sub,
-                           "pass" if ok else "fail",
-                           "0" if ok else "1",
-                           "" if ok else f"universal {uni} != case-A r=0 value"))
+        rep.add(bool_entry("universal_is_extremal_case_A", sub, ok,
+                           note="" if ok else f"universal {uni} != case-A r=0 value"))
 
         prev = None
         increasing = True
@@ -275,15 +273,12 @@ def bound_property_report(max_m):
                 ok = ok and row.second.flag == FLAG_DEGENERATE
             else:
                 ok = ok and row.second.value == want_second
-            rep.add(CheckEntry("extremal_coefficient_formulas", f"{sub} r={r}",
-                               "pass" if ok else "fail", "0" if ok else "1"))
+            rep.add(bool_entry("extremal_coefficient_formulas", f"{sub} r={r}", ok))
             if prev is not None and want_first <= prev:
                 increasing = False
             prev = want_first
-        rep.add(CheckEntry("extremal_r_monotonicity", sub,
-                           "pass" if increasing else "fail",
-                           "0" if increasing else "1",
-                           "first extremal coefficient strictly increases in r"))
+        rep.add(bool_entry("extremal_r_monotonicity", sub, increasing,
+                           note="first extremal coefficient strictly increases in r"))
 
         for r in range(m):
             ks = range(m - r, m + r + 1, 2)
@@ -294,10 +289,8 @@ def bound_property_report(max_m):
                     seq = [(row.k, getattr(row, slot).two_a_plus_one,
                             getattr(row, slot).value) for row in rows]
                     ok, note = _monotone_runs_ok(seq, direction)
-                    rep.add(CheckEntry(
-                        "k_monotonicity_per_branch",
-                        f"{sub} r={r} case={label} {slot}",
-                        "pass" if ok else "fail", "0" if ok else "1", note))
+                    rep.add(bool_entry("k_monotonicity_per_branch",
+                                       f"{sub} r={r} case={label} {slot}", ok, note=note))
 
             top_b = rows_b[-1]
             ext_a = rows_a[0]
@@ -305,19 +298,17 @@ def bound_property_report(max_m):
                   and top_b.first.flag == ext_a.first.flag
                   and top_b.second.value == ext_a.second.value
                   and top_b.second.flag == ext_a.second.flag)
-            rep.add(CheckEntry("case_B_maximal_k_matches_case_A", f"{sub} r={r}",
-                               "pass" if ok else "fail", "0" if ok else "1",
-                               "k = m+r rows reproduce the k = m-r case-A pair"))
+            rep.add(bool_entry("case_B_maximal_k_matches_case_A", f"{sub} r={r}", ok,
+                               note="k = m+r rows reproduce the k = m-r case-A pair"))
 
             ext = rows_a[0]
             if ext.first.usable and ext.second.usable:
                 dominates = ext.first.value >= ext.second.value
                 predicted = m >= dominance_threshold(r)
                 ok = dominates == predicted
-                rep.add(CheckEntry(
-                    "extremal_dominance_characterization", f"{sub} r={r}",
-                    "pass" if ok else "fail", "0" if ok else "1",
-                    f"first >= second iff m >= {dominance_threshold(r)}"))
+                rep.add(bool_entry(
+                    "extremal_dominance_characterization", f"{sub} r={r}", ok,
+                    note=f"first >= second iff m >= {dominance_threshold(r)}"))
                 if ok and not dominates:
                     rep.add(info_entry(
                         "extremal_dominance_characterization",

@@ -12,13 +12,14 @@ decompose   the (r, k) block lattice with dimensions and eigenvalues
 so3-check   statistics of the exact search for top-weight-exposing rotations
 
 JSON is the canonical format (sorted keys, stable byte output); csv and
-table are projections of the same rows.  Rationals are serialized as "p/q"
-strings; purely imaginary eigenvalues by their imaginary part, under a
-field name that says so.  Reports are written to their sink as they are
-encoded, JSON in batches of the chunks json.dumps would join and csv row by
-row: the bytes are those of json.dumps, and the render's memory does not
-grow with the report.  Tables still size their columns from every row
-first.  A reader that closes the pipe early ends the run quietly.  Exit
+table are projections of the same rows, and their columns are the keys of
+a command's first row (bounds spreads each nested coefficient into
+parent_key columns).  Rationals are serialized as "p/q" strings; purely
+imaginary eigenvalues by their imaginary part, under a field name that
+says so.  Reports are written to their sink as they are encoded, JSON in
+batches of the chunks json.dumps would join and csv row by row: the bytes
+are those of json.dumps, and the render's memory does not grow with the
+report.  Tables still size their columns from every row first.  A reader that closes the pipe early ends the run quietly.  Exit
 codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 refusal; a closed pipe does not change them.
 """
@@ -63,7 +64,6 @@ from .so3 import build_irrep, find_rotation_with_top_component, irrep_report, ra
 class CommandResult:
     exit_code: int
     payload: dict
-    fieldnames: list
     rows: list
     preamble: list = field(default_factory=list)
     table_text: str | None = None
@@ -233,11 +233,9 @@ def cmd_verify(args):
         "entries": rows,
         "failures": [row for row in rows if row["status"] == "fail"],
     }
-    fieldnames = ["segment", "check_id", "subject", "status", "residual", "note"]
     preamble = [f"backend={args.backend} m_values={list(m_values)} "
                 f"pass={counts['pass']} fail={counts['fail']} info={counts['info']}"]
-    return CommandResult(0 if combined.ok else 1, payload, fieldnames, rows,
-                         preamble)
+    return CommandResult(0 if combined.ok else 1, payload, rows, preamble)
 
 
 def cmd_constants(args):
@@ -257,8 +255,7 @@ def cmd_constants(args):
         "counts": {"match": len(rows) - mismatches, "mismatch": mismatches},
         "rows": rows,
     }
-    fieldnames = ["r", "k", "variant", "computed", "closed", "match", "note"]
-    return CommandResult(0 if mismatches == 0 else 1, payload, fieldnames, rows)
+    return CommandResult(0 if mismatches == 0 else 1, payload, rows)
 
 
 def _coefficient_dict(coeff):
@@ -272,19 +269,9 @@ def _coefficient_dict(coeff):
 
 def cmd_bounds(args):
     report = build_bound_report(args.m, args.kappa, args.complex_dimension)
-    rows = []
-    flat_rows = []
-    for row in report.rows:
-        first = _coefficient_dict(row.first)
-        second = _coefficient_dict(row.second)
-        rows.append({"r": row.r, "k": row.k, "case": row.case,
-                     "first": first, "second": second})
-        flat = {"r": row.r, "k": row.k, "case": row.case}
-        flat.update({f"first_{k}": ("" if v is None else v)
-                     for k, v in first.items()})
-        flat.update({f"second_{k}": ("" if v is None else v)
-                     for k, v in second.items()})
-        flat_rows.append(flat)
+    rows = [{"r": row.r, "k": row.k, "case": row.case,
+             "first": _coefficient_dict(row.first),
+             "second": _coefficient_dict(row.second)} for row in report.rows]
     comparisons = report.comparisons
     payload = {
         "command": "bounds",
@@ -303,11 +290,6 @@ def cmd_bounds(args):
         },
         "rows": rows,
     }
-    fieldnames = ["r", "k", "case",
-                  "first_a", "first_two_a_plus_one", "first_coefficient",
-                  "first_flag",
-                  "second_a", "second_two_a_plus_one", "second_coefficient",
-                  "second_flag"]
     preamble = [
         f"m={report.m} kappa={report.kappa} universal coefficient "
         f"{report.universal} -> bound {report.universal_value}",
@@ -315,7 +297,18 @@ def cmd_bounds(args):
         f"odd {comparisons.kirchberg_odd} / even {comparisons.kirchberg_even} "
         f"(m_c={comparisons.complex_dimension}, {comparisons.applicable_parity})",
     ]
-    return CommandResult(0, payload, fieldnames, flat_rows, preamble)
+    return CommandResult(0, payload, [_flat(row) for row in rows], preamble)
+
+
+def _flat(row):
+    """row with each nested dict spread into columns named parent_key."""
+    flat = {}
+    for key, value in row.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}_{k}", v) for k, v in value.items())
+        else:
+            flat[key] = value
+    return flat
 
 
 def cmd_decompose(args):
@@ -334,13 +327,12 @@ def cmd_decompose(args):
         "dim_sum": sum(b["dim"] for b in blocks),
         "blocks": blocks,
     }
-    fieldnames = ["r", "k", "dim", "omega_eig", "omega1_eig_im"]
-    table = _decompose_grid(m, dec)
-    return CommandResult(0, payload, fieldnames, blocks, table_text=table)
+    return CommandResult(0, payload, blocks, table_text=_decompose_grid(model, dec))
 
 
-def _decompose_grid(m, dec):
+def _decompose_grid(model, dec):
     """Render the lattice as a grid: rows r, columns k, cells dim or blank."""
+    m = model.m
     by_pos = {(b.r, b.k): b for b in dec.nonzero_blocks()}
     header = ["r\\k"] + [f"k={k} (im {weight_eigenvalue(m, k).im})"
                           for k in range(2 * m + 1)]
@@ -352,12 +344,8 @@ def _decompose_grid(m, dec):
             row.append("" if blk is None else str(blk.dim))
         lines.append(row)
     total = sum(b.dim for b in dec.nonzero_blocks())
-    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-    out = []
-    for line in lines:
-        out.append("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
-    out.append(f"dim sum = {total} = 2^{{2m}} = {2 ** (2 * m)}")
-    return "\n".join(out) + "\n"
+    return "\n".join([*_aligned(lines),
+                      f"dim sum = {total} = 2^{{2m}} = {model.spinor_dim}"]) + "\n"
 
 
 def cmd_so3_check(args):
@@ -388,33 +376,33 @@ def cmd_so3_check(args):
         "ok": total_exhaustions == 0,
         "rows": rows,
     }
-    fieldnames = ["r", "trials", "successes", "exhaustions", "max_samples_used"]
-    return CommandResult(0 if total_exhaustions == 0 else 1, payload,
-                         fieldnames, rows)
+    return CommandResult(0 if total_exhaustions == 0 else 1, payload, rows)
 
 
 # ------------------------------------------------------------------ emission
 
 
-def _write_csv(sink, fieldnames, rows):
-    writer = csv.DictWriter(sink, fieldnames=fieldnames, lineterminator="\n")
+def _write_csv(sink, rows):
+    """The rows as csv, one column per key of the first row; None is blank."""
+    writer = csv.DictWriter(sink, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if row.get(k) is None else row.get(k, ""))
-                         for k in fieldnames})
+    writer.writerows(rows)
 
 
-def _format_table(fieldnames, rows, preamble):
-    cells = [[str("" if row.get(k) is None else row.get(k, ""))
-              for k in fieldnames] for row in rows]
-    widths = [max([len(k)] + [len(c[i]) for c in cells])
-              for i, k in enumerate(fieldnames)]
-    lines = list(preamble)
-    lines.append("  ".join(k.ljust(w) for k, w in zip(fieldnames, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for c in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _aligned(lines, ruled=False):
+    """Lines of cells with each column padded to its widest cell, two spaces
+    apart; ruled puts a rule of dashes under the first line."""
+    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
+    out = ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines]
+    if ruled:
+        out.insert(1, "  ".join("-" * w for w in widths))
+    return out
+
+
+def _format_table(rows, preamble):
+    """The preamble, then the rows under a header of the first row's keys."""
+    cells = [[str("" if v is None else v) for v in row.values()] for row in rows]
+    return "\n".join([*preamble, *_aligned([list(rows[0]), *cells], ruled=True)]) + "\n"
 
 
 # JSON chunks joined per write: one write per chunk costs CPU, the whole
@@ -431,11 +419,11 @@ def _render(result, fmt, sink):
             sink.write(text)
         sink.write("\n")
     elif fmt == "csv":
-        _write_csv(sink, result.fieldnames, result.rows)
+        _write_csv(sink, result.rows)
     elif result.table_text is not None:
         sink.write(result.table_text)
     else:
-        sink.write(_format_table(result.fieldnames, result.rows, result.preamble))
+        sink.write(_format_table(result.rows, result.preamble))
 
 
 def _silence_stdout():

@@ -9,7 +9,8 @@ matrix entry lies in {0, +1, -1, +i, -i}.  Both backends build each one
 by index arithmetic on the bits of the spinor index, as an exact
 SparseMatrix; the float model converts it with `to_float`.  The generators
 are the only place the backend enters: a model's kind is read off them, and
-the vectors of R^{4m} are exact columns in both backends.
+the vectors of R^{4m} are exact columns in both backends.  A model stores
+m and its generators; the sizes n = 4m and 2^{2m} are read off m.
 """
 
 from __future__ import annotations
@@ -66,9 +67,17 @@ class CliffordModel:
     """A fixed matrix model: m and the 4m generators, whose backend is the model's."""
 
     m: int
-    n: int
-    spinor_dim: int
     gamma: tuple
+
+    @property
+    def n(self):
+        """The real dimension 4m of the vectors."""
+        return 4 * self.m
+
+    @property
+    def spinor_dim(self):
+        """The spinor dimension 2^{2m}."""
+        return 2 ** (2 * self.m)
 
     @property
     def kind(self):
@@ -108,7 +117,7 @@ def build_clifford_model(m, kind="exact"):
     gammas = [g for j in range(pairs) for g in _generator_pair(pairs, j)]
     if kind == "float":
         gammas = [g.to_float() for g in gammas]
-    return CliffordModel(m=m, n=4 * m, spinor_dim=2 ** (2 * m), gamma=tuple(gammas))
+    return CliffordModel(m=m, gamma=tuple(gammas))
 
 
 def corrupt_gamma(model, index):

@@ -20,7 +20,7 @@ from .clifford import CliffordModel
 from .quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_operators,
                            build_standard_triple)
 from .sparse import SparseMatrix
-from .report import CheckEntry, VerificationReport, info_entry, residual_entry
+from .report import VerificationReport, bool_entry, info_entry, residual_entry
 from .symmetry import generator_orbits
 
 
@@ -64,7 +64,6 @@ class JointDecomposition:
     """
 
     m: int
-    spinor_dim: int
     blocks: dict
     kraines: DenseMatrix | SparseMatrix = field(repr=False)
     omega1: DenseMatrix | SparseMatrix = field(repr=False)
@@ -130,7 +129,7 @@ def decompose(model, ops):
                                    weight_im=2 * m - 2 * k)
     r_proj = {r: fused_sum(terms=[(1, blocks[(r, k)].projector) for k in k_proj])
               for r in range(m + 1)}
-    return JointDecomposition(m=m, spinor_dim=model.spinor_dim, blocks=blocks,
+    return JointDecomposition(m=m, blocks=blocks,
                               kraines=ops.kraines, omega1=ops[1],
                               r_projectors=r_proj, k_projectors=k_proj)
 
@@ -218,9 +217,9 @@ def decomposition_report(world, symmetry=None):
             note = "lattice-allowed block is missing"
         else:
             note = ""
-        rep.add(CheckEntry("block_lattice", f"{sub} r={r} k={k}",
-                           "fail" if note else "pass",
-                           str(blk.dim) if note else "0", note))
+        # the witness is the dimension of an extra block, 1 for a missing one
+        rep.add(bool_entry("block_lattice", f"{sub} r={r} k={k}", not note,
+                           str(max(blk.dim, 1)), note))
         if blk.dim == 0:
             continue
         p = blk.projector
@@ -233,12 +232,10 @@ def decomposition_report(world, symmetry=None):
                                    f"{sub} r={r} k={k} {claim}", res))
             rep.add(residual_entry(scalar_id, f"{sub} r={r} k={k}", res, note))
         ok = allowed and blk.weight_im == 2 * r - 4 * ((k + r - m) // 2)
-        rep.add(CheckEntry("weight_consistency", f"{sub} r={r} k={k}",
-                           "pass" if ok else "fail", "0" if ok else "1"))
+        rep.add(bool_entry("weight_consistency", f"{sub} r={r} k={k}", ok))
 
-    rep.add(CheckEntry("block_dimension_sum", sub,
-                       "pass" if total == dec.spinor_dim else "fail",
-                       "0" if total == dec.spinor_dim else str(total - dec.spinor_dim)))
+    rep.add(bool_entry("block_dimension_sum", sub, total == model.spinor_dim,
+                       str(total - model.spinor_dim)))
 
     orbits = generator_orbits(symmetry, world)
     for label, family in (("r", dec.r_projectors), ("k", dec.k_projectors)):

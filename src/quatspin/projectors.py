@@ -21,7 +21,7 @@ from .clifford import vector_action
 from .errors import DomainError, IdentityFailure
 from .exact import FLOAT_SCALAR_TOL, ExactScalar, commutator, fused_sum
 from .quaternionic import build_adapted_basis
-from .report import CheckEntry, VerificationReport, residual_entry
+from .report import VerificationReport, bool_entry, residual_entry
 from .symmetry import vector_orbits
 
 _VARIANTS = ("--", "+-", "-+", "++")
@@ -128,7 +128,6 @@ class ProjectorCalculus:
     def __init__(self, world):
         self.world = world
         model, triple, ops = world.model, world.triple, world.ops
-        self.pairs = 2 * model.m
         basis = build_adapted_basis(model, triple)
         self.vectors = {"f": basis.f, "fbar": basis.f_bar}
         self.act = {u: [vector_action(model, x) for x in xs]
@@ -146,6 +145,11 @@ class ProjectorCalculus:
         self.sums = {(u, v, x + y): _product_sum(factors[x][u], factors[y][v])
                      for u, v in _PATTERNS for x in "aJ" for y in "aJ"}
         self._two_step = {}
+
+    @property
+    def pairs(self):
+        """The number of adapted vectors of each kind, 2m."""
+        return 2 * self.world.model.m
 
     def p(self, u, r, sign, j):
         """p_r^sign(u_j) for the adapted vector u_j, u in {"f", "fbar"}."""
@@ -305,9 +309,9 @@ def constants_report(calc):
     """Compare every computed block constant against its closed form."""
     rep = VerificationReport()
     for c in block_constants(calc):
-        rep.add(CheckEntry("block_constant_match",
+        rep.add(bool_entry("block_constant_match",
                            f"m={calc.world.model.m} r={c.r} k={c.k} variant={c.variant}",
-                           "pass" if c.ok else "fail", c.residual, c.note))
+                           c.ok, c.residual, c.note))
     return rep
 
 

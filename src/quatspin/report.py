@@ -1,4 +1,9 @@
-"""Structured pass/fail bookkeeping for identity verification runs."""
+"""Structured pass/fail bookkeeping for identity verification runs.
+
+Rows are made here only: `bool_entry` judges a claim, and writes residual
+"0" on a pass and its witness on a failure; `residual_entry` judges a
+residual matrix through it, and `info_entry` states a fact.
+"""
 
 from __future__ import annotations
 
@@ -27,10 +32,15 @@ class CheckEntry:
 
 def residual_entry(check_id, subject, residual, note=""):
     """Entry whose status is decided by a residual matrix being (exactly) zero."""
-    if residual.is_zero():
-        return CheckEntry(check_id, subject, "pass", "0", note)
-    return CheckEntry(check_id, subject, "fail",
-                      f"{residual.max_abs():.6e}", note)
+    ok = residual.is_zero()
+    return bool_entry(check_id, subject, ok, "" if ok else f"{residual.max_abs():.6e}", note)
+
+
+def bool_entry(check_id, subject, ok, residual="1", note=""):
+    """Entry whose status is decided by a claim holding; residual is the
+    witness written when it fails."""
+    return CheckEntry(check_id, subject, "pass" if ok else "fail",
+                      "0" if ok else residual, note)
 
 
 def info_entry(check_id, subject, note):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import DimensionError, DomainError, SpectrumError
 from .exact import ExactScalar, commutator, fused_sum
 from .quaternionic import epsilon
-from .report import VerificationReport, residual_entry
+from .report import VerificationReport, bool_entry, residual_entry
 from .sparse import SparseMatrix, _parts
 
 _FIXED_QUATERNIONS = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 1, 1, 1))
@@ -51,8 +51,12 @@ class Irrep:
     """
 
     r: int
-    dim: int
     h: tuple
+
+    @property
+    def dim(self):
+        """The dimension r + 1."""
+        return self.r + 1
 
     def __getitem__(self, a):
         if a not in (1, 2, 3):
@@ -91,7 +95,7 @@ def build_irrep(r, kind="exact"):
     x, y = _ladder(r)
     h2 = x + y
     h3 = (x - y).scale(ExactScalar(0, -1))
-    return Irrep(r=r, dim=n, h=(h1, h2, h3))
+    return Irrep(r=r, h=(h1, h2, h3))
 
 
 # ------------------------------------------------------------------ rotations
@@ -475,15 +479,11 @@ def irrep_report(max_r):
             qsub = f"{sub} q={quat}"
             try:
                 _certified_bands(irrep, gen)
+                ok, note = True, "certified spectrum {r, r-2, ..., -r}"
             except SpectrumError as exc:
-                rep.add(residual_entry(
-                    "rotated_generator_spectrum", qsub,
-                    SparseMatrix.identity(1), note=str(exc)))
-            else:
-                rep.add(residual_entry(
-                    "rotated_generator_spectrum", qsub,
-                    SparseMatrix.zeros(1, 1),
-                    note="certified spectrum {r, r-2, ..., -r}"))
+                ok, note = False, str(exc)
+            rep.add(bool_entry("rotated_generator_spectrum", qsub, ok,
+                               "1.000000e+00", note))
             rep.add(residual_entry(
                 "rotated_generator_trace", qsub,
                 SparseMatrix.from_rows([[gen.trace()]])))

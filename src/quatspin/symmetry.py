@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import commutator, fused_sum
-from .report import CheckEntry, VerificationReport, residual_entry
+from .report import VerificationReport, bool_entry, residual_entry
 from .sparse import SparseMatrix
 
 CHECK_ID = "line_symmetry"
@@ -104,8 +104,8 @@ def _claims_entry(subject, residuals):
     names the first that does not vanish."""
     failed = [(label, res.max_abs()) for label, res in residuals if not res.is_zero()]
     if not failed:
-        return CheckEntry(CHECK_ID, subject, "pass")
-    return CheckEntry(CHECK_ID, subject, "fail",
+        return bool_entry(CHECK_ID, subject, True)
+    return bool_entry(CHECK_ID, subject, False,
                       f"{max(mag for _, mag in failed):.6e}", f"fails at {failed[0][0]}")
 
 
@@ -141,8 +141,7 @@ def certify_line_symmetry(world):
     for lift in lifts:
         s, name = lift.matrix, f"{sub} {lift.name}"
         defect = s.unit_monomial_defect()
-        rep.add(CheckEntry(CHECK_ID, f"{name} monomial", "fail" if defect else "pass",
-                           str(defect)))
+        rep.add(bool_entry(CHECK_ID, f"{name} monomial", not defect, str(defect)))
         rep.add(residual_entry(CHECK_ID, f"{name} unitary",
                                fused_sum([(1, s.hermitian(), s)], [(-1, one)])))
         # rho e_c = sign e_target: row target holds sign at column c

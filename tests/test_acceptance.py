@@ -6,7 +6,7 @@ Seven criteria, one test (and one printed [PASS]/[FAIL] line) each:
 2. joint spectra, block dimensions, the lattice rule, and the Omega_1 and
    Kraines restriction scalars on every block
 3. the full operator-identity suite, including restriction scalars
-4. computed block constants equal their closed forms everywhere, m <= 4
+4. computed block constants equal their closed forms everywhere, m <= 6
 5. bound coefficients: universal value, extremal identification, and the
    enumerated monotonicity/dominance properties through m = 50
 6. behavioral top-weight search: zero exhaustions over 2100 seeded runs,
@@ -130,17 +130,18 @@ def test_criterion_3_lemma_suite(calculi):
              ok, f"{total} identities")
 
 
-def test_criterion_4_constants_reproduction(calculi):
+def test_criterion_4_constants_reproduction(calculi, monkeypatch):
+    monkeypatch.setenv("QUATSPIN_MAX_M", "6")
     ok = True
     total = 0
-    for m in (*M_VALUES, 4):
+    for m in (*M_VALUES, 4, 5, 6):
         calc = calculi[m] if m in calculi else _calculus(m)
         rep = constants_report(calc)
         expected = 4 * len(calc.world.dec.nonzero_blocks())
         ok = ok and _exact_clean(rep) and rep.counts()["pass"] == expected
         total += expected
     _verdict(4, "computed block constants equal closed forms exactly", ok,
-             f"{total} (r,k,variant) comparisons over m in {{1,2,3,4}}")
+             f"{total} (r,k,variant) comparisons over m in {{1,...,6}}")
 
 
 def test_criterion_5_bound_coefficients():

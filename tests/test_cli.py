@@ -452,6 +452,11 @@ def test_canonical_json_is_pinned(argv, digest, capsys):
      "5098651ec4f8d1c2dc069b79d5d1c806749b7d07df636db1d4b5b19603ff3d87"),
     (["bounds", "--m", "2", "--format", "table"],
      "ab7825a376b694813c41767ab6c9921df4e94fb83ad4e88ffafbea680c97ee0d"),
+    # the columns read off the rows of two more commands
+    (["constants", "--m", "2", "--format", "csv"],
+     "bc3a6f1d2199aedbece442c9c9e3df4b99a97b428cc858038b94b2866ba9a7bd"),
+    (["so3-check", "--max-r", "3", "--trials", "5", "--format", "table"],
+     "e3fee140cf46b2082ad921dca97537bd32f0e5453fc6e0f4ac92042bb8f1a9f5"),
 ])
 def test_csv_and_table_output_is_pinned(argv, digest, capsys):
     # the csv rows, the decompose grid and the generic table, as the

@@ -42,6 +42,11 @@ J_1 -> 2 J_1, with its operators rebuilt, must fail that expansion, whose
 a(J_1 u_j) comes from the triple while J(u_j) reads it as a phase multiple
 of a(u_j); and J_2 = I, with its operators rebuilt, must fail the rotated
 product sums.
+
+Two controls corrupt the stated side instead of the computed one: a
+lattice rule that admits one more (r, k) must fail that block_lattice row
+alone, and a closed form A_{r,k} moved by 1/2 must fail that
+block_constant_match row alone, in `constants` and in `verify`.
 """
 
 import json
@@ -51,7 +56,9 @@ from dataclasses import replace
 
 import pytest
 
-from quatspin import cli, projectors
+from fractions import Fraction
+
+from quatspin import cli, decomposition, projectors
 from quatspin.clifford import build_clifford_model
 from quatspin.decomposition import World, build_world
 from quatspin.exact import fused_sum
@@ -184,6 +191,36 @@ def test_identity_j2_fails_the_rotated_product_sums(m, backend):
     report = _corrupted_triple_report(
         m, backend, lambda j1, j2, j3: (j1, SparseMatrix.identity(j1.rows), j3))
     assert "rotated_basis_product_sum" in _failing_families(report)
+
+
+def test_a_missing_lattice_block_fails_with_a_witness(monkeypatch):
+    # the rule admits (m, r, k) = (2, 1, 2), a block no world has
+    real = decomposition.lattice_allows
+    monkeypatch.setattr(decomposition, "lattice_allows",
+                        lambda m, r, k: (m, r, k) == (2, 1, 2) or real(m, r, k))
+    failures = cli.world_report(build_world(build_clifford_model(2))).failures()
+    assert [(e.check_id, e.subject, e.note) for e in failures] == \
+        [("block_lattice", "m=2 r=1 k=2", "lattice-allowed block is missing")]
+    assert float(failures[0].residual) > 0
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_a_perturbed_closed_form_fails_its_row_alone(backend, monkeypatch, capsys):
+    real = projectors.closed_form_A
+
+    def off_by_half(m, r, k, variant):
+        return real(m, r, k, variant) + Fraction(int((r, k, variant) == (1, 1, "+-")), 2)
+
+    monkeypatch.setattr(projectors, "closed_form_A", off_by_half)
+    rc, out, err = run(["constants", "--m", "2", "--backend", backend], capsys)
+    assert (rc, err) == (1, "")
+    assert [(row["r"], row["k"], row["variant"], row["closed"])
+            for row in json.loads(out)["rows"] if not row["match"]] == [(1, 1, "+-", "-2")]
+    rc, out, err = run(["verify", "--m", "2", "--backend", backend], capsys)
+    assert (rc, err) == (1, "")
+    assert [(f["check_id"], f["subject"], f["residual"])
+            for f in json.loads(out)["failures"]] == \
+        [("block_constant_match", "m=2 r=1 k=1 variant=+-", "5.000e-01")]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
