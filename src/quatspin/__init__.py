@@ -31,6 +31,7 @@ from .exact import (
     ExactScalar,
     DenseMatrix,
     lagrange_eigenprojectors,
+    diagonal_eigenprojectors,
     column_space_basis,
     FLOAT_TOL,
     FLOAT_SCALAR_TOL,

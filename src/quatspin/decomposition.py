@@ -3,9 +3,10 @@
 The Kraines-type operator and the first Kaehler operator commute, so the
 spinor space splits into joint eigenblocks S_r^k indexed by r in 0..m
 (eigenvalue 6m - 4r(r+2)) and k in 0..2m (eigenvalue i(2m - 2k)).  A block
-can be nonzero only when (k + r - m)/2 is an integer in 0..r.  The weight
-projectors are a certified Lagrange family of Omega_1; on each weight space
-the block projectors are one of Kraines over the allowed levels alone.  A
+can be nonzero only when (k + r - m)/2 is an integer in 0..r.  Omega_1 is
+diagonal in the model's basis, so the weight projectors are read off its
+diagonal and certified; on each weight space the block projectors are a
+certified Lagrange family of Kraines over the allowed levels alone.  A
 block's dimension is its projector's trace.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, SpectrumError
 from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, commutator,
-                    fused_sum, lagrange_eigenprojectors)
+                    diagonal_eigenprojectors, fused_sum, lagrange_eigenprojectors)
 from .clifford import CliffordModel
 from .quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_operators,
                            build_standard_triple)
@@ -58,9 +59,10 @@ class Block:
 class JointDecomposition:
     """The blocks S_r^k, and the level (r) and weight (k) projector families.
 
-    k_projectors is the certified Lagrange family of `omega1`, the blocks of
-    weight k that of `kraines` within P_k, and r_projectors[r] the sum of
-    the blocks of level r; `kraines` and `omega1` built them.
+    k_projectors are the spectral projectors of `omega1`, read off its
+    diagonal and certified, the blocks of weight k the certified Lagrange
+    family of `kraines` within P_k, and r_projectors[r] the sum of the
+    blocks of level r; `kraines` and `omega1` built them.
     """
 
     m: int
@@ -96,20 +98,28 @@ def _integer_trace(p):
 def decompose(model, ops):
     """Split the spinor space into joint eigenblocks of (Kraines, Omega_1).
 
-    The weight projectors P_k are the certified Lagrange family of Omega_1;
-    the blocks P_{r,k} of weight k are that of Kraines K within P_k, over
-    the levels lattice_allows admits, and P_r = sum_k P_{r,k}.  Both
-    spectra are exact in both backends.
+    The weight projectors P_k are read off the diagonal of Omega_1
+    (`diagonal_eigenprojectors`): Omega_1 must be diagonal with every
+    diagonal value a stated weight i(2m - 2k), and each P_k, the 0/1
+    diagonal of the positions of weight k, is certified by its
+    eigen-equation.  The blocks P_{r,k} of weight k are the certified
+    Lagrange family of Kraines K within P_k, over the levels lattice_allows
+    admits, and P_r = sum_k P_{r,k}.  Both spectra are exact in both
+    backends.
 
-    K and Omega_1 must commute, so P_k, a polynomial in Omega_1, commutes
-    with K.  One eigen-equation (K - omega_r) P_{r,k} = 0 per lattice block
-    gives prod_allowed (K - omega) P_k = 0: K restricted to S^k is
-    diagonalizable with spectrum inside the lattice set, and the P_{r,k}
-    are its spectral projectors, idempotent, pairwise orthogonal and
-    summing to P_k.  So the lattice rule is certified, a block's trace is
+    The P_k are orthogonal idempotents summing to I with Omega_1 =
+    sum_k i(2m - 2k) P_k, so they are the spectral projectors of Omega_1
+    and each is a polynomial in it.  K and Omega_1 must commute, so every
+    P_k commutes with K.  One eigen-equation (K - omega_r) P_{r,k} = 0 per
+    lattice block gives prod_allowed (K - omega) P_k = 0: K restricted to
+    S^k is diagonalizable with spectrum inside the lattice set, and the
+    P_{r,k} are its spectral projectors, idempotent, pairwise orthogonal
+    and summing to P_k.  So the lattice rule is certified, a block's trace is
     its rank, and as the P_k sum to I the ranks sum to 4^m.  A failed
-    certificate or commutator raises SpectrumError.  Every grid position is stored, an off-lattice
-    block as the zero matrix.
+    certificate or commutator, an Omega_1 off the diagonal or off the
+    stated weights, or a weight with no allowed level raises
+    SpectrumError.  Every grid position is stored, an off-lattice block as
+    the zero matrix.
     """
     m = model.m
     residual = commutator(ops.kraines, ops[1])
@@ -117,10 +127,13 @@ def decompose(model, ops):
         raise SpectrumError("Kraines form and Omega_1 do not commute "
                             f"(residual {residual.max_abs():.3e})")
     weights = [weight_eigenvalue(m, k) for k in range(2 * m + 1)]
-    k_proj = dict(enumerate(lagrange_eigenprojectors(ops[1], weights).values()))
+    k_proj = dict(enumerate(diagonal_eigenprojectors(ops[1], weights).values()))
     zero, blocks = model.zeros(), {}
     for k, weight in k_proj.items():
         allowed = [omega_eigenvalue(m, r) for r in range(m + 1) if lattice_allows(m, r, k)]
+        if not allowed:
+            raise SpectrumError(f"no level is allowed on the weight space k={k} "
+                                f"of dimension {_integer_trace(weight)}")
         levels = lagrange_eigenprojectors(ops.kraines, allowed, within=weight)
         for r in range(m + 1):
             proj = levels.get(omega_eigenvalue(m, r), zero)

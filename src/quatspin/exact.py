@@ -17,7 +17,9 @@ both backends.
 Spectral projectors come from one Lagrange product, certified by its
 eigen-equation alone (see `lagrange_eigenprojectors`); it starts from a
 projector commuting with the operator (by default the identity of the
-matrix class), and the stated spectrum is exact.
+matrix class), and the stated spectrum is exact.  A diagonal operator's
+projectors are read off its diagonal instead, and certified the same way
+(`diagonal_eigenprojectors`).
 
 Callers hand exact scalars (int, Fraction, ExactScalar) to both backends and
 the float one converts them itself.
@@ -339,16 +341,21 @@ def commutator(a, b, terms=()):
 class _Nonzeros:
     """Operator dispatch and the index arithmetic, common to both backends.
 
-    A subclass holds rows, cols and `_key`, and supplies `zeros`, `scale`
-    and the value arithmetic: `_fused` (a fused sum of operands that each
-    hold a nonzero, with nonzero coefficients), `_transposed`, `_scalars`
-    (the stored values as scalars) and `_unit_phases` (which stored values
-    are 1, -1, i or -i).  A product and a sum or difference are fused sums
+    A subclass holds rows, cols and `_key`, and supplies `zeros`,
+    `unit_diagonal`, `scale` and the value arithmetic: `_fused` (a fused sum
+    of operands that each hold a nonzero, with nonzero coefficients),
+    `_transposed`, `_scalars` (the stored values as scalars), `_unit_phases`
+    (which stored values are 1, -1, i or -i) and `_equal_to` (which stored
+    values equal an exact scalar).  A product and a sum or difference are fused sums
     of one product or two terms, whose shapes `fused_sum` checks.  Mixing
     the backends raises TypeError.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def identity(cls, n):
+        return cls.unit_diagonal(n, np.arange(n, dtype=np.int64))
 
     @classmethod
     def _linear(cls, rows, cols, products, terms):
@@ -454,9 +461,9 @@ class DenseMatrix(_Nonzeros):
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, np.arange(n, dtype=np.int64) * (n + 1),
-                   np.ones(n, dtype=np.complex128))
+    def unit_diagonal(cls, n, idx):
+        """The n x n diagonal matrix with 1 at the sorted positions idx, 0 elsewhere."""
+        return cls(n, n, idx * (n + 1), np.ones(idx.size, dtype=np.complex128))
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -481,6 +488,8 @@ class DenseMatrix(_Nonzeros):
 
     def scale(self, s):
         """Multiply by an exact scalar or a complex number."""
+        if s == 1:
+            return self
         return DenseMatrix(self.rows, self.cols, self._key, self._v * _complex(s))
 
     def is_zero(self):
@@ -509,6 +518,9 @@ class DenseMatrix(_Nonzeros):
 
     def _scalars(self):
         return self._v.tolist()
+
+    def _equal_to(self, s):
+        return np.abs(self._v - _complex(s)) <= FLOAT_SCALAR_TOL
 
     def frobenius_norm2(self):
         """Sum of squared entry moduli."""
@@ -558,6 +570,16 @@ def certify_eigenprojector(a, lam, p):
             f"eigen-equation fails for {lam} (residual {residual.max_abs():.3e})")
 
 
+def _stated_values(a, spectrum):
+    """The stated spectrum of the square matrix a as ExactScalar values."""
+    if a.rows != a.cols:
+        raise DimensionError("eigenprojectors need a square matrix")
+    values = [ExactScalar.coerce(v) for v in spectrum]
+    if not values or len(set(values)) != len(values):
+        raise DomainError("a stated spectrum needs one or more pairwise distinct values")
+    return values
+
+
 def lagrange_eigenprojectors(a, spectrum, within=None):
     """Certified spectral projectors {lam: P_lam} for a stated spectrum.
 
@@ -575,14 +597,53 @@ def lagrange_eigenprojectors(a, spectrum, within=None):
     scalars (TypeError otherwise), one or more and pairwise distinct
     (DomainError otherwise), and key the projectors as ExactScalar.
     """
-    if a.rows != a.cols:
-        raise DimensionError("eigenprojectors need a square matrix")
-    values = [ExactScalar.coerce(v) for v in spectrum]
-    if not values or len(set(values)) != len(values):
-        raise DomainError("a stated spectrum needs one or more pairwise distinct values")
+    values = _stated_values(a, spectrum)
     projectors = {}
     for lam in values:
         p = lagrange_projector(a, lam, values, within)
+        certify_eigenprojector(a, lam, p)
+        projectors[lam] = p
+    return projectors
+
+
+def diagonal_eigenprojectors(a, spectrum):
+    """Certified spectral projectors {lam: P_lam} of a diagonal matrix, read
+    off its diagonal with no Lagrange product.
+
+    P_lam is the 0/1 diagonal on the positions where a's diagonal equals
+    lam: exactly in the exact backend, within FLOAT_SCALAR_TOL in the float
+    one, and a position with no stored value holds 0.  An entry off the
+    diagonal that is not 0 (in the same sense), or a diagonal value that is
+    not stated, raises SpectrumError naming the first.  Each P_lam is then
+    certified by its eigen-equation a P_lam = lam P_lam.  The P_lam are 0/1
+    diagonals on disjoint index sets that cover every position, so they are
+    orthogonal idempotents summing to I, and a = sum lam P_lam: they are the
+    spectral projectors of a, each the Lagrange polynomial of lam in a, as
+    lagrange_eigenprojectors(a, spectrum) gives them.  The values are as
+    there: exact scalars, one or more and pairwise distinct, keying the
+    projectors as ExactScalar.
+    """
+    values = _stated_values(a, spectrum)
+    n = a.rows
+    on = _diagonal(a)
+    off = np.flatnonzero(~on & ~a._equal_to(0))
+    if off.size:
+        i, j = divmod(int(a._key[off[0]]), n)
+        raise SpectrumError(f"matrix is not diagonal: entry ({i}, {j}) is {a[i, j]}")
+    # label[i]: the index of the stated value at diagonal position i, -1 for
+    # none; an unstored position holds 0
+    label = np.full(n, values.index(0) if 0 in values else -1)
+    stored = a._key[on] // (n + 1)
+    label[stored] = -1
+    for t, lam in enumerate(values):
+        label[stored[a._equal_to(lam)[on]]] = t
+    missing = np.flatnonzero(label < 0)
+    if missing.size:
+        i = int(missing[0])
+        raise SpectrumError(f"diagonal entry ({i}, {i}) is {a[i, i]}, not a stated value")
+    projectors = {}
+    for t, lam in enumerate(values):
+        p = type(a).unit_diagonal(n, np.flatnonzero(label == t))
         certify_eigenprojector(a, lam, p)
         projectors[lam] = p
     return projectors

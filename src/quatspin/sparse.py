@@ -205,10 +205,10 @@ class SparseMatrix(_Nonzeros):
                                np.asarray(im, dtype=np.int64), 1)
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, np.arange(n, dtype=np.int64) * (n + 1),
-                   np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 1,
-                   1 if n else 0)
+    def unit_diagonal(cls, n, idx):
+        """The n x n diagonal matrix with 1 at the sorted positions idx, 0 elsewhere."""
+        return cls(n, n, idx * (n + 1), np.ones(idx.size, dtype=np.int64),
+                   np.zeros(idx.size, dtype=np.int64), 1, 1 if idx.size else 0)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -253,6 +253,8 @@ class SparseMatrix(_Nonzeros):
 
     def scale(self, s):
         """Multiply by an exact scalar."""
+        if s == 1:
+            return self
         if self._amax == 0 or s == 0:
             return SparseMatrix.zeros(self.rows, self.cols)
         return SparseMatrix._fused(self.rows, self.cols, (), ((s, self),))
@@ -291,6 +293,15 @@ class SparseMatrix(_Nonzeros):
     def _unit_phases(self):
         # a Gaussian integer is a unit exactly when |re| + |im| = 1
         return (np.abs(self._re) + np.abs(self._im) == 1) & (self._den == 1)
+
+    def _equal_to(self, s):
+        # (re + i im) / den = (sr + i si) / q exactly when re q = sr den and
+        # im q = si den; on Python ints when a side could pass int64
+        sr, si, q = _gaussian(s)
+        re, im = self._re, self._im
+        if max(self._amax * q, max(abs(sr), abs(si)) * self._den) >= _INT64_LIMIT:
+            re, im = _as_object(re), _as_object(im)
+        return (re * q == sr * self._den) & (im * q == si * self._den)
 
     def numerators(self):
         """(den, {(i, j): (re, im)}): the nonzeros' Python-int numerators over den."""

@@ -20,6 +20,7 @@ from quatspin.exact import (
     FLOAT_TOL,
     ExactScalar,
     column_space_basis,
+    commutator,
     lagrange_eigenprojectors,
 )
 from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
@@ -228,11 +229,76 @@ def test_a_dropped_lattice_level_fails_its_weight(world2, monkeypatch, capsys):
     assert re.fullmatch(r"error: eigen-equation fails for -20 \(residual [^)]*\)\n", err)
 
 
+def test_a_weight_space_with_no_allowed_level_is_named(world2, monkeypatch, capsys):
+    # S^1 at m = 2 holds the one level r = 1: stated without it, the weight
+    # space has no level at all, a failed claim (exit 1), not a usage error
+    allows = decomposition.lattice_allows
+    monkeypatch.setattr(decomposition, "lattice_allows",
+                        lambda m, r, k: (r, k) != (1, 1) and allows(m, r, k))
+    message = "no level is allowed on the weight space k=1 of dimension 4"
+    with pytest.raises(SpectrumError, match=f"^{message}$"):
+        decompose(world2.model, world2.ops)
+    assert cli.main(["decompose", "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_decompose_rejects_an_omega1_off_the_diagonal(kind):
+    # Omega_1 + Omega_2 commutes with Kraines (the Omega_a close under
+    # brackets and Kraines is their Casimir plus 6m), but is not diagonal
+    world = _world(1, kind)
+    model, ops = world.model, world.ops
+    mixed = ops[1] + ops[2]
+    assert commutator(ops.kraines, mixed).is_zero()
+    with pytest.raises(SpectrumError, match=r"^matrix is not diagonal: entry \(\d+, \d+\) is "):
+        decompose(model, _SwappedOps(ops, mixed))
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_decompose_rejects_an_omega1_off_the_stated_weights(kind):
+    # 2 Omega_1 is diagonal and commutes with Kraines, but at m = 1 it holds
+    # 4i and -4i, neither one of the weights 2i, 0, -2i; the first is named
+    world = _world(1, kind)
+    model, ops = world.model, world.ops
+    doubled = ops[1].scale(2)
+    assert commutator(ops.kraines, doubled).is_zero()
+    stated = [weight_eigenvalue(1, k) for k in range(3)]
+    if kind == "float":
+        stated = [w.to_complex() for w in stated]
+    i = next(i for i in range(model.spinor_dim) if doubled[i, i] not in stated)
+    assert doubled[i, i] in (ExactScalar(0, 4), ExactScalar(0, -4), 4j, -4j)
+    value = re.escape(str(doubled[i, i]))
+    with pytest.raises(SpectrumError,
+                       match=rf"^diagonal entry \({i}, {i}\) is {value}, not a stated value$"):
+        decompose(model, _SwappedOps(ops, doubled))
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_omega1_enters_no_lagrange_product(kind, monkeypatch):
+    # the weight projectors are read off Omega_1's diagonal: the Lagrange
+    # families are the 2m + 1 of Kraines within each P_k, and no other
+    model, ops = _operators(3, kind)
+    seen = []
+
+    def spy(a, spectrum, within=None):
+        seen.append((a, within))
+        return lagrange_eigenprojectors(a, spectrum, within=within)
+
+    monkeypatch.setattr(decomposition, "lagrange_eigenprojectors", spy)
+    dec = decompose(model, ops)
+    assert len(seen) == 2 * model.m + 1
+    assert all(a is ops.kraines for a, _ in seen)
+    assert all(within is p for (_, within), p in zip(seen, dec.k_projectors.values()))
+
+
 def test_decompose_work_at_m4(monkeypatch):
     # the term expansions (exact._product_terms) and duplicate sums
     # (exact._sum_duplicates) of one decompose at m = 4, a guard free of
     # timing: the full-space Kraines family and the (m+1)(2m+1) products
-    # P_r P_k made 119 and 122
+    # P_r P_k made 119 and 122, and Omega_1's Lagrange family, before the
+    # weight projectors were read off its diagonal, 111 and 70
     calls = {"_product_terms": 0, "_sum_duplicates": 0}
     model, ops = _operators(4)
     for name in calls:
@@ -241,8 +307,8 @@ def test_decompose_work_at_m4(monkeypatch):
             return original(*args)
         monkeypatch.setattr(exact_module, name, counted)
     decompose(model, ops)
-    assert calls["_product_terms"] <= 111
-    assert calls["_sum_duplicates"] <= 70
+    assert calls["_product_terms"] <= 39
+    assert calls["_sum_duplicates"] <= 34
 
 
 def test_eigenvalue_formulas():

@@ -10,6 +10,7 @@ from quatspin.exact import (
     DenseMatrix,
     ExactScalar,
     column_space_basis,
+    diagonal_eigenprojectors,
     fused_sum,
     lagrange_eigenprojectors,
     lagrange_projector,
@@ -243,9 +244,9 @@ def _block_diagonal(blocks):
     return SparseMatrix.from_rows(rows)
 
 
-def _diagonal_01(bits):
+def _diagonal(values):
     return SparseMatrix.from_rows(
-        [[bit if j == i else 0 for j in range(len(bits))] for i, bit in enumerate(bits)])
+        [[v if j == i else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
 
 # the eigenvalues of the diagonal blocks of a block-diagonal operator
@@ -264,7 +265,7 @@ def test_within_restricts_the_full_space_family():
     a = _block_diagonal([_diagonalizable(rng, ev) for ev in WITHIN_BLOCKS])
     full = lagrange_eigenprojectors(a, WITHIN_SPECTRUM)
     for keep in ((1, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 0, 0)):
-        w = _diagonal_01([bit for bit, ev in zip(keep, WITHIN_BLOCKS) for _ in ev])
+        w = _diagonal([bit for bit, ev in zip(keep, WITHIN_BLOCKS) for _ in ev])
         assert w @ a == a @ w
         within = lagrange_eigenprojectors(a, WITHIN_SPECTRUM, within=w)
         assert within == {lam: w @ p for lam, p in full.items()}, keep
@@ -282,17 +283,84 @@ def test_within_rejects_a_noncommuting_projector_and_a_short_spectrum():
     a = _block_diagonal([_diagonalizable(rng, ev) for ev in WITHIN_BLOCKS])
     # a W that cuts the first block does not commute with a: with two or
     # more stated values the eigen-equations would give a W = W a
-    cut = _diagonal_01([1, 0, 0, 0, 0, 0, 0, 0])
+    cut = _diagonal([1, 0, 0, 0, 0, 0, 0, 0])
     assert cut @ a != a @ cut
     with pytest.raises(SpectrumError, match="eigen-equation"):
         lagrange_eigenprojectors(a, WITHIN_SPECTRUM, within=cut)
     # the second block holds 0 and 1, and 1 is not stated
-    w = _diagonal_01([0, 0, 0, 1, 1, 0, 0, 0])
+    w = _diagonal([0, 0, 0, 1, 1, 0, 0, 0])
     with pytest.raises(SpectrumError, match="eigen-equation"):
         lagrange_eigenprojectors(a, [3, 0, -2], within=w)
     # an empty stated set certifies nothing
     with pytest.raises(DomainError):
         lagrange_eigenprojectors(a, [], within=w)
+
+
+# a diagonal holding Gaussian rationals, repeats and unstored zeros; the
+# stated value 7 is not taken, so its projector is zero
+READ_DIAGONAL = [ExactScalar(0, 2), 0, Fraction(-1, 3), ExactScalar(0, 2), 0,
+                 ExactScalar(Fraction(1, 2), -1), Fraction(-1, 3)]
+READ_SPECTRUM = [7, ExactScalar(0, 2), Fraction(-1, 3), 0, ExactScalar(Fraction(1, 2), -1)]
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_diagonal_read_is_the_lagrange_family(kind):
+    a = _diagonal(READ_DIAGONAL)
+    if kind == "float":
+        a = a.to_float()
+    read = diagonal_eigenprojectors(a, READ_SPECTRUM)
+    lagrange = lagrange_eigenprojectors(a, READ_SPECTRUM)
+    assert list(read) == list(lagrange) == list(map(ExactScalar.coerce, READ_SPECTRUM))
+    for lam, p in read.items():
+        assert type(p) is type(a)
+        if kind == "exact":
+            assert p == lagrange[lam]
+        else:
+            assert (p - lagrange[lam]).max_abs() <= FLOAT_TOL
+    assert read[ExactScalar(7)].is_zero()
+    assert read[ExactScalar(0)].trace() == 2
+
+
+def test_diagonal_read_compares_large_numerators_exactly():
+    # numerators past int64 once cross-multiplied by the denominators
+    big = 2**61 + 1
+    a = _diagonal([Fraction(big, 3), Fraction(big - 1, 3), Fraction(big, 3)])
+    read = diagonal_eigenprojectors(a, [Fraction(big, 3), Fraction(big - 1, 3)])
+    assert read[ExactScalar(Fraction(big, 3))] == _diagonal([1, 0, 1])
+    assert read[ExactScalar(Fraction(big - 1, 3))] == _diagonal([0, 1, 0])
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_diagonal_read_names_what_it_rejects(kind):
+    def backend(rows):
+        a = SparseMatrix.from_rows(rows)
+        return a if kind == "exact" else a.to_float()
+
+    off = backend([[1, 0, 0], [0, 1, ExactScalar(0, 3)], [0, 0, -1]])
+    with pytest.raises(SpectrumError, match=r"^matrix is not diagonal: entry \(1, 2\) is "):
+        diagonal_eigenprojectors(off, [1, -1])
+    unstated = backend([[1, 0, 0], [0, 2, 0], [0, 0, -1]])
+    with pytest.raises(SpectrumError, match=r"^diagonal entry \(1, 1\) is \(?2"):
+        diagonal_eigenprojectors(unstated, [1, -1])
+    # an unstored diagonal position holds 0, which must be stated too
+    zero = backend([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
+    with pytest.raises(SpectrumError, match=r"^diagonal entry \(1, 1\) is 0"):
+        diagonal_eigenprojectors(zero, [1, -1])
+    assert set(diagonal_eigenprojectors(zero, [1, 0, -1])) == {
+        ExactScalar(1), ExactScalar(0), ExactScalar(-1)}
+    with pytest.raises(DomainError):
+        diagonal_eigenprojectors(zero, [1, 1])
+    with pytest.raises(DimensionError):
+        diagonal_eigenprojectors(backend([[1, 0]]), [1])
+
+
+def test_scale_by_one_is_the_matrix_itself():
+    # matrices are immutable, so a unit scale shares its operand
+    a = SparseMatrix.from_rows([[ExactScalar(Fraction(1, 2), 1), 0], [3, 0]])
+    for m in (a, a.to_float()):
+        assert m.scale(1) is m
+        assert m.scale(ExactScalar(1)) is m
+    assert a.scale(Fraction(2, 2)) is a
 
 
 def test_max_abs_is_the_largest_entry_modulus():
