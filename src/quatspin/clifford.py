@@ -136,6 +136,20 @@ def basis_vector(model, i):
     return SparseMatrix.from_rows([[int(t == i)] for t in range(model.n)])
 
 
+def _coefficients(model, v):
+    """{i: v_i} over the nonzeros of the exact n x 1 column v."""
+    if not isinstance(v, SparseMatrix):
+        raise TypeError(f"a vector of R^{{4m}} is an exact column, not {type(v).__name__}")
+    if v.cols != 1 or v.rows != model.n:
+        raise DimensionError(f"expected an {model.n}x1 coefficient column")
+    return {i: c for (i, _), c in v.nonzero_entries()}
+
+
+def _generator_sum(model, coefficients):
+    terms = [(c, model.gamma[i]) for i, c in coefficients.items()]
+    return fused_sum(terms=terms) if terms else model.zeros()
+
+
 def vector_action(model, v):
     """Clifford action of a (complexified) vector on the spinor space.
 
@@ -143,9 +157,15 @@ def vector_action(model, v):
     result is sum_i v_i gamma_i, extended C-linearly in the coefficients,
     in the backend of the model's generators.
     """
-    if not isinstance(v, SparseMatrix):
-        raise TypeError(f"a vector of R^{{4m}} is an exact column, not {type(v).__name__}")
-    if v.cols != 1 or v.rows != model.n:
-        raise DimensionError(f"expected an {model.n}x1 coefficient column")
-    terms = [(c, model.gamma[i]) for (i, _), c in v.nonzero_entries()]
-    return fused_sum(terms=terms) if terms else model.zeros()
+    return _generator_sum(model, _coefficients(model, v))
+
+
+def rotated_action(model, rotation, v):
+    """vector_action(model, rotation @ v) for an exact n x n rotation, summing
+    (rotation @ v)_i exactly over the nonzeros of both: no product is formed."""
+    v, rotated = _coefficients(model, v), {}
+    # scan the positions of rotation's nonzeros; read only the entries v meets
+    for i, k in rotation.numerators()[1]:
+        if k in v:
+            rotated[i] = rotated.get(i, 0) + rotation[i, k] * v[k]
+    return _generator_sum(model, rotated)

@@ -248,7 +248,7 @@ def decomposition_report(world, symmetry=None):
         rep.add(bool_entry("weight_consistency", f"{sub} r={r} k={k}", ok))
 
     rep.add(bool_entry("block_dimension_sum", sub, total == model.spinor_dim,
-                       str(total - model.spinor_dim)))
+                       str(abs(total - model.spinor_dim))))
 
     orbits = generator_orbits(symmetry, world)
     for label, family in (("r", dec.r_projectors), ("k", dec.k_projectors)):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import vector_action
+from .clifford import rotated_action, vector_action
 from .errors import DomainError, IdentityFailure
 from .exact import FLOAT_SCALAR_TOL, ExactScalar, commutator, fused_sum
 from .quaternionic import build_adapted_basis
@@ -46,10 +46,10 @@ _WEIGHT_SHIFT = {"f": -1, "fbar": +1}
 def j_operator(model, triple, ops, x):
     """J(x) = sum_a Omega_a a(J_a x) + 3 a(x) as a spinor endomorphism.
 
-    The paper's definition for an arbitrary x, with a(J_1 x) formed from the
-    triple: the reference that tests/test_projectors.py checks
-    `ProjectorCalculus.jop` against.  The verifier itself reads the cached
-    operators of the calculus.
+    The paper's definition for an arbitrary x, with each a(J_a x) the
+    action of the product J_a x: the reference that tests/test_projectors.py
+    checks `ProjectorCalculus.jop` against.  The calculus reads the same
+    actions off the nonzeros of J_a and x (`rotated_action`).
     """
     return _j_combination(ops, vector_action(model, x),
                           {a: vector_action(model, triple[a] @ x) for a in (1, 2, 3)})
@@ -113,11 +113,9 @@ class ProjectorCalculus:
     """Cached endomorphisms for the adapted basis of one world's model.
 
     For u in {"f", "fbar"} it holds the adapted vectors vectors[u][j] = u_j,
-    act[u][j] = a(u_j), jop[u][j] = J(u_j) and the rotated actions
-    act_j[u][a][j] = a(J_a u_j) for a in {2, 3}.
-    a(J_1 u_j) is not formed: J_1 f_j = i f_j and J_1 fbar_j = -i fbar_j, so
-    it is the phase multiple -t i a(u_j) for the weight shift t of u, and
-    J(u_j) reads it so.  Over the patterns (u, v) in
+    act[u][j] = a(u_j), the rotated actions act_j[u][a][j] = a(J_a u_j) for
+    a in {1, 2, 3}, read off the nonzeros of J_a and u_j (`rotated_action`),
+    and jop[u][j] = J(u_j).  Over the patterns (u, v) in
     {(f, fbar), (fbar, f)} it forms sums[u, v, XY] = sum_j X(u_j) Y(v_j) for
     X, Y in {a, J}: the four sums aa, aJ, Ja and JJ of each pattern.  Since
     p_r^s(x) = c (alpha a(x) + beta J(x)), every two-step composition
@@ -132,14 +130,10 @@ class ProjectorCalculus:
         self.vectors = {"f": basis.f, "fbar": basis.f_bar}
         self.act = {u: [vector_action(model, x) for x in xs]
                     for u, xs in self.vectors.items()}
-        self.act_j = {u: {a: [vector_action(model, triple[a] @ x) for x in xs]
-                          for a in (2, 3)} for u, xs in self.vectors.items()}
-        self.jop = {u: [] for u in self.vectors}
-        for u, t in _WEIGHT_SHIFT.items():
-            for j, act in enumerate(self.act[u]):
-                rotated = {1: act.scale(ExactScalar(0, -t)),
-                           2: self.act_j[u][2][j], 3: self.act_j[u][3][j]}
-                self.jop[u].append(_j_combination(ops, act, rotated))
+        self.act_j = {u: {a: [rotated_action(model, triple[a], x) for x in xs]
+                          for a in (1, 2, 3)} for u, xs in self.vectors.items()}
+        self.jop = {u: [_j_combination(ops, act, {a: self.act_j[u][a][j] for a in (1, 2, 3)})
+                        for j, act in enumerate(self.act[u])] for u in self.vectors}
 
         factors = {"a": self.act, "J": self.jop}
         self.sums = {(u, v, x + y): _product_sum(factors[x][u], factors[y][v])
@@ -222,14 +216,12 @@ def compute_A(calc, r, k, variant):
     """Evaluate sum_j (left p)(right p) on the block S_r^k and certify that
     the restriction is a scalar multiple of the identity.
 
-    With p_l^s(x) = c (alpha a(x) + beta J(x)) for each factor, the sum is
-    c c' (alpha alpha' aa + alpha beta' aJ + beta alpha' Ja + beta beta' JJ)
-    over the four product sums of the variant's vector pattern, formed once
-    per (r, variant) by `ProjectorCalculus.two_step`, so no per-j product is
-    formed here.  Returns that scalar (ExactScalar, or complex in the float
-    backend).  For r = 0 with a raising left factor
-    the composition passes through the empty degree level; the right factor
-    is certified to annihilate the block and the scalar is the int 0.  A failed
+    The sum is `ProjectorCalculus.two_step(r, variant)`, a combination of
+    the four product sums formed once per (r, variant), so no per-j product
+    is formed here.  Returns that scalar (ExactScalar, or complex in the
+    float backend).  For r = 0 with a raising left factor the composition
+    passes through the empty degree level; the right factor is certified
+    to annihilate the block and the scalar is the int 0.  A failed
     certificate raises IdentityFailure with its residual's largest entry.
     """
     blk = calc.world.dec.block(r, k)
@@ -366,14 +358,6 @@ def verify_lemma_identities(calc, symmetry=None):
     pairing) are computed for j = 0 only: the certified lifts act
     transitively on j, and the row of j' copies the row of j = 0 (see
     quatspin.symmetry).  Otherwise every row is computed directly.
-
-    Two rows cannot see J_1.  jop_product_jf_fbar and jop_product_jfbar_f
-    read J(u_j) through `ProjectorCalculus.jop`, whose a = 1 term is the
-    phase multiple -t i a(u_j), so a triple with 2 J_1 in place of J_1
-    passes both.  Forming that term from the triple would cost 4m products
-    per world, more than the lemma suite's work guard allows (at most 148
-    term expansions at m = 3).  The row that catches a wrong J_1 is
-    jop_adapted_expansion, which forms a(J_1 u_j) from the triple.
     """
     model, ops, dec = calc.world.model, calc.world.ops, calc.world.dec
     rep = VerificationReport()
@@ -436,16 +420,15 @@ def verify_lemma_identities(calc, symmetry=None):
                                    f"{sub} a={a} {u}*J{v}",
                                    mixed[u, v, a] - expectations[a, u]))
 
-    # --- expansion of J on the adapted basis.  J(u_j) reads a(J_1 u_j) as
-    # the phase multiple -t i a(u_j); here it is formed from the triple, so a
-    # J_1 without the weight property of the adapted basis fails the row
-    for u in _WEIGHT_SHIFT:
+    # --- expansion of J on the adapted basis.  J_1 f_j = i f_j and J_1 fbar_j
+    # = -i fbar_j state a(J_1 u_j) as the phase -t i a(u_j), which J(u_j)
+    # reads off the triple: the one row that certifies the weight property
+    for u, t in _WEIGHT_SHIFT.items():
         for orbit in orbits:
             j = orbit[0]
             act = calc.act[u][j]
-            # J(u_j) - (3 a(u_j) + sum_a Omega_a a(J_a u_j))
-            rotated = vector_action(model, calc.world.triple[1] @ calc.vectors[u][j])
-            rhs = [(-1, ops[1], rotated),
+            # J(u_j) - (3 a(u_j) - t i Omega_1 a(u_j) + sum_{a=2,3} Omega_a a(J_a u_j))
+            rhs = [(ExactScalar(0, t), ops[1], act),
                    *((-1, ops[a], calc.act_j[u][a][j]) for a in (2, 3))]
             add(orbit, "jop_adapted_expansion", lambda j: f"{sub} {u} j={j}",
                 fused_sum(rhs, [(1, calc.jop[u][j]), (-3, act)]))
@@ -497,7 +480,7 @@ def verify_lemma_identities(calc, symmetry=None):
 
     # --- commutators of the vector actions with the Kraines and Kaehler operators
     kraines = ops.kraines
-    for u, t in _WEIGHT_SHIFT.items():
+    for u in _WEIGHT_SHIFT:
         for orbit in orbits:
             j = orbit[0]
             act, jop = calc.act[u][j], calc.jop[u][j]
@@ -507,14 +490,10 @@ def verify_lemma_identities(calc, symmetry=None):
             add(orbit, "kraines_commutator_jop_second", lambda j: f"{sub} {u} j={j}",
                 fused_sum([(1, kraines, jop), (-1, jop, kraines), (4, act, kraines)],
                           [(8, jop), (-12 - 24 * m, act)]))
-            # a(J_1 u_j) = -t i a(u_j), the weight property of the adapted basis
-            rotated = {1: (ExactScalar(0, -t), act),
-                       2: (1, calc.act_j[u][2][j]), 3: (1, calc.act_j[u][3][j])}
             for a in (1, 2, 3):
-                c, rot = rotated[a]
                 add(orbit, "kaehler_vector_commutator",
                     lambda j: f"{sub} a={a} {u} j={j}",
-                    commutator(ops[a], act, [(-2 * c, rot)]))
+                    commutator(ops[a], act, [(-2, calc.act_j[u][a][j])]))
 
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the

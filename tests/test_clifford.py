@@ -9,6 +9,7 @@ from quatspin.clifford import (
     basis_vector,
     build_clifford_model,
     corrupt_gamma,
+    rotated_action,
     vector_action,
 )
 from quatspin.errors import DimensionError, DomainError, ResourceLimitError
@@ -99,11 +100,40 @@ def test_action_linearity(model2):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_rotated_action_is_the_action_of_the_product(kind):
+    # any exact map, Gaussian rational entries, a coefficient that cancels
+    # (row 0 of the map against v) and a zero column of the product
+    model = build_clifford_model(2, kind=kind)
+    rng = random.Random(7)
+    n = model.n
+
+    def entry():
+        return ExactScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    rows[0] = [0] * n
+    rows[0][:2] = [1, -1]
+    rows[1] = [0] * n
+    rotation = SparseMatrix.from_rows(rows)
+    v = SparseMatrix.from_rows([[1], [1]] + [[entry()] for _ in range(n - 2)])
+    for x in (v, basis_vector(model, 5), SparseMatrix.zeros(n, 1)):
+        want = vector_action(model, rotation @ x)
+        got = rotated_action(model, rotation, x)
+        assert got == want
+        assert got.fingerprint() == want.fingerprint()
+
+
 def test_action_shape_checks(model2):
     with pytest.raises(DimensionError):
         vector_action(model2, SparseMatrix.zeros(3, 1))
     with pytest.raises(TypeError):
         vector_action(model2, DenseMatrix.zeros(model2.n, 1))
+    ident = SparseMatrix.identity(model2.n)
+    with pytest.raises(DimensionError):
+        rotated_action(model2, ident, SparseMatrix.zeros(3, 1))
+    with pytest.raises(TypeError):
+        rotated_action(model2, ident, DenseMatrix.zeros(model2.n, 1))
     with pytest.raises(DomainError):
         basis_vector(model2, 8)
 

@@ -269,7 +269,7 @@ def test_operator_layers_sort_count(monkeypatch):
     _, kaehler = measured(build_kaehler_operators, world.model, world.triple)
     assert kaehler[0] <= 4 and kaehler[1] <= 4
     _, calculus = measured(ProjectorCalculus, world)
-    assert calculus[0] <= 32 and calculus[1] <= 62
+    assert calculus[0] <= 32 and calculus[1] <= 26
     cert = certify_line_symmetry(world)
     rep, structure = measured(structure_report, world, cert)
     assert rep.ok

@@ -35,18 +35,30 @@ the sl2 relations and the mixed product sums, which reproduce Omega_2 and
 Omega_3 from the adapted basis, must fail, with the same verdict on every
 row in both backends.
 
-Three more controls reach the lemma families that none of the above fails,
-at m = 1 and 2 in both backends: J(x) formed without its 3 a(x) term must
+Five more controls reach the families that none of the above fails, at
+m = 1 and 2 in both backends: J(x) formed without its 3 a(x) term must
 fail the expansion of J on the adapted basis and the sums of J(u_j) a(v_j);
-J_1 -> 2 J_1, with its operators rebuilt, must fail that expansion, whose
-a(J_1 u_j) comes from the triple while J(u_j) reads it as a phase multiple
-of a(u_j); and J_2 = I, with its operators rebuilt, must fail the rotated
-product sums.
+J_1 -> 2 J_1, with its operators rebuilt, must fail that expansion, which
+states a(J_1 u_j) as the phase multiple -t i a(u_j) while J(u_j) reads it
+off the triple, and the two sums of J(u_j) a(v_j) that carry it; J_2 = I,
+with its operators rebuilt, must fail the rotated product sums; operators
+that carry Kraines + I must fail the Kraines rebuild and the Casimir
+identity; and operators that carry -Omega_2, with their Kraines form
+rebuilt, must fail the Kaehler rebuild.
 
-Two controls corrupt the stated side instead of the computed one: a
-lattice rule that admits one more (r, k) must fail that block_lattice row
-alone, and a closed form A_{r,k} moved by 1/2 must fail that
-block_constant_match row alone, in `constants` and in `verify`.
+The other controls corrupt the stated side instead of the computed one:
+
+- a lattice rule that admits one more (r, k) must fail that block_lattice
+  row alone;
+- a closed form A_{r,k} moved by 1/2 must fail that block_constant_match
+  row alone, in `constants` and in `verify`;
+- a block that states Omega_1's weight off by 2 must fail that
+  weight_consistency row alone;
+- a block stated as zero must fail its block_lattice row and
+  block_dimension_sum in `decomposition_report`, each with a positive
+  witness, and the four-fold split of the world report;
+- a line lift whose stated signed permutation has one sign flipped must
+  fail that lift's `generators` row alone.
 """
 
 import json
@@ -58,11 +70,12 @@ import pytest
 
 from fractions import Fraction
 
-from quatspin import cli, decomposition, projectors
+from quatspin import cli, decomposition, projectors, symmetry
 from quatspin.clifford import build_clifford_model
-from quatspin.decomposition import World, build_world
+from quatspin.decomposition import World, build_world, decomposition_report
 from quatspin.exact import fused_sum
-from quatspin.quaternionic import HyperkahlerTriple, build_kaehler_operators
+from quatspin.quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_operators,
+                                   kraines_form)
 from quatspin.sparse import SparseMatrix
 
 WITNESS_FAMILIES = {"clifford_four_fold_split", "block_projector_eigen",
@@ -178,9 +191,12 @@ def test_j_without_its_action_term_fails_the_expansion(m, backend, monkeypatch):
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_doubled_j1_fails_the_expansion(m, backend):
     # the adapted basis of 2 J_1 is no longer i and -i eigenvectors of J_1,
-    # so a(J_1 u_j) formed from the triple differs from -t i a(u_j)
+    # so a(J_1 u_j), read off the triple, differs from the phase -t i a(u_j)
+    # that the expansion states, and J(u_j) in the sums of J(u_j) a(v_j)
+    # carries it
     report = _corrupted_triple_report(m, backend, lambda j1, j2, j3: (j1.scale(2), j2, j3))
-    assert "jop_adapted_expansion" in _failing_families(report)
+    assert {"jop_adapted_expansion", "jop_product_jf_fbar",
+            "jop_product_jfbar_f"} <= _failing_families(report)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -191,6 +207,89 @@ def test_identity_j2_fails_the_rotated_product_sums(m, backend):
     report = _corrupted_triple_report(
         m, backend, lambda j1, j2, j3: (j1, SparseMatrix.identity(j1.rows), j3))
     assert "rotated_basis_product_sum" in _failing_families(report)
+
+
+def _kraines_plus_identity(model, ops):
+    return KaehlerOperators(omega=ops.omega, kraines=ops.kraines + model.identity())
+
+
+def _omega2_flipped(model, ops):
+    omega = (ops[1], -ops[2], ops[3])
+    return KaehlerOperators(omega=omega, kraines=kraines_form(model, omega))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("corrupt,families", [
+    (_kraines_plus_identity, {"kraines_rebuild", "casimir_identity"}),
+    (_omega2_flipped, {"kaehler_rebuild"}),
+], ids=["kraines+I", "-Omega_2"])
+def test_operators_not_of_the_model_fail_their_rebuild(m, backend, corrupt, families):
+    # operators over the standard model, triple and decomposition that are
+    # not the ones built from them: Kraines + I is not the Kraines form of
+    # its Omega_a, and -Omega_2 (its Kraines form rebuilt) not the Kaehler
+    # form of J_2
+    standard = build_world(build_clifford_model(m, kind=backend))
+    ops = corrupt(standard.model, standard.ops)
+    report = cli.world_report(World(standard.model, standard.triple, ops, standard.dec))
+    assert families <= _failing_families(report)
+
+
+def _with_blocks(world, change):
+    """world over its decomposition with the blocks change(blocks) instead."""
+    dec = replace(world.dec, blocks=change(dict(world.dec.blocks)))
+    return World(world.model, world.triple, world.ops, dec)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_a_shifted_stated_weight_fails_weight_consistency_alone(m, backend):
+    # block (m, 0) states Omega_1's weight 2m + 2 instead of 2m
+    def shifted(blocks):
+        blk = blocks[m, 0]
+        return {**blocks, (m, 0): replace(blk, weight_im=blk.weight_im + 2)}
+
+    world = _with_blocks(build_world(build_clifford_model(m, kind=backend)), shifted)
+    assert [(e.check_id, e.subject, e.residual) for e in cli.world_report(world).failures()] \
+        == [("weight_consistency", f"m={m} r={m} k=0", "1")]
+
+
+def test_a_zeroed_block_fails_the_dimension_sum_with_a_positive_witness():
+    # block (1, 1) of m = 2 (dimension 4) stated as zero: the blocks sum to
+    # 12 of 16, and the four-fold split sees pieces land outside every
+    # stated block
+    def zeroed(blocks):
+        return {**blocks, (1, 1): replace(blocks[1, 1], dim=0,
+                                          projector=blocks[1, 1].projector.scale(0))}
+
+    world = _with_blocks(build_world(build_clifford_model(2)), zeroed)
+    assert [(e.check_id, e.subject, e.residual)
+            for e in decomposition_report(world).failures()] == \
+        [("block_lattice", "m=2 r=1 k=1", "1"), ("block_dimension_sum", "m=2", "4")]
+    assert _failing_families(cli.world_report(world)) == \
+        {"block_lattice", "block_dimension_sum", "clifford_four_fold_split"}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_a_wrong_stated_sigma_fails_its_generators_row_alone(backend, monkeypatch):
+    # right-j states S gamma_0 = +gamma_2 S instead of -gamma_2 S; the
+    # failed certificate derives no row, so every other row is computed
+    real = symmetry.line_symmetries
+
+    def wrong_sign(model):
+        right_j, *swaps = real(model)
+        (target, sign), *rest = right_j.signed_permutation
+        return (replace(right_j, signed_permutation=((target, -sign), *rest)), *swaps)
+
+    world = build_world(build_clifford_model(2, kind=backend))
+    clean = cli.world_report(world)
+    monkeypatch.setattr(symmetry, "line_symmetries", wrong_sign)
+    report = cli.world_report(world)
+    assert [(e.check_id, e.subject, e.residual, e.note) for e in report.failures()] == \
+        [("line_symmetry", "m=2 right-j line=0 generators", "2.000000e+00",
+          "fails at gamma_0")]
+    assert [(e.check_id, e.subject) for e in report.sorted_entries()] == \
+        [(e.check_id, e.subject) for e in clean.sorted_entries()]
 
 
 def test_a_missing_lattice_block_fails_with_a_witness(monkeypatch):

@@ -95,11 +95,29 @@ def test_calculus_matches_direct_operators(world1):
         assert calc.p("fbar", 1, -1, j) == p_minus(model, triple, ops, 1, basis.f_bar[j])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_rotated_actions_are_the_actions_of_the_rotated_vectors(m, kind):
+    # act_j is read off the nonzeros of J_a and u_j; the reference forms
+    # the product J_a u_j first.  a(J_1 u_j) is the phase -t i a(u_j) of
+    # the weight shift t of u on the standard world
+    calc = ProjectorCalculus(build_world(build_clifford_model(m, kind=kind)))
+    model, triple = calc.world.model, calc.world.triple
+    for u, t in (("f", -1), ("fbar", 1)):
+        for j, x in enumerate(calc.vectors[u]):
+            for a in (1, 2, 3):
+                want = vector_action(model, triple[a] @ x)
+                got = calc.act_j[u][a][j]
+                assert got == want, (u, j, a)
+                assert got.fingerprint() == want.fingerprint(), (u, j, a)
+            assert calc.act_j[u][1][j] == calc.act[u][j].scale(ExactScalar(0, -t))
+
+
 def test_calculus_product_count(world2, monkeypatch):
     # counts the term expansions (exact._product_terms) of one calculus at
-    # m = 3 exact: a guard, free of timing.  J(u_j) reads a(J_1 u_j) as the
-    # phase -t i a(u_j), so no J_1 u_j and no a(J_1 u_j) is formed; forming
-    # them made 62.  The phase gives the J(u_j) of the direct operators.
+    # m = 3 exact: a guard, free of timing.  Every rotated action a(J_a u_j)
+    # is read off the nonzeros of J_a and u_j, so no product J_a u_j is
+    # formed, and J(u_j) is still the one of the direct operators.
     model, triple, ops, basis, _, calc = world2
     for u, xs in (("f", basis.f), ("fbar", basis.f_bar)):
         for j, x in enumerate(xs):
@@ -114,7 +132,7 @@ def test_calculus_product_count(world2, monkeypatch):
 
     monkeypatch.setattr(exact, "_product_terms", counted)
     ProjectorCalculus(world)
-    assert len(calls) <= 50
+    assert len(calls) <= 26
 
 
 def test_closed_form_values_by_hand():

@@ -124,7 +124,7 @@ def test_exact_clifford_layer_is_sparse_at_m4():
     rotated = rotated_generator(irrep, rotation_from_quaternion(2, 3, 6, 0))
     small = [*triple.j, *basis.f, *basis.f_bar, *actions, *irrep.h,
              top_weight_projector(irrep, rotated)]
-    assert len(small) == 3 + 8 + 8 + 3 * 16 + 3 + 1
+    assert len(small) == 3 + 8 + 8 + 4 * 16 + 3 + 1
     for x in small:
         assert isinstance(x, SparseMatrix)
     assert DenseMatrix.kind == "float" and SparseMatrix.kind == "exact"

@@ -211,8 +211,7 @@ def test_line_symmetry_product_count(monkeypatch):
 
     monkeypatch.setattr(exact_module, "_product_terms", counted)
     assert verify_lemma_identities(calc, cert).ok
-    # 2 of them form a(J_1 u_0) from the triple for jop_adapted_expansion
-    assert len(calls) <= 148
+    assert len(calls) <= 146
     calls.clear()
     assert decomposition_report(world, cert).ok
     assert len(calls) <= 64
