@@ -22,7 +22,7 @@ from .quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_op
                            build_standard_triple)
 from .sparse import SparseMatrix
 from .report import VerificationReport, bool_entry, info_entry, residual_entry
-from .symmetry import generator_orbits
+from .symmetry import orbits
 
 
 def omega_eigenvalue(m, r):
@@ -250,21 +250,21 @@ def decomposition_report(world, symmetry=None):
     rep.add(bool_entry("block_dimension_sum", sub, total == model.spinor_dim,
                        str(abs(total - model.spinor_dim))))
 
-    orbits = generator_orbits(symmetry, world)
+    # a lift moves the generator index i to sigma(i)
+    generators = orbits(symmetry, world, range(model.n), lambda sigma, i: sigma[i])
     for label, family in (("r", dec.r_projectors), ("k", dec.k_projectors)):
         for idx, proj in sorted(family.items()):
             adjacent = [family[n] for n in (idx - 1, idx + 1) if n in family]
             near = sum(adjacent[1:], adjacent[0])
-            for i, *derived in orbits:
-                img = model.gamma[i] @ proj
+            for orbit in generators:
+                img = model.gamma[orbit[0]] @ proj
                 res = img - near @ img
-                entry = residual_entry("clifford_neighbor_blocks",
-                                       f"{sub} i={i} {label}={idx}", res)
-                if entry.status == "fail":
-                    hit = next((n for n, p in sorted(family.items())
-                                if not (p @ res).is_zero()), None)
-                    entry.note = "" if hit is None else f"reaches {label}={hit}"
-                rep.add_derived(entry, [f"{sub} i={c} {label}={idx}" for c in derived])
+                hit = None if res.is_zero() else next(
+                    (n for n, p in sorted(family.items()) if not (p @ res).is_zero()), None)
+                note = "" if hit is None else f"reaches {label}={hit}"
+                rep.add_orbit(orbit, lambda i: f"{sub} i={i} {label}={idx}",
+                              lambda name: residual_entry("clifford_neighbor_blocks", name,
+                                                          res, note))
 
     rep.add(info_entry(
         "weight_orientation", sub,

@@ -22,7 +22,7 @@ from .errors import DomainError, IdentityFailure
 from .exact import FLOAT_SCALAR_TOL, ExactScalar, commutator, fused_sum
 from .quaternionic import build_adapted_basis
 from .report import VerificationReport, bool_entry, residual_entry
-from .symmetry import vector_orbits
+from .symmetry import orbits
 
 _VARIANTS = ("--", "+-", "-+", "++")
 _HALF = Fraction(1, 2)
@@ -361,14 +361,11 @@ def verify_lemma_identities(calc, symmetry=None):
     """
     model, ops, dec = calc.world.model, calc.world.ops, calc.world.dec
     rep = VerificationReport()
-    orbits = vector_orbits(symmetry, calc.world)
-
-    def add(orbit, check_id, subject, residual):
-        # subject(j) names the row of vector j; the orbit's first is computed
-        rep.add_derived(residual_entry(check_id, subject(orbit[0]), residual),
-                        [subject(j) for j in orbit[1:]])
-
     m = model.m
+    # a lift moves the adapted index j to sigma(2j)/2: sigma keeps the parity
+    # of the generator index, so it sends f_j and fbar_j to multiples of
+    # f_{sigma(2j)/2} and fbar_{sigma(2j)/2}
+    vectors = orbits(symmetry, calc.world, range(2 * m), lambda sigma, j: sigma[2 * j] // 2)
     sub = f"m={m}"
     ident = model.identity()
     zero = model.zeros()
@@ -401,11 +398,12 @@ def verify_lemma_identities(calc, symmetry=None):
 
     # --- rotated/unrotated anticommutation
     for a in (2, 3):
-        for orbit in orbits:
+        for orbit in vectors:
             j = orbit[0]
             jf, fbar = calc.act_j["f"][a][j], calc.act["fbar"][j]
-            add(orbit, "rotated_vector_anticommute", lambda j: f"{sub} a={a} j={j}",
-                fused_sum([(1, jf, fbar), (1, fbar, jf)]))
+            res = fused_sum([(1, jf, fbar), (1, fbar, jf)])
+            rep.add_orbit(orbit, lambda j: f"{sub} a={a} j={j}",
+                          lambda name: residual_entry("rotated_vector_anticommute", name, res))
 
     # --- mixed product sums reproduce the other two Kaehler operators
     expectations = {
@@ -424,14 +422,15 @@ def verify_lemma_identities(calc, symmetry=None):
     # = -i fbar_j state a(J_1 u_j) as the phase -t i a(u_j), which J(u_j)
     # reads off the triple: the one row that certifies the weight property
     for u, t in _WEIGHT_SHIFT.items():
-        for orbit in orbits:
+        for orbit in vectors:
             j = orbit[0]
             act = calc.act[u][j]
             # J(u_j) - (3 a(u_j) - t i Omega_1 a(u_j) + sum_{a=2,3} Omega_a a(J_a u_j))
             rhs = [(ExactScalar(0, t), ops[1], act),
                    *((-1, ops[a], calc.act_j[u][a][j]) for a in (2, 3))]
-            add(orbit, "jop_adapted_expansion", lambda j: f"{sub} {u} j={j}",
-                fused_sum(rhs, [(1, calc.jop[u][j]), (-3, act)]))
+            res = fused_sum(rhs, [(1, calc.jop[u][j]), (-3, act)])
+            rep.add_orbit(orbit, lambda j: f"{sub} {u} j={j}",
+                          lambda name: residual_entry("jop_adapted_expansion", name, res))
 
     # --- first-order products of J(x) with the actions, summed over j
     iom = ops[1].scale(_I)
@@ -481,19 +480,21 @@ def verify_lemma_identities(calc, symmetry=None):
     # --- commutators of the vector actions with the Kraines and Kaehler operators
     kraines = ops.kraines
     for u in _WEIGHT_SHIFT:
-        for orbit in orbits:
+        for orbit in vectors:
             j = orbit[0]
             act, jop = calc.act[u][j], calc.jop[u][j]
-            add(orbit, "kraines_commutator_jop", lambda j: f"{sub} {u} j={j}",
-                commutator(kraines, act, [(-4, jop)]))
-            # [K, J(x)] = -8 J(x) + 12 a(x) - 4 a(x) (K - 6m)
-            add(orbit, "kraines_commutator_jop_second", lambda j: f"{sub} {u} j={j}",
-                fused_sum([(1, kraines, jop), (-1, jop, kraines), (4, act, kraines)],
-                          [(8, jop), (-12 - 24 * m, act)]))
+            # [K, a(x)] = 4 J(x); [K, J(x)] = -8 J(x) + 12 a(x) - 4 a(x) (K - 6m)
+            for check_id, res in (
+                    ("kraines_commutator_jop", commutator(kraines, act, [(-4, jop)])),
+                    ("kraines_commutator_jop_second", fused_sum(
+                        [(1, kraines, jop), (-1, jop, kraines), (4, act, kraines)],
+                        [(8, jop), (-12 - 24 * m, act)]))):
+                rep.add_orbit(orbit, lambda j: f"{sub} {u} j={j}",
+                              lambda name: residual_entry(check_id, name, res))
             for a in (1, 2, 3):
-                add(orbit, "kaehler_vector_commutator",
-                    lambda j: f"{sub} a={a} {u} j={j}",
-                    commutator(ops[a], act, [(-2, calc.act_j[u][a][j])]))
+                res = commutator(ops[a], act, [(-2, calc.act_j[u][a][j])])
+                rep.add_orbit(orbit, lambda j: f"{sub} a={a} {u} j={j}",
+                              lambda name: residual_entry("kaehler_vector_commutator", name, res))
 
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the
@@ -502,7 +503,7 @@ def verify_lemma_identities(calc, symmetry=None):
     # lowering map P_b p_{r+1}^-(f_j) P_t for the adjoint pairing of the
     # fbar pass of the same j.
     nonzero = {(b.r, b.k): b for b in dec.nonzero_blocks()}
-    for orbit in orbits:
+    for orbit in vectors:
         j = orbit[0]
         lowering = {}
         for u, t in _WEIGHT_SHIFT.items():
@@ -516,9 +517,10 @@ def verify_lemma_identities(calc, symmetry=None):
                         piece = p @ blk.projector
                         target = nonzero.get((r + s, blk.k + t))
                         inside = None if target is None else target.projector @ piece
-                        add(orbit, "clifford_four_fold_split",
-                            lambda j: f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}",
-                            piece if inside is None else piece - inside)
+                        res = piece if inside is None else piece - inside
+                        rep.add_orbit(orbit, lambda j: f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}",
+                                      lambda name: residual_entry("clifford_four_fold_split",
+                                                                  name, res))
                         r_image = _plus(r_image, piece)
                         k_images[blk.k] = _plus(k_images.get(blk.k), piece)
                         if inside is None or s != t:
@@ -527,15 +529,17 @@ def verify_lemma_identities(calc, symmetry=None):
                             lowering[target.r, target.k] = inside
                             continue
                         pair = f"({r},{blk.k})->({target.r},{target.k})"
-                        add(orbit, "block_adjoint_pairing",
-                            lambda j: f"{sub} j={j} {pair}",
-                            inside.hermitian() + lowering.pop((r, blk.k)))
-                    add(orbit, "r_shift_projection",
-                        lambda j: f"{sub} j={j} r={r} {u} {label}",
-                        _outside(zero if r_image is None else r_image,
-                                 dec.r_projectors.get(r + s)))
+                        res = inside.hermitian() + lowering.pop((r, blk.k))
+                        rep.add_orbit(orbit, lambda j: f"{sub} j={j} {pair}",
+                                      lambda name: residual_entry("block_adjoint_pairing",
+                                                                  name, res))
+                    res = _outside(zero if r_image is None else r_image,
+                                   dec.r_projectors.get(r + s))
+                    rep.add_orbit(orbit, lambda j: f"{sub} j={j} r={r} {u} {label}",
+                                  lambda name: residual_entry("r_shift_projection", name, res))
             for k in range(2 * m + 1):
-                add(orbit, "k_shift_projection",
-                    lambda j: f"{sub} j={j} k={k} {'raise' if t > 0 else 'lower'}",
-                    _outside(k_images.get(k, zero), dec.k_projectors.get(k + t)))
+                res = _outside(k_images.get(k, zero), dec.k_projectors.get(k + t))
+                shift = "raise" if t > 0 else "lower"
+                rep.add_orbit(orbit, lambda j: f"{sub} j={j} k={k} {shift}",
+                              lambda name: residual_entry("k_shift_projection", name, res))
     return rep

@@ -21,7 +21,7 @@ from .errors import DomainError
 from .exact import DenseMatrix, ExactScalar, commutator, fused_sum
 from .sparse import SparseMatrix
 from .report import VerificationReport, residual_entry
-from .symmetry import generator_pair_orbits
+from .symmetry import orbits
 
 # Left multiplication by i, j, k on H in the basis (1, i, j, k); columns are
 # images of the basis vectors.
@@ -145,9 +145,8 @@ def structure_report(world, symmetry=None):
 
     `symmetry` is an optional `certify_line_symmetry(world)`.  When it
     passes on this world, the clifford_anticommutation rows are computed
-    for one generator pair per orbit under the certified lifts, which map
-    (i, j) to the sorted (sigma(i), sigma(j)): 9 pairs at every m >= 2.
-    The row of another pair copies its representative (see
+    for one generator pair per orbit under the certified lifts: 9 pairs at
+    every m >= 2.  The row of another pair copies its representative (see
     quatspin.symmetry).  Otherwise every row is computed directly.
     """
     model, triple, ops = world.model, world.triple, world.ops
@@ -156,11 +155,14 @@ def structure_report(world, symmetry=None):
     ident_s = model.identity()
     ident_n = SparseMatrix.identity(model.n)
 
-    g = model.gamma
-    for (i, j), *derived in generator_pair_orbits(symmetry, world):
+    g, n = model.gamma, model.n
+    # a lift moves the pair (i, j) to the sorted (sigma(i), sigma(j))
+    for orbit in orbits(symmetry, world, [(i, j) for i in range(n) for j in range(i, n)],
+                        lambda sigma, pair: tuple(sorted(sigma[c] for c in pair))):
+        i, j = orbit[0]
         res = fused_sum([(1, g[i], g[j]), (1, g[j], g[i])], [(2 * int(i == j), ident_s)])
-        rep.add_derived(residual_entry("clifford_anticommutation", f"{sub} i={i} j={j}", res),
-                        [f"{sub} i={a} j={b}" for a, b in derived])
+        rep.add_orbit(orbit, lambda pair: f"{sub} i={pair[0]} j={pair[1]}",
+                      lambda name: residual_entry("clifford_anticommutation", name, res))
 
     for a in (1, 2, 3):
         rep.add(residual_entry("hk_orthogonality", f"{sub} a={a}", fused_sum(

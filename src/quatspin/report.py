@@ -3,6 +3,8 @@
 Rows are made here only: `bool_entry` judges a claim, and writes residual
 "0" on a pass and its witness on a failure; `residual_entry` judges a
 residual matrix through it, and `info_entry` states a fact.
+`VerificationReport.add_orbit` copies a computed row to the other members
+of its orbit under a certified line symmetry.
 """
 
 from __future__ import annotations
@@ -59,12 +61,15 @@ class VerificationReport:
     def extend(self, entries):
         self.entries.extend(entries)
 
-    def add_derived(self, entry, subjects):
-        """Add entry, then a copy of its status, residual and note under each
-        of `subjects`: rows derived from entry's by a certified symmetry."""
-        self.add(entry)
-        self.extend(CheckEntry(entry.check_id, subject, entry.status, entry.residual,
-                               entry.note) for subject in subjects)
+    def add_orbit(self, orbit, subject, entry):
+        """Add entry(subject(orbit[0])), the row computed for the orbit's
+        first member, then a copy of its status, residual and note under
+        subject(x) for every other member x: rows derived by a certified
+        line symmetry (quatspin.symmetry)."""
+        first = entry(subject(orbit[0]))
+        self.add(first)
+        self.extend(CheckEntry(first.check_id, subject(x), first.status, first.residual,
+                               first.note) for x in orbit[1:])
 
     @property
     def ok(self):

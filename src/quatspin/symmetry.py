@@ -16,24 +16,21 @@ and gamma_{4t+4+i}; right-j sends gamma_0, gamma_1, gamma_2, gamma_3 to
 
 Derived rows.  Let rho be the signed permutation e_c -> s_c e_{sigma(c)} of
 R^{4m}.  The certified relations give S a(x) S^H = a(rho x) for the
-Clifford action a, and rho commutes with J_1, J_2 and J_3.  sigma keeps the
-parity of c, so rho f_j = s f_{pi(j)} and rho fbar_j = s fbar_{pi(j)} with
-pi(j) = sigma(2j)/2 and s = s_{2j}; S therefore conjugates a(u_j),
-a(J_a u_j) and J(u_j) to s times the same operators of u_{pi(j)}.  S also
-commutes with the Kaehler operators the rows read and with the two
-operators of whose polynomials the decomposition's projectors are built,
-so it fixes every other factor of a row.  A per-vector
-residual of the lemma suite is then R_{pi(j)} = +-S R_j S^H, a
-per-generator residual of decomposition_report R_{sigma(c)} = +-S R_c S^H,
-and a generator-pair residual of structure_report, gamma_i gamma_j +
-gamma_j gamma_i + 2 delta_ij, R_{sigma(i)sigma(j)} = +-S R_ij S^H.
-S is a permutation times phases in {1, -1, i, -i}, so S R S^H holds the
-entries of R, moved and multiplied by units: R_{pi(j)} has exactly the
-largest entry modulus of R_j in both backends and vanishes exactly when
-R_j does, and for a projector P commuting with S, P R_{pi(j)} = 0 exactly
-when P R_j = 0.  A derived row copies the status, residual and note of the
-computed row of its orbit.  Rows are derived only on the very world (by
-object identity) whose model, triple, operators and decomposition the
+Clifford action a, and rho commutes with J_1, J_2 and J_3.  S also commutes
+with the Kaehler operators the rows read and with the two operators of
+whose polynomials the decomposition's projectors are built, so it fixes
+every factor of a row but the generators and vectors its index names.  A
+row of index x therefore has residual R_{x'} = +-S R_x S^H, where x' is the
+image of x under the lift that the report owning the row states (the
+`image` of `orbits`): structure_report, decomposition_report and the lemma
+suite each state theirs beside their rows.  S is a permutation times
+phases in {1, -1, i, -i}, so S R S^H holds the entries of R, moved and
+multiplied by units: R_{x'} has exactly the largest entry modulus of R_x in
+both backends and vanishes exactly when R_x does, and for a projector P
+commuting with S, P R_{x'} = 0 exactly when P R_x = 0.  A derived row
+copies the status, residual and note of the computed row of its orbit
+(`VerificationReport.add_orbit`).  Rows are derived only on the very world
+(by object identity) whose model, triple, operators and decomposition the
 certificate was made on.
 """
 
@@ -159,64 +156,29 @@ def certify_line_symmetry(world):
     return LineSymmetryCertificate(rep, lifts, world)
 
 
-def _lifts(symmetry, world):
-    """The lifts of `symmetry` when it is a passing certificate made on
-    `world` itself, else none: then every orbit is a singleton."""
-    certified = symmetry is not None and symmetry.ok and symmetry.world is world
-    return symmetry.lifts if certified else ()
+def orbits(symmetry, world, items, image):
+    """The orbits of `items` under x -> image(sigma, x) for the permutation
+    sigma of the generator index of each lift of `symmetry`, when it is a
+    passing certificate made on `world` itself; otherwise singletons.  Each
+    orbit lists its members in `items` order, and the orbits are ordered by
+    their first members.  The report that owns the rows states `image`: how
+    a lift moves its row index."""
+    items = list(items)
+    index = {x: t for t, x in enumerate(items)}
+    root = list(range(len(items)))
 
+    def find(t):
+        while root[t] != t:
+            t = root[t]
+        return t
 
-def _orbits(size, perms):
-    """Orbits of range(size) under permutations given as image sequences,
-    each sorted, ordered by their smallest member."""
-    root = list(range(size))
-
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-
-    for perm in perms:
-        for i, image in enumerate(perm):
-            a, b = find(i), find(image)
-            root[max(a, b)] = min(a, b)
-    orbits = {}
-    for i in range(size):
-        orbits.setdefault(find(i), []).append(i)
-    return list(orbits.values())
-
-
-def vector_orbits(symmetry, world):
-    """Orbits of the adapted index j that verify_lemma_identities may read
-    off their first member on `world`: all of 0..2m-1 when `symmetry` is a
-    passing certificate made on it, else singletons."""
-    pairs = 2 * world.model.m
-    # sigma keeps the parity of c, so f_j goes to a multiple of f_{sigma(2j)/2}
-    return _orbits(pairs, ([lift.signed_permutation[2 * j][0] // 2 for j in range(pairs)]
-                           for lift in _lifts(symmetry, world)))
-
-
-def generator_orbits(symmetry, world):
-    """Orbits of the generator index c that decomposition_report may read
-    off their first member on `world`: the even and the odd c when
-    `symmetry` is a passing certificate made on it, else singletons."""
-    return _orbits(world.model.n, ([target for target, _ in lift.signed_permutation]
-                                   for lift in _lifts(symmetry, world)))
-
-
-def generator_pair_orbits(symmetry, world):
-    """Orbits of the generator pairs (i, j), i <= j, that structure_report
-    may read off their first member on `world`: under each certified lift
-    (i, j) goes to the sorted (sigma(i), sigma(j)), when `symmetry` is a
-    passing certificate made on it; else singletons.  Each orbit is sorted
-    and the orbits are ordered by their first pair."""
-    n = world.model.n
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {pair: t for t, pair in enumerate(pairs)}
-
-    def image(sigma):
-        return [index[tuple(sorted((sigma[i][0], sigma[j][0])))] for i, j in pairs]
-
-    return [[pairs[t] for t in orbit] for orbit in
-            _orbits(len(pairs), (image(lift.signed_permutation)
-                                 for lift in _lifts(symmetry, world)))]
+    if symmetry is not None and symmetry.ok and symmetry.world is world:
+        for lift in symmetry.lifts:
+            sigma = [target for target, _ in lift.signed_permutation]
+            for t, x in enumerate(items):
+                a, b = find(t), find(index[image(sigma, x)])
+                root[max(a, b)] = min(a, b)
+    found = {}
+    for t, x in enumerate(items):
+        found.setdefault(find(t), []).append(x)
+    return list(found.values())

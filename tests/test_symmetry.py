@@ -7,7 +7,10 @@ worlds whose Kaehler operators are scaled or relabelled, where many rows
 fail with nonzero residuals.  Where it fails (a sign-flipped generator list
 over the stated decomposition, or that world given the clean operators by
 hand), every row is computed directly.  Each claim of the certificate fails
-under a named corruption with a positive residual.
+under a named corruption with a positive residual.  `symmetry.orbits`,
+under the three index rules of the reports, gives the stated orbit shapes
+on a passing certificate and singletons on a failed one, on another world
+and on no certificate.
 """
 
 from dataclasses import replace
@@ -21,8 +24,25 @@ from quatspin.decomposition import build_world, decomposition_report
 from quatspin.projectors import ProjectorCalculus, verify_lemma_identities
 from quatspin.quaternionic import KaehlerOperators, kraines_form, structure_report
 from quatspin.sparse import SparseMatrix
-from quatspin.symmetry import (certify_line_symmetry, generator_orbits,
-                               generator_pair_orbits, line_symmetries, vector_orbits)
+from quatspin.symmetry import certify_line_symmetry, line_symmetries, orbits
+
+
+# the three rules by which a lift moves a row index, restated from the
+# reports that own the rows: the adapted index j of the lemma suite, the
+# generator index c of decomposition_report, and the generator pair (i, j)
+# of structure_report
+def vector_orbits(cert, world):
+    return orbits(cert, world, range(2 * world.model.m), lambda sigma, j: sigma[2 * j] // 2)
+
+
+def generator_orbits(cert, world):
+    return orbits(cert, world, range(world.model.n), lambda sigma, c: sigma[c])
+
+
+def generator_pair_orbits(cert, world):
+    n = world.model.n
+    return orbits(cert, world, [(i, j) for i in range(n) for j in range(i, n)],
+                  lambda sigma, pair: tuple(sorted(sigma[c] for c in pair)))
 
 
 def _rows(rep):
