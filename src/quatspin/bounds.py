@@ -14,13 +14,15 @@ coefficient carries a validity flag instead of being silently dropped:
 The two-spinor configurations pairing neighbouring blocks come in two
 shapes, case A (S_r^k with S_{r+1}^{k+1}) and case B (S_r^k with
 S_{r+1}^{k-1}); each yields two coefficients.  The universal bound
-(m+3)/(m+2) is the r = 0 extremal value of the case-A family.
+(m+3)/(m+2) is the r = 0 extremal value of the case-A family, and
+`bound_property_report` certifies the family's properties for every m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .decomposition import lattice_allows
 from .errors import DomainError
@@ -213,107 +215,103 @@ def build_bound_report(m, kappa=Fraction(4), complex_dimension=None):
     )
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
+def _box_witness(box, identity, factors):
+    """The first box point where identity fails, or the first factor that is
+    not positive on 0 <= r <= m - 1, as a witness; "" when there is none."""
+    n, configuration = box
+    for point in product(range(5), repeat=n):
+        if not identity(*configuration(*point)):
+            return "(m, r, k) = ({}, {}, {})".format(*configuration(*point))
+    for i, factor in enumerate(factors):
+        if factor(1, 0) <= 0 or factor(2, 0) < factor(1, 0) or factor(2, 1) < factor(1, 0):
+            return f"affine factor {i} is not positive"
+    return ""
 
 
-def _monotone_runs_ok(values_with_dens, direction):
-    """Check monotonicity of coefficient values along runs of constant
-    denominator sign; returns (ok, note) where note names the first break."""
-    prev_sign = None
-    prev_value = None
-    for k, den, value in values_with_dens:
-        sign = _sign(den)
-        if sign == 0:
-            prev_sign = None
-            prev_value = None
-            continue
-        if sign == prev_sign and prev_value is not None:
-            if direction > 0 and value < prev_value:
-                return False, f"decrease at k={k}"
-            if direction < 0 and value > prev_value:
-                return False, f"increase at k={k}"
-        prev_sign = sign
-        prev_value = value
-    return True, ""
+def _certificates():
+    """(check_id, subject, box, identity, factors, note) per certificate: box is
+    (n, map from N^n to (m, r, k)), each factor an affine form in (m, r)."""
+    every = (3, lambda a, s, t: (s + t + 1 + a, s + t, 1 + a + 2 * s))
+    extremal = (2, lambda a, t: (t + 1 + a, t, 1 + a))  # s = 0, so k = m - r
+    f1, f2 = extremal_first_coefficient, extremal_second_coefficient
+
+    def constants(row):
+        return row.first.a_value, row.second.a_value
+
+    def dominance(m, r, k):
+        first, second = constants(bound_case_A(m, r, k))
+        return (first - second) * (r + 1) * (r + 2) == m - dominance_threshold(r)
+
+    rows = [
+        ("universal_is_extremal_case_A", "all m", (1, lambda a: (1 + a, 0, 1 + a)),
+         lambda m, r, k: universal_coefficient(m) == f1(m, 0)
+         == bound_case_A(m, r, k).first.value, [lambda m, r: m + 2],
+         "(m+3)/(m+2) is the case-A first coefficient at r = 0"),
+        ("extremal_coefficient_formulas", "all m k=m-r", extremal,
+         lambda m, r, k: (bound_case_A(m, r, k).first.value,
+                          bound_case_A(m, r, k).second.value) == (f1(m, r), f2(m, r)),
+         [lambda m, r: 2 * m + r + 4, lambda m, r: m - r],
+         "the second is degenerate exactly at 2m = 3r + 1"),
+        ("extremal_r_monotonicity", "all m", extremal,
+         lambda m, r, k: f1(m, r + 1) - f1(m, r)
+         == Fraction(2 * (m + 1), (2 * m + r + 4) * (2 * m + r + 5)),
+         [lambda m, r: m + 1, lambda m, r: 2 * m + r + 4, lambda m, r: 2 * m + r + 5],
+         "first extremal coefficient strictly increases in r"),
+        ("case_B_mirrors_case_A", "all m", every,
+         lambda m, r, k: constants(bound_case_B(m, r, k))
+         == constants(bound_case_A(m, r, 2 * m - k)), [],
+         "k -> 2m - k; k = m + r gives the extremal case-A pair"),
+        ("extremal_dominance_characterization", "all m k=m-r", extremal, dominance,
+         [lambda m, r: 2 * m + r + 4, lambda m, r: m - r],
+         "among usable pairs first >= second iff m >= 2r^2 + 6r + 3"),
+    ]
+    # each constant is -(multiplier) * num/den, the multiplier affine in s
+    for case, bound, multiplier, moves in (
+            ("A", bound_case_A, lambda r, s: s + 1, "falls"),
+            ("B", bound_case_B, lambda r, s: r - s + 1, "rises")):
+        for slot, num, den in (("first", lambda m, r: m + r + 3, lambda m, r: r + 2),
+                               ("second", lambda m, r: m - r, lambda m, r: r + 1)):
+            rows.append((
+                "k_monotonicity_per_branch", f"all m case={case} {slot}", every,
+                lambda m, r, k, bound=bound, slot=slot, multiplier=multiplier, num=num,
+                den=den: getattr(bound(m, r, k), slot).a_value
+                == -multiplier(r, (k + r - m) // 2) * Fraction(num(m, r), den(m, r)),
+                [num, den], f"A {moves} as k grows; so does 2A/(2A+1) along each run "
+                            f"of one sign of 2A + 1"))
+    return rows
 
 
-def bound_property_report(max_m):
-    """Enumeration checks of the bound family for m = 1..max_m.
+def bound_property_report():
+    """Certificates, for every m, of the properties of the bound family.
 
-    Verifies that the universal coefficient is the r = 0 extremal case-A
-    value, the closed forms of both extremal coefficients, strict
-    r-monotonicity of the first extremal family, per-branch k-monotonicity
-    of both cases (nonincreasing for case A, nondecreasing for case B,
-    along runs of constant denominator sign), the equality of maximal-k
-    case-B rows with the extremal case-A rows, and the exact dominance
-    characterization at k = m - r: among rows where both coefficients are
-    usable, the first dominates iff m >= 2r^2 + 6r + 3.  Where the second
-    coefficient is the larger one, the universal bound remains valid but is
-    not the sharpest consequence of the two inequalities; those rows get an
-    informational entry.
+    (a, s, t) in N^3 with r = s + t, m = r + 1 + a and k = m - r + 2s runs
+    over every configuration (0 <= s <= r <= m - 1, k >= 1); s = 0 is
+    k = m - r.  2(r+1) closed_form_A is a product of two affine forms, so an
+    identity a row checks, cleared of denominators, is a polynomial of
+    degree <= 4 in each coordinate that vanishes where the identity holds;
+    vanishing on {0..4}^n, it vanishes on N^n.  Back from the polynomial,
+    where a closed form's denominator is not 0, 2A + 1 = 0 would force
+    A = 0, so the identity holds; where `extremal_second_coefficient` is None
+    (2m = 3r + 1) the cleared formula reads (m - r)(2A + 1) = 0: the row is
+    degenerate exactly there.  Each sign a row reads is of an affine form in
+    (m, r), positive on r <= m - 1 iff positive at (1, 0) and lowered by
+    neither step, to (2, 0) or (2, 1).
+
+    The k rows read the constants -(s+1)g (case A) and -(r-s+1)g (case B),
+    g = (m+r+3)/(r+2) (first) or (m-r)/(r+1) (second): A falls with k in
+    case A and rises in case B, and 2A/(2A+1) = 1 - 1/(2A+1) follows A along
+    each run of one sign of 2A + 1.  At k = m - r, (A1 - A2)(r+1)(r+2) =
+    m - dominance_threshold(r); there A1 < 0 and 2A1 + 1 < 0, and a usable
+    second has 2A2 + 1 < 0 as A2 < 0, so first - second =
+    2(A1 - A2)/((2A1+1)(2A2+1)) has the sign of m - dominance_threshold(r).
+    Below it, keeping only the first is conservative, as at (m, r) = (2, 0).
     """
     rep = VerificationReport()
-    for m in range(1, max_m + 1):
-        sub = f"m={m}"
-        uni = universal_coefficient(m)
-        row0 = bound_case_A(m, 0, m)
-        ok = uni == extremal_first_coefficient(m, 0) == row0.first.value
-        rep.add(bool_entry("universal_is_extremal_case_A", sub, ok,
-                           note="" if ok else f"universal {uni} != case-A r=0 value"))
-
-        prev = None
-        increasing = True
-        for r in range(m):
-            row = bound_case_A(m, r, m - r)
-            want_first = extremal_first_coefficient(m, r)
-            want_second = extremal_second_coefficient(m, r)
-            ok = row.first.value == want_first
-            if want_second is None:
-                ok = ok and row.second.flag == FLAG_DEGENERATE
-            else:
-                ok = ok and row.second.value == want_second
-            rep.add(bool_entry("extremal_coefficient_formulas", f"{sub} r={r}", ok))
-            if prev is not None and want_first <= prev:
-                increasing = False
-            prev = want_first
-        rep.add(bool_entry("extremal_r_monotonicity", sub, increasing,
-                           note="first extremal coefficient strictly increases in r"))
-
-        for r in range(m):
-            ks = range(m - r, m + r + 1, 2)
-            rows_a = [bound_case_A(m, r, k) for k in ks]
-            rows_b = [bound_case_B(m, r, k) for k in ks]
-            for label, rows, direction in (("A", rows_a, -1), ("B", rows_b, +1)):
-                for slot in ("first", "second"):
-                    seq = [(row.k, getattr(row, slot).two_a_plus_one,
-                            getattr(row, slot).value) for row in rows]
-                    ok, note = _monotone_runs_ok(seq, direction)
-                    rep.add(bool_entry("k_monotonicity_per_branch",
-                                       f"{sub} r={r} case={label} {slot}", ok, note=note))
-
-            top_b = rows_b[-1]
-            ext_a = rows_a[0]
-            ok = (top_b.first.value == ext_a.first.value
-                  and top_b.first.flag == ext_a.first.flag
-                  and top_b.second.value == ext_a.second.value
-                  and top_b.second.flag == ext_a.second.flag)
-            rep.add(bool_entry("case_B_maximal_k_matches_case_A", f"{sub} r={r}", ok,
-                               note="k = m+r rows reproduce the k = m-r case-A pair"))
-
-            ext = rows_a[0]
-            if ext.first.usable and ext.second.usable:
-                dominates = ext.first.value >= ext.second.value
-                predicted = m >= dominance_threshold(r)
-                ok = dominates == predicted
-                rep.add(bool_entry(
-                    "extremal_dominance_characterization", f"{sub} r={r}", ok,
-                    note=f"first >= second iff m >= {dominance_threshold(r)}"))
-                if ok and not dominates:
-                    rep.add(info_entry(
-                        "extremal_dominance_characterization",
-                        f"{sub} r={r} note",
-                        f"second coefficient {ext.second.value} exceeds first "
-                        f"{ext.first.value}; keeping only the first is "
-                        f"conservative"))
+    for check_id, subject, box, identity, factors, note in _certificates():
+        witness = _box_witness(box, identity, factors)
+        rep.add(bool_entry(check_id, subject, not witness, witness, note))
+    row = bound_case_A(2, 0, 2)
+    rep.add(info_entry("extremal_dominance_characterization", "(m, r) = (2, 0)",
+                       f"second coefficient {row.second.value} exceeds first "
+                       f"{row.first.value}; keeping only the first is conservative"))
     return rep

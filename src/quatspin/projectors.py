@@ -24,7 +24,6 @@ from .quaternionic import build_adapted_basis
 from .report import VerificationReport, bool_entry, residual_entry
 from .symmetry import orbits
 
-_VARIANTS = ("--", "+-", "-+", "++")
 _HALF = Fraction(1, 2)
 _I = ExactScalar(0, 1)
 _I_HALF = ExactScalar(0, _HALF)
@@ -38,6 +37,7 @@ _VARIANT_TABLE = {
     "-+": (-1, +1, "fbar", "f"),
     "++": (+1, -1, "fbar", "f"),
 }
+_VARIANTS = tuple(_VARIANT_TABLE)
 _PATTERNS = (("f", "fbar"), ("fbar", "f"))
 # weight shift t of the adapted vectors: a(f_j) lowers k, a(fbar_j) raises it
 _WEIGHT_SHIFT = {"f": -1, "fbar": +1}

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from quatspin import bounds
 from quatspin.bounds import (
     BoundCoefficient,
+    _certificates,
     bound_case_A,
     bound_case_B,
     bound_property_report,
@@ -155,10 +158,109 @@ def test_build_bound_report():
 
 
 def test_property_report_enumeration():
-    rep = bound_property_report(50)
+    rep = bound_property_report()
     assert rep.ok
     counts = rep.counts()
-    assert counts.get("fail", 0) == 0
-    assert counts["pass"] > 5000
+    assert counts == {"pass": 9, "fail": 0, "info": 1}
+    judged = [e for e in rep.entries if e.status != "info"]
+    assert all(e.subject.startswith("all m") for e in judged)
+    assert {e.check_id for e in judged} == {
+        "universal_is_extremal_case_A", "extremal_coefficient_formulas",
+        "extremal_r_monotonicity", "k_monotonicity_per_branch", "case_B_mirrors_case_A",
+        "extremal_dominance_characterization"}
+    assert sorted(e.subject for e in judged if e.check_id == "k_monotonicity_per_branch") == [
+        f"all m case={case} {slot}" for case in "AB" for slot in ("first", "second")]
     notes = [e for e in rep.entries if e.status == "info"]
-    assert any("conservative" in e.note for e in notes)
+    assert [e.subject for e in notes] == ["(m, r) = (2, 0)"]
+    assert "4/3 exceeds first 5/4" in notes[0].note and "conservative" in notes[0].note
+
+
+def test_extremal_r_monotonicity_brute_force():
+    for m in range(1, 51):
+        firsts = [extremal_first_coefficient(m, r) for r in range(m)]
+        assert firsts == [bound_case_A(m, r, m - r).first.value for r in range(m)]
+        assert all(x < y for x, y in zip(firsts, firsts[1:])), m
+
+
+def test_k_monotonicity_per_branch_brute_force():
+    # along k, adjacent coefficients with the same sign of 2A + 1 move one way:
+    # case A does not rise, case B does not fall
+    for m in range(1, 51):
+        for r in range(m):
+            ks = range(m - r, m + r + 1, 2)
+            for bound, direction in ((bound_case_A, -1), (bound_case_B, +1)):
+                rows = [bound(m, r, k) for k in ks]
+                for slot in ("first", "second"):
+                    coeffs = [getattr(row, slot) for row in rows]
+                    for x, y in zip(coeffs, coeffs[1:]):
+                        if x.two_a_plus_one * y.two_a_plus_one > 0:
+                            assert direction * (y.value - x.value) >= 0, (m, r, slot)
+
+
+def test_certificate_identities_hold_beyond_the_box():
+    # the rows judge their identities on {0..4}^n and claim them on N^n by a
+    # degree bound: every identity holds at every configuration with m <= 30,
+    # and every factor whose sign a row reads is positive there
+    for check_id, _, (n, configuration), identity, factors, _ in _certificates():
+        seen = 0
+        for point in product(range(30), repeat=n):
+            m, r, k = configuration(*point)
+            if m <= 30:
+                assert identity(m, r, k), (check_id, m, r, k)
+                assert all(factor(m, r) > 0 for factor in factors), (check_id, m, r)
+                seen += 1
+        assert seen == {1: 30, 2: 465, 3: 4960}[n]
+
+
+def test_a_factor_that_is_not_positive_fails():
+    box = (1, lambda a: (1 + a, 0, 1 + a))
+    assert bounds._box_witness(box, lambda m, r, k: True, [lambda m, r: m + r]) == ""
+    # zero at (m, r) = (1, 0); positive there but lowered by the r step
+    for factor in (lambda m, r: m - 1, lambda m, r: 3 - r):
+        assert (bounds._box_witness(box, lambda m, r, k: True, [factor])
+                == "affine factor 0 is not positive")
+
+
+def _scaled(variant):
+    """closed_form_A with one variant scaled by (r+3)/(r+2)."""
+    def closed_form(m, r, k, v):
+        a = closed_form_A(m, r, k, v)
+        return a * Fraction(r + 3, r + 2) if v == variant else a
+    return closed_form
+
+
+_UNIVERSAL, _EXTREMAL, _MIRROR, _DOMINANCE, _R, _K = (
+    "universal_is_extremal_case_A all m", "extremal_coefficient_formulas all m k=m-r",
+    "case_B_mirrors_case_A all m", "extremal_dominance_characterization all m k=m-r",
+    "extremal_r_monotonicity all m", "k_monotonicity_per_branch all m case=")
+# each control: the name patched in quatspin.bounds, its corruption, and the
+# rows that must fail
+CONTROLS = {
+    "scaled ++": ("closed_form_A", _scaled("++"),
+                  {_UNIVERSAL, _EXTREMAL, _MIRROR, _DOMINANCE, _K + "A first"}),
+    "scaled --": ("closed_form_A", _scaled("--"),
+                  {_EXTREMAL, _MIRROR, _DOMINANCE, _K + "A second"}),
+    "scaled +-": ("closed_form_A", _scaled("+-"), {_MIRROR, _K + "B first"}),
+    "scaled -+": ("closed_form_A", _scaled("-+"), {_MIRROR, _K + "B second"}),
+    "first extremal formula off for r >= 3": (
+        "extremal_first_coefficient",
+        lambda m, r: extremal_first_coefficient(m, r) + (Fraction(1, 100) if r >= 3 else 0),
+        {_EXTREMAL, _R}),
+    "dominance threshold + 1": (
+        "dominance_threshold", lambda r: dominance_threshold(r) + 1, {_DOMINANCE}),
+}
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_each_certificate_fails_under_a_named_corruption(monkeypatch, control):
+    name, corrupted, expected = CONTROLS[control]
+    monkeypatch.setattr(bounds, name, corrupted)
+    rep = bound_property_report()
+    assert {f"{e.check_id} {e.subject}" for e in rep.failures()} == expected
+    assert all(e.residual.startswith("(m, r, k) = ") for e in rep.failures())
+
+
+def test_every_certificate_fails_under_some_control():
+    judged = {f"{e.check_id} {e.subject}" for e in bound_property_report().entries
+              if e.status != "info"}
+    assert set().union(*(expected for _, _, expected in CONTROLS.values())) == judged

@@ -1,5 +1,7 @@
 """Every module-level import of the package is read where it is imported,
-and every name the package re-exports is read in it or listed with a reason.
+every import names the package, the standard library or a declared
+dependency, and every name the package re-exports is read in it or listed
+with a reason.
 
 A deletion that leaves its import behind costs every command's start-up
 for nothing.  `__init__.py` is left out of the first check: its imports are
@@ -7,16 +9,20 @@ the re-exported public names.  `from __future__` imports are compiler
 directives.  A re-exported name that no module of the package reads is
 kept only for readers outside it; `UNREAD_EXPORTS` gives each such name
 its reason, and an entry goes stale, failing the check, once its name
-gains a reader in the package or leaves `__init__.py`.
+gains a reader in the package or leaves `__init__.py`.  Imports inside
+functions count for the dependency check too: an installed package that
+pyproject.toml does not declare would break the program where it is absent.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quatspin"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEPENDENCIES = {"numpy"}  # the dependencies of pyproject.toml
 UNREAD_EXPORTS = {
     "p_plus": "the paper's definition, which the tests check the calculus against",
     "p_minus": "the paper's definition, which the tests check the calculus against",
@@ -26,8 +32,8 @@ UNREAD_EXPORTS = {
     "highest_weight_component": "imported by perfbench/tests",
     "column_space_basis": "traced by perfbench/tracer.py; the so(3) span row and the "
                           "block-local storage would call it",
-    "bound_property_report": "the bound properties of acceptance criterion 5, until "
-                             "verify tabulates the bound",
+    "bound_property_report": "the bound properties of acceptance criterion 5, "
+                             "certified for every m, until a verify segment reads them",
 }
 
 
@@ -52,6 +58,17 @@ def test_every_top_level_import_is_read(path):
                 for name in _bound_names(node)]
     read = _read_names(tree)
     assert [name for name in imported if name not in read] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_relative_standard_or_declared(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    allowed = sys.stdlib_module_names | DEPENDENCIES
+    assert [name for name in names if name.split(".")[0] not in allowed] == []
 
 
 def test_every_export_is_read_in_the_package_or_listed():
