@@ -20,9 +20,9 @@ S_{r+1}^{k-1}); each yields two coefficients.  The universal bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .decomposition import lattice_allows
 from .errors import DomainError
@@ -35,8 +35,7 @@ FLAG_NOT_LOWER = "not-lower-bound"
 FLAG_DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class BoundCoefficient:
+class BoundCoefficient(NamedTuple):
     """One coefficient of kappa/4, kept together with its provenance."""
 
     a_value: Fraction
@@ -64,8 +63,7 @@ class BoundCoefficient:
         return self.flag == FLAG_OK
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     """The two simultaneous coefficients for one block configuration."""
 
     m: int
@@ -76,8 +74,7 @@ class BoundRow:
     second: BoundCoefficient
 
 
-@dataclass(frozen=True)
-class ComparisonBounds:
+class ComparisonBounds(NamedTuple):
     """Reference coefficients of kappa/4 from the general and Kaehler cases.
 
     The Kaehler reference takes a complex dimension of its own; a real
@@ -93,8 +90,7 @@ class ComparisonBounds:
     applicable_parity: str
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bound data for one quaternionic dimension m at curvature kappa."""
 
     m: int

@@ -27,13 +27,13 @@ refusal; a closed pipe does not change them.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +60,11 @@ from .symmetry import certify_line_symmetry
 from .so3 import build_irrep, find_rotation_with_top_component, irrep_report, random_vector
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int
     payload: dict
     rows: list
-    preamble: list = field(default_factory=list)
+    preamble: tuple = ()
     table_text: str | None = None
 
 
@@ -217,7 +216,7 @@ def cmd_verify(args):
     sections.append(("so3", irrep_report(10)))
 
     combined = VerificationReport([e for _, report in sections for e in report.entries])
-    rows = [{"segment": segment, **e.as_dict()}
+    rows = [{"segment": segment, **e._asdict()}
             for segment, report in sections for e in report.sorted_entries()]
     counts = combined.counts()
     payload = {
@@ -233,8 +232,8 @@ def cmd_verify(args):
         "entries": rows,
         "failures": [row for row in rows if row["status"] == "fail"],
     }
-    preamble = [f"backend={args.backend} m_values={list(m_values)} "
-                f"pass={counts['pass']} fail={counts['fail']} info={counts['info']}"]
+    preamble = (f"backend={args.backend} m_values={list(m_values)} "
+                f"pass={counts['pass']} fail={counts['fail']} info={counts['info']}",)
     return CommandResult(0 if combined.ok else 1, payload, rows, preamble)
 
 
@@ -290,13 +289,13 @@ def cmd_bounds(args):
         },
         "rows": rows,
     }
-    preamble = [
+    preamble = (
         f"m={report.m} kappa={report.kappa} universal coefficient "
         f"{report.universal} -> bound {report.universal_value}",
         f"friedrich {comparisons.friedrich}  kirchberg "
         f"odd {comparisons.kirchberg_odd} / even {comparisons.kirchberg_even} "
         f"(m_c={comparisons.complex_dimension}, {comparisons.applicable_parity})",
-    ]
+    )
     return CommandResult(0, payload, [_flat(row) for row in rows], preamble)
 
 
@@ -384,6 +383,9 @@ def cmd_so3_check(args):
 
 def _write_csv(sink, rows):
     """The rows as csv, one column per key of the first row; None is blank."""
+    # imported here: only --format csv reads it
+    import csv
+
     writer = csv.DictWriter(sink, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
@@ -464,6 +466,9 @@ def _run(args, sink):
 
 
 def main(argv=None):
+    # the ~22k objects made at import live until exit anyway: frozen, no
+    # collection walks them again, in the run or at interpreter shutdown
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
-from .exact import fused_sum
+from .exact import ExactScalar, fused_sum
 from .sparse import SparseMatrix
 
 DEFAULT_MAX_M = 4
@@ -62,8 +63,7 @@ def _generator_pair(pairs, j):
             SparseMatrix.monomial(perm, sign * sign_of_bit(j), zero))
 
 
-@dataclass(frozen=True)
-class CliffordModel:
+class CliffordModel(NamedTuple):
     """A fixed matrix model: m and the 4m generators, whose backend is the model's."""
 
     m: int
@@ -126,7 +126,7 @@ def corrupt_gamma(model, index):
         raise DomainError(f"generator index {index} out of range 0..{model.n - 1}")
     gammas = list(model.gamma)
     gammas[index] = -gammas[index]
-    return replace(model, gamma=tuple(gammas))
+    return model._replace(gamma=tuple(gammas))
 
 
 def basis_vector(model, i):
@@ -136,13 +136,13 @@ def basis_vector(model, i):
     return SparseMatrix.from_rows([[int(t == i)] for t in range(model.n)])
 
 
-def _coefficients(model, v):
-    """{i: v_i} over the nonzeros of the exact n x 1 column v."""
+def _column(model, v):
+    """v, checked to be an exact n x 1 column."""
     if not isinstance(v, SparseMatrix):
         raise TypeError(f"a vector of R^{{4m}} is an exact column, not {type(v).__name__}")
     if v.cols != 1 or v.rows != model.n:
         raise DimensionError(f"expected an {model.n}x1 coefficient column")
-    return {i: c for (i, _), c in v.nonzero_entries()}
+    return v
 
 
 def _generator_sum(model, coefficients):
@@ -157,15 +157,23 @@ def vector_action(model, v):
     result is sum_i v_i gamma_i, extended C-linearly in the coefficients,
     in the backend of the model's generators.
     """
-    return _generator_sum(model, _coefficients(model, v))
+    return _generator_sum(model, {i: c for (i, _), c in _column(model, v).nonzero_entries()})
 
 
 def rotated_action(model, rotation, v):
     """vector_action(model, rotation @ v) for an exact n x n rotation, summing
-    (rotation @ v)_i exactly over the nonzeros of both: no product is formed."""
-    v, rotated = _coefficients(model, v), {}
+    (rotation @ v)_i exactly over the nonzeros of both: no product is formed.
+    The sums run on Gaussian-integer numerators; each coefficient is made
+    exact once."""
+    den_v, entries = _column(model, v).numerators()
+    den_r, nonzeros = rotation.numerators()
+    sums = {}
     # scan the positions of rotation's nonzeros; read only the entries v meets
-    for i, k in rotation.numerators()[1]:
-        if k in v:
-            rotated[i] = rotated.get(i, 0) + rotation[i, k] * v[k]
-    return _generator_sum(model, rotated)
+    for (i, k), (a, b) in nonzeros.items():
+        if (k, 0) in entries:
+            c, d = entries[k, 0]
+            re, im = sums.get(i, (0, 0))
+            sums[i] = (re + a * c - b * d, im + a * d + b * c)
+    den = den_r * den_v
+    return _generator_sum(model, {i: ExactScalar(Fraction(re, den), Fraction(im, den))
+                                  for i, (re, im) in sums.items()})

@@ -12,7 +12,7 @@ block's dimension is its projector's trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, SpectrumError
 from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, commutator,
@@ -43,8 +43,7 @@ def lattice_allows(m, r, k):
     return 0 <= s <= r
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One joint eigenblock: its certified projector and dimension (= trace)."""
 
     r: int
@@ -55,8 +54,7 @@ class Block:
     weight_im: int
 
 
-@dataclass
-class JointDecomposition:
+class JointDecomposition(NamedTuple):
     """The blocks S_r^k, and the level (r) and weight (k) projector families.
 
     k_projectors are the spectral projectors of `omega1`, read off its
@@ -67,10 +65,10 @@ class JointDecomposition:
 
     m: int
     blocks: dict
-    kraines: DenseMatrix | SparseMatrix = field(repr=False)
-    omega1: DenseMatrix | SparseMatrix = field(repr=False)
-    r_projectors: dict = field(repr=False, default_factory=dict)
-    k_projectors: dict = field(repr=False, default_factory=dict)
+    kraines: DenseMatrix | SparseMatrix
+    omega1: DenseMatrix | SparseMatrix
+    r_projectors: dict
+    k_projectors: dict
 
     def block(self, r, k):
         if not (0 <= r <= self.m and 0 <= k <= 2 * self.m):
@@ -147,8 +145,7 @@ def decompose(model, ops):
                               r_projectors=r_proj, k_projectors=k_proj)
 
 
-@dataclass(frozen=True, eq=False)
-class World:
+class World(NamedTuple):
     """One m as every check reads it: a Clifford model, its triple, the
     Kaehler operators of its own generators, and the decomposition."""
 
@@ -156,6 +153,12 @@ class World:
     triple: HyperkahlerTriple
     ops: KaehlerOperators
     dec: JointDecomposition
+
+    # a world compares and hashes by identity, not field by field (its
+    # operators have no hash); without __ne__ the tuple's would compare fields
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def build_world(model, dec=None):

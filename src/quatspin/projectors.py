@@ -14,8 +14,8 @@ each joint block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .clifford import rotated_action, vector_action
 from .errors import DomainError, IdentityFailure
@@ -244,8 +244,7 @@ def compute_A(calc, r, k, variant):
     return _restriction_scalar(calc.two_step(r, variant), blk)
 
 
-@dataclass(frozen=True)
-class BlockConstant:
+class BlockConstant(NamedTuple):
     """One computed block constant, judged against its closed form.
 
     `computed` is the display form of the computed scalar, None when the

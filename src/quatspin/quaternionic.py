@@ -13,8 +13,8 @@ on the spinor space are in the backend of the model's generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .clifford import basis_vector
 from .errors import DomainError
@@ -42,8 +42,7 @@ def epsilon(a, b, c):
             (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}.get((a, b, c), 0)
 
 
-@dataclass(frozen=True)
-class HyperkahlerTriple:
+class HyperkahlerTriple(NamedTuple):
     """The three complex structures as n x n real matrices."""
 
     j: tuple
@@ -83,8 +82,7 @@ def kraines_form(model, omegas):
     return fused_sum([(1, om, om) for om in omegas], [(6 * model.m, model.identity())])
 
 
-@dataclass(frozen=True)
-class KaehlerOperators:
+class KaehlerOperators(NamedTuple):
     """The three Kaehler operators and their Kraines-type sum."""
 
     omega: tuple
@@ -111,8 +109,7 @@ def q_minus(triple, x):
     return (x - (triple[1] @ x).scale(_I)).scale(_HALF)
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(NamedTuple):
     """Isotropic vectors f_j = (e_{2j-1} - i J_1 e_{2j-1})/2 and conjugates."""
 
     f: tuple

@@ -9,11 +9,10 @@ of its orbit under a certified line symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class CheckEntry:
+class CheckEntry(NamedTuple):
     """One verified identity: a stable id, the subject it ran on, and status."""
 
     check_id: str
@@ -21,15 +20,6 @@ class CheckEntry:
     status: str  # "pass" | "fail" | "info"
     residual: str = "0"
     note: str = ""
-
-    def as_dict(self):
-        return {
-            "check_id": self.check_id,
-            "subject": self.subject,
-            "status": self.status,
-            "residual": self.residual,
-            "note": self.note,
-        }
 
 
 def residual_entry(check_id, subject, residual, note=""):
@@ -49,11 +39,11 @@ def info_entry(check_id, subject, note):
     return CheckEntry(check_id, subject, "info", "0", note)
 
 
-@dataclass
 class VerificationReport:
     """A list of check entries with aggregate status."""
 
-    entries: list = field(default_factory=list)
+    def __init__(self, entries=None):
+        self.entries = [] if entries is None else entries
 
     def add(self, entry):
         self.entries.append(entry)
@@ -68,8 +58,7 @@ class VerificationReport:
         line symmetry (quatspin.symmetry)."""
         first = entry(subject(orbit[0]))
         self.add(first)
-        self.extend(CheckEntry(first.check_id, subject(x), first.status, first.residual,
-                               first.note) for x in orbit[1:])
+        self.extend(first._replace(subject=subject(x)) for x in orbit[1:])
 
     @property
     def ok(self):

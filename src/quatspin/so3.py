@@ -27,8 +27,8 @@ top-weight component come from the same numbers (see `_certified_bands` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionError, DomainError, SpectrumError
 from .exact import ExactScalar, commutator, fused_sum
@@ -42,8 +42,7 @@ _FIXED_QUATERNIONS = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 1, 1, 1))
 # --------------------------------------------------------------------- irreps
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(NamedTuple):
     """Irreducible representation of highest weight r on C^{r+1}.
 
     `h` holds the three exact generators; indexing is 1-based to match the
@@ -101,8 +100,7 @@ def build_irrep(r, kind="exact"):
 # ------------------------------------------------------------------ rotations
 
 
-@dataclass(frozen=True)
-class Rotation:
+class Rotation(NamedTuple):
     """3x3 special-orthogonal matrix with Fraction entries."""
 
     entries: tuple
@@ -364,8 +362,7 @@ def highest_weight_component(irrep, g, v):
 # ------------------------------------------------------------ rotation search
 
 
-@dataclass(frozen=True)
-class RotationSearch:
+class RotationSearch(NamedTuple):
     """Outcome of the search for a top-weight-exposing rotation.
 
     On exhaustion `found` is False, and `rotation` and `magnitude` are those

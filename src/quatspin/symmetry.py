@@ -36,8 +36,8 @@ certificate was made on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import commutator, fused_sum
 from .report import VerificationReport, bool_entry, residual_entry
@@ -46,8 +46,7 @@ from .sparse import SparseMatrix
 CHECK_ID = "line_symmetry"
 
 
-@dataclass(frozen=True)
-class LineSymmetry:
+class LineSymmetry(NamedTuple):
     """A spin lift S with S gamma_c = sign gamma_target S for each
     (target, sign) = signed_permutation[c]."""
 
@@ -82,8 +81,7 @@ def line_symmetries(model):
     return tuple(lifts)
 
 
-@dataclass(frozen=True)
-class LineSymmetryCertificate:
+class LineSymmetryCertificate(NamedTuple):
     """The line_symmetry rows of one world, and that world."""
 
     report: VerificationReport

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,6 +179,6 @@ def test_float_backend_model():
 def test_model_kind_is_read_off_the_generators():
     exact = build_clifford_model(1)
     assert exact.kind == "exact" and isinstance(exact.zeros(), SparseMatrix)
-    flt = replace(exact, gamma=tuple(g.to_float() for g in exact.gamma))
+    flt = exact._replace(gamma=tuple(g.to_float() for g in exact.gamma))
     assert flt.kind == "float" and isinstance(flt.zeros(), DenseMatrix)
     assert flt.content_hash() == build_clifford_model(1, kind="float").content_hash()

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -366,8 +365,7 @@ def _neighbor_rows(world):
 
 def _even_gamma0(model):
     # gamma_0 gamma_1 is even: it keeps part of each block in place
-    return dataclasses.replace(
-        model, gamma=(model.gamma[0] @ model.gamma[1],) + model.gamma[1:])
+    return model._replace(gamma=(model.gamma[0] @ model.gamma[1],) + model.gamma[1:])
 
 
 @pytest.mark.parametrize("kind", ["exact", "float"])

@@ -80,7 +80,6 @@ check family without a control fails the guard.
 import json
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -142,7 +141,7 @@ def _substituted(m, backend, index):
     standard = _standard(m, backend)
     gamma = list(standard.model.gamma)
     gamma[index] = gamma[index] @ gamma[(index + 1) % standard.model.n]
-    return build_world(replace(standard.model, gamma=tuple(gamma)), dec=standard.dec)
+    return build_world(standard.model._replace(gamma=tuple(gamma)), dec=standard.dec)
 
 
 def _with_triple(m, backend, corrupt):
@@ -190,7 +189,7 @@ def _omega1_flipped(model, ops):
 
 def _with_blocks(world, change):
     """world over its decomposition with the blocks change(blocks) instead."""
-    dec = replace(world.dec, blocks=change(dict(world.dec.blocks)))
+    dec = world.dec._replace(blocks=change(dict(world.dec.blocks)))
     return World(world.model, world.triple, world.ops, dec)
 
 
@@ -198,7 +197,7 @@ def _shifted_weight(m, backend):
     """Block (m, 0) states Omega_1's weight 2m + 2 instead of 2m."""
     def shifted(blocks):
         blk = blocks[m, 0]
-        return {**blocks, (m, 0): replace(blk, weight_im=blk.weight_im + 2)}
+        return {**blocks, (m, 0): blk._replace(weight_im=blk.weight_im + 2)}
 
     return _with_blocks(_standard(m, backend), shifted)
 
@@ -206,8 +205,8 @@ def _shifted_weight(m, backend):
 def _zeroed_block():
     """Block (1, 1) of m = 2 (dimension 4) stated as zero."""
     def zeroed(blocks):
-        return {**blocks, (1, 1): replace(blocks[1, 1], dim=0,
-                                          projector=blocks[1, 1].projector.scale(0))}
+        return {**blocks, (1, 1): blocks[1, 1]._replace(
+            dim=0, projector=blocks[1, 1].projector.scale(0))}
 
     return _with_blocks(_standard(2, "exact"), zeroed)
 
@@ -227,7 +226,7 @@ def _wrong_sigma(patch):
     def wrong_sign(model):
         right_j, *swaps = real(model)
         (target, sign), *rest = right_j.signed_permutation
-        return (replace(right_j, signed_permutation=((target, -sign), *rest)), *swaps)
+        return (right_j._replace(signed_permutation=((target, -sign), *rest)), *swaps)
 
     patch.setattr(symmetry, "line_symmetries", wrong_sign)
 
@@ -261,7 +260,7 @@ def _bump_h1(patch):
     def bumped(r, kind="exact"):
         irrep = real(r, kind)
         h1, h2, h3 = irrep.h
-        return replace(irrep, h=(h1 + _unit_at_origin(irrep.dim), h2, h3))
+        return irrep._replace(h=(h1 + _unit_at_origin(irrep.dim), h2, h3))
 
     patch.setattr(so3, "build_irrep", bumped)
 

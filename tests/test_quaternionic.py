@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -155,7 +154,7 @@ def test_structure_report_flags_tampered_generator():
     # a world assembled by hand with the operators of the clean generators
     # is an inconsistency: build_world never makes one
     clean = build_world(build_clifford_model(1))
-    rep = structure_report(replace(clean, model=corrupt_gamma(clean.model, 0)))
+    rep = structure_report(clean._replace(model=corrupt_gamma(clean.model, 0)))
     assert not rep.ok
     ids = {e.check_id for e in rep.failures()}
     assert "kaehler_rebuild" in ids

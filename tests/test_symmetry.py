@@ -13,7 +13,6 @@ on a passing certificate and singletons on a failed one, on another world
 and on no certificate.
 """
 
-from dataclasses import replace
 
 import pytest
 
@@ -99,7 +98,7 @@ def test_derived_rows_equal_direct_rows(m, kind):
             (_scaled(model, world.ops),
              {"adapted_basis_product_sums", "mixed_product_kaehler_form"}),
             (_relabelled(model, world.ops), {"mixed_product_kaehler_form"})):
-        cert, derived, direct = _derived_and_direct(replace(world, ops=wrong))
+        cert, derived, direct = _derived_and_direct(world._replace(ops=wrong))
         assert cert.ok
         assert sum(row[2] == "fail" for row in direct) > 30 * m
         assert witnesses <= {row[0] for row in direct if row[2] == "fail"}
@@ -121,7 +120,7 @@ def test_flipped_model_with_a_clean_decomposition_fails_the_certificate(index):
     # the flipped generator list over the stated decomposition (verify
     # --flip-gamma), then that world given the clean operators by hand
     for world, note in ((flipped, "fails at decomposition Kraines"),
-                        (replace(flipped, ops=clean.ops), "fails at Omega_1")):
+                        (flipped._replace(ops=clean.ops), "fails at Omega_1")):
         cert, derived, direct = _derived_and_direct(world)
         failures = cert.report.failures()
         assert failures and all(e.subject.endswith("operators") for e in failures)
@@ -139,7 +138,7 @@ def test_a_certificate_covers_only_the_objects_it_was_made_on():
     every_pair = [[(i, j)] for i in range(8) for j in range(i, 8)]
     # equal worlds that are other objects: rebuilt, over the same
     # decomposition, or copied field by field
-    for other in (build_world(model), build_world(model, dec=world.dec), replace(world)):
+    for other in (build_world(model), build_world(model, dec=world.dec), world._replace()):
         assert vector_orbits(cert, other) == singletons
         assert generator_orbits(cert, other) == [[c] for c in range(8)]
         assert generator_pair_orbits(cert, other) == every_pair
@@ -162,7 +161,7 @@ def test_a_non_clifford_generator_fails_every_claim():
     gamma = list(clean.model.gamma)
     gamma[0] = gamma[0] @ gamma[1]
     cert = certify_line_symmetry(
-        build_world(replace(clean.model, gamma=tuple(gamma)), dec=clean.dec))
+        build_world(clean.model._replace(gamma=tuple(gamma)), dec=clean.dec))
     assert not cert.ok
     for claim in ("monomial", "unitary", "generators", "operators"):
         assert _failed(cert, claim), claim
@@ -173,7 +172,7 @@ def test_a_non_clifford_generator_fails_every_claim():
 def test_a_corrupted_omega_2_fails_only_the_commutation():
     world = build_world(build_clifford_model(2))
     ops = world.ops
-    world = replace(world, ops=KaehlerOperators(
+    world = world._replace(ops=KaehlerOperators(
         omega=(ops[1], ops[2] + world.model.gamma[0], ops[3]), kraines=ops.kraines))
     cert = certify_line_symmetry(world)
     assert [e.subject for e in cert.report.failures()] == \
@@ -193,13 +192,13 @@ def test_corrupted_lifts_fail_their_claims(kind, monkeypatch):
     reflection = tuple((c, -1 if c in (0, 2) else 1) for c in range(8))
     cases = [
         # a stated sign that S does not realise
-        (replace(right_j, signed_permutation=tuple(sigma)), {"generators": "gamma_0"}),
+        (right_j._replace(signed_permutation=tuple(sigma)), {"generators": "gamma_0"}),
         # 2S: no unit entries, S^H S = 4I; the linear relations still hold
-        (replace(right_j, matrix=right_j.matrix.scale(2)),
+        (right_j._replace(matrix=right_j.matrix.scale(2)),
          {"monomial": "", "unitary": ""}),
         # gamma_0 gamma_2 lifts the half turn in the plane (e_0, e_2), stated
         # correctly, which does not commute with the triple
-        (replace(right_j, matrix=g0 @ g2, signed_permutation=reflection),
+        (right_j._replace(matrix=g0 @ g2, signed_permutation=reflection),
          {"generators": "J_1", "operators": "Omega_1"}),
     ]
     for lift, claims in cases:
