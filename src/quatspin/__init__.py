@@ -108,7 +108,6 @@ from .so3 import (
     random_vector,
     check_rotation,
     rotated_generator,
-    top_weight_projector,
     highest_weight_component,
     find_rotation_with_top_component,
     irrep_report,

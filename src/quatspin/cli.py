@@ -19,9 +19,10 @@ imaginary eigenvalues by their imaginary part, under a field name that
 says so.  Reports are written to their sink as they are encoded, JSON in
 batches of the chunks json.dumps would join and csv row by row: the bytes
 are those of json.dumps, and the render's memory does not grow with the
-report.  Tables still size their columns from every row first.  A reader that closes the pipe early ends the run quietly.  Exit
-codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-refusal; a closed pipe does not change them.
+report.  Tables still size their columns from every row first.  A reader
+that closes the pipe early ends the run quietly.  Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 resource refusal; a closed pipe
+does not change them.
 """
 
 from __future__ import annotations

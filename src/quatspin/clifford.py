@@ -26,12 +26,12 @@ from .errors import DimensionError, DomainError, ResourceLimitError
 from .exact import ExactScalar, fused_sum
 from .sparse import SparseMatrix
 
-DEFAULT_MAX_M = 4
+DEFAULT_MAX_M = 6
 MAX_M_ENV = "QUATSPIN_MAX_M"
 
 
 def resolved_max_m():
-    """Effective model-size cap: the environment override, else 4."""
+    """Effective model-size cap: the environment override, else 6."""
     env = os.environ.get(MAX_M_ENV)
     if env is not None:
         try:
@@ -104,7 +104,7 @@ def build_clifford_model(m, kind="exact"):
     """Build the standard Clifford model for quaternionic dimension m.
 
     Raises DomainError for m < 1 and ResourceLimitError above the cap
-    (default 4, overridable via the QUATSPIN_MAX_M environment variable).
+    (default 6, overridable via the QUATSPIN_MAX_M environment variable).
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"quaternionic dimension must be a positive integer, got {m!r}")

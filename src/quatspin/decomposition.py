@@ -265,9 +265,8 @@ def decomposition_report(world, symmetry=None):
                 hit = None if res.is_zero() else next(
                     (n for n, p in sorted(family.items()) if not (p @ res).is_zero()), None)
                 note = "" if hit is None else f"reaches {label}={hit}"
-                rep.add_orbit(orbit, lambda i: f"{sub} i={i} {label}={idx}",
-                              lambda name: residual_entry("clifford_neighbor_blocks", name,
-                                                          res, note))
+                rep.add_orbit(orbit, "clifford_neighbor_blocks",
+                              lambda i: f"{sub} i={i} {label}={idx}", res, note)
 
     rep.add(info_entry(
         "weight_orientation", sub,

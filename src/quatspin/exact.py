@@ -522,10 +522,6 @@ class DenseMatrix(_Nonzeros):
     def _equal_to(self, s):
         return np.abs(self._v - _complex(s)) <= FLOAT_SCALAR_TOL
 
-    def frobenius_norm2(self):
-        """Sum of squared entry moduli."""
-        return float(np.sum(self._v.real ** 2 + self._v.imag ** 2))
-
     def to_complex_array(self):
         full = np.zeros(self.rows * self.cols, dtype=np.complex128)
         full[self._key] = self._v

@@ -401,8 +401,8 @@ def verify_lemma_identities(calc, symmetry=None):
             j = orbit[0]
             jf, fbar = calc.act_j["f"][a][j], calc.act["fbar"][j]
             res = fused_sum([(1, jf, fbar), (1, fbar, jf)])
-            rep.add_orbit(orbit, lambda j: f"{sub} a={a} j={j}",
-                          lambda name: residual_entry("rotated_vector_anticommute", name, res))
+            rep.add_orbit(orbit, "rotated_vector_anticommute",
+                          lambda j: f"{sub} a={a} j={j}", res)
 
     # --- mixed product sums reproduce the other two Kaehler operators
     expectations = {
@@ -428,8 +428,7 @@ def verify_lemma_identities(calc, symmetry=None):
             rhs = [(ExactScalar(0, t), ops[1], act),
                    *((-1, ops[a], calc.act_j[u][a][j]) for a in (2, 3))]
             res = fused_sum(rhs, [(1, calc.jop[u][j]), (-3, act)])
-            rep.add_orbit(orbit, lambda j: f"{sub} {u} j={j}",
-                          lambda name: residual_entry("jop_adapted_expansion", name, res))
+            rep.add_orbit(orbit, "jop_adapted_expansion", lambda j: f"{sub} {u} j={j}", res)
 
     # --- first-order products of J(x) with the actions, summed over j
     iom = ops[1].scale(_I)
@@ -488,12 +487,11 @@ def verify_lemma_identities(calc, symmetry=None):
                     ("kraines_commutator_jop_second", fused_sum(
                         [(1, kraines, jop), (-1, jop, kraines), (4, act, kraines)],
                         [(8, jop), (-12 - 24 * m, act)]))):
-                rep.add_orbit(orbit, lambda j: f"{sub} {u} j={j}",
-                              lambda name: residual_entry(check_id, name, res))
+                rep.add_orbit(orbit, check_id, lambda j: f"{sub} {u} j={j}", res)
             for a in (1, 2, 3):
                 res = commutator(ops[a], act, [(-2, calc.act_j[u][a][j])])
-                rep.add_orbit(orbit, lambda j: f"{sub} a={a} {u} j={j}",
-                              lambda name: residual_entry("kaehler_vector_commutator", name, res))
+                rep.add_orbit(orbit, "kaehler_vector_commutator",
+                              lambda j: f"{sub} a={a} {u} j={j}", res)
 
     # --- four-fold splitting: p_r^s(u_j) P_{r,k} lies in S_{r+s}^{k+t}; the
     # pieces add up to the degree-shift image p_r^s(u_j) P_r and the
@@ -517,9 +515,8 @@ def verify_lemma_identities(calc, symmetry=None):
                         target = nonzero.get((r + s, blk.k + t))
                         inside = None if target is None else target.projector @ piece
                         res = piece if inside is None else piece - inside
-                        rep.add_orbit(orbit, lambda j: f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}",
-                                      lambda name: residual_entry("clifford_four_fold_split",
-                                                                  name, res))
+                        rep.add_orbit(orbit, "clifford_four_fold_split",
+                                      lambda j: f"{sub} {u} j={j} ({r},{blk.k}) s={s:+d}", res)
                         r_image = _plus(r_image, piece)
                         k_images[blk.k] = _plus(k_images.get(blk.k), piece)
                         if inside is None or s != t:
@@ -529,16 +526,15 @@ def verify_lemma_identities(calc, symmetry=None):
                             continue
                         pair = f"({r},{blk.k})->({target.r},{target.k})"
                         res = inside.hermitian() + lowering.pop((r, blk.k))
-                        rep.add_orbit(orbit, lambda j: f"{sub} j={j} {pair}",
-                                      lambda name: residual_entry("block_adjoint_pairing",
-                                                                  name, res))
+                        rep.add_orbit(orbit, "block_adjoint_pairing",
+                                      lambda j: f"{sub} j={j} {pair}", res)
                     res = _outside(zero if r_image is None else r_image,
                                    dec.r_projectors.get(r + s))
-                    rep.add_orbit(orbit, lambda j: f"{sub} j={j} r={r} {u} {label}",
-                                  lambda name: residual_entry("r_shift_projection", name, res))
+                    rep.add_orbit(orbit, "r_shift_projection",
+                                  lambda j: f"{sub} j={j} r={r} {u} {label}", res)
             for k in range(2 * m + 1):
                 res = _outside(k_images.get(k, zero), dec.k_projectors.get(k + t))
                 shift = "raise" if t > 0 else "lower"
-                rep.add_orbit(orbit, lambda j: f"{sub} j={j} k={k} {shift}",
-                              lambda name: residual_entry("k_shift_projection", name, res))
+                rep.add_orbit(orbit, "k_shift_projection",
+                              lambda j: f"{sub} j={j} k={k} {shift}", res)
     return rep

@@ -158,8 +158,8 @@ def structure_report(world, symmetry=None):
                         lambda sigma, pair: tuple(sorted(sigma[c] for c in pair))):
         i, j = orbit[0]
         res = fused_sum([(1, g[i], g[j]), (1, g[j], g[i])], [(2 * int(i == j), ident_s)])
-        rep.add_orbit(orbit, lambda pair: f"{sub} i={pair[0]} j={pair[1]}",
-                      lambda name: residual_entry("clifford_anticommutation", name, res))
+        rep.add_orbit(orbit, "clifford_anticommutation",
+                      lambda pair: f"{sub} i={pair[0]} j={pair[1]}", res)
 
     for a in (1, 2, 3):
         rep.add(residual_entry("hk_orthogonality", f"{sub} a={a}", fused_sum(

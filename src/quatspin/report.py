@@ -3,8 +3,8 @@
 Rows are made here only: `bool_entry` judges a claim, and writes residual
 "0" on a pass and its witness on a failure; `residual_entry` judges a
 residual matrix through it, and `info_entry` states a fact.
-`VerificationReport.add_orbit` copies a computed row to the other members
-of its orbit under a certified line symmetry.
+`VerificationReport.add_orbit` makes the `residual_entry` row of an orbit's
+first member under a certified line symmetry and copies it to the others.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ class VerificationReport:
     def extend(self, entries):
         self.entries.extend(entries)
 
-    def add_orbit(self, orbit, subject, entry):
-        """Add entry(subject(orbit[0])), the row computed for the orbit's
-        first member, then a copy of its status, residual and note under
-        subject(x) for every other member x: rows derived by a certified
-        line symmetry (quatspin.symmetry)."""
-        first = entry(subject(orbit[0]))
+    def add_orbit(self, orbit, check_id, subject, residual, note=""):
+        """Add the `residual_entry` of residual under subject(orbit[0]), the
+        row computed for the orbit's first member, then a copy of its status,
+        residual and note under subject(x) for every other member x: rows
+        derived by a certified line symmetry (quatspin.symmetry)."""
+        first = residual_entry(check_id, subject(orbit[0]), residual, note)
         self.add(first)
         self.extend(first._replace(subject=subject(x)) for x in orbit[1:])
 

@@ -20,8 +20,8 @@ certified by the continuant of its three bands, in Python integers over its
 common denominator, with no matrix product: the continuant p_{r+1}(mu) is
 det(mu - H) scaled, and its vanishing at each of the r + 1 weights makes
 the characteristic polynomial prod (x - mu).  The top eigenvectors and the
-top-weight component come from the same numbers (see `_certified_bands` and
-`top_weight_projector`).
+top-weight component come from the same numbers (see `_certified_bands`,
+`_top_eigenvectors` and `_top_weight_norm2`).
 """
 
 from __future__ import annotations
@@ -274,30 +274,6 @@ def _top_eigenvectors(irrep, gen):
         if j:
             tail_u, tail_l = _gmul(tail_u, u[j - 1]), _gmul(tail_l, lo[j - 1])
     return w[::-1], left[::-1]
-
-
-def top_weight_projector(irrep, generator):
-    """Projector onto the top-eigenvalue (= r) eigenspace of a rotated generator.
-
-    The generator must be exact (TypeError otherwise): in complex128 the
-    continuant's eigenvectors at the extreme eigenvalue lose every digit to
-    cancellation.  Its spectrum {r, r-2, ..., -r} is certified by the
-    continuant of its three bands (`_certified_bands`; SpectrumError
-    otherwise), every eigenvalue simple, and the projector is w l^T / (l . w)
-    for its right and left top eigenvectors.  For a diagonalizable matrix
-    that is the spectral projector, the same canonical matrix as the
-    Lagrange product prod_{mu != r} (H - mu)/(r - mu), formed with one
-    product.
-    """
-    if not isinstance(generator, SparseMatrix):
-        raise TypeError("the top-weight projector is certified for exact "
-                        f"generators only, not {type(generator).__name__}")
-    w, left = _top_eigenvectors(irrep, generator)
-    re, im = _gdot(left, w)
-    norm = re * re + im * im
-    col = SparseMatrix.from_rows([[ExactScalar(a, b)] for a, b in w])
-    row = SparseMatrix.from_rows([[ExactScalar(a, b) for a, b in left]])
-    return fused_sum([(ExactScalar(Fraction(re, norm), Fraction(-im, norm)), col, row)])
 
 
 def _vector(irrep, v):

@@ -296,10 +296,11 @@ class SparseMatrix(_Nonzeros):
 
     def _equal_to(self, s):
         # (re + i im) / den = (sr + i si) / q exactly when re q = sr den and
-        # im q = si den; on Python ints when a side could pass int64
+        # im q = si den; on Python ints when a side, or q itself, could pass
+        # int64 (with no stored entry, amax = 0)
         sr, si, q = _gaussian(s)
         re, im = self._re, self._im
-        if max(self._amax * q, max(abs(sr), abs(si)) * self._den) >= _INT64_LIMIT:
+        if max(max(self._amax, 1) * q, max(abs(sr), abs(si)) * self._den) >= _INT64_LIMIT:
             re, im = _as_object(re), _as_object(im)
         return (re * q == sr * self._den) & (im * q == si * self._den)
 
@@ -315,11 +316,6 @@ class SparseMatrix(_Nonzeros):
                     for re, im in zip(self._re.tolist(), self._im.tolist())]
         return [ExactScalar(Fraction(re, self._den), Fraction(im, self._den))
                 for re, im in zip(self._re.tolist(), self._im.tolist())]
-
-    def frobenius_norm2(self):
-        """Sum of squared entry moduli, as an exact Fraction."""
-        total = sum(x * x for arr in (self._re, self._im) for x in arr.tolist())
-        return Fraction(total, self._den ** 2)
 
     def to_float(self):
         """The same matrix in the float backend (lossy for large numerators)."""

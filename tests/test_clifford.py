@@ -54,7 +54,7 @@ def test_gamma_entries_are_fourth_roots(model2):
 
 def test_resource_cap():
     with pytest.raises(ResourceLimitError):
-        build_clifford_model(5)
+        build_clifford_model(7)
     with pytest.raises(DomainError):
         build_clifford_model(0)
     with pytest.raises(DomainError):

@@ -118,7 +118,6 @@ def test_hermitian_and_trace():
     assert h[0, 0] == ExactScalar(1, -2)
     assert h[0, 1] == ExactScalar(3)
     assert m.trace() == ExactScalar(Fraction(4, 3), 3)
-    assert m.frobenius_norm2() == Fraction(1 + 4) + 1 + 9 + Fraction(1, 9) + 1
 
 
 def test_diagonal_eigenprojectors():
@@ -330,6 +329,49 @@ def test_diagonal_read_compares_large_numerators_exactly():
     assert read[ExactScalar(Fraction(big - 1, 3))] == _diagonal([0, 1, 0])
 
 
+def equal_to_cases():
+    """(entries, scalar, cross) around the point where `_equal_to` leaves int64.
+
+    The entries are numerators big, big - 1, -big and 1 over q, with one
+    non-real entry, so the matrix holds int64 numerators with amax = big;
+    the scalars are read over q or over 1.  Either way the larger cross
+    product, amax q or max(|s_re|, |s_im|) den, is cross = big q, which lies
+    just below, at or just above 2^63.  A last case has a small scalar
+    numerator over a large q.
+    """
+    for q in (3, 4, 5, 7, 8):
+        for big in (2**63 // q - 1, 2**63 // q, 2**63 // q + 1):
+            entries = [ExactScalar(Fraction(n, q)) for n in (big, big - 1, -big, 1)]
+            entries.append(ExactScalar(Fraction(big, q), Fraction(1, q)))
+            scalars = [Fraction(big, q), Fraction(1 - big, q), ExactScalar(0, Fraction(big, q)),
+                       ExactScalar(Fraction(big, q), Fraction(1, q))]
+            for s in scalars:
+                yield entries, s, big * q
+            # small numerators over q against a scalar over 1
+            for s in (big, ExactScalar(1, -big), ExactScalar(big, 1)):
+                yield [ExactScalar(Fraction(n, q)) for n in (1, -2, q)], s, big * q
+    # 3 q wraps in int64 to 5 = s_re den, so only the switch keeps 3 != 5/q
+    q = (2**64 + 5) // 3
+    yield [ExactScalar(3), ExactScalar(1)], Fraction(5, q), 3 * q
+
+
+def test_equal_to_matches_fractions_across_the_int64_switch():
+    sides = set()
+    for entries, s, cross in equal_to_cases():
+        a = SparseMatrix.from_rows([entries])
+        assert a._re.dtype == np.int64
+        want = [x == ExactScalar.coerce(s) for x in entries]  # Fraction parts
+        assert a._equal_to(s).tolist() == want, (entries, s)
+        sides.add((cross > 2**63) - (cross < 2**63))
+    assert sides == {-1, 0, 1}
+    # with no stored entry, a denominator past int64 is read as a Python int too
+    zero = SparseMatrix.zeros(2, 2)
+    assert zero._equal_to(Fraction(1, 2**64)).tolist() == []
+    read = diagonal_eigenprojectors(zero, [0, Fraction(1, 2**64)])
+    assert read[ExactScalar(0)] == SparseMatrix.identity(2)
+    assert read[ExactScalar(Fraction(1, 2**64))].is_zero()
+
+
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_diagonal_read_names_what_it_rejects(kind):
     def backend(rows):
@@ -498,5 +540,4 @@ def test_float_backend_mirror():
     assert (fa + fb - (a + b).to_float()).max_abs() <= 1e-12
     assert (fa.transpose() - a.transpose().to_float()).max_abs() <= 1e-12
     assert (fa.hermitian() - a.hermitian().to_float()).max_abs() <= 1e-12
-    assert fa.frobenius_norm2() == pytest.approx(float(a.frobenius_norm2()))
     assert fa.max_abs() > 1e-12

@@ -1,7 +1,7 @@
 """Every module-level import of the package is read where it is imported,
 every import names the package, the standard library or a declared
-dependency, and every name the package re-exports is read in it or listed
-with a reason.
+dependency, and every name the package re-exports, and every public method
+or property of its classes, is read in it or listed with a reason.
 
 A deletion that leaves its import behind costs every command's start-up
 for nothing.  `__init__.py` is left out of the first check: its imports are
@@ -12,6 +12,11 @@ its reason, and an entry goes stale, failing the check, once its name
 gains a reader in the package or leaves `__init__.py`.  Imports inside
 functions count for the dependency check too: an installed package that
 pyproject.toml does not declare would break the program where it is absent.
+
+A public method or property of a package class counts as read when some
+package module reads an attribute of that name.  `UNREAD_ATTRIBUTES` gives
+each one that only readers outside the package use its reason, and an
+entry goes stale, as in `UNREAD_EXPORTS`, once its name gains a reader.
 """
 
 import ast
@@ -27,13 +32,17 @@ UNREAD_EXPORTS = {
     "p_plus": "the paper's definition, which the tests check the calculus against",
     "p_minus": "the paper's definition, which the tests check the calculus against",
     "q_plus": "the paper's definition, which the tests check the calculus against",
-    "top_weight_projector": "ties the continuant's eigenvectors to the Lagrange product "
-                            "in tests/test_so3.py",
     "highest_weight_component": "imported by perfbench/tests",
     "column_space_basis": "traced by perfbench/tracer.py; the so(3) span row and the "
                           "block-local storage would call it",
     "bound_property_report": "the bound properties of acceptance criterion 5, "
                              "certified for every m, until a verify segment reads them",
+}
+UNREAD_ATTRIBUTES = {
+    "ExactScalar.conjugate": "the reference for hermitian() in tests/test_sparse.py",
+    "VerificationReport.failures": "the negative controls name the failing rows with it",
+    "DenseMatrix.to_complex_array": "the float tests compare against numpy arrays",
+    "BoundCoefficient.usable": "tests/test_bounds.py checks which coefficients are usable",
 }
 
 
@@ -79,3 +88,14 @@ def test_every_export_is_read_in_the_package_or_listed():
     read = set().union(*(_read_names(ast.parse(path.read_text(encoding="utf-8")))
                          for path in MODULES))
     assert sorted(exported - read) == sorted(UNREAD_EXPORTS)
+
+
+def test_every_public_attribute_is_read_in_the_package_or_listed():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    defined = [f"{cls.name}.{node.name}" for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert sorted(name for name in defined
+                  if name.split(".")[1] not in read) == sorted(UNREAD_ATTRIBUTES)

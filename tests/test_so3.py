@@ -13,8 +13,10 @@ from quatspin.so3 import (
     _FIXED_QUATERNIONS,
     Rotation,
     RotationSearch,
+    _operand,
     _rotation_defect,
     _top_eigenvectors,
+    _top_weight_norm2,
     build_irrep,
     check_rotation,
     find_rotation_with_top_component,
@@ -24,7 +26,6 @@ from quatspin.so3 import (
     random_vector,
     rotated_generator,
     rotation_from_quaternion,
-    top_weight_projector,
 )
 from quatspin.sparse import SparseMatrix
 
@@ -470,17 +471,24 @@ def test_irrep_report_structure():
     assert all("explicit i" in n for n in notes)
 
 
+def top_eigenpair(ir, gen):
+    """The top eigenvectors of gen as a column w and a row l^T, and l . w."""
+    w, left = _top_eigenvectors(ir, gen)
+    col = SparseMatrix.from_rows([[ExactScalar(*x)] for x in w])
+    row = SparseMatrix.from_rows([[ExactScalar(*x) for x in left]])
+    return col, row, (row @ col)[0, 0]
+
+
 def test_top_weight_projector_rejects_a_corrupted_generator():
+    # the projection P = w l^T / (l . w), read through its eigenvectors
     ir = build_irrep(4)
     gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
-    p = top_weight_projector(ir, gen)
-    assert p @ p == p and p.trace() == ExactScalar(1)
-    with pytest.raises(TypeError, match="exact"):
-        top_weight_projector(ir, gen.to_float())
+    col, row, lw = top_eigenpair(ir, gen)
+    assert gen @ col == col.scale(4) and row @ gen == row.scale(4) and lw
     bump = SparseMatrix.from_rows([[1 if (s, t) == (0, 1) else 0
                                     for t in range(ir.dim)] for s in range(ir.dim)])
     with pytest.raises(SpectrumError, match="eigen-equation"):
-        top_weight_projector(ir, gen + bump)
+        _top_eigenvectors(ir, gen + bump)
 
 
 def lagrange_reference(ir, gen):
@@ -501,12 +509,29 @@ def certificate_quaternions(r):
     return drawn + list(AXIS_QUATERNIONS) + list(_FIXED_QUATERNIONS)
 
 
+def lagrange_norm2(lagrange, v):
+    """|L v|^2, summed exactly over the nonzeros of L v."""
+    col = SparseMatrix.from_rows([[x] for x in v])
+    return sum(x.abs2() for _, x in (lagrange @ col).nonzero_entries())
+
+
 @pytest.mark.parametrize("r", range(11))
 def test_top_weight_projector_equals_the_lagrange_product(r):
+    # the projection as the search reads it: certified top eigenvectors, and
+    # the norm |P v|^2 of `_top_weight_norm2`, equal to |L v|^2 for the
+    # Lagrange product L on the unit vectors and seeded integer vectors
     ir = build_irrep(r)
+    rng = np.random.default_rng([71, r])
+    vectors = [[int(s == j) for j in range(ir.dim)] for s in range(ir.dim)]
+    vectors += [random_vector(rng, ir.dim) for _ in range(3)]
     for q in certificate_quaternions(r):
-        gen = rotated_generator(ir, rotation_from_quaternion(*q))
-        assert top_weight_projector(ir, gen) == lagrange_reference(ir, gen), q
+        g = rotation_from_quaternion(*q)
+        gen = rotated_generator(ir, g)
+        col, row, lw = top_eigenpair(ir, gen)
+        assert gen @ col == col.scale(r) and row @ gen == row.scale(r) and lw, q
+        lagrange = lagrange_reference(ir, gen)
+        for v in vectors:
+            assert _top_weight_norm2(ir, g, _operand(v)) == lagrange_norm2(lagrange, v), (q, v)
 
 
 def unit(n, i, j, value=1):
@@ -532,7 +557,7 @@ def test_top_weight_projector_refuses_each_corruption(r):
             corrupted.append(gen + unit(n, 0, 2))
         for bad in corrupted:
             with pytest.raises(SpectrumError, match="eigen-equation"):
-                top_weight_projector(ir, bad)
+                _top_eigenvectors(ir, bad)
 
 
 def test_a_repeated_eigenvalue_is_refused():
@@ -543,18 +568,17 @@ def test_a_repeated_eigenvalue_is_refused():
     gen = SparseMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, -2]])
     assert lagrange_reference(ir, gen).trace() == ExactScalar(2)
     with pytest.raises(SpectrumError, match="eigen-equation fails for 0"):
-        top_weight_projector(ir, gen)
+        _top_eigenvectors(ir, gen)
     with pytest.raises(DimensionError):
-        top_weight_projector(ir, SparseMatrix.identity(2))
+        _top_eigenvectors(ir, SparseMatrix.identity(2))
 
 
 def reference_search(ir, v, budget):
     """The search with every sample judged by the Lagrange projector's norm."""
-    col = SparseMatrix.from_rows([[x] for x in v])
     best_mag, best_g = None, None
     for i in range(budget):
         g = rotation_from_quaternion(1, 0, i, 0)
-        norm2 = (lagrange_reference(ir, rotated_generator(ir, g)) @ col).frobenius_norm2()
+        norm2 = lagrange_norm2(lagrange_reference(ir, rotated_generator(ir, g)), v)
         mag = math.sqrt(float(norm2))
         if norm2 != 0:
             return True, g.entries, repr(mag), i + 1
@@ -604,9 +628,8 @@ def test_top_weight_projector_product_count(monkeypatch):
     ir = build_irrep(10)
     gen = rotated_generator(ir, rotation_from_quaternion(2, 3, 6, 0))
     monkeypatch.setattr(exact_module, "_product_terms", counted)
-    top_weight_projector(ir, gen)
-    assert len(calls) <= 1
-    calls.clear()
+    _top_eigenvectors(ir, gen)
+    assert calls == []
     assert irrep_report(10).ok
     assert len(calls) <= 70
     calls.clear()
