@@ -145,8 +145,10 @@ def _column(model, v):
     return v
 
 
-def _generator_sum(model, coefficients):
-    terms = [(c, model.gamma[i]) for i, c in coefficients.items()]
+def _generator_sum(model, den, numerators):
+    """sum_i ((re_i + i im_i) / den) gamma_i over numerators {i: (re_i, im_i)}."""
+    terms = [(ExactScalar(Fraction(re, den), Fraction(im, den)), model.gamma[i])
+             for i, (re, im) in numerators.items()]
     return fused_sum(terms=terms) if terms else model.zeros()
 
 
@@ -157,7 +159,8 @@ def vector_action(model, v):
     result is sum_i v_i gamma_i, extended C-linearly in the coefficients,
     in the backend of the model's generators.
     """
-    return _generator_sum(model, {i: c for (i, _), c in _column(model, v).nonzero_entries()})
+    den, entries = _column(model, v).numerators()
+    return _generator_sum(model, den, {i: c for (i, _), c in entries.items()})
 
 
 def rotated_action(model, rotation, v):
@@ -174,6 +177,4 @@ def rotated_action(model, rotation, v):
             c, d = entries[k, 0]
             re, im = sums.get(i, (0, 0))
             sums[i] = (re + a * c - b * d, im + a * d + b * c)
-    den = den_r * den_v
-    return _generator_sum(model, {i: ExactScalar(Fraction(re, den), Fraction(im, den))
-                                  for i, (re, im) in sums.items()})
+    return _generator_sum(model, den_r * den_v, sums)

@@ -344,11 +344,10 @@ class _Nonzeros:
     A subclass holds rows, cols and `_key`, and supplies `zeros`,
     `unit_diagonal`, `scale` and the value arithmetic: `_fused` (a fused sum
     of operands that each hold a nonzero, with nonzero coefficients),
-    `_transposed`, `_scalars` (the stored values as scalars), `_unit_phases`
-    (which stored values are 1, -1, i or -i) and `_equal_to` (which stored
-    values equal an exact scalar).  A product and a sum or difference are fused sums
-    of one product or two terms, whose shapes `fused_sum` checks.  Mixing
-    the backends raises TypeError.
+    `_transposed`, `_unit_phases` (which stored values are 1, -1, i or -i)
+    and `_equal_to` (which stored values equal an exact scalar).  A product
+    and a sum or difference are fused sums of one product or two terms,
+    whose shapes `fused_sum` checks.  Mixing the backends raises TypeError.
     """
 
     __slots__ = ()
@@ -400,12 +399,6 @@ class _Nonzeros:
     def hermitian(self):
         """Conjugate transpose."""
         return self._transposed(True)
-
-    def nonzero_entries(self):
-        """[((i, j), value)] for the stored entries in key order, each value a
-        backend scalar (ExactScalar, or complex in the float backend)."""
-        rows, cols = np.divmod(self._key, max(self.cols, 1))
-        return list(zip(zip(rows.tolist(), cols.tolist()), self._scalars()))
 
     def unit_monomial_defect(self):
         """0 for a permutation matrix times phases in {1, -1, i, -i}.
@@ -515,9 +508,6 @@ class DenseMatrix(_Nonzeros):
     def _unit_phases(self):
         re, im = self._v.real, self._v.imag
         return ((re == 0) & (np.abs(im) == 1)) | ((im == 0) & (np.abs(re) == 1))
-
-    def _scalars(self):
-        return self._v.tolist()
 
     def _equal_to(self, s):
         return np.abs(self._v - _complex(s)) <= FLOAT_SCALAR_TOL

@@ -73,8 +73,10 @@ def kaehler_form(model, triple, a):
     action(J_a e_i) = sum_k J_a[k, i] gamma_k, so Omega_a is the one fused
     sum (1/2) sum_{k,i} J_a[k, i] gamma_i gamma_k over the nonzeros of J_a.
     """
+    den, entries = triple[a].numerators()
     g = model.gamma
-    return fused_sum([(_HALF * c, g[i], g[k]) for (k, i), c in triple[a].nonzero_entries()])
+    return fused_sum([(ExactScalar(Fraction(re, 2 * den), Fraction(im, 2 * den)), g[i], g[k])
+                      for (k, i), (re, im) in entries.items()])
 
 
 def kraines_form(model, omegas):

@@ -310,13 +310,6 @@ class SparseMatrix(_Nonzeros):
         return self._den, dict(zip(zip(rows.tolist(), cols.tolist()),
                                    zip(self._re.tolist(), self._im.tolist())))
 
-    def _scalars(self):
-        if self._den == 1:
-            return [ExactScalar(re, im)
-                    for re, im in zip(self._re.tolist(), self._im.tolist())]
-        return [ExactScalar(Fraction(re, self._den), Fraction(im, self._den))
-                for re, im in zip(self._re.tolist(), self._im.tolist())]
-
     def to_float(self):
         """The same matrix in the float backend (lossy for large numerators)."""
         v = (self._re.astype(np.float64) + 1j * self._im.astype(np.float64)) / self._den

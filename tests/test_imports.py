@@ -1,22 +1,25 @@
 """Every module-level import of the package is read where it is imported,
 every import names the package, the standard library or a declared
-dependency, and every name the package re-exports, and every public method
-or property of its classes, is read in it or listed with a reason.
+dependency, the package namespace re-exports nothing, and every public
+function or class of a package module, and every public method or property
+of its classes, is read in the package or listed with a reason.
 
 A deletion that leaves its import behind costs every command's start-up
-for nothing.  `__init__.py` is left out of the first check: its imports are
-the re-exported public names.  `from __future__` imports are compiler
-directives.  A re-exported name that no module of the package reads is
-kept only for readers outside it; `UNREAD_EXPORTS` gives each such name
-its reason, and an entry goes stale, failing the check, once its name
-gains a reader in the package or leaves `__init__.py`.  Imports inside
-functions count for the dependency check too: an installed package that
-pyproject.toml does not declare would break the program where it is absent.
+for nothing.  `from __future__` imports are compiler directives.  Imports
+inside functions count for the dependency check too: an installed package
+that pyproject.toml does not declare would break the program where it is
+absent.
+
+`__init__.py` imports no package module, so each name has one import path:
+its own module.  A public function or class that no module of the package
+reads is kept only for readers outside it; `UNREAD_DEFINITIONS` gives each
+such name its reason, and an entry goes stale, failing the check, once its
+name gains a reader in the package or is deleted.
 
 A public method or property of a package class counts as read when some
 package module reads an attribute of that name.  `UNREAD_ATTRIBUTES` gives
 each one that only readers outside the package use its reason, and an
-entry goes stale, as in `UNREAD_EXPORTS`, once its name gains a reader.
+entry goes stale, as in `UNREAD_DEFINITIONS`, once its name gains a reader.
 """
 
 import ast
@@ -26,9 +29,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quatspin"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 DEPENDENCIES = {"numpy"}  # the dependencies of pyproject.toml
-UNREAD_EXPORTS = {
+UNREAD_DEFINITIONS = {
     "p_plus": "the paper's definition, which the tests check the calculus against",
     "p_minus": "the paper's definition, which the tests check the calculus against",
     "q_plus": "the paper's definition, which the tests check the calculus against",
@@ -69,7 +72,7 @@ def test_every_top_level_import_is_read(path):
     assert [name for name in imported if name not in read] == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_relative_standard_or_declared(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -80,14 +83,20 @@ def test_every_import_is_relative_standard_or_declared(path):
     assert [name for name in names if name.split(".")[0] not in allowed] == []
 
 
-def test_every_export_is_read_in_the_package_or_listed():
+def test_the_package_namespace_re_exports_nothing():
+    # `from quatspin...` would fail the dependency check above
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names}
-    read = set().union(*(_read_names(ast.parse(path.read_text(encoding="utf-8")))
-                         for path in MODULES))
-    assert sorted(exported - read) == sorted(UNREAD_EXPORTS)
+    assert [node.lineno for node in ast.walk(init)
+            if isinstance(node, ast.ImportFrom) and node.level > 0] == []
+
+
+def test_every_public_definition_is_read_in_the_package_or_listed():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    read = set().union(*(_read_names(tree) for tree in trees))
+    assert sorted(defined - read) == sorted(UNREAD_DEFINITIONS)
 
 
 def test_every_public_attribute_is_read_in_the_package_or_listed():

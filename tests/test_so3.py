@@ -510,9 +510,10 @@ def certificate_quaternions(r):
 
 
 def lagrange_norm2(lagrange, v):
-    """|L v|^2, summed exactly over the nonzeros of L v."""
+    """|L v|^2 = sum (re^2 + im^2) / den^2, summed exactly over the nonzeros of L v."""
     col = SparseMatrix.from_rows([[x] for x in v])
-    return sum(x.abs2() for _, x in (lagrange @ col).nonzero_entries())
+    den, entries = (lagrange @ col).numerators()
+    return Fraction(sum(re * re + im * im for re, im in entries.values()), den * den)
 
 
 @pytest.mark.parametrize("r", range(11))
