@@ -6,7 +6,7 @@ operator identities behind the twistor projector calculus with exact
 arithmetic, reproduces the block transition constants, and tabulates the
 resulting Dirac eigenvalue lower-bound coefficients.
 
-Every name is imported from its own module (`from quatspin.sparse import
+Every name is imported from its own module (`from quatspin.exact import
 SparseMatrix`); the package itself holds only `__version__` and the guard
 below, which every import of a quatspin module passes through.
 """

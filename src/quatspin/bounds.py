@@ -77,9 +77,9 @@ class BoundRow(NamedTuple):
 class ComparisonBounds(NamedTuple):
     """Reference coefficients of kappa/4 from the general and Kaehler cases.
 
-    The Kaehler reference takes a complex dimension of its own; a real
-    4m-manifold that happened to be Kaehler would have complex dimension 2m,
-    which is the default.
+    The Kaehler reference is taken at the complex dimension m_c = 2m of a
+    real 4m-manifold that happened to be Kaehler.  m_c is even, so the
+    applicable parity is always "even"; the odd estimate is listed beside it.
     """
 
     m: int
@@ -179,13 +179,12 @@ def universal_coefficient(m):
     return Fraction(m + 3, m + 2)
 
 
-def comparison_bounds(m, complex_dimension=None):
+def comparison_bounds(m):
     """Reference coefficients: the general estimate n/(n-1) for n = 4m and
-    the Kaehler estimates (m_c+1)/m_c (odd m_c) and m_c/(m_c-1) (even m_c)."""
+    the Kaehler estimates (m_c+1)/m_c (odd m_c) and m_c/(m_c-1) (even m_c)
+    at m_c = 2m."""
     _require_dimension(m)
-    m_c = 2 * m if complex_dimension is None else complex_dimension
-    if m_c < 2:
-        raise DomainError(f"complex dimension must be >= 2, got {m_c}")
+    m_c = 2 * m
     n = 4 * m
     return ComparisonBounds(
         m=m,
@@ -197,7 +196,7 @@ def comparison_bounds(m, complex_dimension=None):
     )
 
 
-def build_bound_report(m, kappa=Fraction(4), complex_dimension=None):
+def build_bound_report(m, kappa=Fraction(4)):
     """Assemble the full per-configuration table plus reference rows."""
     kappa = Fraction(kappa)
     if kappa <= 0:
@@ -207,7 +206,7 @@ def build_bound_report(m, kappa=Fraction(4), complex_dimension=None):
         kappa=kappa,
         rows=tuple(configuration_rows(m)),
         universal=universal_coefficient(m),
-        comparisons=comparison_bounds(m, complex_dimension),
+        comparisons=comparison_bounds(m),
     )
 
 

@@ -153,9 +153,6 @@ def build_parser():
     add_m(p)
     p.add_argument("--kappa", type=_rational, default=Fraction(4),
                    help="scalar curvature as a positive rational (default 4)")
-    p.add_argument("--complex-dimension", type=_int_at_least(1), default=None,
-                   help="complex dimension for the Kaehler comparison "
-                        "(default 2m)")
     add_output(p)
     p.set_defaults(handler=cmd_bounds)
 
@@ -268,7 +265,7 @@ def _coefficient_dict(coeff):
 
 
 def cmd_bounds(args):
-    report = build_bound_report(args.m, args.kappa, args.complex_dimension)
+    report = build_bound_report(args.m, args.kappa)
     rows = [{"r": row.r, "k": row.k, "case": row.case,
              "first": _coefficient_dict(row.first),
              "second": _coefficient_dict(row.second)} for row in report.rows]

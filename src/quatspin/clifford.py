@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceLimitError
-from .exact import ExactScalar, fused_sum
-from .sparse import SparseMatrix
+from .exact import ExactScalar, SparseMatrix, fused_sum
 
 DEFAULT_MAX_M = 6
 MAX_M_ENV = "QUATSPIN_MAX_M"

@@ -15,12 +15,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, SpectrumError
-from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, commutator,
-                    diagonal_eigenprojectors, fused_sum, lagrange_eigenprojectors)
+from .exact import (FLOAT_SCALAR_TOL, FLOAT_TOL, DenseMatrix, ExactScalar, SparseMatrix,
+                    commutator, diagonal_eigenprojectors, fused_sum, lagrange_eigenprojectors)
 from .clifford import CliffordModel
 from .quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_operators,
                            build_standard_triple)
-from .sparse import SparseMatrix
 from .report import VerificationReport, bool_entry, info_entry, residual_entry
 from .symmetry import orbits
 

@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 from .clifford import basis_vector
 from .errors import DomainError
-from .exact import DenseMatrix, ExactScalar, commutator, fused_sum
-from .sparse import SparseMatrix
+from .exact import DenseMatrix, ExactScalar, SparseMatrix, commutator, fused_sum
 from .report import VerificationReport, residual_entry
 from .symmetry import orbits
 

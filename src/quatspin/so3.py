@@ -31,10 +31,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DimensionError, DomainError, SpectrumError
-from .exact import ExactScalar, commutator, fused_sum
+from .exact import ExactScalar, SparseMatrix, commutator, fused_sum
 from .quaternionic import epsilon
 from .report import VerificationReport, bool_entry, residual_entry
-from .sparse import SparseMatrix, _parts
 
 _FIXED_QUATERNIONS = ((1, 2, 2, 0), (2, 3, 6, 0), (1, 1, 1, 1))
 
@@ -290,7 +289,7 @@ def _vector(irrep, v):
     if len(v) != irrep.dim:
         raise DimensionError(f"expected {irrep.dim} coordinates, got {len(v)}")
     # a list, not a generator: every entry is read, so a wrong type raises
-    if not any([re or im for re, im in map(_parts, v)]):
+    if not any([re or im for re, im in map(ExactScalar.parts, v)]):
         raise DomainError("zero vector has no weight components")
     return v
 
@@ -301,7 +300,7 @@ def _operand(v):
     The coordinates, Gaussian rationals, are given as Gaussian-integer
     numerators over their common denominator den.
     """
-    parts = [[Fraction(c) for c in _parts(x)] for x in v]
+    parts = [[Fraction(c) for c in ExactScalar.parts(x)] for x in v]
     den = math.lcm(*(c.denominator for pair in parts for c in pair))
     return den, [tuple(c.numerator * (den // c.denominator) for c in pair)
                  for pair in parts]
@@ -384,7 +383,7 @@ def find_rotation_with_top_component(irrep, v, budget=1000):
     if budget < 1:
         raise DomainError(f"sample budget must be at least 1, got {budget}")
     v = _vector(irrep, v)
-    re, im = _parts(v[0])
+    re, im = ExactScalar.parts(v[0])
     if re or im:
         return RotationSearch(True, identity_rotation(), math.sqrt(re * re + im * im), 1)
     operand = _operand(v)

@@ -39,9 +39,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import commutator, fused_sum
+from .exact import SparseMatrix, commutator, fused_sum
 from .report import VerificationReport, bool_entry, residual_entry
-from .sparse import SparseMatrix
 
 CHECK_ID = "line_symmetry"
 

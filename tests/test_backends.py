@@ -13,9 +13,8 @@ import pytest
 from quatspin import cli, symmetry
 from quatspin.clifford import build_clifford_model
 from quatspin.decomposition import build_world
-from quatspin.exact import DenseMatrix, _Nonzeros
+from quatspin.exact import DenseMatrix, SparseMatrix, _Nonzeros
 from quatspin.quaternionic import build_adapted_basis
-from quatspin.sparse import SparseMatrix
 
 
 def report_rows(argv, capsys):

@@ -137,9 +137,8 @@ def test_comparison_coefficients():
     assert cmp2.complex_dimension == 4
     assert cmp2.kirchberg_even == Fraction(4, 3)
     assert cmp2.applicable_parity == "even"
-    assert comparison_bounds(2, 3).kirchberg_odd == Fraction(4, 3)
-    assert comparison_bounds(2, 3).applicable_parity == "odd"
-    assert comparison_bounds(1, 2).kirchberg_even == 2
+    assert cmp2.kirchberg_odd == Fraction(5, 4)
+    assert comparison_bounds(1).kirchberg_even == 2
     # at m = 1 the universal and general coefficients coincide
     assert comparison_bounds(1).friedrich == universal_coefficient(1)
 

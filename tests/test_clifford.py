@@ -12,8 +12,7 @@ from quatspin.clifford import (
     vector_action,
 )
 from quatspin.errors import DimensionError, DomainError, ResourceLimitError
-from quatspin.exact import DenseMatrix, ExactScalar
-from quatspin.sparse import SparseMatrix
+from quatspin.exact import DenseMatrix, ExactScalar, SparseMatrix
 
 
 @pytest.fixture(scope="module")

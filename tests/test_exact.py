@@ -9,13 +9,13 @@ from quatspin.exact import (
     FLOAT_TOL,
     DenseMatrix,
     ExactScalar,
+    SparseMatrix,
     column_space_basis,
     diagonal_eigenprojectors,
     fused_sum,
     lagrange_eigenprojectors,
     lagrange_projector,
 )
-from quatspin.sparse import SparseMatrix
 
 
 def rand_scalar(rng, span=6):

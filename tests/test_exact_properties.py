@@ -23,9 +23,8 @@ import numpy as np
 import pytest
 
 from quatspin.clifford import build_clifford_model
-from quatspin.exact import ExactScalar
+from quatspin.exact import ExactScalar, SparseMatrix
 from quatspin.quaternionic import build_kaehler_operators, build_standard_triple
-from quatspin.sparse import SparseMatrix
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from quatspin.errors import DimensionError
-from quatspin.exact import FLOAT_TOL, DenseMatrix, ExactScalar
-from quatspin.sparse import SparseMatrix
+from quatspin.exact import FLOAT_TOL, DenseMatrix, ExactScalar, SparseMatrix
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -21,11 +21,10 @@ import pytest
 from quatspin import exact
 from quatspin.clifford import build_clifford_model
 from quatspin.decomposition import build_world
-from quatspin.exact import FLOAT_TOL, DenseMatrix, ExactScalar, fused_sum
+from quatspin.exact import FLOAT_TOL, DenseMatrix, ExactScalar, SparseMatrix, fused_sum
 from quatspin.errors import DimensionError
 from quatspin.projectors import ProjectorCalculus
 from quatspin.quaternionic import build_kaehler_operators, structure_report
-from quatspin.sparse import SparseMatrix
 from quatspin.symmetry import certify_line_symmetry
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -1,14 +1,18 @@
 """Every module-level import of the package is read where it is imported,
 every import names the package, the standard library or a declared
-dependency, the package namespace re-exports nothing, and every public
-function or class of a package module, and every public method or property
-of its classes, is read in the package or listed with a reason.
+dependency, no module imports another's private (underscore) name, the
+package namespace re-exports nothing, and every public function or class of
+a package module, and every public method or property of its classes, is
+read in the package or listed with a reason.
 
 A deletion that leaves its import behind costs every command's start-up
 for nothing.  `from __future__` imports are compiler directives.  Imports
 inside functions count for the dependency check too: an installed package
 that pyproject.toml does not declare would break the program where it is
 absent.
+
+A private name is read only in its own module: code that needs another
+module's private names belongs in that module, or the name is made public.
 
 `__init__.py` imports no package module, so each name has one import path:
 its own module.  A public function or class that no module of the package
@@ -81,6 +85,15 @@ def test_every_import_is_relative_standard_or_declared(path):
               if isinstance(node, ast.ImportFrom) and node.level == 0]
     allowed = sys.stdlib_module_names | DEPENDENCIES
     assert [name for name in names if name.split(".")[0] not in allowed] == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # every package import is relative: `from quatspin...` fails the check above
+    imported = [f"{path.name}: {alias.name}" for path in MODULES
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
 
 
 def test_the_package_namespace_re_exports_nothing():

@@ -88,10 +88,9 @@ from fractions import Fraction
 from quatspin import cli, decomposition, projectors, so3, symmetry
 from quatspin.clifford import build_clifford_model, corrupt_gamma
 from quatspin.decomposition import World, build_world, decomposition_report
-from quatspin.exact import fused_sum
+from quatspin.exact import SparseMatrix, fused_sum
 from quatspin.quaternionic import (HyperkahlerTriple, KaehlerOperators, build_kaehler_operators,
                                    kraines_form)
-from quatspin.sparse import SparseMatrix
 
 WITNESS_FAMILIES = {"clifford_four_fold_split", "block_projector_eigen",
                     "k_shift_projection", "block_constant_match",

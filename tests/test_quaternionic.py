@@ -5,7 +5,7 @@ import pytest
 from quatspin.clifford import basis_vector, build_clifford_model, corrupt_gamma, vector_action
 from quatspin.decomposition import build_world
 from quatspin.errors import DomainError
-from quatspin.exact import ExactScalar
+from quatspin.exact import ExactScalar, SparseMatrix
 from quatspin.quaternionic import (
     build_adapted_basis,
     build_kaehler_operators,
@@ -15,7 +15,6 @@ from quatspin.quaternionic import (
     sl2_generators,
     structure_report,
 )
-from quatspin.sparse import SparseMatrix
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,8 @@ import pytest
 
 from quatspin import exact as exact_module
 from quatspin.errors import DimensionError, DomainError, SpectrumError
-from quatspin.exact import (ExactScalar, certify_eigenprojector, column_space_basis,
-                            lagrange_projector)
+from quatspin.exact import (ExactScalar, SparseMatrix, certify_eigenprojector,
+                            column_space_basis, lagrange_projector)
 from quatspin.quaternionic import epsilon
 from quatspin.so3 import (
     _FIXED_QUATERNIONS,
@@ -27,7 +27,6 @@ from quatspin.so3 import (
     rotated_generator,
     rotation_from_quaternion,
 )
-from quatspin.sparse import SparseMatrix
 
 
 def _comm(a, b):

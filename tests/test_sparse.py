@@ -20,11 +20,10 @@ import pytest
 from quatspin.clifford import build_clifford_model
 from quatspin.decomposition import build_world
 from quatspin.errors import DimensionError
-from quatspin.exact import DenseMatrix, ExactScalar
+from quatspin.exact import DenseMatrix, ExactScalar, SparseMatrix
 from quatspin.projectors import ProjectorCalculus
 from quatspin.quaternionic import build_adapted_basis
 from quatspin.so3 import build_irrep
-from quatspin.sparse import SparseMatrix
 
 
 _BLOCK_I = np.eye(2, dtype=np.complex128)

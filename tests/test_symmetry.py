@@ -20,9 +20,9 @@ from quatspin import exact as exact_module
 from quatspin import symmetry as symmetry_module
 from quatspin.clifford import build_clifford_model, corrupt_gamma
 from quatspin.decomposition import build_world, decomposition_report
+from quatspin.exact import SparseMatrix
 from quatspin.projectors import ProjectorCalculus, verify_lemma_identities
 from quatspin.quaternionic import KaehlerOperators, kraines_form, structure_report
-from quatspin.sparse import SparseMatrix
 from quatspin.symmetry import certify_line_symmetry, line_symmetries, orbits
 
 
