@@ -16,6 +16,10 @@ shapes, case A (S_r^k with S_{r+1}^{k+1}) and case B (S_r^k with
 S_{r+1}^{k-1}); each yields two coefficients.  The universal bound
 (m+3)/(m+2) is the r = 0 extremal value of the case-A family, and
 `bound_property_report` certifies the family's properties for every m.
+
+`quatspin bounds` reads `configuration_rows`, `universal_coefficient` and
+`comparison_bounds` for its m, and multiplies kappa/4 into the universal
+coefficient alone.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ class BoundCoefficient(NamedTuple):
 class BoundRow(NamedTuple):
     """The two simultaneous coefficients for one block configuration."""
 
-    m: int
     r: int
     k: int
     case: str
@@ -79,30 +82,15 @@ class ComparisonBounds(NamedTuple):
 
     The Kaehler reference is taken at the complex dimension m_c = 2m of a
     real 4m-manifold that happened to be Kaehler.  m_c is even, so the
-    applicable parity is always "even"; the odd estimate is listed beside it.
+    applicable parity is "even" at every m; the odd estimate is listed
+    beside it.
     """
 
-    m: int
     complex_dimension: int
     friedrich: Fraction
     kirchberg_odd: Fraction
     kirchberg_even: Fraction
     applicable_parity: str
-
-
-class BoundReport(NamedTuple):
-    """All bound data for one quaternionic dimension m at curvature kappa."""
-
-    m: int
-    kappa: Fraction
-    rows: tuple
-    universal: Fraction
-    comparisons: ComparisonBounds
-
-    @property
-    def universal_value(self):
-        """The universal lower bound on lambda^2, as an exact rational."""
-        return self.universal * self.kappa / 4
 
 
 def _require_dimension(m):
@@ -124,7 +112,7 @@ def bound_case_A(m, r, k):
     _require_configuration(m, r, k)
     first = BoundCoefficient.from_constant(closed_form_A(m, r + 1, k + 1, "++"))
     second = BoundCoefficient.from_constant(closed_form_A(m, r, k, "--"))
-    return BoundRow(m, r, k, "A", first, second)
+    return BoundRow(r, k, "A", first, second)
 
 
 def bound_case_B(m, r, k):
@@ -139,7 +127,7 @@ def bound_case_B(m, r, k):
         raise DomainError("case B needs k >= 1 (no weight level below k=0)")
     first = BoundCoefficient.from_constant(closed_form_A(m, r + 1, k - 1, "+-"))
     second = BoundCoefficient.from_constant(closed_form_A(m, r, k, "-+"))
-    return BoundRow(m, r, k, "B", first, second)
+    return BoundRow(r, k, "B", first, second)
 
 
 def configuration_rows(m):
@@ -187,26 +175,11 @@ def comparison_bounds(m):
     m_c = 2 * m
     n = 4 * m
     return ComparisonBounds(
-        m=m,
         complex_dimension=m_c,
         friedrich=Fraction(n, n - 1),
         kirchberg_odd=Fraction(m_c + 1, m_c),
         kirchberg_even=Fraction(m_c, m_c - 1),
-        applicable_parity="odd" if m_c % 2 else "even",
-    )
-
-
-def build_bound_report(m, kappa=Fraction(4)):
-    """Assemble the full per-configuration table plus reference rows."""
-    kappa = Fraction(kappa)
-    if kappa <= 0:
-        raise DomainError(f"scalar curvature must be positive, got {kappa}")
-    return BoundReport(
-        m=m,
-        kappa=kappa,
-        rows=tuple(configuration_rows(m)),
-        universal=universal_coefficient(m),
-        comparisons=comparison_bounds(m),
+        applicable_parity="even",
     )
 
 

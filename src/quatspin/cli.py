@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import build_bound_report
+from .bounds import comparison_bounds, configuration_rows, universal_coefficient
 from .clifford import build_clifford_model, corrupt_gamma
 from .decomposition import (build_world, decomposition_report, omega_eigenvalue,
                             weight_eigenvalue)
@@ -95,14 +95,15 @@ def _rational(text):
     return value
 
 
-def _m_range(text):
+def _dimensions(text):
+    """The argument type of M or A..B: the dimensions M, or A to B inclusive."""
     parts = text.split("..")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
-    lo, hi = map(_int_at_least(1), parts)
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected M or A..B, got {text!r}")
+    lo, hi = map(_int_at_least(1), (parts[0], parts[-1]))
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 # ------------------------------------------------------------------- parsing
@@ -133,11 +134,9 @@ def build_parser():
         add_output(p)
 
     p = sub.add_parser("verify", help="run the full verification matrix")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--m", type=_int_at_least(1), default=None,
-                       help="single quaternionic dimension")
-    group.add_argument("--m-range", type=_m_range, default=(1, 2), metavar="A..B",
-                       help="inclusive dimension range (default 1..2)")
+    p.add_argument("--m", type=_dimensions, default=range(1, 3), metavar="M|A..B",
+                   help="one quaternionic dimension M, or the dimensions A to B "
+                        "inclusive (default 1..2)")
     p.add_argument("--flip-gamma", type=_int_at_least(0), default=None,
                    help=argparse.SUPPRESS)
     add_common(p, seed_help="copied into the report; nothing is sampled")
@@ -196,9 +195,7 @@ def world_report(world):
 
 
 def cmd_verify(args):
-    lo, hi = args.m_range
-    m_values = (args.m,) if args.m is not None else tuple(range(lo, hi + 1))
-    models = [build_clifford_model(m, kind=args.backend) for m in m_values]
+    models = [build_clifford_model(m, kind=args.backend) for m in args.m]
     if args.flip_gamma is not None:
         # every index is checked before the first world is built
         flipped = [corrupt_gamma(model, args.flip_gamma) for model in models]
@@ -222,7 +219,7 @@ def cmd_verify(args):
         "backend": args.backend,
         **_tolerance(args.backend),
         "seed": args.seed,
-        "m_values": list(m_values),
+        "m_values": list(args.m),
         "flip_gamma": args.flip_gamma,
         "model_hashes": model_hashes,
         "counts": counts,
@@ -230,7 +227,7 @@ def cmd_verify(args):
         "entries": rows,
         "failures": [row for row in rows if row["status"] == "fail"],
     }
-    preamble = (f"backend={args.backend} m_values={list(m_values)} "
+    preamble = (f"backend={args.backend} m_values={list(args.m)} "
                 f"pass={counts['pass']} fail={counts['fail']} info={counts['info']}",)
     return CommandResult(0 if combined.ok else 1, payload, rows, preamble)
 
@@ -265,31 +262,24 @@ def _coefficient_dict(coeff):
 
 
 def cmd_bounds(args):
-    report = build_bound_report(args.m, args.kappa)
+    m, kappa = args.m, args.kappa
+    universal = universal_coefficient(m)
+    value = universal * kappa / 4
+    comparisons = comparison_bounds(m)
     rows = [{"r": row.r, "k": row.k, "case": row.case,
              "first": _coefficient_dict(row.first),
-             "second": _coefficient_dict(row.second)} for row in report.rows]
-    comparisons = report.comparisons
+             "second": _coefficient_dict(row.second)} for row in configuration_rows(m)]
     payload = {
         "command": "bounds",
-        "m": report.m,
-        "kappa": str(report.kappa),
-        "universal": {
-            "coefficient": str(report.universal),
-            "value": str(report.universal_value),
-        },
-        "comparisons": {
-            "complex_dimension": comparisons.complex_dimension,
-            "friedrich": str(comparisons.friedrich),
-            "kirchberg_odd": str(comparisons.kirchberg_odd),
-            "kirchberg_even": str(comparisons.kirchberg_even),
-            "applicable_parity": comparisons.applicable_parity,
-        },
+        "m": m,
+        "kappa": str(kappa),
+        "universal": {"coefficient": str(universal), "value": str(value)},
+        "comparisons": {key: str(value) if isinstance(value, Fraction) else value
+                        for key, value in comparisons._asdict().items()},
         "rows": rows,
     }
     preamble = (
-        f"m={report.m} kappa={report.kappa} universal coefficient "
-        f"{report.universal} -> bound {report.universal_value}",
+        f"m={m} kappa={kappa} universal coefficient {universal} -> bound {value}",
         f"friedrich {comparisons.friedrich}  kirchberg "
         f"odd {comparisons.kirchberg_odd} / even {comparisons.kirchberg_even} "
         f"(m_c={comparisons.complex_dimension}, {comparisons.applicable_parity})",

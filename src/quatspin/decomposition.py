@@ -153,12 +153,6 @@ class World(NamedTuple):
     ops: KaehlerOperators
     dec: JointDecomposition
 
-    # a world compares and hashes by identity, not field by field (its
-    # operators have no hash); without __ne__ the tuple's would compare fields
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
 
 def build_world(model, dec=None):
     """The world of `model`, over `dec` (by default decompose(model, ops)).

@@ -69,6 +69,9 @@ class ExactScalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"ExactScalar parts must be int or Fraction, not "
+                            f"{type(re).__name__} and {type(im).__name__}")
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 

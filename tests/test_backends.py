@@ -28,7 +28,7 @@ def verdicts(rows):
 
 
 @pytest.mark.parametrize("argv, expect_fail", [
-    (["verify", "--m-range", "1..2"], False),
+    (["verify", "--m", "1..2"], False),
     (["verify", "--m", "1", "--flip-gamma", "2"], True),
     (["verify", "--m", "3"], False),
     (["verify", "--m", "4"], False),

@@ -10,8 +10,8 @@ from quatspin.bounds import (
     bound_case_A,
     bound_case_B,
     bound_property_report,
-    build_bound_report,
     comparison_bounds,
+    configuration_rows,
     dominance_threshold,
     extremal_first_coefficient,
     extremal_second_coefficient,
@@ -25,18 +25,13 @@ def test_universal_coefficient_values():
     assert universal_coefficient(1) == Fraction(4, 3)
     assert universal_coefficient(2) == Fraction(5, 4)
     assert universal_coefficient(3) == Fraction(6, 5)
-    # kappa multiplied in only at the value level
-    assert build_bound_report(2, 4).universal_value == Fraction(5, 4)
-    assert build_bound_report(2, Fraction(1, 3)).universal_value == Fraction(5, 48)
 
 
 def test_universal_domain_errors():
     with pytest.raises(DomainError):
         universal_coefficient(0)
     with pytest.raises(DomainError):
-        build_bound_report(2, 0)
-    with pytest.raises(DomainError):
-        build_bound_report(2, Fraction(-1, 2))
+        comparison_bounds(0)
 
 
 def test_universal_limit_is_one():
@@ -143,17 +138,16 @@ def test_comparison_coefficients():
     assert comparison_bounds(1).friedrich == universal_coefficient(1)
 
 
-def test_build_bound_report():
-    rep = build_bound_report(2, 4)
-    assert rep.m == 2 and rep.kappa == 4
-    assert rep.universal == Fraction(5, 4)
-    assert rep.universal_value == Fraction(5, 4)
-    assert len(rep.rows) == 6  # 3 lattice points (r=0: k=2; r=1: k=1,3) x 2 cases
+def test_configuration_rows_carry_the_universal_coefficient():
+    # 3 lattice points (r=0: k=2; r=1: k=1,3) x 2 cases
+    assert [(row.r, row.k, row.case) for row in configuration_rows(2)] == [
+        (0, 2, "A"), (0, 2, "B"), (1, 1, "A"), (1, 1, "B"), (1, 3, "A"), (1, 3, "B")]
     for m in range(1, 9):
-        keys = [(row.r, row.k, row.case) for row in build_bound_report(m).rows]
+        rows = configuration_rows(m)
+        keys = [(row.r, row.k, row.case) for row in rows]
         assert keys == sorted(keys), m
-    with pytest.raises(DomainError):
-        build_bound_report(2, 0)
+        # the first row is case A at r = 0, k = m: its first coefficient
+        assert rows[0].first.value == universal_coefficient(m), m
 
 
 def test_property_report_enumeration():

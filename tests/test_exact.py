@@ -53,6 +53,10 @@ def test_scalar_int_interop():
     assert str(ExactScalar(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3i"
     with pytest.raises(ZeroDivisionError):
         a / ExactScalar(0)
+    # exact parts only: a float is never rounded into a Fraction, nor a str parsed
+    for re, im in ((0.1, 0), (0, 0.5), (1j, 0), ("1/3", 0)):
+        with pytest.raises(TypeError):
+            ExactScalar(re, im)
 
 
 def test_identity_multiplication():
